@@ -174,16 +174,18 @@ def refine_and_fuse(
 ) -> Tensor:
     """Blend the retrieved future (plus a learned, scaled offset) with the base.
 
-    direction selects which operand the gate weights: "prior" puts beta on
-    the refined prior (the default), "base" mirrors it.
+    base is (K, T_fut, 2) and features (K, T_fut, d), one row per mode; the
+    prior (T_fut, 2) is shared by every mode, as is the gate. direction
+    selects which operand the gate weights: "prior" puts beta on the refined
+    prior (the default), "base" mirrors it.
     """
-    t_fut = base.shape[0]
-    prior_t = tensor(np.asarray(prior, dtype=np.float64))
-    flat_prior = reshape(prior_t, (1, 2 * t_fut))
-    flat_feat = reshape(features, (1, -1))
-    offset = reshape(p.offset_mlp(concat([flat_prior, flat_feat], axis=1)), (t_fut, 2))
-    refined = add(prior_t, mul(offset, offset_scale))
-    beta = sigmoid(p.gate(f_enc))  # (1, 1), broadcasts over (T, 2)
+    k_modes, t_fut = base.shape[0], base.shape[1]
+    prior = np.asarray(prior, dtype=np.float64)
+    flat_prior = tensor(np.tile(prior.reshape(1, 2 * t_fut), (k_modes, 1)))
+    flat_feat = reshape(features, (k_modes, -1))
+    offset = reshape(p.offset_mlp(concat([flat_prior, flat_feat], axis=1)), (k_modes, t_fut, 2))
+    refined = add(tensor(prior), mul(offset, offset_scale))
+    beta = sigmoid(p.gate(f_enc))  # (1, 1), broadcasts over (K, T, 2)
     if direction == "prior":
         return add(mul(beta, refined), mul(sub(1.0, beta), base))
     if direction == "base":

@@ -118,8 +118,13 @@ def cmd_eval(args) -> int:
         cells = []
         for dt in dts:
             cfg_dt = dataclasses.replace(cfg, t_fut=dt)
-            model_dt, _ = train(train_samples, cfg_dt, bank=bank)
-            rep = evaluate(samples, model_dt, bank, [dt], rhos, seeds)
+            train_dt = [dataclasses.replace(s, fut_ais=s.fut_ais[:dt], fut_cctv=s.fut_cctv[:dt])
+                        for s in train_samples]
+            bank_dt = None if bank is None else dataclasses.replace(
+                bank, t_fut=dt, entries=[dataclasses.replace(e, fut=e.fut[:dt]) for e in bank.entries]
+            )
+            model_dt, _ = train(train_dt, cfg_dt, bank=bank_dt)
+            rep = evaluate(samples, model_dt, bank_dt, [dt], rhos, seeds)
             cells.extend(rep.cells)
         from .evaluate import ExperimentReport
 

@@ -5,7 +5,8 @@ condition on the pooled encoding concatenated with that embedding; the
 latent is reparameterized (z = mu + eps * exp(0.5 * logvar)) so gradients
 flow to the heads but not the noise. A single MLP expands the conditioned
 input to the whole future at once; per-step linear heads emit both modality
-trajectories. No recurrence anywhere.
+trajectories. No recurrence anywhere, and no loop over modes: the K modes
+are the rows of one batch, so every head runs once per sample.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Tensor, clamp, concat, exp, mul, narrow, reshape, tensor
+from .engine import Tensor, add, clamp, concat, exp, mul, narrow, reshape, tensor
 from .engine.rng import Rng
 from .params import Linear, Mlp, linear, mlp, uniform_init
 
@@ -33,14 +34,15 @@ class DecoderParams:
 
 @dataclass
 class ModeOutput:
-    """Tensors for one decoded mode (graph-connected for the loss)."""
+    """Tensors for all K decoded modes, stacked along a leading K axis
+    (graph-connected for the loss)."""
 
-    ais: Tensor  # (T_fut, 2)
-    cctv: Tensor  # (T_fut, 2)
-    features: Tensor  # (T_fut, d) pre-head decoder features
-    z: Tensor  # (1, J)
-    mu: Tensor  # (1, J)
-    logvar: Tensor  # (1, J)
+    ais: Tensor  # (K, T_fut, 2)
+    cctv: Tensor  # (K, T_fut, 2)
+    features: Tensor  # (K, T_fut, d) pre-head decoder features
+    z: Tensor  # (K, J)
+    mu: Tensor  # (K, J)
+    logvar: Tensor  # (K, J)
 
 
 @dataclass
@@ -66,36 +68,6 @@ def init_decoder(rng: Rng, cfg) -> DecoderParams:
     )
 
 
-def sample_latent(
-    p: DecoderParams,
-    f_enc: Tensor,
-    k: int,
-    rng: Rng | None = None,
-    eps: np.ndarray | None = None,
-) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-    """Draw z for mode k; pass eps explicitly to pin the noise (tests, replay)."""
-    if k >= p.mode_embed.shape[0]:
-        raise IndexError(f"mode {k} out of range for K={p.mode_embed.shape[0]}")
-    e_k = narrow(p.mode_embed, 0, k, 1)
-    h = concat([f_enc, e_k], axis=1)
-    mu = p.mu_head(h)
-    logvar = clamp(p.logvar_head(h), -LOGVAR_RANGE, LOGVAR_RANGE)
-    j = mu.shape[1]
-    if eps is None:
-        eps = np.array(rng.normals(j))
-    noise = tensor(np.asarray(eps, dtype=np.float64).reshape(1, j))
-    z = mu + mul(exp(mul(logvar, 0.5)), noise)
-    return z, mu, logvar, e_k
-
-
-def decode(p: DecoderParams, f_enc: Tensor, z: Tensor, e_k: Tensor, t_fut: int) -> tuple[Tensor, Tensor, Tensor]:
-    """One-shot expansion of (encoding, latent, mode) into both trajectories."""
-    d = f_enc.shape[1]
-    flat = p.expand(concat([f_enc, z, e_k], axis=1))
-    features = reshape(flat, (t_fut, d))
-    return p.ais_head(features), p.cctv_head(features), features
-
-
 def predict_modes(
     p: DecoderParams,
     f_enc: Tensor,
@@ -103,25 +75,41 @@ def predict_modes(
     t_fut: int,
     rng: Rng | None = None,
     eps: np.ndarray | None = None,
-) -> list[ModeOutput]:
-    """Decode modes k = 0..K-1 in order; each consumes J noise draws from rng.
+) -> ModeOutput:
+    """Decode modes k = 0..K-1 in one pass; mode k consumes draws k*J..(k+1)*J-1 of rng.
 
     eps, when given, is a (K, J) array overriding the rng stream.
     """
-    modes = []
-    for k in range(k_modes):
-        eps_k = None if eps is None else eps[k]
-        z, mu, logvar, e_k = sample_latent(p, f_enc, k, rng=rng, eps=eps_k)
-        ais, cctv, features = decode(p, f_enc, z, e_k, t_fut)
-        modes.append(ModeOutput(ais=ais, cctv=cctv, features=features, z=z, mu=mu, logvar=logvar))
-    return modes
+    if k_modes > p.mode_embed.shape[0]:
+        raise IndexError(f"{k_modes} modes requested but K={p.mode_embed.shape[0]}")
+    d = f_enc.shape[1]
+    e = narrow(p.mode_embed, 0, 0, k_modes)
+    f_rows = add(tensor(np.zeros((k_modes, d))), f_enc)  # (K, d): f_enc on every row
+    h = concat([f_rows, e], axis=1)
+    mu = p.mu_head(h)
+    logvar = clamp(p.logvar_head(h), -LOGVAR_RANGE, LOGVAR_RANGE)
+    j = mu.shape[1]
+    if eps is None:
+        eps = np.array(rng.normals(k_modes * j))
+    noise = tensor(np.asarray(eps, dtype=np.float64).reshape(k_modes, j))
+    z = mu + mul(exp(mul(logvar, 0.5)), noise)
+    flat = p.expand(concat([f_rows, z, e], axis=1))  # (K, T_fut * d)
+    rows = reshape(flat, (k_modes * t_fut, d))
+    return ModeOutput(
+        ais=reshape(p.ais_head(rows), (k_modes, t_fut, 2)),
+        cctv=reshape(p.cctv_head(rows), (k_modes, t_fut, 2)),
+        features=reshape(flat, (k_modes, t_fut, d)),
+        z=z,
+        mu=mu,
+        logvar=logvar,
+    )
 
 
-def to_prediction_set(modes: list[ModeOutput]) -> PredictionSet:
+def to_prediction_set(modes: ModeOutput) -> PredictionSet:
     return PredictionSet(
-        ais=np.stack([m.ais.data for m in modes]),
-        cctv=np.stack([m.cctv.data for m in modes]),
-        latents=np.stack([m.z.data[0] for m in modes]),
-        mu=np.stack([m.mu.data[0] for m in modes]),
-        logvar=np.stack([m.logvar.data[0] for m in modes]),
+        ais=modes.ais.data,
+        cctv=modes.cctv.data,
+        latents=modes.z.data,
+        mu=modes.mu.data,
+        logvar=modes.logvar.data,
     )

@@ -88,28 +88,14 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     return _make(out, (x, k), bwd)
 
 
-def _bilinear_weights(xs: float, ys: float, h: int, w: int) -> list[tuple[int, float]]:
-    """Weights over flat fmap indices for one sample at continuous (xs, ys).
-
-    Convention: the value of pixel (ix, iy) lives at coordinate (ix, iy);
-    sample points are clamped to [0, W-1] x [0, H-1] before interpolation.
-    """
-    xs = min(max(xs, 0.0), w - 1.0)
-    ys = min(max(ys, 0.0), h - 1.0)
-    x0, y0 = int(np.floor(xs)), int(np.floor(ys))
-    x1, y1 = min(x0 + 1, w - 1), min(y0 + 1, h - 1)
-    fx, fy = xs - x0, ys - y0
-    return [
-        (y0 * w + x0, (1 - fx) * (1 - fy)),
-        (y0 * w + x1, fx * (1 - fy)),
-        (y1 * w + x0, (1 - fx) * fy),
-        (y1 * w + x1, fx * fy),
-    ]
-
-
 def _scatter_bilinear(weights: np.ndarray, rows: np.ndarray, xs: np.ndarray, ys: np.ndarray,
                       h: int, w: int, scale: float) -> None:
-    """Vectorized form of _bilinear_weights over sample batches (same convention)."""
+    """Add scale times the bilinear weights of each sample (xs[i], ys[i]) to row rows[i].
+
+    Columns are flat fmap indices. Convention: the value of pixel (ix, iy)
+    lives at coordinate (ix, iy); sample points are clamped to
+    [0, W-1] x [0, H-1] before interpolation.
+    """
     xs = np.clip(xs, 0.0, w - 1.0)
     ys = np.clip(ys, 0.0, h - 1.0)
     x0 = np.floor(xs).astype(np.intp)
@@ -150,10 +136,9 @@ def roi_align(fmap: Tensor, box, out_size: int, spatial_scale: float) -> Tensor:
     weights = np.zeros((p * p, h * w), dtype=np.float64)
     if x1c <= x0c or y1c <= y0c:
         _DIAGNOSTICS["degenerate_roi"] += 1
-        cx = min(max(0.5 * (x0 + x1), 0.0), w - 1.0)
-        cy = min(max(0.5 * (y0 + y1), 0.0), h - 1.0)
-        for flat, wt in _bilinear_weights(cx, cy, h, w):
-            weights[:, flat] += wt
+        cx = np.full(p * p, 0.5 * (x0 + x1))
+        cy = np.full(p * p, 0.5 * (y0 + y1))
+        _scatter_bilinear(weights, np.arange(p * p), cx, cy, h, w, 1.0)
     else:
         bw = (x1c - x0c) / p
         bh = (y1c - y0c) / p

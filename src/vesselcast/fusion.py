@@ -30,7 +30,7 @@ from .engine import (
 )
 from .engine.rng import Rng
 from .engine.tensor import DimensionError
-from .params import Linear, Mlp, Tensor as _T, linear, mlp, uniform_init
+from .params import Linear, Mlp, linear, mlp, uniform_init
 
 
 @dataclass
@@ -115,30 +115,9 @@ def positional_encoding(t: int, d: int) -> np.ndarray:
     return pe
 
 
-def attention(query: Tensor, keys: Tensor, values: Tensor, p: AttentionParams, heads: int) -> Tensor:
-    """Scaled dot-product attention with projections, multi-head."""
-    if keys.shape[0] != values.shape[0]:
-        raise DimensionError(f"keys ({keys.shape}) and values ({values.shape}) disagree in length")
-    d = query.shape[1]
-    dk = d // heads
-    q = p.wq(query)
-    k = p.wk(keys)
-    v = p.wv(values)
-    outs = []
-    scale = 1.0 / math.sqrt(dk)
-    for h in range(heads):
-        qh = narrow(q, 1, h * dk, dk)
-        kh = narrow(k, 1, h * dk, dk)
-        vh = narrow(v, 1, h * dk, dk)
-        weights = softmax(mul(matmul(qh, transpose(kh)), scale), axis=-1)
-        outs.append(matmul(weights, vh))
-    return p.wo(concat(outs, axis=1))
-
-
-def attention_weights(query: Tensor, keys: Tensor, p: AttentionParams, heads: int) -> list[np.ndarray]:
-    """Per-head softmax weights (forward values only, for inspection/tests)."""
-    d = query.shape[1]
-    dk = d // heads
+def attention_weights(query: Tensor, keys: Tensor, p: AttentionParams, heads: int) -> list[Tensor]:
+    """Per-head softmax weights, each (T_query, T_keys)."""
+    dk = query.shape[1] // heads
     q = p.wq(query)
     k = p.wk(keys)
     scale = 1.0 / math.sqrt(dk)
@@ -146,8 +125,19 @@ def attention_weights(query: Tensor, keys: Tensor, p: AttentionParams, heads: in
     for h in range(heads):
         qh = narrow(q, 1, h * dk, dk)
         kh = narrow(k, 1, h * dk, dk)
-        out.append(softmax(mul(matmul(qh, transpose(kh)), scale), axis=-1).data)
+        out.append(softmax(mul(matmul(qh, transpose(kh)), scale), axis=-1))
     return out
+
+
+def attention(query: Tensor, keys: Tensor, values: Tensor, p: AttentionParams, heads: int) -> Tensor:
+    """Scaled dot-product attention with projections, multi-head."""
+    if keys.shape[0] != values.shape[0]:
+        raise DimensionError(f"keys ({keys.shape}) and values ({values.shape}) disagree in length")
+    weights = attention_weights(query, keys, p, heads)
+    dk = query.shape[1] // heads
+    v = p.wv(values)
+    outs = [matmul(w, narrow(v, 1, h * dk, dk)) for h, w in enumerate(weights)]
+    return p.wo(concat(outs, axis=1))
 
 
 def cross_modal_block(z1: Tensor, z2: Tensor, p: BlockParams, heads: int) -> Tensor:

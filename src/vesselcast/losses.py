@@ -2,56 +2,39 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .decoder import ModeOutput
-from .engine import Tensor, exp, mul, sqrt, tensor, tmean, tsum
-
-KL_WEIGHT = 0.01  # balance between reconstruction and regularization
-
-
-@dataclass
-class LossBreakdown:
-    total: float
-    rec: float
-    kl: float
-    winners: list[int]
+from .engine import Tensor, exp, mul, narrow, reshape, sqrt, tensor, tmean, tsum
 
 
 def step_distance_mean(pred: Tensor, gt: np.ndarray) -> Tensor:
-    """Mean over steps of the per-step Euclidean distance."""
+    """Per-mode mean over steps of the per-step Euclidean distance: (K, T, 2) -> (K,)."""
     diff = pred - tensor(np.asarray(gt, dtype=np.float64))
-    return tmean(sqrt(tsum(mul(diff, diff), axis=1)))
+    return tmean(sqrt(tsum(mul(diff, diff), axis=2)), axis=1)
 
 
-def rec_loss(modes: list[ModeOutput], gt_ais: np.ndarray, gt_cctv: np.ndarray) -> tuple[Tensor, int]:
+def rec_loss(modes: ModeOutput, gt_ais: np.ndarray, gt_cctv: np.ndarray) -> tuple[Tensor, int]:
     """Joint best mode over both modalities; ties go to the lowest index.
 
-    Only the winning mode's subgraph receives gradient.
+    Only the winning mode's rows receive gradient.
     """
-    if not modes:
-        raise ValueError("rec_loss needs at least one mode")
-    per_mode = [step_distance_mean(m.ais, gt_ais) + step_distance_mean(m.cctv, gt_cctv) for m in modes]
-    values = np.array([t.item() for t in per_mode])
-    winner = int(np.argmin(values))
-    return per_mode[winner], winner
+    per_mode = step_distance_mean(modes.ais, gt_ais) + step_distance_mean(modes.cctv, gt_cctv)
+    winner = int(np.argmin(per_mode.data))
+    return reshape(narrow(per_mode, 0, winner, 1), ()), winner
 
 
 def kl_loss(mu: Tensor, logvar: Tensor) -> Tensor:
-    """-1/2 sum_j (1 + logvar_j - mu_j^2 - exp(logvar_j)); zero iff standard normal."""
+    """Per-row -1/2 sum_j (1 + logvar_j - mu_j^2 - exp(logvar_j)); zero iff standard normal."""
     inner = 1.0 + logvar - mul(mu, mu) - exp(logvar)
-    return mul(tsum(inner), -0.5)
+    return mul(tsum(inner, axis=1), -0.5)
 
 
-def sample_losses(modes: list[ModeOutput], gt_ais: np.ndarray, gt_cctv: np.ndarray) -> tuple[Tensor, Tensor, int]:
+def sample_losses(modes: ModeOutput, gt_ais: np.ndarray, gt_cctv: np.ndarray) -> tuple[Tensor, Tensor, int]:
     """(reconstruction, mode-averaged KL, winner) for one sample."""
     rec, winner = rec_loss(modes, gt_ais, gt_cctv)
-    kls = [kl_loss(m.mu, m.logvar) for m in modes]
-    kl = mul(sum(kls[1:], kls[0]), 1.0 / len(kls))
-    return rec, kl, winner
+    return rec, tmean(kl_loss(modes.mu, modes.logvar)), winner
 
 
-def total_loss(rec: Tensor, kl: Tensor, kl_weight: float = KL_WEIGHT) -> Tensor:
+def total_loss(rec: Tensor, kl: Tensor, kl_weight: float) -> Tensor:
     return rec + mul(kl, kl_weight)

@@ -10,7 +10,7 @@ import numpy as np
 from .bank import RefinementParams, TrajectoryBank, init_refinement, refine_and_fuse, search
 from .config import TrainConfig, architecture_hash
 from .data.types import VesselSample
-from .decoder import DecoderParams, ModeOutput, PredictionSet, init_decoder, predict_modes
+from .decoder import DecoderParams, ModeOutput, PredictionSet, init_decoder, predict_modes, to_prediction_set
 from .engine import Tensor, no_grad
 from .engine.rng import Rng
 from .fusion import FusionParams, encode_and_fuse, init_fusion
@@ -31,10 +31,15 @@ class ModelParams:
 class SampleForward:
     """Graph-connected outputs for one vessel sample."""
 
-    modes: list[ModeOutput]  # positional head already refined when a bank applies
+    modes: ModeOutput  # all K modes stacked; positional head already refined when a bank applies
     f_enc: Tensor
     prior_index: int | None  # retrieved bank entry, None when refinement skipped
     prior_similarity: float | None
+
+
+def _check_steps(field: str, got: int, key: str, want: int) -> None:
+    if got != want:
+        raise ValueError(f"{field} has {got} steps but cfg.{key} is {want}")
 
 
 class Model:
@@ -62,10 +67,17 @@ class Model:
 
         Latent noise comes from `rng` (K * J draws in mode order) unless a
         (K, J) `eps` array pins it. Bank refinement applies to the positional
-        head only, per mode, and is skipped for dark vessels: without any
-        broadcast track there is no retrieval key.
+        head of all K modes at once, and is skipped for dark vessels: without
+        any broadcast track there is no retrieval key. Observation windows and
+        the bank's horizons must match the config; futures are not checked
+        here, since evaluation passes futures longer than the model's horizon.
         """
         cfg = self.cfg
+        for field in ("obs_ais", "ais_mask", "obs_cctv", "scenes"):
+            _check_steps(field, len(getattr(sample, field)), "t_obs", cfg.t_obs)
+        if bank is not None:
+            _check_steps("bank.t_obs", bank.t_obs, "t_obs", cfg.t_obs)
+            _check_steps("bank.t_fut", bank.t_fut, "t_fut", cfg.t_fut)
         scene_feats = (
             encode_scene_sequence(self.params.scene, sample.scenes, cfg) if cfg.use_scene else None
         )
@@ -84,16 +96,15 @@ class Model:
         prior_sim = None
         if bank is not None and cfg.use_bank and sample.ais_mask.any():
             prior_index, prior_fut, prior_sim = search(bank, sample.obs_ais)
-            for m in modes:
-                m.ais = refine_and_fuse(
-                    self.params.refine,
-                    m.ais,
-                    prior_fut,
-                    m.features,
-                    f_enc,
-                    cfg.offset_scale,
-                    direction=cfg.fusion_direction,
-                )
+            modes.ais = refine_and_fuse(
+                self.params.refine,
+                modes.ais,
+                prior_fut,
+                modes.features,
+                f_enc,
+                cfg.offset_scale,
+                direction=cfg.fusion_direction,
+            )
         return SampleForward(modes=modes, f_enc=f_enc, prior_index=prior_index, prior_similarity=prior_sim)
 
     def loss_batch(
@@ -111,6 +122,8 @@ class Model:
         kls = []
         winners = []
         for i, sample in enumerate(samples):
+            _check_steps("fut_ais", len(sample.fut_ais), "t_fut", self.cfg.t_fut)
+            _check_steps("fut_cctv", len(sample.fut_cctv), "t_fut", self.cfg.t_fut)
             eps_i = None if eps is None else eps[i]
             fwd = self.forward_sample(sample, rng=rng, eps=eps_i, bank=bank)
             rec, kl, winner = sample_losses(fwd.modes, sample.fut_ais, sample.fut_cctv)
@@ -132,13 +145,7 @@ class Model:
         """Inference-only candidate set (refined positional head, raw camera head)."""
         with no_grad():
             fwd = self.forward_sample(sample, rng=rng, eps=eps, bank=bank)
-        return PredictionSet(
-            ais=np.stack([m.ais.data for m in fwd.modes]),
-            cctv=np.stack([m.cctv.data for m in fwd.modes]),
-            latents=np.stack([m.z.data[0] for m in fwd.modes]),
-            mu=np.stack([m.mu.data[0] for m in fwd.modes]),
-            logvar=np.stack([m.logvar.data[0] for m in fwd.modes]),
-        )
+        return to_prediction_set(fwd.modes)
 
     # ------------------------------------------------------------------
     def state_arrays(self) -> dict[str, np.ndarray]:

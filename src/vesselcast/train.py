@@ -11,7 +11,7 @@ import numpy as np
 from .bank import TrajectoryBank
 from .config import TrainConfig
 from .data.types import VesselSample
-from .engine import Adam, NonFiniteError, Tape, backward
+from .engine import Adam, Tape, backward
 from .engine.rng import Rng
 from .model import Model
 

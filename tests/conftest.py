@@ -1,8 +1,16 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from vesselcast.config import TrainConfig
 from vesselcast.data import WaterwayConfig, generate_scenario
+
+# the cross-process determinism tests spawn fresh interpreters; they import
+# the package from this checkout whether or not it is installed
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 
 def micro_config(**overrides):

@@ -202,10 +202,10 @@ def test_search_matches_exhaustive_scan():
 def test_refine_gate_off_returns_base(micro_cfg):
     p = init_refinement(Rng(0).child("init"), micro_cfg)
     rng = Rng(37)
-    t, d = micro_cfg.t_fut, micro_cfg.d_model
-    base = tensor(rand(rng, (t, 2)))
+    k, t, d = micro_cfg.modes, micro_cfg.t_fut, micro_cfg.d_model
+    base = tensor(rand(rng, (k, t, 2)))
     prior = rand(rng, (t, 2))
-    feats = tensor(rand(rng, (t, d)))
+    feats = tensor(rand(rng, (k, t, d)))
     f_enc = tensor(rand(rng, (1, d)))
     p.gate.w.data[...] = 0.0
     p.gate.b.data[...] = -50.0  # sigmoid -> 0
@@ -216,26 +216,26 @@ def test_refine_gate_off_returns_base(micro_cfg):
 def test_refine_gate_on_zero_offset_returns_prior(micro_cfg):
     p = init_refinement(Rng(0).child("init"), micro_cfg)
     rng = Rng(41)
-    t, d = micro_cfg.t_fut, micro_cfg.d_model
-    base = tensor(rand(rng, (t, 2)))
+    k, t, d = micro_cfg.modes, micro_cfg.t_fut, micro_cfg.d_model
+    base = tensor(rand(rng, (k, t, 2)))
     prior = rand(rng, (t, 2))
-    feats = tensor(rand(rng, (t, d)))
+    feats = tensor(rand(rng, (k, t, d)))
     f_enc = tensor(rand(rng, (1, d)))
     p.gate.w.data[...] = 0.0
     p.gate.b.data[...] = 50.0  # sigmoid -> 1
     for tens in collect_params(p.offset_mlp).values():
         tens.data[...] = 0.0
     out = refine_and_fuse(p, base, prior, feats, f_enc, micro_cfg.offset_scale, "prior")
-    assert np.allclose(out.data, prior, atol=1e-15)
+    assert np.allclose(out.data, np.broadcast_to(prior, (k, t, 2)), atol=1e-15)
 
 
 def test_refine_midpoint(micro_cfg):
     p = init_refinement(Rng(0).child("init"), micro_cfg)
     rng = Rng(43)
-    t, d = micro_cfg.t_fut, micro_cfg.d_model
-    base = tensor(rand(rng, (t, 2)))
+    k, t, d = micro_cfg.modes, micro_cfg.t_fut, micro_cfg.d_model
+    base = tensor(rand(rng, (k, t, 2)))
     prior = rand(rng, (t, 2))
-    feats = tensor(rand(rng, (t, d)))
+    feats = tensor(rand(rng, (k, t, d)))
     f_enc = tensor(rand(rng, (1, d)))
     p.gate.w.data[...] = 0.0
     p.gate.b.data[...] = 0.0  # sigmoid(0) = 1/2
@@ -249,29 +249,28 @@ def test_refine_midpoint(micro_cfg):
 
 
 def test_bounded_refinement_inequality(micro_cfg):
+    from vesselcast.engine import concat, reshape, sigmoid
+
     p = init_refinement(Rng(2).child("init"), micro_cfg)
     rng = Rng(47)
-    t, d = micro_cfg.t_fut, micro_cfg.d_model
+    k, t, d = micro_cfg.modes, micro_cfg.t_fut, micro_cfg.d_model
     for _ in range(20):
-        base = tensor(rand(rng, (t, 2)))
+        base = tensor(rand(rng, (k, t, 2)))
         prior = rand(rng, (t, 2))
-        feats = tensor(rand(rng, (t, d)))
+        feats = tensor(rand(rng, (k, t, d)))
         f_enc = tensor(rand(rng, (1, d)))
         out = refine_and_fuse(p, base, prior, feats, f_enc, micro_cfg.offset_scale, "prior")
-        from vesselcast.engine import sigmoid
-
         beta = sigmoid(p.gate(f_enc)).item()
-        from vesselcast.engine import concat, reshape
-
-        offset = p.offset_mlp(
-            concat([reshape(tensor(prior), (1, 2 * t)), reshape(feats, (1, t * d))], axis=1)
-        )
-        lhs = np.linalg.norm(out.data - base.data)
-        rhs = beta * (
-            np.linalg.norm(prior - base.data)
-            + micro_cfg.offset_scale * np.linalg.norm(offset.data)
-        )
-        assert lhs <= rhs + 1e-12
+        for m in range(k):
+            offset = p.offset_mlp(
+                concat([reshape(tensor(prior), (1, 2 * t)), reshape(tensor(feats.data[m]), (1, t * d))], axis=1)
+            )
+            lhs = np.linalg.norm(out.data[m] - base.data[m])
+            rhs = beta * (
+                np.linalg.norm(prior - base.data[m])
+                + micro_cfg.offset_scale * np.linalg.norm(offset.data)
+            )
+            assert lhs <= rhs + 1e-12
 
 
 def test_bank_round_trip(tmp_path):

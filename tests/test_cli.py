@@ -76,6 +76,17 @@ def test_eval_writes_report_and_plots(workdir):
     assert (workdir / "plots" / "ade_vs_rho.svg").exists()
 
 
+def test_eval_per_horizon_shorter_than_training_future(workdir):
+    """--per-horizon retrains at each dt, also below the data's t_fut of 3."""
+    report = workdir / "report_per_horizon.csv"
+    assert main(["eval", "--data", str(workdir / "data.jsonl"), "--ckpt", str(workdir / "ckpt.bin"),
+                 "--bank", str(workdir / "bank.json"), "--config", str(workdir / "train.cfg"),
+                 "--rho", "0", "--dt", "2,3", "--seeds", "1", "--per-horizon",
+                 "--train-data", str(workdir / "data.jsonl"), "--report", str(report)]) == 0
+    rows = report.read_text().splitlines()[1:]
+    assert {row.split(",")[0] for row in rows} == {"2", "3"}
+
+
 def test_predict_emits_modes(workdir):
     out = workdir / "preds.json"
     assert main(["predict", "--ckpt", str(workdir / "ckpt.bin"), "--data", str(workdir / "data.jsonl"),

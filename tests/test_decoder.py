@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import micro_config
-from vesselcast.decoder import decode, init_decoder, predict_modes, sample_latent, to_prediction_set
+from vesselcast.decoder import init_decoder, predict_modes, to_prediction_set
 from vesselcast.engine import Rng, finite_diff_check, tensor, tsum
 from vesselcast.metrics import ade_fde
 from vesselcast.params import collect_params
@@ -16,11 +16,15 @@ def make_params(cfg, seed=0):
     return init_decoder(Rng(seed).child("init"), cfg)
 
 
+def decode_eps(p, cfg, f_enc, eps):
+    return predict_modes(p, f_enc, cfg.modes, cfg.t_fut, eps=eps)
+
+
 def test_zero_eps_gives_mu_exactly(micro_cfg):
     p = make_params(micro_cfg)
     f_enc = tensor(rand(Rng(1), (1, micro_cfg.d_model)))
-    z, mu, logvar, _ = sample_latent(p, f_enc, 0, eps=np.zeros(micro_cfg.latent_dim))
-    assert np.array_equal(z.data, mu.data)
+    out = decode_eps(p, micro_cfg, f_enc, np.zeros((micro_cfg.modes, micro_cfg.latent_dim)))
+    assert np.array_equal(out.z.data, out.mu.data)
 
 
 def test_unit_eps_with_zero_logvar(micro_cfg):
@@ -28,8 +32,8 @@ def test_unit_eps_with_zero_logvar(micro_cfg):
     p.logvar_head.w.data[...] = 0.0
     p.logvar_head.b.data[...] = 0.0
     f_enc = tensor(rand(Rng(2), (1, micro_cfg.d_model)))
-    z, mu, _, _ = sample_latent(p, f_enc, 0, eps=np.ones(micro_cfg.latent_dim))
-    assert np.allclose(z.data, mu.data + 1.0, atol=1e-15)
+    out = decode_eps(p, micro_cfg, f_enc, np.ones((micro_cfg.modes, micro_cfg.latent_dim)))
+    assert np.allclose(out.z.data, out.mu.data + 1.0, atol=1e-15)
 
 
 def test_sample_mean_approaches_mu(micro_cfg):
@@ -37,15 +41,15 @@ def test_sample_mean_approaches_mu(micro_cfg):
     f_enc = tensor(rand(Rng(3), (1, micro_cfg.d_model)))
     rng = Rng(99)
     draws = []
-    mu = None
+    out = None
     for _ in range(10_000):
-        z, mu, logvar, _ = sample_latent(p, f_enc, 1, rng=rng)
-        draws.append(z.data[0])
-    draws = np.array(draws)
-    sigma = np.exp(0.5 * logvar.data[0])
-    # Monte-Carlo oracle: mean within 3 sigma / sqrt(n)
+        out = predict_modes(p, f_enc, micro_cfg.modes, micro_cfg.t_fut, rng=rng)
+        draws.append(out.z.data)
+    draws = np.array(draws)  # (n, K, J)
+    sigma = np.exp(0.5 * out.logvar.data)
+    # Monte-Carlo oracle: mean within 3 sigma / sqrt(n), for every mode
     tol = 3.0 * sigma / np.sqrt(len(draws))
-    assert np.all(np.abs(draws.mean(axis=0) - mu.data[0]) < tol)
+    assert np.all(np.abs(draws.mean(axis=0) - out.mu.data) < tol)
 
 
 def test_zero_decoder_outputs_repeated_biases(micro_cfg):
@@ -55,21 +59,21 @@ def test_zero_decoder_outputs_repeated_biases(micro_cfg):
     p.ais_head.b.data[...] = np.array([0.3, -0.2])
     p.cctv_head.b.data[...] = np.array([1.5, 2.5])
     f_enc = tensor(rand(Rng(4), (1, micro_cfg.d_model)))
-    z, _, _, e_k = sample_latent(p, f_enc, 0, eps=np.zeros(micro_cfg.latent_dim))
-    ais, cctv, _ = decode(p, f_enc, z, e_k, micro_cfg.t_fut)
-    assert np.allclose(ais.data, np.tile([0.3, -0.2], (micro_cfg.t_fut, 1)))
-    assert np.allclose(cctv.data, np.tile([1.5, 2.5], (micro_cfg.t_fut, 1)))
+    out = decode_eps(p, micro_cfg, f_enc, np.zeros((micro_cfg.modes, micro_cfg.latent_dim)))
+    k, t = micro_cfg.modes, micro_cfg.t_fut
+    assert np.allclose(out.ais.data, np.tile([0.3, -0.2], (k, t, 1)))
+    assert np.allclose(out.cctv.data, np.tile([1.5, 2.5], (k, t, 1)))
 
 
 def test_different_latents_decode_differently(micro_cfg):
     p = make_params(micro_cfg)
     f_enc = tensor(rand(Rng(5), (1, micro_cfg.d_model)))
-    _, _, _, e_k = sample_latent(p, f_enc, 0, eps=np.zeros(micro_cfg.latent_dim))
-    z1 = tensor(rand(Rng(6), (1, micro_cfg.latent_dim)))
-    z2 = tensor(rand(Rng(7), (1, micro_cfg.latent_dim)))
-    a1, _, _ = decode(p, f_enc, z1, e_k, micro_cfg.t_fut)
-    a2, _, _ = decode(p, f_enc, z2, e_k, micro_cfg.t_fut)
-    assert ade_fde(a1.data, a2.data)[0] > 0
+    shape = (micro_cfg.modes, micro_cfg.latent_dim)
+    out1 = decode_eps(p, micro_cfg, f_enc, rand(Rng(6), shape))
+    out2 = decode_eps(p, micro_cfg, f_enc, rand(Rng(7), shape))
+    for k in range(micro_cfg.modes):
+        assert not np.array_equal(out1.z.data[k], out2.z.data[k])
+        assert ade_fde(out1.ais.data[k], out2.ais.data[k])[0] > 0
 
 
 def test_predict_modes_shapes_and_determinism(micro_cfg):
@@ -106,15 +110,15 @@ def test_distinct_modes_give_distinct_candidates(micro_cfg):
 def test_decoder_gradients(micro_cfg):
     p = make_params(micro_cfg)
     rng = Rng(11)
+    k, t, j = micro_cfg.modes, micro_cfg.t_fut, micro_cfg.latent_dim
     f_enc = tensor(rand(rng, (1, micro_cfg.d_model)))
-    eps = rand(rng, (micro_cfg.latent_dim,))
-    coeff_a = 0.2 * rand(rng, (micro_cfg.t_fut, 2))
-    coeff_c = 0.2 * rand(rng, (micro_cfg.t_fut, 2))
+    eps = rand(rng, (k, j))
+    coeff_a = 0.2 * rand(rng, (k, t, 2))
+    coeff_c = 0.2 * rand(rng, (k, t, 2))
 
     def f(_):
-        z, mu, logvar, e_k = sample_latent(p, f_enc, 0, eps=eps)
-        ais, cctv, _ = decode(p, f_enc, z, e_k, micro_cfg.t_fut)
-        return tsum(ais * coeff_a) + tsum(cctv * coeff_c) + tsum(mu * mu) + tsum(logvar * 0.1)
+        out = decode_eps(p, micro_cfg, f_enc, eps)
+        return tsum(out.ais * coeff_a) + tsum(out.cctv * coeff_c) + tsum(out.mu * out.mu) + tsum(out.logvar * 0.1)
 
     for target in (p.expand.fc1.w, p.mu_head.w, p.logvar_head.w, p.mode_embed, p.ais_head.w):
         assert finite_diff_check(f, target) < 1e-4

@@ -59,7 +59,7 @@ def test_attention_rows_sum_to_one(micro_cfg):
     q = tensor(rand(rng, (5, d), -2, 2))
     kv = tensor(rand(rng, (7, d), -2, 2))
     for w in attention_weights(q, kv, p.block1.sa, micro_cfg.heads):
-        assert np.allclose(w.sum(axis=-1), 1.0, atol=1e-12)
+        assert np.allclose(w.data.sum(axis=-1), 1.0, atol=1e-12)
 
 
 def test_attention_length_mismatch():

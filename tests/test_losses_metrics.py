@@ -13,22 +13,23 @@ def rand(rng, shape, lo=-1.0, hi=1.0):
     return np.array(rng.uniforms(int(np.prod(shape)), lo, hi)).reshape(shape)
 
 
-def mode_from(ais, cctv, mu=None, logvar=None, j=4, requires_grad=False):
-    t = len(ais)
+def modes_from(ais, cctv, mu=None, logvar=None, j=4, requires_grad=False):
+    """Stack per-mode (T, 2) tracks into one ModeOutput with a leading K axis."""
+    k, t = len(ais), len(ais[0])
     return ModeOutput(
-        ais=tensor(ais, requires_grad=requires_grad),
-        cctv=tensor(cctv, requires_grad=requires_grad),
-        features=tensor(np.zeros((t, 2))),
-        z=tensor(np.zeros((1, j))),
-        mu=tensor(np.zeros((1, j)) if mu is None else mu),
-        logvar=tensor(np.zeros((1, j)) if logvar is None else logvar),
+        ais=tensor(np.stack(ais), requires_grad=requires_grad),
+        cctv=tensor(np.stack(cctv), requires_grad=requires_grad),
+        features=tensor(np.zeros((k, t, 2))),
+        z=tensor(np.zeros((k, j))),
+        mu=tensor(np.zeros((k, j)) if mu is None else mu),
+        logvar=tensor(np.zeros((k, j)) if logvar is None else logvar),
     )
 
 
 def test_rec_loss_perfect_prediction_is_zero():
     rng = Rng(1)
     gt_a, gt_c = rand(rng, (5, 2)), rand(rng, (5, 2))
-    loss, winner = rec_loss([mode_from(gt_a, gt_c)], gt_a, gt_c)
+    loss, winner = rec_loss(modes_from([gt_a], [gt_c]), gt_a, gt_c)
     assert loss.item() == 0.0
     assert winner == 0
 
@@ -36,10 +37,12 @@ def test_rec_loss_perfect_prediction_is_zero():
 def test_rec_loss_duplicate_winner_unchanged():
     rng = Rng(2)
     gt_a, gt_c = rand(rng, (4, 2)), rand(rng, (4, 2))
-    good = mode_from(gt_a + 0.01, gt_c + 0.01)
-    bad = mode_from(gt_a + 1.0, gt_c + 1.0)
-    base, _ = rec_loss([good, bad], gt_a, gt_c)
-    dup, winner = rec_loss([good, bad, mode_from(gt_a + 0.01, gt_c + 0.01)], gt_a, gt_c)
+    good = (gt_a + 0.01, gt_c + 0.01)
+    bad = (gt_a + 1.0, gt_c + 1.0)
+    base, _ = rec_loss(modes_from([good[0], bad[0]], [good[1], bad[1]]), gt_a, gt_c)
+    dup, winner = rec_loss(
+        modes_from([good[0], bad[0], gt_a + 0.01], [good[1], bad[1], gt_c + 0.01]), gt_a, gt_c
+    )
     assert dup.item() == base.item()
     assert winner == 0  # ties resolve to the lowest index
 
@@ -50,13 +53,13 @@ def test_rec_loss_joint_min_across_modalities():
     t = 3
     gt_a = np.zeros((t, 2))
     gt_c = np.zeros((t, 2))
-    m0 = mode_from(gt_a + 0.1, gt_c + 0.9)  # sum of means: 0.1*sqrt2 + 0.9*sqrt2
-    m1 = mode_from(gt_a + 0.5, gt_c + 0.2)  # 0.5*sqrt2 + 0.2*sqrt2
+    # mode 0 sum of means: 0.1*sqrt2 + 0.9*sqrt2; mode 1: 0.5*sqrt2 + 0.2*sqrt2
+    modes = modes_from([gt_a + 0.1, gt_a + 0.5], [gt_c + 0.9, gt_c + 0.2])
     per_mode = []
     for offs in ((0.1, 0.9), (0.5, 0.2)):
         per_mode.append(sum(o * math.sqrt(2.0) for o in offs))
     expected_winner = int(np.argmin(per_mode))
-    loss, winner = rec_loss([m0, m1], gt_a, gt_c)
+    loss, winner = rec_loss(modes, gt_a, gt_c)
     assert winner == expected_winner == 1
     assert loss.item() == pytest.approx(per_mode[1], abs=1e-12)
 
@@ -64,15 +67,15 @@ def test_rec_loss_joint_min_across_modalities():
 def test_rec_loss_gradient_only_through_winner():
     rng = Rng(3)
     gt_a, gt_c = rand(rng, (4, 2)), rand(rng, (4, 2))
-    winner_mode = mode_from(gt_a + 0.05, gt_c + 0.05, requires_grad=True)
-    loser_mode = mode_from(gt_a + 2.0, gt_c + 2.0, requires_grad=True)
+    modes = modes_from([gt_a + 0.05, gt_a + 2.0], [gt_c + 0.05, gt_c + 2.0], requires_grad=True)
     with Tape():
-        loss, winner = rec_loss([winner_mode, loser_mode], gt_a, gt_c)
+        loss, winner = rec_loss(modes, gt_a, gt_c)
         backward(loss)
     assert winner == 0
-    assert winner_mode.ais.grad is not None and np.linalg.norm(winner_mode.ais.grad) > 0
-    assert loser_mode.ais.grad is None
-    assert loser_mode.cctv.grad is None
+    assert np.linalg.norm(modes.ais.grad[0]) > 0
+    assert np.linalg.norm(modes.cctv.grad[0]) > 0
+    assert not modes.ais.grad[1].any()
+    assert not modes.cctv.grad[1].any()
 
 
 def test_kl_standard_normal_is_zero():
@@ -198,9 +201,9 @@ def test_cv_baseline_arc_error_matches_chord_oracle():
 def test_sample_losses_averages_kl_over_modes():
     rng = Rng(10)
     gt_a, gt_c = rand(rng, (4, 2)), rand(rng, (4, 2))
-    m0 = mode_from(gt_a, gt_c, mu=np.ones((1, 4)), logvar=np.zeros((1, 4)), j=4)
-    m1 = mode_from(gt_a + 1, gt_c + 1, mu=np.zeros((1, 4)), logvar=np.zeros((1, 4)), j=4)
-    _, kl, winner = sample_losses([m0, m1], gt_a, gt_c)
+    mu = np.stack([np.ones(4), np.zeros(4)])
+    modes = modes_from([gt_a, gt_a + 1], [gt_c, gt_c + 1], mu=mu, logvar=np.zeros((2, 4)), j=4)
+    _, kl, winner = sample_losses(modes, gt_a, gt_c)
     # per-mode KLs are 2.0 and 0.0 -> mean 1.0
     assert kl.item() == pytest.approx(1.0, abs=1e-12)
     assert winner == 0

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from conftest import micro_config
+from conftest import micro_config, micro_waterway
 from vesselcast.bank import bank_from_samples
+from vesselcast.data import generate_scenario
 from vesselcast.engine import Rng, Tape, backward, finite_diff_check, tsum
 from vesselcast.model import Model
 
@@ -45,6 +48,68 @@ def test_dark_sample_skips_refinement(micro_cfg, micro_samples):
     with_bank = model.predict(dark, eps=eps, bank=bank)
     without = model.predict(dark, eps=eps, bank=None)
     assert np.array_equal(with_bank.ais, without.ais)
+
+
+@pytest.mark.parametrize("use_bank", [False, True])
+def test_modes_independent_along_mode_axis(micro_cfg, micro_samples, use_bank):
+    model = Model(micro_cfg)
+    bank = bank_from_samples(micro_samples, 4, seed=0) if use_bank else None
+    eps = np.array(Rng(5).normals(micro_cfg.modes * micro_cfg.latent_dim)).reshape(
+        micro_cfg.modes, micro_cfg.latent_dim
+    )
+    base = model.predict(micro_samples[0], eps=eps, bank=bank)
+    for k in range(micro_cfg.modes):
+        bumped = eps.copy()
+        bumped[k] += 0.5
+        out = model.predict(micro_samples[0], eps=bumped, bank=bank)
+        others = np.arange(micro_cfg.modes) != k
+        for name in ("ais", "cctv", "latents"):
+            new, old = getattr(out, name), getattr(base, name)
+            assert not np.array_equal(new[k], old[k]), name
+            assert np.array_equal(new[others], old[others]), name
+
+
+def test_rng_stream_equals_explicit_eps(micro_cfg, micro_samples):
+    model = Model(micro_cfg)
+    bank = bank_from_samples(micro_samples, 4, seed=0)
+    k, j = micro_cfg.modes, micro_cfg.latent_dim
+    from_rng = model.predict(micro_samples[0], rng=Rng(13), bank=bank)
+    from_eps = model.predict(micro_samples[0], eps=np.array(Rng(13).normals(k * j)).reshape(k, j), bank=bank)
+    for name in ("ais", "cctv", "latents", "mu", "logvar"):
+        assert getattr(from_rng, name).tobytes() == getattr(from_eps, name).tobytes(), name
+
+
+@pytest.mark.parametrize("field", ["obs_ais", "ais_mask", "obs_cctv", "scenes"])
+def test_observation_window_mismatch_fails_naming_field(micro_cfg, micro_samples, field):
+    model = Model(micro_cfg)
+    short = dataclasses.replace(micro_samples[0], **{field: getattr(micro_samples[0], field)[:1]})
+    with pytest.raises(ValueError, match=rf"{field} has 1 steps but cfg.t_obs is 2"):
+        model.predict(short, rng=Rng(0))
+
+
+def test_longer_observation_window_than_model_fails(micro_cfg):
+    model = Model(micro_cfg)
+    sample = generate_scenario(micro_waterway(t_obs=4), seed=1)[0]
+    with pytest.raises(ValueError, match=r"obs_ais has 4 steps but cfg.t_obs is 2"):
+        model.predict(sample, rng=Rng(0))
+
+
+@pytest.mark.parametrize("key,value", [("t_obs", 4), ("t_fut", 5)])
+def test_bank_horizon_mismatch_fails(micro_cfg, micro_samples, key, value):
+    model = Model(micro_cfg)
+    other = generate_scenario(micro_waterway(**{key: value}), seed=1)
+    bank = bank_from_samples(other, 4, seed=0)
+    want = getattr(micro_cfg, key)
+    with pytest.raises(ValueError, match=rf"bank.{key} has {value} steps but cfg.{key} is {want}"):
+        model.predict(micro_samples[0], rng=Rng(0), bank=bank)
+
+
+@pytest.mark.parametrize("field", ["fut_ais", "fut_cctv"])
+def test_loss_batch_future_mismatch_fails(micro_cfg, micro_samples, field):
+    model = Model(micro_cfg)
+    short = dataclasses.replace(micro_samples[0], **{field: getattr(micro_samples[0], field)[:2]})
+    with pytest.raises(ValueError, match=rf"{field} has 2 steps but cfg.t_fut is 3"):
+        model.loss_batch([short], rng=Rng(0))
 
 
 def test_loss_batch_finite_and_winner_range(micro_cfg, micro_samples):
