@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 MIX1 = 0xBF58476D1CE4E5B9
@@ -25,9 +27,9 @@ MIX2 = 0x94D049BB133111EB
 _TWO53_INV = 2.0 ** -53
 
 
-def mix64(x: int) -> int:
-    """splitmix64 finalizer: avalanche a 64-bit word."""
-    x &= MASK64
+def mix64(x):
+    """splitmix64 finalizer: avalanche a 64-bit word (an int or a uint64 array)."""
+    x = x & MASK64  # not in place: an array argument stays unchanged
     x = ((x ^ (x >> 30)) * MIX1) & MASK64
     x = ((x ^ (x >> 27)) * MIX2) & MASK64
     return x ^ (x >> 31)
@@ -57,8 +59,15 @@ class Rng:
     def normals(self, n: int) -> list[float]:
         return [self.normal() for _ in range(n)]
 
-    def uniforms(self, n: int, lo: float = 0.0, hi: float = 1.0) -> list[float]:
-        return [self.uniform(lo, hi) for _ in range(n)]
+    def uniforms(self, n: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
+        """`n` draws as a float64 array, bit for bit those of `n` calls to `uniform`.
+
+        uint64 arithmetic wraps, which is the ``& MASK64`` of the scalar path.
+        """
+        steps = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
+        self.counter += n
+        words = mix64(np.uint64(self.seed) + steps * np.uint64(GOLDEN))
+        return lo + (hi - lo) * ((words >> 11).astype(np.float64) * _TWO53_INV)
 
     def randint(self, n: int) -> int:
         """Integer in [0, n). Modulo bias is < 2^-50 for desk-scale n."""

@@ -16,6 +16,7 @@ import numpy as np
 from .bank import TrajectoryBank
 from .data.generate import apply_dark_vessels
 from .data.types import DENSITY_LEVELS, VesselSample
+from .engine import Tensor, no_grad
 from .engine.rng import Rng
 from .metrics import ade_fde, constant_velocity_baseline, diversity, min_ade_fde_at_k
 from .model import Model
@@ -66,6 +67,7 @@ def _seed_metrics(
     rho: float,
     cell_key: str,
     seed: int,
+    scene_feats: dict[str, Tensor | None],
     predictor=None,
 ) -> dict[str, float]:
     stream = Rng(seed).child(cell_key)
@@ -73,7 +75,12 @@ def _seed_metrics(
     sums = {name: 0.0 for name in _METRICS}
     for sample in sorted(dark, key=lambda s: s.vessel_id):
         if predictor is None:
-            preds = model.predict(sample, rng=stream.child(sample.vessel_id), bank=bank)
+            preds = model.predict(
+                sample,
+                rng=stream.child(sample.vessel_id),
+                bank=bank,
+                scene_feats=scene_feats[sample.vessel_id],
+            )
             ais_modes = preds.ais[:, :dt]
             cctv_modes = preds.cctv[:, :dt]
         else:
@@ -109,7 +116,9 @@ def evaluate(
     Seeds drive latent sampling and dark-vessel selection on the fixed
     checkpoint. `predictor(sample, dt) -> (ais_modes, cctv_modes)` overrides
     the model (testing hook). Densities absent from the dataset produce
-    cells with n_samples=0 and no metric values.
+    cells with n_samples=0 and no metric values. Each vessel's scenes are
+    encoded once, before the grid: the features do not depend on the dark
+    mask that the cells vary.
     """
     max_dt = max(dts)
     t_fut = samples[0].t_fut if samples else 0
@@ -117,6 +126,12 @@ def evaluate(
         raise ValueError(f"checkpoint t_fut={model.cfg.t_fut} < requested horizon {max_dt}")
     if t_fut < max_dt:
         raise ValueError(f"dataset t_fut={t_fut} < requested horizon {max_dt}")
+    scene_feats = {}
+    if predictor is None:
+        if len({s.vessel_id for s in samples}) < len(samples):
+            raise ValueError("evaluate needs a distinct vessel_id per sample")
+        with no_grad():
+            scene_feats = {s.vessel_id: model.encode_scenes(s) for s in samples}
     by_density = {
         level: [s for s in samples if s.density == level] for level in DENSITY_LEVELS
     }
@@ -132,7 +147,9 @@ def evaluate(
                     )
                     continue
                 per_seed = [
-                    _seed_metrics(pool, model, bank, dt, rho, key, seed, predictor=predictor)
+                    _seed_metrics(
+                        pool, model, bank, dt, rho, key, seed, scene_feats, predictor=predictor
+                    )
                     for seed in seeds
                 ]
                 mean = {}

@@ -56,21 +56,34 @@ class Model:
         self.named = collect_params(self.params)
 
     # ------------------------------------------------------------------
+    def encode_scenes(self, sample: VesselSample) -> Tensor | None:
+        """(t_obs, d) scene features of `sample`, or None when `cfg.use_scene` is off.
+
+        They depend only on the parameters and `sample.scenes`, not on the
+        broadcast mask, so a vessel's dark copies can share them.
+        """
+        if not self.cfg.use_scene:
+            return None
+        return encode_scene_sequence(self.params.scene, sample.scenes, self.cfg)
+
     def forward_sample(
         self,
         sample: VesselSample,
         rng: Rng | None = None,
         eps: np.ndarray | None = None,
         bank: TrajectoryBank | None = None,
+        scene_feats: Tensor | None = None,
     ) -> SampleForward:
         """Run the full pipeline on one sample.
 
         Latent noise comes from `rng` (K * J draws in mode order) unless a
-        (K, J) `eps` array pins it. Bank refinement applies to the positional
-        head of all K modes at once, and is skipped for dark vessels: without
-        any broadcast track there is no retrieval key. Observation windows and
-        the bank's horizons must match the config; futures are not checked
-        here, since evaluation passes futures longer than the model's horizon.
+        (K, J) `eps` array pins it. `scene_feats` from `encode_scenes(sample)`
+        skips the scene encoder; without them it runs here. Bank refinement
+        applies to the positional head of all K modes at once, and is skipped
+        for dark vessels: without any broadcast track there is no retrieval
+        key. Observation windows and the bank's horizons must match the
+        config; futures are not checked here, since evaluation passes futures
+        longer than the model's horizon.
         """
         cfg = self.cfg
         for field in ("obs_ais", "ais_mask", "obs_cctv", "scenes"):
@@ -78,9 +91,8 @@ class Model:
         if bank is not None:
             _check_steps("bank.t_obs", bank.t_obs, "t_obs", cfg.t_obs)
             _check_steps("bank.t_fut", bank.t_fut, "t_fut", cfg.t_fut)
-        scene_feats = (
-            encode_scene_sequence(self.params.scene, sample.scenes, cfg) if cfg.use_scene else None
-        )
+        if scene_feats is None:
+            scene_feats = self.encode_scenes(sample)
         _, f_enc = encode_and_fuse(
             self.params.fusion,
             sample.obs_ais,
@@ -141,10 +153,11 @@ class Model:
         rng: Rng | None = None,
         eps: np.ndarray | None = None,
         bank: TrajectoryBank | None = None,
+        scene_feats: Tensor | None = None,
     ) -> PredictionSet:
         """Inference-only candidate set (refined positional head, raw camera head)."""
         with no_grad():
-            fwd = self.forward_sample(sample, rng=rng, eps=eps, bank=bank)
+            fwd = self.forward_sample(sample, rng=rng, eps=eps, bank=bank, scene_feats=scene_feats)
         return to_prediction_set(fwd.modes)
 
     # ------------------------------------------------------------------

@@ -15,7 +15,7 @@ from .engine.rng import Rng
 def uniform_init(rng: Rng, shape: tuple[int, ...], fan_in: int) -> Tensor:
     """Trainable tensor with entries uniform in +-1/sqrt(fan_in)."""
     bound = 1.0 / math.sqrt(max(fan_in, 1))
-    flat = np.array(rng.uniforms(int(np.prod(shape)), -bound, bound))
+    flat = rng.uniforms(int(np.prod(shape)), -bound, bound)
     return Tensor(flat.reshape(shape), requires_grad=True)
 
 

@@ -1,4 +1,5 @@
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import vesselcast.cli as cli
 from vesselcast.cli import main
 
 CONFIG_TEXT = """
@@ -85,6 +87,41 @@ def test_eval_per_horizon_shorter_than_training_future(workdir):
                  "--train-data", str(workdir / "data.jsonl"), "--report", str(report)]) == 0
     rows = report.read_text().splitlines()[1:]
     assert {row.split(",")[0] for row in rows} == {"2", "3"}
+
+
+def test_eval_per_horizon_needs_no_checkpoint(workdir):
+    report = workdir / "report_no_ckpt.csv"
+    assert main(["eval", "--data", str(workdir / "data.jsonl"), "--bank", str(workdir / "bank.json"),
+                 "--config", str(workdir / "train.cfg"), "--rho", "0", "--dt", "2", "--seeds", "1",
+                 "--per-horizon", "--train-data", str(workdir / "data.jsonl"),
+                 "--report", str(report)]) == 0
+    assert report.read_text().splitlines()[1].startswith("2,")
+
+
+def test_eval_without_checkpoint_names_ckpt(workdir, capsys):
+    assert main(["eval", "--data", str(workdir / "data.jsonl"), "--config", str(workdir / "train.cfg"),
+                 "--report", str(workdir / "never.csv")]) == 2
+    assert "--ckpt" in capsys.readouterr().err
+    assert not (workdir / "never.csv").exists()
+
+
+@pytest.mark.parametrize("victim", ["data.jsonl", "ckpt.bin", "bank.json"])
+def test_eval_that_mutates_an_input_exits_3(workdir, tmp_path, monkeypatch, capsys, victim):
+    for name in ("data.jsonl", "ckpt.bin", "bank.json", "train.cfg"):
+        shutil.copy(workdir / name, tmp_path / name)
+    real_evaluate = cli.evaluate
+
+    def mutating_evaluate(*args, **kwargs):
+        with open(tmp_path / victim, "ab") as fh:
+            fh.write(b"\n")
+        return real_evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "evaluate", mutating_evaluate)
+    assert main(["eval", "--data", str(tmp_path / "data.jsonl"), "--ckpt", str(tmp_path / "ckpt.bin"),
+                 "--bank", str(tmp_path / "bank.json"), "--config", str(tmp_path / "train.cfg"),
+                 "--rho", "0", "--dt", "2", "--seeds", "1",
+                 "--report", str(tmp_path / "report.csv")]) == 3
+    assert "evaluation mutated its inputs" in capsys.readouterr().err
 
 
 def test_predict_emits_modes(workdir):

@@ -6,7 +6,7 @@ import pytest
 from conftest import micro_config, micro_waterway
 from vesselcast.bank import bank_from_samples
 from vesselcast.data import generate_scenario
-from vesselcast.engine import Rng, Tape, backward, finite_diff_check, tsum
+from vesselcast.engine import Rng, Tape, backward, finite_diff_check, no_grad, tsum
 from vesselcast.model import Model
 
 
@@ -48,6 +48,24 @@ def test_dark_sample_skips_refinement(micro_cfg, micro_samples):
     with_bank = model.predict(dark, eps=eps, bank=bank)
     without = model.predict(dark, eps=eps, bank=None)
     assert np.array_equal(with_bank.ais, without.ais)
+
+
+@pytest.mark.parametrize("use_bank", [False, True])
+def test_cached_scene_features_match_uncached_predict(micro_cfg, micro_samples, use_bank):
+    """A vessel's features, encoded once, serve its lit and its dark copy bit for bit."""
+    from vesselcast.data import apply_dark_vessels
+
+    model = Model(micro_cfg)
+    bank = bank_from_samples(micro_samples, 4, seed=0) if use_bank else None
+    lit = micro_samples[0]
+    dark = apply_dark_vessels([lit], 1.0, seed=0)[0]
+    with no_grad():
+        feats = model.encode_scenes(lit)
+    for sample in (lit, dark):
+        cached = model.predict(sample, rng=Rng(3), bank=bank, scene_feats=feats)
+        fresh = model.predict(sample, rng=Rng(3), bank=bank)
+        for name in ("ais", "cctv", "latents", "mu", "logvar"):
+            assert getattr(cached, name).tobytes() == getattr(fresh, name).tobytes(), name
 
 
 @pytest.mark.parametrize("use_bank", [False, True])

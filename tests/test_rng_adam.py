@@ -21,6 +21,20 @@ def test_rng_uniform_range_and_moments():
     assert abs(xs.var() - 1 / 12) < 0.005
 
 
+@pytest.mark.parametrize("n", [1, 1000, 99_991])
+@pytest.mark.parametrize("advanced", [0, 3])
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+def test_rng_uniforms_equal_scalar_loop(seed, advanced, n):
+    looped, batched = Rng(seed), Rng(seed)
+    for rng in (looped, batched):
+        for _ in range(advanced):
+            rng.uniform()
+    expected = np.array([looped.uniform(-0.3, 0.7) for _ in range(n)])
+    got = batched.uniforms(n, -0.3, 0.7)
+    assert got.tobytes() == expected.tobytes()
+    assert batched.counter == looped.counter
+
+
 def test_rng_normal_moments():
     rng = Rng(7)
     xs = np.array(rng.normals(20000))

@@ -1,6 +1,10 @@
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import vesselcast.model as model_mod
 from conftest import micro_config, micro_waterway
 from vesselcast.bank import bank_from_samples
 from vesselcast.data import generate_scenario
@@ -105,6 +109,42 @@ def test_evaluate_deterministic(tiny_dataset, tmp_path):
     write_report(p1, r1)
     write_report(p2, r2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def count_scene_encodes(monkeypatch) -> Counter:
+    """Encode calls per scene list; a vessel's dark copies share its list."""
+    calls = Counter()
+    real = model_mod.encode_scene_sequence
+
+    def counting(params, scenes, cfg):
+        calls[id(scenes)] += 1
+        return real(params, scenes, cfg)
+
+    monkeypatch.setattr(model_mod, "encode_scene_sequence", counting)
+    return calls
+
+
+def test_evaluate_encodes_each_vessel_once(tiny_dataset, monkeypatch):
+    calls = count_scene_encodes(monkeypatch)
+    evaluate(tiny_dataset, Model(micro_config()), None, dts=[2], rhos=[0.0, 0.5], seeds=[0, 1])
+    assert sorted(calls) == sorted(id(s.scenes) for s in tiny_dataset)
+    assert set(calls.values()) == {1}
+
+
+def test_evaluate_without_scene_stream_never_encodes(tiny_dataset, monkeypatch):
+    calls = count_scene_encodes(monkeypatch)
+    model = Model(micro_config(use_scene=False))
+    report = evaluate(tiny_dataset, model, None, dts=[2], rhos=[0.0, 0.5], seeds=[0, 1])
+    assert not calls
+    means = [v for cell in report.cells for v in cell.mean.values()]
+    assert means and np.all(np.isfinite(means))
+
+
+def test_evaluate_rejects_repeated_vessel_id(tiny_dataset):
+    # scene features are cached per vessel_id, so two samples may not share one
+    twin = dataclasses.replace(tiny_dataset[1], vessel_id=tiny_dataset[0].vessel_id)
+    with pytest.raises(ValueError, match="distinct vessel_id"):
+        evaluate([tiny_dataset[0], twin], Model(micro_config()), None, dts=[2], rhos=[0.0], seeds=[0])
 
 
 def test_evaluate_oracle_predictor_zero_error(tiny_dataset):
