@@ -166,6 +166,9 @@ def cmd_predict(args) -> int:
         "ais": [[[float(v) for v in p] for p in mode] for mode in preds.ais],
         "cctv": [[[float(v) for v in p] for p in mode] for mode in preds.cctv],
         "latents": [[float(v) for v in z] for z in preds.latents],
+        # null for a dark vessel or without --bank: nothing was retrieved
+        "prior_index": preds.prior_index,
+        "prior_similarity": preds.prior_similarity,
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, separators=(",", ":"))

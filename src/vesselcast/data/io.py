@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .types import DENSITY_LEVELS, SceneFrame, VesselSample
+from .types import DENSITY_LEVELS, FieldError, SceneFrame, VesselSample
 
 
 class DatasetFormatError(ValueError):
@@ -78,7 +78,12 @@ def _decode_scene(entry: dict, line_no: int) -> SceneFrame:
     raster = np.frombuffer(raw, dtype="<f4")
     if raster.size != int(np.prod(shape)):
         raise DatasetFormatError(line_no, "scenes.raster", f"payload does not match shape {shape}")
-    return SceneFrame(raster=raster.reshape(shape).copy(), bbox=tuple(float(v) for v in entry["bbox"]))
+    frame = SceneFrame(raster=raster.reshape(shape).copy(), bbox=tuple(float(v) for v in entry["bbox"]))
+    try:
+        frame.validate()
+    except FieldError as e:
+        raise DatasetFormatError(line_no, f"scenes.{e.field}", str(e)) from e
+    return frame
 
 
 def read_dataset(path: str | Path) -> list[VesselSample]:
@@ -98,21 +103,24 @@ def read_dataset(path: str | Path) -> list[VesselSample]:
             if record["density"] not in DENSITY_LEVELS:
                 raise DatasetFormatError(line_no, "density", f"got '{record['density']}'")
             try:
-                samples.append(
-                    VesselSample(
-                        vessel_id=str(record["vessel_id"]),
-                        obs_ais=np.asarray(record["obs_ais"], dtype=np.float64),
-                        ais_mask=np.asarray(record["ais_mask"], dtype=bool),
-                        obs_cctv=np.asarray(record["obs_cctv"], dtype=np.float64),
-                        scenes=[_decode_scene(e, line_no) for e in record["scenes"]],
-                        fut_ais=np.asarray(record["fut_ais"], dtype=np.float64),
-                        fut_cctv=np.asarray(record["fut_cctv"], dtype=np.float64),
-                        density=record["density"],
-                        is_dark=bool(record["is_dark"]),
-                    )
+                sample = VesselSample(
+                    vessel_id=str(record["vessel_id"]),
+                    obs_ais=np.asarray(record["obs_ais"], dtype=np.float64),
+                    ais_mask=np.asarray(record["ais_mask"], dtype=bool),
+                    obs_cctv=np.asarray(record["obs_cctv"], dtype=np.float64),
+                    scenes=[_decode_scene(e, line_no) for e in record["scenes"]],
+                    fut_ais=np.asarray(record["fut_ais"], dtype=np.float64),
+                    fut_cctv=np.asarray(record["fut_cctv"], dtype=np.float64),
+                    density=record["density"],
+                    is_dark=bool(record["is_dark"]),
                 )
+                if len(sample.ais_mask) != len(sample.obs_ais):
+                    raise DatasetFormatError(
+                        line_no, "ais_mask", f"{len(sample.ais_mask)} flags for {len(sample.obs_ais)} obs_ais rows"
+                    )
             except DatasetFormatError:
                 raise
             except (TypeError, ValueError) as e:
                 raise DatasetFormatError(line_no, "<record>", str(e)) from e
+            samples.append(sample)
     return samples

@@ -15,6 +15,14 @@ import numpy as np
 DENSITY_LEVELS = ("low", "medium", "high")
 
 
+class FieldError(ValueError):
+    """A value that cannot be right; `field` names the attribute holding it."""
+
+    def __init__(self, field: str, detail: str):
+        self.field = field
+        super().__init__(detail)
+
+
 @dataclass
 class SceneFrame:
     raster: np.ndarray  # (3, H, W) float32 in [0, 1]
@@ -22,10 +30,12 @@ class SceneFrame:
 
     def validate(self) -> None:
         if self.raster.ndim != 3 or self.raster.shape[0] != 3:
-            raise ValueError(f"scene raster must be (3, H, W), got {self.raster.shape}")
+            raise FieldError("raster", f"scene raster must be (3, H, W), got {self.raster.shape}")
+        if len(self.bbox) != 4:
+            raise FieldError("bbox", f"scene bbox needs 4 values, got {len(self.bbox)}")
         x0, y0, x1, y1 = self.bbox
         if not (x0 < x1 and y0 < y1):
-            raise ValueError(f"degenerate scene bbox {self.bbox}")
+            raise FieldError("bbox", f"degenerate scene bbox {self.bbox}")
 
 
 @dataclass

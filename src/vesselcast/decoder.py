@@ -54,6 +54,8 @@ class PredictionSet:
     latents: np.ndarray  # (K, J)
     mu: np.ndarray  # (K, J)
     logvar: np.ndarray  # (K, J)
+    prior_index: int | None = None  # retrieved bank entry; None when refinement was skipped
+    prior_similarity: float | None = None
 
 
 def init_decoder(rng: Rng, cfg) -> DecoderParams:

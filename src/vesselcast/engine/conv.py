@@ -39,6 +39,16 @@ def _col_indices(c: int, h: int, w: int, kh: int, kw: int, stride: int, pad: int
     return result
 
 
+def _pad(x: np.ndarray, pad: int) -> np.ndarray:
+    """x[C,H,W] with `pad` zero rows and columns on every side (np.pad costs more)."""
+    if not pad:
+        return x
+    c, h, w = x.shape
+    xp = np.zeros((c, h + 2 * pad, w + 2 * pad))
+    xp[:, pad : pad + h, pad : pad + w] = x
+    return xp
+
+
 def conv2d(x: Tensor, k: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlate x[C_in,H,W] with k[C_out,C_in,kh,kw] (no kernel flip).
 
@@ -56,17 +66,16 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
             f"kernel {kh}x{kw} larger than padded input {h + 2 * padding}x{w + 2 * padding}"
         )
     idx, out_h, out_w = _col_indices(c, h, w, kh, kw, stride, padding)
-    if padding:
-        xp = np.pad(x.data, ((0, 0), (padding, padding), (padding, padding)))
-    else:
-        xp = x.data
-    cols = xp.reshape(-1)[idx]  # (C*kh*kw, out_h*out_w)
-    kmat = k.data.reshape(co, -1)
-    out = (kmat @ cols).reshape(co, out_h, out_w)
+    cols = _pad(x.data, padding).reshape(-1)[idx]  # (C*kh*kw, out_h*out_w)
+    out = (k.data.reshape(co, -1) @ cols).reshape(co, out_h, out_w)
 
     def bwd(g, grads):
         gm = g.reshape(co, -1)
-        _accum(k, (gm @ cols.T).reshape(k.data.shape), grads)
+        if k.requires_grad:
+            # gathered again rather than kept from the forward pass: cols is
+            # kh*kw/stride^2 times the input, and the tape holds every conv's
+            cols = _pad(x.data, padding).reshape(-1)[idx]
+            _accum(k, (gm @ cols.T).reshape(k.data.shape), grads)
         if x.requires_grad:
             # input gradient as a transposed convolution: dilate g by the
             # stride, full-pad, and correlate with the flipped/swapped kernel

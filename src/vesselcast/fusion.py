@@ -149,16 +149,21 @@ def cross_modal_block(z1: Tensor, z2: Tensor, p: BlockParams, heads: int) -> Ten
     return layer_norm(add(ztil, p.ffn(ztil)), p.ln3_gain, p.ln3_bias)
 
 
+def masked_track(obs_ais: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """obs_ais with every masked step zeroed: selected, not multiplied, since NaN * 0 is NaN."""
+    return np.where(np.asarray(mask, dtype=bool)[:, None], obs_ais, 0.0)
+
+
 def embed_ais(p: FusionParams, obs_ais: np.ndarray, mask: np.ndarray) -> Tensor:
     """Embed the track with availability flags; masked steps become the token.
 
     Unavailable rows are zeroed before embedding and replaced by the learned
-    mask token, so stored coordinates at masked steps cannot influence the
-    output. Positional encoding is added afterwards either way.
+    mask token, so stored coordinates at masked steps, NaN included, cannot
+    influence the output. Positional encoding is added afterwards either way.
     """
     t = obs_ais.shape[0]
     m = mask.astype(np.float64)[:, None]
-    inp = np.concatenate([np.asarray(obs_ais) * m, m], axis=1)  # (T, 3)
+    inp = np.concatenate([masked_track(obs_ais, mask), m], axis=1)  # (T, 3)
     embedded = p.ais_embed(tensor(inp))
     mask_col = tensor(m)
     rows = add(mul(mask_col, embedded), mul(tensor(1.0 - m), p.mask_token))

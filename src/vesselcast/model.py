@@ -3,7 +3,7 @@ decoding, and prototype-bank refinement of the positional head."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -13,7 +13,7 @@ from .data.types import VesselSample
 from .decoder import DecoderParams, ModeOutput, PredictionSet, init_decoder, predict_modes, to_prediction_set
 from .engine import Tensor, no_grad
 from .engine.rng import Rng
-from .fusion import FusionParams, encode_and_fuse, init_fusion
+from .fusion import FusionParams, encode_and_fuse, init_fusion, masked_track
 from .losses import sample_losses, total_loss
 from .params import collect_params
 from .scene_encoder import SceneEncoderParams, encode_scene_sequence, init_scene_encoder
@@ -81,9 +81,10 @@ class Model:
         skips the scene encoder; without them it runs here. Bank refinement
         applies to the positional head of all K modes at once, and is skipped
         for dark vessels: without any broadcast track there is no retrieval
-        key. Observation windows and the bank's horizons must match the
-        config; futures are not checked here, since evaluation passes futures
-        longer than the model's horizon.
+        key. Like the embedding, the retrieval key reads masked steps as zero.
+        Observation windows and the bank's horizons must match the config;
+        futures are not checked here, since evaluation passes futures longer
+        than the model's horizon.
         """
         cfg = self.cfg
         for field in ("obs_ais", "ais_mask", "obs_cctv", "scenes"):
@@ -107,7 +108,7 @@ class Model:
         prior_index = None
         prior_sim = None
         if bank is not None and cfg.use_bank and sample.ais_mask.any():
-            prior_index, prior_fut, prior_sim = search(bank, sample.obs_ais)
+            prior_index, prior_fut, prior_sim = search(bank, masked_track(sample.obs_ais, sample.ais_mask))
             modes.ais = refine_and_fuse(
                 self.params.refine,
                 modes.ais,
@@ -155,10 +156,13 @@ class Model:
         bank: TrajectoryBank | None = None,
         scene_feats: Tensor | None = None,
     ) -> PredictionSet:
-        """Inference-only candidate set (refined positional head, raw camera head)."""
+        """Inference-only candidate set (refined positional head, raw camera head)
+        with the bank entry it retrieved, if any."""
         with no_grad():
             fwd = self.forward_sample(sample, rng=rng, eps=eps, bank=bank, scene_feats=scene_feats)
-        return to_prediction_set(fwd.modes)
+        return replace(
+            to_prediction_set(fwd.modes), prior_index=fwd.prior_index, prior_similarity=fwd.prior_similarity
+        )
 
     # ------------------------------------------------------------------
     def state_arrays(self) -> dict[str, np.ndarray]:

@@ -85,18 +85,20 @@ def train(
             batch = [samples[i] for i in order[start : start + cfg.batch_size]]
             with Tape():
                 total, rec, kl, _ = model.loss_batch(batch, rng=noise_rng, bank=bank)
-                value = total.item()
+                value, rec_value, kl_value = total.item(), rec.item(), kl.item()
                 if not math.isfinite(value):
                     raise DivergenceError(
                         f"non-finite loss at step {step} (epoch {epoch}): total={value}"
                     )
                 backward(total)
+                # these reach the whole graph; freed here, not when the next step rebinds them
+                del total, rec, kl
             opt.step()
             opt.zero_grad()
             step += 1
             sum_total += value * len(batch)
-            sum_rec += rec.item() * len(batch)
-            sum_kl += kl.item() * len(batch)
+            sum_rec += rec_value * len(batch)
+            sum_kl += kl_value * len(batch)
         n = len(samples)
         stats = EpochStats(epoch=epoch, total=sum_total / n, rec=sum_rec / n, kl=sum_kl / n, lr=opt.lr)
         curve.append(stats)

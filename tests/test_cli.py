@@ -1,4 +1,5 @@
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import vesselcast.cli as cli
+from vesselcast.bank import load_bank
 from vesselcast.cli import main
 
 CONFIG_TEXT = """
@@ -134,6 +136,22 @@ def test_predict_emits_modes(workdir):
     assert len(payload["ais"]) == 2  # modes
     assert len(payload["ais"][0]) == 3  # t_fut
     assert len(payload["latents"][0]) == 2
+
+
+@pytest.mark.parametrize("bank, dark", [(True, False), (True, True), (False, False)])
+def test_predict_reports_retrieval(workdir, bank, dark):
+    """A lit vessel searched against a bank names its entry; otherwise both fields are null."""
+    out = workdir / "preds.json"
+    extra = (["--bank", str(workdir / "bank.json")] if bank else []) + (["--dark"] if dark else [])
+    assert main(["predict", "--ckpt", str(workdir / "ckpt.bin"), "--data", str(workdir / "data.jsonl"),
+                 "--config", str(workdir / "train.cfg"), "--sample-id", "v0000", "--out", str(out),
+                 *extra]) == 0
+    payload = json.loads(out.read_text())
+    if bank and not dark:
+        assert 0 <= payload["prior_index"] < len(load_bank(workdir / "bank.json").entries)
+        assert math.isfinite(payload["prior_similarity"])
+    else:
+        assert payload["prior_index"] is None and payload["prior_similarity"] is None
 
 
 def test_predict_unknown_sample_fails(workdir):

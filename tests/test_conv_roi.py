@@ -1,11 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from vesselcast.engine import (
     DimensionError,
     Rng,
+    Tape,
+    backward,
     conv2d,
     finite_diff_check,
+    mul,
     reset_roi_diagnostics,
     roi_align,
     roi_diagnostics,
@@ -137,3 +142,62 @@ def test_roi_degenerate_box_counts_and_returns_center_sample():
     center = bilinear_oracle(fmap, -2.0, 2.0)  # clamped to x=0
     assert np.allclose(out, center.reshape(1, 1, 1))
     reset_roi_diagnostics()
+
+
+def im2col_loops(xp, kh, kw, stride):
+    """(C*kh*kw, H'*W') patch matrix of an already padded xp[C,H,W], row (c, i, j), column (y, x)."""
+    c, hp, wp = xp.shape
+    oh, ow = (hp - kh) // stride + 1, (wp - kw) // stride + 1
+    cols = np.empty((c * kh * kw, oh * ow))
+    for ci in range(c):
+        for i in range(kh):
+            for j in range(kw):
+                patch = xp[ci, i : i + stride * (oh - 1) + 1 : stride, j : j + stride * (ow - 1) + 1 : stride]
+                cols[(ci * kh + i) * kw + j] = patch.reshape(-1)
+    return cols
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("padding", [0, 1])
+def test_conv_gradients_equal_explicit_gemm_bit_for_bit(stride, padding):
+    """dK = gm @ cols.T over the padded input's patches; dX correlates the
+    stride-dilated, fully padded gradient with the flipped kernel as one GEMM."""
+    rng = Rng(11)
+    c, h, w, co, kh, kw = 3, 7, 6, 4, 3, 3
+    x = tensor(rand(rng, (c, h, w)), requires_grad=True)
+    k = tensor(rand(rng, (co, c, kh, kw)), requires_grad=True)
+    with Tape():
+        out = conv2d(x, k, stride=stride, padding=padding)
+        g = rand(rng, out.data.shape)
+        backward(tsum(mul(out, tensor(g))))
+    oh, ow = out.data.shape[1:]
+
+    xp = np.zeros((c, h + 2 * padding, w + 2 * padding))
+    xp[:, padding : padding + h, padding : padding + w] = x.data
+    gm = g.reshape(co, -1)
+    assert k.grad.tobytes() == (gm @ im2col_loops(xp, kh, kw, stride).T).reshape(k.data.shape).tobytes()
+
+    hp, wp = xp.shape[1:]
+    gd = np.zeros((co, hp + kh - 1, wp + kw - 1))
+    gd[:, kh - 1 : kh - 1 + stride * (oh - 1) + 1 : stride, kw - 1 : kw - 1 + stride * (ow - 1) + 1 : stride] = g
+    kflip = k.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
+    dxp = (kflip @ im2col_loops(gd, kh, kw, 1)).reshape(c, hp, wp)
+    assert x.grad.tobytes() == dxp[:, padding : padding + h, padding : padding + w].tobytes()
+
+
+def test_taped_conv_holds_output_not_im2col():
+    """A taped conv2d keeps its output, not its (C*kh*kw, H'*W') patch matrix."""
+    rng = Rng(4)
+    x = tensor(rand(rng, (4, 32, 32)), requires_grad=True)
+    k = tensor(rand(rng, (4, 4, 3, 3)), requires_grad=True)
+    conv2d(x, k, padding=1)  # fills the gather-index cache before measuring
+    tracemalloc.start()
+    try:
+        with Tape():
+            before = tracemalloc.get_traced_memory()[0]
+            out = conv2d(x, k, padding=1)
+            held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    padded = 4 * 34 * 34 * 8
+    assert held <= out.data.nbytes + padded + 16 * 1024

@@ -1,4 +1,6 @@
+import base64
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -186,12 +188,44 @@ def test_missing_field_names_line(tmp_path):
     samples = generate_scenario(cfg, seed=1)
     path = tmp_path / "bad.jsonl"
     write_dataset(path, samples)
-    lines = path.read_text().splitlines()
-    import json
+    _corrupt_line(path, lambda rec: rec.pop("fut_ais"))
+    with pytest.raises(DatasetFormatError, match="line 2.*fut_ais"):
+        read_dataset(path)
 
+
+def _corrupt_line(path, edit):
+    """Apply edit(record) to the dataset's second line."""
+    lines = path.read_text().splitlines()
     rec = json.loads(lines[1])
-    del rec["fut_ais"]
+    edit(rec)
     lines[1] = json.dumps(rec, separators=(",", ":"))
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(DatasetFormatError, match="line 2.*fut_ais"):
+
+
+def _two_channel_raster(rec):
+    frame = rec["scenes"][0]
+    c, h, w = frame["shape"]
+    frame["shape"] = [2, h, w]
+    raw = base64.b64decode(frame["raster"])
+    frame["raster"] = base64.b64encode(raw[: 2 * h * w * 4]).decode("ascii")
+
+
+def _inverted_bbox(rec):
+    x0, y0, x1, y1 = rec["scenes"][0]["bbox"]
+    rec["scenes"][0]["bbox"] = [x1, y0, x0, y1]
+
+
+def _short_mask(rec):
+    rec["ais_mask"] = rec["ais_mask"][:-1]
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [(_two_channel_raster, "scenes.raster"), (_inverted_bbox, "scenes.bbox"), (_short_mask, "ais_mask")],
+)
+def test_bad_frame_or_mask_names_field(tmp_path, edit, field):
+    path = tmp_path / "bad.jsonl"
+    write_dataset(path, generate_scenario(small_cfg(vessel_count=3), seed=1))
+    _corrupt_line(path, edit)
+    with pytest.raises(DatasetFormatError, match=rf"line 2: bad field '{field}'"):
         read_dataset(path)

@@ -97,6 +97,26 @@ def test_rng_stream_equals_explicit_eps(micro_cfg, micro_samples):
         assert getattr(from_rng, name).tobytes() == getattr(from_eps, name).tobytes(), name
 
 
+@pytest.mark.parametrize("use_bank", [False, True])
+def test_value_stored_at_masked_step_cannot_change_prediction(micro_cfg, micro_samples, use_bank):
+    """A NaN stored under a masked step predicts bit for bit what a zero there does."""
+    model = Model(micro_cfg)
+    bank = bank_from_samples(micro_samples, 4, seed=0) if use_bank else None
+    mask = np.ones(micro_cfg.t_obs, dtype=bool)
+    mask[0] = False
+    preds = []
+    for stored in (0.0, np.nan):
+        obs = micro_samples[0].obs_ais.copy()
+        obs[0] = stored
+        sample = dataclasses.replace(micro_samples[0], obs_ais=obs, ais_mask=mask)
+        preds.append(model.predict(sample, rng=Rng(3), bank=bank))
+    zero, nan = preds
+    for name in ("ais", "cctv", "latents", "mu", "logvar"):
+        assert np.all(np.isfinite(getattr(nan, name))), name
+        assert getattr(nan, name).tobytes() == getattr(zero, name).tobytes(), name
+    assert (nan.prior_index, nan.prior_similarity) == (zero.prior_index, zero.prior_similarity)
+
+
 @pytest.mark.parametrize("field", ["obs_ais", "ais_mask", "obs_cctv", "scenes"])
 def test_observation_window_mismatch_fails_naming_field(micro_cfg, micro_samples, field):
     model = Model(micro_cfg)

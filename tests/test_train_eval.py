@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -45,6 +46,23 @@ def test_same_seed_identical_curves(tiny_dataset):
     _, c1 = train(tiny_dataset, cfg)
     _, c2 = train(tiny_dataset, cfg)
     assert [(s.total, s.rec, s.kl) for s in c1] == [(s.total, s.rec, s.kl) for s in c2]
+
+
+def test_training_holds_one_step_graph_at_a_time(tiny_dataset):
+    """A second step starts after the first step's graph is freed, so two
+    steps peak no higher than one plus slack."""
+    batch = tiny_dataset[:2]
+    cfg = micro_config(epochs=1, batch_size=2)
+    train(batch, cfg)  # fills the gather-index cache before measuring
+    peaks = []
+    for epochs in (1, 2):
+        tracemalloc.start()
+        try:
+            train(batch, dataclasses.replace(cfg, epochs=epochs))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.4 * peaks[0], peaks
 
 
 def test_scheduler_halves_on_plateau():
