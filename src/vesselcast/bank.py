@@ -133,9 +133,15 @@ def bank_from_samples(samples, k_max: int, seed: int) -> TrajectoryBank:
 
 
 def search(bank: TrajectoryBank, observed: np.ndarray) -> tuple[int, np.ndarray, float]:
-    """Best entry by cosine similarity; lowest index wins ties."""
+    """Best entry by cosine similarity; lowest index wins ties.
+
+    A non-finite key would make every similarity NaN and silently pick
+    entry 0, so it raises instead.
+    """
     if not bank.entries:
         raise ValueError("search on an empty bank")
+    if not np.isfinite(observed).all():
+        raise ValueError("search key is not finite")
     fv = motion_feature(observed)
     nv = np.linalg.norm(fv)
     best_k, best_s = 0, -np.inf

@@ -1,16 +1,27 @@
 """Binary checkpoint format.
 
-Layout (all integers little-endian):
+Layout (all integers little-endian), the same in both versions up to the
+trailing checksum:
 
-    magic   4 bytes  b"CMIV"
-    version u32
-    count   u32          number of tensors
+    magic    4 bytes  b"CMIV"
+    version  u32          2 is written; 1 is still read
+    count    u32          number of tensors
     per tensor:
         name_len u32, name UTF-8 bytes
         rank     u32
         dims     rank x u64
         payload  prod(dims) x f64 little-endian
-    checksum u64         FNV-1a over all payload bytes, in tensor order
+    checksum u64
+
+Version 2: the checksum is the 8-byte BLAKE2b digest of every byte before
+it (magic, version, count, names, ranks, dims and payloads), stored as is,
+i.e. the digest read as a little-endian u64. The reader verifies it before
+it parses the tensor table, so a corrupt or truncated file fails as a
+checksum mismatch before any name is decoded or any dim is trusted.
+
+Version 1: the checksum is FNV-1a 64 over the payload bytes only, in tensor
+order, verified after parsing. A change to a name or dims that still parses
+goes unnoticed. Version 1 is read, never written.
 
 The model's architecture fingerprint rides along as the reserved 1-element
 tensor "meta.architecture_hash" (an integer below 2^53, exact in f64).
@@ -18,6 +29,7 @@ tensor "meta.architecture_hash" (an integer below 2^53, exact in f64).
 
 from __future__ import annotations
 
+import hashlib
 import struct
 from pathlib import Path
 
@@ -26,38 +38,52 @@ import numpy as np
 from .hashutil import fnv1a64
 
 MAGIC = b"CMIV"
-VERSION = 1
+VERSION = 2
 HASH_KEY = "meta.architecture_hash"
+_HEADER = struct.Struct("<4sII")  # magic, version, count
+_CHECKSUM_BYTES = 8
 
 
 class CheckpointError(RuntimeError):
     pass
 
 
+def _digest(body) -> bytes:
+    return hashlib.blake2b(body, digest_size=_CHECKSUM_BYTES).digest()
+
+
 def save_checkpoint(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
-    chunks = [MAGIC, struct.pack("<II", VERSION, len(tensors))]
-    payload_hash = None
-    payloads = []
+    chunks = [_HEADER.pack(MAGIC, VERSION, len(tensors))]
     for name, arr in tensors.items():
         arr = np.ascontiguousarray(arr, dtype="<f8")
         encoded = name.encode("utf-8")
-        chunks.append(struct.pack("<I", len(encoded)))
-        chunks.append(encoded)
-        chunks.append(struct.pack("<I", arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}Q", *arr.shape) if arr.ndim else b"")
-        payload = arr.tobytes()
-        payloads.append(payload)
-        chunks.append(payload)
-    checksum = fnv1a64(b"".join(payloads))
-    chunks.append(struct.pack("<Q", checksum))
-    Path(path).write_bytes(b"".join(chunks))
+        n = len(encoded)
+        chunks.append(struct.pack(f"<I{n}sI{arr.ndim}Q", n, encoded, arr.ndim, *arr.shape))
+        chunks.append(arr)  # joined from the array's buffer, not a copy of it
+    body = b"".join(chunks)
+    with open(path, "wb") as f:
+        f.write(body)
+        f.write(_digest(body))
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], int]:
-    """Read and verify a checkpoint; returns (tensors, version)."""
+    """Read and verify a checkpoint; returns (tensors, version).
+
+    Every defect raises CheckpointError naming the path.
+    """
     blob = Path(path).read_bytes()
     view = memoryview(blob)
-    pos = 0
+    if len(blob) < _HEADER.size:
+        raise CheckpointError(f"checkpoint {path} is truncated at byte {len(blob)}")
+    magic, version, count = _HEADER.unpack_from(blob)
+    if magic != MAGIC:
+        raise CheckpointError(f"checkpoint {path} has bad magic {magic!r}")
+    if version == VERSION:
+        if _digest(view[:-_CHECKSUM_BYTES]) != blob[-_CHECKSUM_BYTES:]:
+            raise CheckpointError(f"checkpoint {path} checksum mismatch: the file is corrupt or truncated")
+    elif version != 1:
+        raise CheckpointError(f"checkpoint {path} has unsupported version {version}")
+    pos = _HEADER.size
 
     def take(n: int) -> memoryview:
         nonlocal pos
@@ -67,30 +93,31 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], int]:
         pos += n
         return chunk
 
-    magic = bytes(take(4))
-    if magic != MAGIC:
-        raise CheckpointError(f"checkpoint {path} has bad magic {magic!r}")
-    version, count = struct.unpack("<II", take(8))
-    if version != VERSION:
-        raise CheckpointError(f"checkpoint {path} has unsupported version {version}")
     tensors: dict[str, np.ndarray] = {}
     payloads = []
-    for _ in range(count):
+    for i in range(count):
         (name_len,) = struct.unpack("<I", take(4))
-        name = bytes(take(name_len)).decode("utf-8")
+        try:
+            name = bytes(take(name_len)).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"checkpoint {path}: field 'name' of tensor {i} is not UTF-8") from exc
         (rank,) = struct.unpack("<I", take(4))
         dims = struct.unpack(f"<{rank}Q", take(8 * rank)) if rank else ()
         size = 1
         for dim in dims:
             size *= dim
-        payload = bytes(take(8 * size))
+        payload = take(8 * size)
         payloads.append(payload)
-        tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
-    (stored,) = struct.unpack("<Q", take(8))
+        try:
+            tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
+        except ValueError as exc:
+            raise CheckpointError(
+                f"checkpoint {path}: field 'dims' of tensor '{name}' is invalid: {dims}"
+            ) from exc
+    (stored,) = struct.unpack("<Q", take(_CHECKSUM_BYTES))
     if pos != len(blob):
         raise CheckpointError(f"checkpoint {path} has {len(blob) - pos} trailing bytes")
-    actual = fnv1a64(b"".join(payloads))
-    if stored != actual:
+    if version == 1 and stored != fnv1a64(b"".join(payloads)):
         raise CheckpointError(f"checkpoint {path} payload checksum mismatch")
     return tensors, version
 

@@ -382,6 +382,11 @@ def concat(parts, axis: int = 0) -> Tensor:
 
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
+    """`length` entries of `axis` from `start`, as a read-only view of `a`.
+
+    A view holds no memory of its own; being read-only, an in-place write
+    to it fails instead of changing `a`.
+    """
     a = _as_tensor(a)
     idx = [slice(None)] * a.data.ndim
     idx[axis] = slice(start, start + length)
@@ -392,7 +397,9 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
         full[idx] = g
         _accum(a, full, grads)
 
-    return _make(a.data[idx].copy(), (a,), bwd)
+    out = a.data[idx]
+    out.flags.writeable = False
+    return _make(out, (a,), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,13 @@ def _check_steps(field: str, got: int, key: str, want: int) -> None:
         raise ValueError(f"{field} has {got} steps but cfg.{key} is {want}")
 
 
+def _check_finite(field: str, track: np.ndarray, counted: np.ndarray) -> None:
+    """Fail on the first step of `track` that `counted` selects and that is not finite."""
+    bad = np.flatnonzero(counted & ~np.isfinite(track).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{field} is not finite at step {bad[0]}")
+
+
 class Model:
     def __init__(self, cfg: TrainConfig, seed: int | None = None):
         cfg.validate()
@@ -84,11 +91,15 @@ class Model:
         key. Like the embedding, the retrieval key reads masked steps as zero.
         Observation windows and the bank's horizons must match the config;
         futures are not checked here, since evaluation passes futures longer
-        than the model's horizon.
+        than the model's horizon. Observed coordinates must be finite, except
+        under masked AIS steps, which are never read.
         """
         cfg = self.cfg
         for field in ("obs_ais", "ais_mask", "obs_cctv", "scenes"):
             _check_steps(field, len(getattr(sample, field)), "t_obs", cfg.t_obs)
+        ais_mask = np.asarray(sample.ais_mask, dtype=bool)
+        _check_finite("obs_ais", sample.obs_ais, ais_mask)
+        _check_finite("obs_cctv", sample.obs_cctv, np.ones_like(ais_mask))
         if bank is not None:
             _check_steps("bank.t_obs", bank.t_obs, "t_obs", cfg.t_obs)
             _check_steps("bank.t_fut", bank.t_fut, "t_fut", cfg.t_fut)

@@ -154,6 +154,17 @@ def test_search_self_match():
         assert np.array_equal(fut, entry.fut)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_search_rejects_non_finite_key(value):
+    rng = Rng(29)
+    tracks = [np.cumsum(rand(rng, (9, 2), -0.2, 0.2), axis=0) for _ in range(6)]
+    bank = build_bank(tracks, k_max=6, t_obs=4, t_fut=5, seed=1)
+    key = bank.entries[1].obs.copy()
+    key[2, 1] = value
+    with pytest.raises(ValueError, match="not finite"):
+        search(bank, key)
+
+
 def test_search_orthogonal_and_diagonal_similarities():
     t_obs = 2
     # features are built from tracks; craft tracks whose features are the

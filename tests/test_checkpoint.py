@@ -1,8 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 
 from conftest import micro_config
 from vesselcast.checkpoint import (
+    HASH_KEY,
     CheckpointError,
     load_checkpoint,
     load_model,
@@ -10,7 +13,27 @@ from vesselcast.checkpoint import (
     save_model,
 )
 from vesselcast.engine import Rng
+from vesselcast.hashutil import fnv1a64
 from vesselcast.model import Model
+
+
+def _v1_blob(tensors: dict[str, np.ndarray]) -> bytes:
+    """The version-1 layout, built by hand: FNV-1a 64 over the payloads only."""
+    chunks = [b"CMIV", struct.pack("<II", 1, len(tensors))]
+    payloads = []
+    for name, arr in tensors.items():
+        arr = np.ascontiguousarray(arr, dtype="<f8")
+        encoded = name.encode("utf-8")
+        chunks.append(struct.pack("<I", len(encoded)) + encoded + struct.pack("<I", arr.ndim))
+        chunks.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
+        payloads.append(arr.tobytes())
+        chunks.append(payloads[-1])
+    chunks.append(struct.pack("<Q", fnv1a64(b"".join(payloads))))
+    return b"".join(chunks)
+
+
+def _small_tensors() -> dict[str, np.ndarray]:
+    return {"w": np.arange(6.0).reshape(2, 3), "b": np.array([0.5, -1.0, 2.0])}
 
 
 def test_round_trip_bit_exact(tmp_path):
@@ -24,7 +47,7 @@ def test_round_trip_bit_exact(tmp_path):
     p1, p2 = tmp_path / "c1.bin", tmp_path / "c2.bin"
     save_checkpoint(p1, tensors)
     loaded, version = load_checkpoint(p1)
-    assert version == 1
+    assert version == 2
     assert list(loaded) == list(tensors)
     for name in tensors:
         assert np.array_equal(loaded[name], tensors[name])
@@ -94,3 +117,77 @@ def test_architecture_hash_mismatch(tmp_path):
     save_model(path, model)
     with pytest.raises(CheckpointError, match="architecture"):
         load_model(path, cfg_b)
+
+
+def test_v1_file_loads_as_version_1(tmp_path):
+    tensors = _small_tensors()
+    path = tmp_path / "v1.bin"
+    path.write_bytes(_v1_blob(tensors))
+    loaded, version = load_checkpoint(path)
+    assert version == 1
+    assert list(loaded) == list(tensors)
+    for name in tensors:
+        assert loaded[name].tobytes() == tensors[name].tobytes()
+
+
+def test_v1_model_checkpoint_loads(tmp_path):
+    cfg = micro_config()
+    model = Model(cfg)
+    tensors = dict(model.state_arrays())
+    tensors[HASH_KEY] = np.array([float(model.architecture_hash())])
+    path = tmp_path / "v1.bin"
+    path.write_bytes(_v1_blob(tensors))
+    loaded = load_model(path, cfg)
+    for name, tens in model.named.items():
+        assert np.array_equal(tens.data, loaded.named[name].data), name
+
+
+def test_v1_payload_corruption_fails_checksum(tmp_path):
+    blob = bytearray(_v1_blob(_small_tensors()))
+    blob[-9] ^= 0x01  # last byte of the last payload
+    path = tmp_path / "v1flip.bin"
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match="checksum"):
+        load_checkpoint(path)
+
+
+def test_unknown_version_rejected_naming_it(tmp_path):
+    path = tmp_path / "v3.bin"
+    save_checkpoint(path, _small_tensors())
+    blob = bytearray(path.read_bytes())
+    blob[4:8] = struct.pack("<I", 3)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match="unsupported version 3"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_every_bit_flip_and_truncation_fails_cleanly(tmp_path, version):
+    """Each single-bit flip and each truncation of a small file raises
+    CheckpointError or, for version 1 only, loads.
+
+    Version 2's checksum covers every byte before it, so none of these may
+    load. Version 1's covers only the payloads: a flip in a name or in dims
+    that still parses loads silently under a changed name or shape. That is
+    the version-1 limit version 2 closes; here version 1 must only never
+    leak another exception.
+    """
+    if version == 1:
+        blob = _v1_blob(_small_tensors())
+    else:
+        save_checkpoint(tmp_path / "v2.bin", _small_tensors())
+        blob = (tmp_path / "v2.bin").read_bytes()
+    cases = [blob[:n] for n in range(len(blob))]
+    for bit in range(8 * len(blob)):
+        flipped = bytearray(blob)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        cases.append(bytes(flipped))
+    path = tmp_path / "case.bin"
+    for case in cases:
+        path.write_bytes(case)
+        try:
+            load_checkpoint(path)
+        except CheckpointError as exc:
+            assert str(path) in str(exc)
+        else:
+            assert version == 1, f"corrupt file of {len(case)} bytes loaded"

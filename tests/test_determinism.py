@@ -1,8 +1,9 @@
 import subprocess
 import sys
 
+import pytest
 
-SCRIPT = r"""
+TAPE_SCRIPT = r"""
 import numpy as np
 from vesselcast.engine import Rng, Tape, backward, conv2d, layer_norm, matmul, softmax, tensor, tsum
 from vesselcast.hashutil import fnv1a64
@@ -32,11 +33,29 @@ for t in (w1, w2, k, gain, bias):
 print(fnv1a64(buf))
 """
 
+CHECKPOINT_SCRIPT = r"""
+import hashlib
+import sys
+from vesselcast.checkpoint import save_model
+from vesselcast.config import TrainConfig
+from vesselcast.model import Model
 
-def test_tape_replay_bit_identical_across_processes():
+cfg = TrainConfig(
+    t_obs=2, t_fut=3, modes=2, d_model=4, heads=2, latent_dim=2, stem_channels=(2, 2, 2),
+    roi_size=2, bbox_dim=4, raster_size=12, offset_hidden=8,
+)
+save_model(sys.argv[1], Model(cfg, seed=5))
+with open(sys.argv[1], "rb") as f:
+    print(hashlib.sha256(f.read()).hexdigest())
+"""
+
+
+@pytest.mark.parametrize("script", [TAPE_SCRIPT, CHECKPOINT_SCRIPT], ids=["tape", "checkpoint"])
+def test_tape_replay_bit_identical_across_processes(tmp_path, script):
     outs = []
-    for _ in range(2):
-        proc = subprocess.run([sys.executable, "-c", SCRIPT], capture_output=True, text=True)
+    for i in range(2):
+        out = str(tmp_path / f"out{i}.bin")
+        proc = subprocess.run([sys.executable, "-c", script, out], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout.strip())
     assert outs[0] == outs[1]

@@ -117,6 +117,20 @@ def test_value_stored_at_masked_step_cannot_change_prediction(micro_cfg, micro_s
     assert (nan.prior_index, nan.prior_similarity) == (zero.prior_index, zero.prior_similarity)
 
 
+@pytest.mark.parametrize("use_bank", [False, True])
+@pytest.mark.parametrize("field", ["obs_ais", "obs_cctv"])
+def test_non_finite_observation_fails_naming_field_and_step(micro_cfg, micro_samples, field, use_bank):
+    model = Model(micro_cfg)
+    bank = bank_from_samples(micro_samples, 4, seed=0) if use_bank else None
+    track = getattr(micro_samples[0], field).copy()
+    track[1, 0] = np.inf if field == "obs_cctv" else np.nan
+    sample = dataclasses.replace(
+        micro_samples[0], ais_mask=np.ones(micro_cfg.t_obs, dtype=bool), **{field: track}
+    )
+    with pytest.raises(ValueError, match=rf"{field} is not finite at step 1"):
+        model.predict(sample, rng=Rng(0), bank=bank)
+
+
 @pytest.mark.parametrize("field", ["obs_ais", "ais_mask", "obs_cctv", "scenes"])
 def test_observation_window_mismatch_fails_naming_field(micro_cfg, micro_samples, field):
     model = Model(micro_cfg)

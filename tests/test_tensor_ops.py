@@ -182,6 +182,16 @@ def test_shape_ops_gradients():
     assert finite_diff_check(f, x) < 1e-6
 
 
+def test_narrow_is_a_read_only_view():
+    a = tensor(np.arange(12.0).reshape(3, 4))
+    out = narrow(a, 1, 1, 2)
+    assert np.shares_memory(out.data, a.data)
+    assert not out.data.flags.writeable
+    assert np.array_equal(out.data, a.data[:, 1:3])
+    with pytest.raises(ValueError, match="read-only"):
+        out.data[0, 0] = -1.0
+
+
 def test_mean_matches_numpy():
     rng = Rng(19)
     x = rand(rng, (3, 5))
