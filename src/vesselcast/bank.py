@@ -136,20 +136,17 @@ def search(bank: TrajectoryBank, observed: np.ndarray) -> tuple[int, np.ndarray,
     """Best entry by cosine similarity; lowest index wins ties.
 
     A non-finite key would make every similarity NaN and silently pick
-    entry 0, so it raises instead.
+    entry 0, so it raises instead; `load_bank` rejects non-finite entries.
     """
     if not bank.entries:
         raise ValueError("search on an empty bank")
     if not np.isfinite(observed).all():
         raise ValueError("search key is not finite")
     fv = motion_feature(observed)
-    nv = np.linalg.norm(fv)
-    best_k, best_s = 0, -np.inf
-    for k, entry in enumerate(bank.entries):
-        s = float(fv @ entry.feat / (nv * np.linalg.norm(entry.feat) + COSINE_EPS))
-        if s > best_s:
-            best_k, best_s = k, s
-    return best_k, bank.entries[best_k].fut, best_s
+    feats = np.stack([e.feat for e in bank.entries])
+    sims = feats @ fv / (np.linalg.norm(fv) * np.linalg.norm(feats, axis=1) + COSINE_EPS)
+    best = int(np.argmax(sims))
+    return best, bank.entries[best].fut, float(sims[best])
 
 
 # ---------------------------------------------------------------------------
@@ -222,22 +219,35 @@ def save_bank(path: str | Path, bank: TrajectoryBank) -> None:
         fh.write("\n")
 
 
+def _entry_array(path, i: int, entry: dict, field: str, shape: tuple[int, ...]) -> np.ndarray:
+    where = f"bank file {path}: entry {i} field '{field}'"
+    try:
+        arr = np.asarray(entry[field], dtype=np.float64)
+    except (KeyError, TypeError, ValueError):
+        raise ValueError(f"{where} is missing or not a numeric array") from None
+    if arr.shape != shape:
+        raise ValueError(f"{where} has shape {arr.shape}, expected {shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{where} is not finite")
+    return arr
+
+
 def load_bank(path: str | Path) -> TrajectoryBank:
+    """Read a bank, checking each entry's shapes, values and key against the header."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     for key in ("t_obs", "t_fut", "k", "seed", "entries"):
         if key not in payload:
             raise ValueError(f"bank file {path} is missing '{key}'")
-    entries = [
-        BankEntry(
-            obs=np.asarray(e["obs"], dtype=np.float64),
-            fut=np.asarray(e["fut"], dtype=np.float64),
-            feat=np.asarray(e["feat"], dtype=np.float64),
-        )
-        for e in payload["entries"]
-    ]
+    t_obs, t_fut = payload["t_obs"], payload["t_fut"]
+    entries = []
+    for i, e in enumerate(payload["entries"]):
+        obs = _entry_array(path, i, e, "obs", (t_obs, 2))
+        fut = _entry_array(path, i, e, "fut", (t_fut, 2))
+        feat = _entry_array(path, i, e, "feat", (2 * t_obs,))
+        if not np.array_equal(feat, motion_feature(obs)):
+            raise ValueError(f"bank file {path}: entry {i} field 'feat' is not motion_feature(obs)")
+        entries.append(BankEntry(obs=obs, fut=fut, feat=feat))
     if len(entries) != payload["k"]:
         raise ValueError(f"bank file {path}: header k={payload['k']} but {len(entries)} entries")
-    return TrajectoryBank(
-        entries=entries, t_obs=payload["t_obs"], t_fut=payload["t_fut"], seed=payload["seed"]
-    )
+    return TrajectoryBank(entries=entries, t_obs=t_obs, t_fut=t_fut, seed=payload["seed"])

@@ -95,12 +95,11 @@ def predict_modes(
         eps = np.array(rng.normals(k_modes * j))
     noise = tensor(np.asarray(eps, dtype=np.float64).reshape(k_modes, j))
     z = mu + mul(exp(mul(logvar, 0.5)), noise)
-    flat = p.expand(concat([f_rows, z, e], axis=1))  # (K, T_fut * d)
-    rows = reshape(flat, (k_modes * t_fut, d))
+    features = reshape(p.expand(concat([f_rows, z, e], axis=1)), (k_modes, t_fut, d))
     return ModeOutput(
-        ais=reshape(p.ais_head(rows), (k_modes, t_fut, 2)),
-        cctv=reshape(p.cctv_head(rows), (k_modes, t_fut, 2)),
-        features=reshape(flat, (k_modes, t_fut, d)),
+        ais=p.ais_head(features),
+        cctv=p.cctv_head(features),
+        features=features,
         z=z,
         mu=mu,
         logvar=logvar,

@@ -19,10 +19,6 @@ class DimensionError(ValueError):
     """Shape disagreement between operands."""
 
 
-class NonFiniteError(FloatingPointError):
-    """A tensor that must be finite contains NaN or Inf."""
-
-
 class _TapeState(threading.local):
     def __init__(self):
         self.stack: list["Tape"] = []
@@ -130,11 +126,6 @@ def tensor(data, requires_grad: bool = False) -> Tensor:
 
 def zeros(shape, requires_grad: bool = False) -> Tensor:
     return Tensor(np.zeros(shape, dtype=np.float64), requires_grad=requires_grad)
-
-
-def check_finite(t: Tensor, label: str = "tensor") -> None:
-    if not np.all(np.isfinite(t.data)):
-        raise NonFiniteError(f"{label} contains non-finite values")
 
 
 def _as_tensor(x) -> Tensor:
@@ -247,17 +238,18 @@ def neg(a) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product over the last two axes; leading axes broadcast as in np.matmul."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise DimensionError(f"matmul expects 2-D operands, got {a.data.shape} @ {b.data.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
+    if a.data.ndim < 2 or b.data.ndim < 2:
+        raise DimensionError(f"matmul expects operands of 2 or more axes, got {a.data.shape} @ {b.data.shape}")
+    if a.data.shape[-1] != b.data.shape[-2]:
         raise DimensionError(f"matmul inner dimensions disagree: {a.data.shape} @ {b.data.shape}")
 
     def bwd(g, grads):
-        _accum(a, g @ b.data.T, grads)
-        _accum(b, a.data.T @ g, grads)
+        _accum(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape), grads)
+        _accum(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape), grads)
 
-    return _make(a.data @ b.data, (a, b), bwd)
+    return _make(np.matmul(a.data, b.data), (a, b), bwd)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -356,15 +348,19 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _make(a.data.reshape(shape), (a,), bwd)
 
 
-def transpose(a: Tensor) -> Tensor:
+def transpose(a: Tensor, axes=None) -> Tensor:
+    """Axes of `a` permuted as in np.transpose; the default swaps the last two."""
     a = _as_tensor(a)
-    if a.data.ndim != 2:
-        raise DimensionError(f"transpose expects a matrix, got {a.data.shape}")
+    if axes is None:
+        if a.data.ndim < 2:
+            raise DimensionError(f"transpose expects 2 or more axes, got {a.data.shape}")
+        axes = (*range(a.data.ndim - 2), a.data.ndim - 1, a.data.ndim - 2)
+    inverse = np.argsort(axes)
 
     def bwd(g, grads):
-        _accum(a, g.T, grads)
+        _accum(a, g.transpose(inverse), grads)
 
-    return _make(a.data.T.copy(), (a,), bwd)
+    return _make(a.data.transpose(axes).copy(), (a,), bwd)
 
 
 def concat(parts, axis: int = 0) -> Tensor:

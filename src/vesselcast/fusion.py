@@ -18,11 +18,10 @@ import numpy as np
 from .engine import (
     Tensor,
     add,
-    concat,
     layer_norm,
     matmul,
     mul,
-    narrow,
+    reshape,
     softmax,
     tensor,
     tmean,
@@ -115,29 +114,26 @@ def positional_encoding(t: int, d: int) -> np.ndarray:
     return pe
 
 
-def attention_weights(query: Tensor, keys: Tensor, p: AttentionParams, heads: int) -> list[Tensor]:
-    """Per-head softmax weights, each (T_query, T_keys)."""
-    dk = query.shape[1] // heads
-    q = p.wq(query)
-    k = p.wk(keys)
-    scale = 1.0 / math.sqrt(dk)
-    out = []
-    for h in range(heads):
-        qh = narrow(q, 1, h * dk, dk)
-        kh = narrow(k, 1, h * dk, dk)
-        out.append(softmax(mul(matmul(qh, transpose(kh)), scale), axis=-1))
-    return out
+def _heads(x: Tensor, heads: int, axes: tuple[int, int, int]) -> Tensor:
+    """x (T, d) cut into `heads` column blocks, as (T, heads, d_k) with its axes permuted by `axes`."""
+    t, d = x.shape
+    return transpose(reshape(x, (t, heads, d // heads)), axes)
+
+
+def attention_weights(query: Tensor, keys: Tensor, p: AttentionParams, heads: int) -> Tensor:
+    """Softmax weights of every head, (heads, T_query, T_keys)."""
+    q = _heads(p.wq(query), heads, (1, 0, 2))  # (heads, T_query, d_k)
+    k = _heads(p.wk(keys), heads, (1, 2, 0))  # (heads, d_k, T_keys)
+    return softmax(mul(matmul(q, k), 1.0 / math.sqrt(query.shape[1] // heads)), axis=-1)
 
 
 def attention(query: Tensor, keys: Tensor, values: Tensor, p: AttentionParams, heads: int) -> Tensor:
     """Scaled dot-product attention with projections, multi-head."""
     if keys.shape[0] != values.shape[0]:
         raise DimensionError(f"keys ({keys.shape}) and values ({values.shape}) disagree in length")
-    weights = attention_weights(query, keys, p, heads)
-    dk = query.shape[1] // heads
-    v = p.wv(values)
-    outs = [matmul(w, narrow(v, 1, h * dk, dk)) for h, w in enumerate(weights)]
-    return p.wo(concat(outs, axis=1))
+    v = _heads(p.wv(values), heads, (1, 0, 2))  # (heads, T_keys, d_k)
+    out = matmul(attention_weights(query, keys, p, heads), v)  # (heads, T_query, d_k)
+    return p.wo(reshape(transpose(out, (1, 0, 2)), (query.shape[0], -1)))
 
 
 def cross_modal_block(z1: Tensor, z2: Tensor, p: BlockParams, heads: int) -> Tensor:

@@ -67,11 +67,18 @@ class Model:
         """(t_obs, d) scene features of `sample`, or None when `cfg.use_scene` is off.
 
         They depend only on the parameters and `sample.scenes`, not on the
-        broadcast mask, so a vessel's dark copies can share them.
+        broadcast mask, so a vessel's dark copies can share them. Checks the frames first.
         """
         if not self.cfg.use_scene:
             return None
-        return encode_scene_sequence(self.params.scene, sample.scenes, self.cfg)
+        scenes = sample.scenes
+        _check_steps("scenes", len(scenes), "t_obs", self.cfg.t_obs)
+        for t, frame in enumerate(scenes):
+            if frame.raster.shape != scenes[0].raster.shape:
+                raise ValueError(f"scenes.raster at step {t} has shape {frame.raster.shape}, not {scenes[0].raster.shape}")
+            if not np.isfinite(frame.raster).all():
+                raise ValueError(f"scenes.raster is not finite at step {t}")
+        return encode_scene_sequence(self.params.scene, scenes, self.cfg)
 
     def forward_sample(
         self,
@@ -95,7 +102,7 @@ class Model:
         under masked AIS steps, which are never read.
         """
         cfg = self.cfg
-        for field in ("obs_ais", "ais_mask", "obs_cctv", "scenes"):
+        for field in ("obs_ais", "ais_mask", "obs_cctv"):  # `encode_scenes` checks the scenes
             _check_steps(field, len(getattr(sample, field)), "t_obs", cfg.t_obs)
         ais_mask = np.asarray(sample.ais_mask, dtype=bool)
         _check_finite("obs_ais", sample.obs_ais, ais_mask)

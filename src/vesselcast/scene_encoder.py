@@ -1,12 +1,12 @@
 """Target-aware scene encoding.
 
-Per frame, a small strided conv stem produces a feature map from which three
-spatial descriptors are pooled: a box-aligned target embedding, a global
-average context, and an encoded bounding box. A two-layer convolutional LSTM
-over the frame features supplies temporal context, exponentially weighted so
-the most recent frame always carries weight 1. Each timestep's spatial and
-temporal vectors fuse through an output MLP into one row of the (T x d)
-scene representation.
+The T frames run as one batch: a small strided conv stem maps the (T, 3, S, S)
+raster stack to T feature maps, from each of which three spatial descriptors
+are pooled: a box-aligned target embedding, a global average context, and an
+encoded bounding box. A two-layer convolutional LSTM steps through the maps
+in time order for temporal context, exponentially weighted so the most recent
+frame always carries weight 1. Each timestep's spatial and temporal vectors
+fuse through an output MLP into one row of the (T x d) scene representation.
 """
 
 from __future__ import annotations
@@ -100,69 +100,67 @@ def init_scene_encoder(rng: Rng, cfg) -> SceneEncoderParams:
     )
 
 
-def stem_forward(p: SceneEncoderParams, raster: np.ndarray) -> Tensor:
-    """Three convs, stride 4 overall: raster (3,S,S) -> feature map (C_f, S/4, S/4)."""
-    x = tensor(np.asarray(raster, dtype=np.float64))
+def stem_forward(p: SceneEncoderParams, rasters: np.ndarray) -> Tensor:
+    """Three convs, stride 4 overall: rasters (T,3,S,S) -> feature maps (T, C_f, S/4, S/4)."""
+    x = tensor(np.asarray(rasters, dtype=np.float64))
     x = relu(add(conv2d(x, p.stem1.kernel, stride=2, padding=1), p.stem1.bias))
     x = relu(add(conv2d(x, p.stem2.kernel, stride=2, padding=1), p.stem2.bias))
     return relu(add(conv2d(x, p.stem3.kernel, stride=1, padding=1), p.stem3.bias))
 
 
-def _global_avg(fmap: Tensor) -> Tensor:
-    c = fmap.shape[0]
-    return reshape(tmean(reshape(fmap, (c, -1)), axis=1), (1, c))
+def _global_avg(fmaps: Tensor) -> Tensor:  # (T, C, H, W) -> (T, C)
+    t, c = fmaps.shape[:2]
+    return tmean(reshape(fmaps, (t, c, -1)), axis=2)
 
 
-def spatial_features(p: SceneEncoderParams, fmap: Tensor, scene: SceneFrame, cfg) -> Tensor:
-    """Box-pooled target embedding + global context + box encoding -> (1, d)."""
-    spatial_scale = fmap.shape[1] / scene.raster.shape[1]
-    pooled = roi_align(fmap, scene.bbox, cfg.roi_size, spatial_scale)
-    f_tar = p.target_proj(reshape(pooled, (1, -1)))
-    f_glo = p.global_proj(_global_avg(fmap))
-    box_norm = np.asarray(scene.bbox, dtype=np.float64) / scene.raster.shape[1]
-    f_box = p.bbox_mlp(tensor(box_norm.reshape(1, 4)))
+def spatial_features(p: SceneEncoderParams, fmaps: Tensor, scenes: list[SceneFrame], cfg) -> Tensor:
+    """Box-pooled target embedding + global context + box encoding, one row per frame -> (T, d)."""
+    size = scenes[0].raster.shape[1]
+    boxes = np.array([fr.bbox for fr in scenes], dtype=np.float64)  # (T, 4)
+    pooled = roi_align(fmaps, boxes, cfg.roi_size, fmaps.shape[2] / size)
+    f_tar = p.target_proj(reshape(pooled, (len(scenes), -1)))
+    f_glo = p.global_proj(_global_avg(fmaps))
+    f_box = p.bbox_mlp(tensor(boxes / size))
     return p.fuse_mlp(concat([f_tar, f_glo, f_box], axis=1))
 
 
 def convlstm_step(cell: ConvLstmCell, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
-    channels = h.shape[0]
-    z = add(conv2d(concat([x, h], axis=0), cell.kernel, stride=1, padding=1), cell.bias)
-    i = sigmoid(narrow(z, 0, 0, channels))
-    f = sigmoid(narrow(z, 0, channels, channels))
-    g = tanh(narrow(z, 0, 2 * channels, channels))
-    o = sigmoid(narrow(z, 0, 3 * channels, channels))
+    """One step on (..., C, H, W) input and state; leading axes are a batch."""
+    channels = h.shape[-3]
+    z = add(conv2d(concat([x, h], axis=-3), cell.kernel, stride=1, padding=1), cell.bias)
+    i = sigmoid(narrow(z, -3, 0, channels))
+    f = sigmoid(narrow(z, -3, channels, channels))
+    g = tanh(narrow(z, -3, 2 * channels, channels))
+    o = sigmoid(narrow(z, -3, 3 * channels, channels))
     c_next = add(mul(f, c), mul(i, g))
     h_next = mul(o, tanh(c_next))
     return h_next, c_next
 
 
-def temporal_context(p: SceneEncoderParams, fmaps: list[Tensor], decay: float) -> list[Tensor]:
-    """Two stacked ConvLSTM layers, pooled, projected, and decay-weighted.
+def temporal_context(p: SceneEncoderParams, fmaps: Tensor, decay: float) -> Tensor:
+    """Two stacked ConvLSTM layers over the T maps of (T, C, H, W), pooled,
+    projected, and decay-weighted -> (T, d).
 
     Step t (0-based, most recent last) gets weight exp(decay * (t - (T-1))),
     so weights lie in (0, 1] and the newest frame always has weight 1.
     """
-    if not fmaps:
-        raise ValueError("temporal_context needs a nonempty frame sequence")
-    shape = fmaps[0].shape
-    h1 = zeros(shape)
-    c1 = zeros(shape)
-    h2 = zeros(shape)
-    c2 = zeros(shape)
-    t_obs = len(fmaps)
-    rows = []
-    for t, fmap in enumerate(fmaps):
-        h1, c1 = convlstm_step(p.cell1, fmap, h1, c1)
+    t_obs = fmaps.shape[0]
+    h1 = c1 = h2 = c2 = zeros((1, *fmaps.shape[1:]))  # one frame's state, zero at t = 0
+    h2s = []
+    for t in range(t_obs):
+        h1, c1 = convlstm_step(p.cell1, narrow(fmaps, 0, t, 1), h1, c1)
         h2, c2 = convlstm_step(p.cell2, h1, h2, c2)
-        weight = math.exp(decay * (t - (t_obs - 1)))
-        rows.append(mul(p.temporal_proj(_global_avg(h2)), weight))
-    return rows
+        h2s.append(h2)
+    weights = np.array([[math.exp(decay * (t - (t_obs - 1)))] for t in range(t_obs)])  # (T, 1)
+    return mul(p.temporal_proj(_global_avg(concat(h2s, axis=0))), tensor(weights))
 
 
 def encode_scene_sequence(p: SceneEncoderParams, scenes: list[SceneFrame], cfg) -> Tensor:
-    """Full scene path: per-step concat(spatial, temporal) through the output MLP."""
-    fmaps = [stem_forward(p, fr.raster) for fr in scenes]
-    spatial = [spatial_features(p, fmap, fr, cfg) for fmap, fr in zip(fmaps, scenes)]
+    """Full scene path: per-step concat(spatial, temporal) through the output MLP -> (T, d).
+
+    One or more frames, whose rasters share one shape.
+    """
+    fmaps = stem_forward(p, np.stack([fr.raster for fr in scenes]))
+    spatial = spatial_features(p, fmaps, scenes, cfg)
     temporal = temporal_context(p, fmaps, cfg.decay)
-    rows = [p.out_mlp(concat([s, t], axis=1)) for s, t in zip(spatial, temporal)]
-    return concat(rows, axis=0)
+    return p.out_mlp(concat([spatial, temporal], axis=1))

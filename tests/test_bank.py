@@ -298,3 +298,39 @@ def test_bank_round_trip(tmp_path):
         assert np.array_equal(a.feat, b.feat)
     save_bank(p2, loaded)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _corrupt_entry(entry, field, how):
+    if how == "short":
+        entry[field] = entry[field][:-1]
+    elif how == "nan":
+        # json writes NaN as a bare token, which json.load reads back
+        entry[field][0] = [float("nan"), 0.0] if field != "feat" else float("nan")
+    else:  # a finite key that no longer matches the track
+        entry[field][-1] += 0.5
+
+
+@pytest.mark.parametrize(
+    "field, how, message",
+    [
+        ("obs", "short", "has shape"),
+        ("fut", "short", "has shape"),
+        ("feat", "short", "has shape"),
+        ("obs", "nan", "is not finite"),
+        ("fut", "nan", "is not finite"),
+        ("feat", "nan", "is not finite"),
+        ("feat", "key", "is not motion_feature"),
+    ],
+)
+def test_load_bank_rejects_bad_entry_naming_it(tmp_path, field, how, message):
+    import json
+
+    rng = Rng(53)
+    tracks = [np.cumsum(rand(rng, (9, 2), -0.2, 0.2), axis=0) for _ in range(10)]
+    path = tmp_path / "bank.json"
+    save_bank(path, build_bank(tracks, k_max=4, t_obs=4, t_fut=5, seed=7))
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    _corrupt_entry(payload["entries"][2], field, how)
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"{path.name}: entry 2 field '{field}' {message}"):
+        load_bank(path)

@@ -1,15 +1,27 @@
-"""Every function the benchmark's tracer wraps must still exist under its name."""
+"""Every function the benchmark's tracer wraps must still exist under its name,
+and the tracer must run the model with the arguments it reads."""
 
 import importlib.util
 from pathlib import Path
 
+import pytest
+
+from vesselcast.bank import bank_from_samples
+from vesselcast.engine import Rng, Tape
+from vesselcast.model import Model
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def test_every_patch_site_resolves():
+@pytest.fixture(scope="module")
+def tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_patch_site_resolves(tracing):
     missing = []
     for span, sites in tracing.SPANS.items():
         for module, path in sites:
@@ -20,3 +32,23 @@ def test_every_patch_site_resolves():
             if not callable(getattr(owner, attr, None)):
                 missing.append(f"{span}: {module}.{path}")
     assert not missing, f"unresolved patch sites: {missing}"
+
+
+def test_traced_train_step_and_predict_complete(tracing, micro_cfg, micro_samples):
+    import vesselcast.train as vc_train  # the tracer wraps `backward` where train looks it up
+
+    model = Model(micro_cfg)
+    bank = bank_from_samples(micro_samples, micro_cfg.bank_clusters, seed=0)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        with Tape():
+            total, _, _, _ = model.loss_batch(micro_samples[:2], rng=Rng(1), bank=bank)
+            vc_train.backward(total)
+        model.predict(micro_samples[2], rng=Rng(2), bank=bank)
+    finally:
+        tracer.uninstall()
+    for span in ("scene_encoder.stem_forward", "fusion.attention", "model.Model.forward_sample"):
+        assert tracer.calls[span] > 0, span
+    assert tracer.tape_nodes == [total.node_id + 1]
+    assert tracer.vessel_ids == {s.vessel_id for s in micro_samples[:3]}

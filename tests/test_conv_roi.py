@@ -85,10 +85,11 @@ def test_conv_kernel_too_large():
 
 def test_conv_gradients_vs_finite_differences():
     rng = Rng(23)
-    x = tensor(rand(rng, (2, 5, 5)), requires_grad=True)
     k = tensor(rand(rng, (3, 2, 3, 3)), requires_grad=True)
-    assert finite_diff_check(lambda t: tsum(conv2d(t, k, stride=2, padding=1)), x) < 1e-5
-    assert finite_diff_check(lambda t: tsum(conv2d(x, t, stride=2, padding=1)), k) < 1e-5
+    for lead in ((), (3,)):  # one image, then a batch
+        x = tensor(rand(rng, (*lead, 2, 5, 5)), requires_grad=True)
+        assert finite_diff_check(lambda t: tsum(conv2d(t, k, stride=2, padding=1)), x) < 1e-5
+        assert finite_diff_check(lambda t: tsum(conv2d(x, t, stride=2, padding=1)), k) < 1e-5
 
 
 def test_roi_constant_field():
@@ -127,9 +128,41 @@ def test_roi_matches_hand_oracle_random():
 
 def test_roi_gradients_vs_finite_differences():
     rng = Rng(37)
-    fmap = tensor(rand(rng, (2, 6, 6)), requires_grad=True)
-    box = (0.8, 1.1, 4.6, 5.2)
-    assert finite_diff_check(lambda t: tsum(roi_align(t, box, 3, 1.0) * 0.7), fmap) < 1e-5
+    for lead in ((), (3,)):  # one map, then a batch with one box each
+        fmap = tensor(rand(rng, (*lead, 2, 6, 6)), requires_grad=True)
+        box = np.array([0.8, 1.1, 4.6, 5.2]) + 0.3 * rand(rng, (*lead, 4))
+        assert finite_diff_check(lambda t: tsum(roi_align(t, box, 3, 1.0) * 0.7), fmap) < 1e-5
+
+
+def test_conv_batch_equals_single_image_calls_bit_for_bit():
+    rng = Rng(41)
+    x = rand(rng, (2, 3, 3, 7, 6))
+    k = tensor(rand(rng, (4, 3, 3, 3)))
+    for stride, padding in ((1, 1), (2, 1), (2, 0)):
+        out = conv2d(tensor(x), k, stride=stride, padding=padding).data
+        assert out.shape[:2] == (2, 3)
+        for a in range(2):
+            for b in range(3):
+                single = conv2d(tensor(x[a, b]), k, stride=stride, padding=padding).data
+                assert out[a, b].tobytes() == single.tobytes()
+
+
+def test_roi_batch_equals_single_map_calls_bit_for_bit():
+    rng = Rng(43)
+    fmaps = rand(rng, (5, 2, 6, 7))
+    boxes = [(rng.uniform(0, 2), rng.uniform(0, 2), rng.uniform(3, 7), rng.uniform(3, 6)) for _ in range(4)]
+    boxes.append((-3.0, 1.0, -1.0, 3.0))  # degenerate after clamping
+    out = roi_align(tensor(fmaps), np.array(boxes), 3, 1.0).data
+    assert out.shape == (5, 2, 3, 3)
+    for n, box in enumerate(boxes):
+        assert out[n].tobytes() == roi_align(tensor(fmaps[n]), box, 3, 1.0).data.tobytes()
+
+
+def test_roi_needs_one_box_per_map():
+    with pytest.raises(DimensionError):
+        roi_align(tensor(np.zeros((3, 2, 4, 4))), np.zeros((2, 4)), 2, 1.0)
+    with pytest.raises(DimensionError):
+        roi_align(tensor(np.zeros((2, 4, 4))), (0.0, 0.0, 2.0), 2, 1.0)
 
 
 def test_roi_degenerate_box_counts_and_returns_center_sample():
@@ -160,8 +193,9 @@ def im2col_loops(xp, kh, kw, stride):
 @pytest.mark.parametrize("stride", [1, 2])
 @pytest.mark.parametrize("padding", [0, 1])
 def test_conv_gradients_equal_explicit_gemm_bit_for_bit(stride, padding):
-    """dK = gm @ cols.T over the padded input's patches; dX correlates the
-    stride-dilated, fully padded gradient with the flipped kernel as one GEMM."""
+    """dK = gm @ cols.T over the padded input's patches; dX is col2im: the
+    patch gradients Kᵀ·gm added back, kernel tap by tap, onto the pixels
+    each patch read, then cropped to the unpadded input."""
     rng = Rng(11)
     c, h, w, co, kh, kw = 3, 7, 6, 4, 3, 3
     x = tensor(rand(rng, (c, h, w)), requires_grad=True)
@@ -177,11 +211,13 @@ def test_conv_gradients_equal_explicit_gemm_bit_for_bit(stride, padding):
     gm = g.reshape(co, -1)
     assert k.grad.tobytes() == (gm @ im2col_loops(xp, kh, kw, stride).T).reshape(k.data.shape).tobytes()
 
-    hp, wp = xp.shape[1:]
-    gd = np.zeros((co, hp + kh - 1, wp + kw - 1))
-    gd[:, kh - 1 : kh - 1 + stride * (oh - 1) + 1 : stride, kw - 1 : kw - 1 + stride * (ow - 1) + 1 : stride] = g
-    kflip = k.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
-    dxp = (kflip @ im2col_loops(gd, kh, kw, 1)).reshape(c, hp, wp)
+    dcols = (k.data.reshape(co, -1).T @ gm).reshape(c, kh, kw, oh, ow)
+    dxp = np.zeros(xp.shape)
+    for i in range(kh):
+        for j in range(kw):
+            for y in range(oh):
+                for x_ in range(ow):
+                    dxp[:, i + stride * y, j + stride * x_] += dcols[:, i, j, y, x_]
     assert x.grad.tobytes() == dxp[:, padding : padding + h, padding : padding + w].tobytes()
 
 
@@ -190,7 +226,7 @@ def test_taped_conv_holds_output_not_im2col():
     rng = Rng(4)
     x = tensor(rand(rng, (4, 32, 32)), requires_grad=True)
     k = tensor(rand(rng, (4, 4, 3, 3)), requires_grad=True)
-    conv2d(x, k, padding=1)  # fills the gather-index cache before measuring
+    conv2d(x, k, padding=1)  # a first call outside the measurement
     tracemalloc.start()
     try:
         with Tape():

@@ -58,8 +58,32 @@ def test_attention_rows_sum_to_one(micro_cfg):
     d = micro_cfg.d_model
     q = tensor(rand(rng, (5, d), -2, 2))
     kv = tensor(rand(rng, (7, d), -2, 2))
-    for w in attention_weights(q, kv, p.block1.sa, micro_cfg.heads):
-        assert np.allclose(w.data.sum(axis=-1), 1.0, atol=1e-12)
+    weights = attention_weights(q, kv, p.block1.sa, micro_cfg.heads)
+    assert weights.shape == (micro_cfg.heads, 5, 7)
+    for w in weights.data:
+        assert np.allclose(w.sum(axis=-1), 1.0, atol=1e-12)
+
+
+def test_batched_heads_match_per_head_reference():
+    cfg = micro_config(d_model=8, heads=4)
+    p = make_params(cfg)
+    rng = Rng(9)
+    q_in, kv_in = rand(rng, (5, 8), -2, 2), rand(rng, (7, 8), -2, 2)
+    a = p.block1.ca
+
+    def proj(lin, x):
+        return x @ lin.w.data + lin.b.data
+
+    q, k, v = proj(a.wq, q_in), proj(a.wk, kv_in), proj(a.wv, kv_in)
+    heads = []
+    for h in range(4):
+        cols = slice(2 * h, 2 * h + 2)
+        s = q[:, cols] @ k[:, cols].T / np.sqrt(2.0)
+        e = np.exp(s - s.max(axis=1, keepdims=True))
+        heads.append((e / e.sum(axis=1, keepdims=True)) @ v[:, cols])
+    expected = proj(a.wo, np.concatenate(heads, axis=1))
+    out = attention(tensor(q_in), tensor(kv_in), tensor(kv_in), a, 4)
+    assert np.abs(out.data - expected).max() <= 1e-12
 
 
 def test_attention_length_mismatch():

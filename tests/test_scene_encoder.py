@@ -5,7 +5,7 @@ import pytest
 
 from conftest import micro_config
 from vesselcast.data.types import SceneFrame
-from vesselcast.engine import Rng, finite_diff_check, tensor, tsum, zeros
+from vesselcast.engine import Rng, Tape, finite_diff_check, narrow, tensor, tsum, zeros
 from vesselcast.scene_encoder import (
     convlstm_step,
     encode_scene_sequence,
@@ -40,9 +40,9 @@ def test_zero_network_spatial_features_are_zero(micro_cfg):
     p = make_params(micro_cfg)
     zero_all(p)
     frame = make_frame(micro_cfg, Rng(1))
-    fmap = stem_forward(p, frame.raster)
-    assert np.allclose(fmap.data, 0.0)
-    f_roi = spatial_features(p, fmap, frame, micro_cfg)
+    fmaps = stem_forward(p, frame.raster[None])
+    assert np.allclose(fmaps.data, 0.0)
+    f_roi = spatial_features(p, fmaps, [frame], micro_cfg)
     assert np.allclose(f_roi.data, 0.0)
 
 
@@ -56,14 +56,14 @@ def test_constant_raster_target_features_position_independent():
         raster=np.full((3, 32, 32), 0.5, dtype=np.float32), bbox=(8.0, 8.0, 20.0, 20.0)
     )
     frame_b = SceneFrame(raster=frame_a.raster, bbox=(12.0, 10.0, 24.0, 22.0))
-    fmap = stem_forward(p, frame_a.raster)
+    fmaps = stem_forward(p, frame_a.raster[None])
     from vesselcast.engine import roi_align
 
-    scale = fmap.shape[1] / cfg.raster_size
-    ra = roi_align(fmap, frame_a.bbox, cfg.roi_size, scale)
-    rb = roi_align(fmap, frame_b.bbox, cfg.roi_size, scale)
+    scale = fmaps.shape[2] / cfg.raster_size
+    ra = roi_align(fmaps, [frame_a.bbox], cfg.roi_size, scale)
+    rb = roi_align(fmaps, [frame_b.bbox], cfg.roi_size, scale)
     assert np.allclose(ra.data, rb.data, atol=1e-9)
-    fa = spatial_features(p, fmap, frame_a, cfg)
+    fa = spatial_features(p, fmaps, [frame_a], cfg)
     assert fa.data.shape == (1, cfg.d_model)
 
 
@@ -86,19 +86,18 @@ def test_temporal_weights_match_exponential_decay(micro_cfg):
     p = make_params(cfg)
     rng = Rng(3)
     frames = [make_frame(cfg, rng, constant=0.3) for _ in range(11)]
-    fmaps = [stem_forward(p, fr.raster) for fr in frames]
-    rows = temporal_context(p, fmaps, cfg.decay)
+    fmaps = stem_forward(p, np.stack([fr.raster for fr in frames]))
+    rows = temporal_context(p, fmaps, cfg.decay).data
     # identical frames: convlstm output at a given step is fixed, so the row
     # ratio isolates w_t; w_0(latest) = 1, w_{-10} = exp(-1)
     assert math.exp(cfg.decay * 0) == 1.0
     expected = math.exp(-1.0)
     assert expected == pytest.approx(0.36788, abs=5e-6)
-    unweighted_first = rows[0].data / math.exp(cfg.decay * (0 - 10))
     # recompute step-10 unweighted output by rerunning with decay 0
-    rows_flat = temporal_context(p, fmaps, 0.0)
-    ratio = rows[0].data / rows_flat[0].data
+    rows_flat = temporal_context(p, fmaps, 0.0).data
+    ratio = rows[0] / rows_flat[0]
     assert np.allclose(ratio, expected, atol=1e-12)
-    assert np.allclose(rows[-1].data, rows_flat[-1].data, atol=1e-12)
+    assert np.allclose(rows[-1], rows_flat[-1], atol=1e-12)
 
 
 def test_identical_frames_give_identical_spatial_rows(micro_cfg):
@@ -138,3 +137,26 @@ def test_scene_gradients_vs_finite_differences(micro_cfg):
 
     for target in (p.stem1.kernel, p.cell1.kernel, p.target_proj.w, p.out_mlp.fc1.w):
         assert finite_diff_check(f, target) < 1e-4
+
+
+def _encode_nodes(p, cfg, frames):
+    with Tape() as tape:
+        encode_scene_sequence(p, frames, cfg)
+    return len(tape)
+
+
+def test_only_the_convlstm_steps_once_per_frame(micro_cfg):
+    """One more frame adds exactly one ConvLSTM step (frame slice + both cells)
+    to the tape: stem, pooling and MLPs run once over the whole sequence."""
+    p = make_params(micro_cfg)
+    rng = Rng(8)
+    frames = [make_frame(micro_cfg, rng) for _ in range(4)]
+    with Tape() as tape:
+        fmaps = stem_forward(p, np.stack([fr.raster for fr in frames]))
+        state = zeros((1, *fmaps.shape[1:]))
+        before = len(tape)
+        h1, _ = convlstm_step(p.cell1, narrow(fmaps, 0, 0, 1), state, state)
+        convlstm_step(p.cell2, h1, state, state)
+    per_step = len(tape) - before
+    counts = [_encode_nodes(p, micro_cfg, frames[:t]) for t in (1, 2, 3, 4)]
+    assert [b - a for a, b in zip(counts, counts[1:])] == [per_step] * 3

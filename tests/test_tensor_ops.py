@@ -52,6 +52,29 @@ def test_matmul_gradient_vs_finite_differences():
     assert finite_diff_check(lambda t: tsum(matmul(a, t)), b) < 1e-6
 
 
+def test_matmul_broadcasts_leading_axes():
+    rng = Rng(8)
+    a = tensor(rand(rng, (2, 1, 3, 4)), requires_grad=True)
+    b = tensor(rand(rng, (5, 4, 2)), requires_grad=True)
+    out = matmul(a, b)
+    assert out.data.shape == (2, 5, 3, 2)
+    assert out.data[1, 3].tobytes() == (a.data[1, 0] @ b.data[3]).tobytes()
+    probe = rand(rng, (2, 5, 3, 2))
+    assert finite_diff_check(lambda t: tsum(matmul(t, b) * probe), a) < 1e-6
+    assert finite_diff_check(lambda t: tsum(matmul(a, t) * probe), b) < 1e-6
+
+
+def test_transpose_axes_and_gradient():
+    rng = Rng(10)
+    a = tensor(rand(rng, (2, 3, 4)), requires_grad=True)
+    assert np.array_equal(transpose(a).data, a.data.swapaxes(1, 2))
+    assert np.array_equal(transpose(a, (1, 2, 0)).data, a.data.transpose(1, 2, 0))
+    probe = rand(rng, (3, 4, 2))
+    assert finite_diff_check(lambda t: tsum(transpose(t, (1, 2, 0)) * probe), a) < 1e-6
+    with pytest.raises(DimensionError):
+        transpose(tensor(np.zeros(3)))
+
+
 def test_backward_linear_case():
     w = tensor([1.0, 2.0, 3.0], requires_grad=True)
     with Tape():
