@@ -39,21 +39,24 @@ def motion_feature(track: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class BankEntry:
-    obs: np.ndarray  # (T_obs, 2)
-    fut: np.ndarray  # (T_fut, 2)
-    feat: np.ndarray  # (2 * T_obs,)
-
-
-@dataclass
 class TrajectoryBank:
-    entries: list[BankEntry]
-    t_obs: int
-    t_fut: int
+    """K prototype pairs, row k of each array belonging to prototype k."""
+
+    obs: np.ndarray  # (K, T_obs, 2)
+    fut: np.ndarray  # (K, T_fut, 2)
+    feat: np.ndarray  # (K, 2 * T_obs), motion_feature of each obs row
     seed: int
 
+    @property
+    def t_obs(self) -> int:
+        return self.obs.shape[1]
+
+    @property
+    def t_fut(self) -> int:
+        return self.fut.shape[1]
+
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.obs.shape[0]
 
 
 def _farthest_point_init(feats: np.ndarray, k: int, rng: Rng) -> np.ndarray:
@@ -103,6 +106,8 @@ def build_bank(
 
     if not tracks:
         raise ValueError("cannot build a bank from an empty dataset")
+    if k_max < 1:
+        raise ValueError(f"k_max must be at least 1, got {k_max}")
     pairs = [split_window(np.asarray(t, dtype=np.float64), t_obs, t_fut) for t in tracks]
     feats = np.stack([motion_feature(obs) for obs, _ in pairs])
     n = feats.shape[0]
@@ -112,17 +117,20 @@ def build_bank(
         assign = np.arange(n)
     else:
         assign = _kmeans(feats, k, rng)
-    entries = []
+    medoids = []
     for c in range(k):
         members = np.flatnonzero(assign == c)
         if members.size == 0:
             continue
         mean = feats[members].mean(axis=0)
         dist = np.linalg.norm(feats[members] - mean, axis=1)
-        medoid = int(members[int(np.argmin(dist))])  # argmin takes the lowest index on ties
-        obs, fut = pairs[medoid]
-        entries.append(BankEntry(obs=obs.copy(), fut=fut.copy(), feat=feats[medoid].copy()))
-    return TrajectoryBank(entries=entries, t_obs=t_obs, t_fut=t_fut, seed=seed)
+        medoids.append(int(members[int(np.argmin(dist))]))  # argmin takes the lowest index on ties
+    return TrajectoryBank(
+        obs=np.stack([pairs[m][0] for m in medoids]),
+        fut=np.stack([pairs[m][1] for m in medoids]),
+        feat=feats[medoids],
+        seed=seed,
+    )
 
 
 def bank_from_samples(samples, k_max: int, seed: int) -> TrajectoryBank:
@@ -138,15 +146,14 @@ def search(bank: TrajectoryBank, observed: np.ndarray) -> tuple[int, np.ndarray,
     A non-finite key would make every similarity NaN and silently pick
     entry 0, so it raises instead; `load_bank` rejects non-finite entries.
     """
-    if not bank.entries:
+    if not len(bank):
         raise ValueError("search on an empty bank")
     if not np.isfinite(observed).all():
         raise ValueError("search key is not finite")
     fv = motion_feature(observed)
-    feats = np.stack([e.feat for e in bank.entries])
-    sims = feats @ fv / (np.linalg.norm(fv) * np.linalg.norm(feats, axis=1) + COSINE_EPS)
+    sims = bank.feat @ fv / (np.linalg.norm(fv) * np.linalg.norm(bank.feat, axis=1) + COSINE_EPS)
     best = int(np.argmax(sims))
-    return best, bank.entries[best].fut, float(sims[best])
+    return best, bank.fut[best], float(sims[best])
 
 
 # ---------------------------------------------------------------------------
@@ -173,14 +180,12 @@ def refine_and_fuse(
     features: Tensor,
     f_enc: Tensor,
     offset_scale: float,
-    direction: str = "prior",
 ) -> Tensor:
     """Blend the retrieved future (plus a learned, scaled offset) with the base.
 
     base is (K, T_fut, 2) and features (K, T_fut, d), one row per mode; the
-    prior (T_fut, 2) is shared by every mode, as is the gate. direction
-    selects which operand the gate weights: "prior" puts beta on the refined
-    prior (the default), "base" mirrors it.
+    prior (T_fut, 2) is shared by every mode, as is the gate, whose weight
+    beta goes to the refined prior and 1 - beta to the base.
     """
     k_modes, t_fut = base.shape[0], base.shape[1]
     prior = np.asarray(prior, dtype=np.float64)
@@ -189,11 +194,7 @@ def refine_and_fuse(
     offset = reshape(p.offset_mlp(concat([flat_prior, flat_feat], axis=1)), (k_modes, t_fut, 2))
     refined = add(tensor(prior), mul(offset, offset_scale))
     beta = sigmoid(p.gate(f_enc))  # (1, 1), broadcasts over (K, T, 2)
-    if direction == "prior":
-        return add(mul(beta, refined), mul(sub(1.0, beta), base))
-    if direction == "base":
-        return add(mul(beta, base), mul(sub(1.0, beta), refined))
-    raise ValueError(f"unknown fusion direction '{direction}'")
+    return add(mul(beta, refined), mul(sub(1.0, beta), base))
 
 
 # ---------------------------------------------------------------------------
@@ -203,15 +204,11 @@ def save_bank(path: str | Path, bank: TrajectoryBank) -> None:
     payload = {
         "t_obs": bank.t_obs,
         "t_fut": bank.t_fut,
-        "k": len(bank.entries),
+        "k": len(bank),
         "seed": bank.seed,
         "entries": [
-            {
-                "obs": [[float(x), float(y)] for x, y in e.obs],
-                "fut": [[float(x), float(y)] for x, y in e.fut],
-                "feat": [float(v) for v in e.feat],
-            }
-            for e in bank.entries
+            {"obs": obs.tolist(), "fut": fut.tolist(), "feat": feat.tolist()}
+            for obs, fut, feat in zip(bank.obs, bank.fut, bank.feat)
         ],
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -233,21 +230,28 @@ def _entry_array(path, i: int, entry: dict, field: str, shape: tuple[int, ...]) 
 
 
 def load_bank(path: str | Path) -> TrajectoryBank:
-    """Read a bank, checking each entry's shapes, values and key against the header."""
+    """Read a bank, checking its header, and each entry's shapes, values and key against it."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     for key in ("t_obs", "t_fut", "k", "seed", "entries"):
         if key not in payload:
             raise ValueError(f"bank file {path} is missing '{key}'")
+    for key in ("t_obs", "t_fut", "k", "seed"):
+        if type(payload[key]) is not int:  # not isinstance: a bool is no count
+            raise ValueError(f"bank file {path}: header '{key}' is {payload[key]!r}, not an int")
+    for key in ("t_obs", "t_fut"):
+        if payload[key] < 1:
+            raise ValueError(f"bank file {path}: header '{key}' is {payload[key]!r}, not a positive int")
     t_obs, t_fut = payload["t_obs"], payload["t_fut"]
-    entries = []
+    obs, fut, feat = [], [], []
     for i, e in enumerate(payload["entries"]):
-        obs = _entry_array(path, i, e, "obs", (t_obs, 2))
-        fut = _entry_array(path, i, e, "fut", (t_fut, 2))
-        feat = _entry_array(path, i, e, "feat", (2 * t_obs,))
-        if not np.array_equal(feat, motion_feature(obs)):
+        obs.append(_entry_array(path, i, e, "obs", (t_obs, 2)))
+        fut.append(_entry_array(path, i, e, "fut", (t_fut, 2)))
+        feat.append(_entry_array(path, i, e, "feat", (2 * t_obs,)))
+        if not np.array_equal(feat[-1], motion_feature(obs[-1])):
             raise ValueError(f"bank file {path}: entry {i} field 'feat' is not motion_feature(obs)")
-        entries.append(BankEntry(obs=obs, fut=fut, feat=feat))
-    if len(entries) != payload["k"]:
-        raise ValueError(f"bank file {path}: header k={payload['k']} but {len(entries)} entries")
-    return TrajectoryBank(entries=entries, t_obs=t_obs, t_fut=t_fut, seed=payload["seed"])
+    if len(obs) != payload["k"]:
+        raise ValueError(f"bank file {path}: header k={payload['k']} but {len(obs)} entries")
+    if not obs:
+        raise ValueError(f"bank file {path}: header k=0, but a bank needs at least one entry")
+    return TrajectoryBank(obs=np.stack(obs), fut=np.stack(fut), feat=np.stack(feat), seed=payload["seed"])

@@ -125,9 +125,7 @@ def cmd_eval(args) -> int:
             cfg_dt = dataclasses.replace(cfg, t_fut=dt)
             train_dt = [dataclasses.replace(s, fut_ais=s.fut_ais[:dt], fut_cctv=s.fut_cctv[:dt])
                         for s in train_samples]
-            bank_dt = None if bank is None else dataclasses.replace(
-                bank, t_fut=dt, entries=[dataclasses.replace(e, fut=e.fut[:dt]) for e in bank.entries]
-            )
+            bank_dt = None if bank is None else dataclasses.replace(bank, fut=bank.fut[:, :dt])
             model_dt, _ = train(train_dt, cfg_dt, bank=bank_dt)
             rep = evaluate(samples, model_dt, bank_dt, [dt], rhos, seeds)
             cells.extend(rep.cells)

@@ -33,14 +33,11 @@ class TrainConfig:
     stem_channels: tuple[int, int, int] = (8, 16, 16)
     roi_size: int = 7
     bbox_dim: int = 64
-    raster_size: int = 64
+    raster_size: int = 64  # side of every scene raster; the data must match
     decay: float = 0.1
-    # prototype bank and refinement
-    bank_clusters: int = 16
+    # bank refinement (the bank's size is set when it is built)
     offset_scale: float = 0.5
     offset_hidden: int = 64
-    use_bank: bool = True
-    fusion_direction: str = "prior"  # gate weights the refined prior; "base" mirrors it
     # modality ablations
     use_cctv: bool = True
     use_scene: bool = True
@@ -53,8 +50,6 @@ class TrainConfig:
                 raise ValueError(f"{name} must be positive")
         if self.scheduler_patience < 1:
             raise ValueError("scheduler_patience must be >= 1")
-        if self.fusion_direction not in ("prior", "base"):
-            raise ValueError(f"fusion_direction must be 'prior' or 'base', got '{self.fusion_direction}'")
 
 
 # fields that define the parameter layout and forward semantics; their
@@ -73,7 +68,6 @@ ARCHITECTURE_FIELDS = (
     "decay",
     "offset_scale",
     "offset_hidden",
-    "fusion_direction",
     "use_cctv",
     "use_scene",
 )
@@ -81,6 +75,9 @@ ARCHITECTURE_FIELDS = (
 
 def architecture_text(cfg: TrainConfig) -> str:
     lines = [f"{name} = {getattr(cfg, name)!r}" for name in ARCHITECTURE_FIELDS]
+    # once a setting, now fixed (the gate weights the refined prior); the line
+    # keeps the fingerprint, and so every existing checkpoint, unchanged
+    lines.insert(ARCHITECTURE_FIELDS.index("use_cctv"), "fusion_direction = 'prior'")
     return "\n".join(lines) + "\n"
 
 

@@ -52,12 +52,6 @@ class ExperimentReport:
     cells: list[CellReport]
     seeds: list[int]
 
-    def cell(self, dt: int, density: str, rho: float) -> CellReport:
-        for c in self.cells:
-            if c.dt == dt and c.density == density and c.rho == rho:
-                return c
-        raise KeyError(f"no cell ({dt}, {density}, {rho})")
-
 
 def _seed_metrics(
     samples: list[VesselSample],

@@ -32,7 +32,6 @@ class SampleForward:
     """Graph-connected outputs for one vessel sample."""
 
     modes: ModeOutput  # all K modes stacked; positional head already refined when a bank applies
-    f_enc: Tensor
     prior_index: int | None  # retrieved bank entry, None when refinement skipped
     prior_similarity: float | None
 
@@ -67,15 +66,17 @@ class Model:
         """(t_obs, d) scene features of `sample`, or None when `cfg.use_scene` is off.
 
         They depend only on the parameters and `sample.scenes`, not on the
-        broadcast mask, so a vessel's dark copies can share them. Checks the frames first.
+        broadcast mask, so a vessel's dark copies can share them. Checks the
+        frames first: each raster must be (3, cfg.raster_size, cfg.raster_size).
         """
         if not self.cfg.use_scene:
             return None
         scenes = sample.scenes
         _check_steps("scenes", len(scenes), "t_obs", self.cfg.t_obs)
+        want = (3, self.cfg.raster_size, self.cfg.raster_size)
         for t, frame in enumerate(scenes):
-            if frame.raster.shape != scenes[0].raster.shape:
-                raise ValueError(f"scenes.raster at step {t} has shape {frame.raster.shape}, not {scenes[0].raster.shape}")
+            if frame.raster.shape != want:
+                raise ValueError(f"scenes.raster at step {t} has shape {frame.raster.shape}, not {want}")
             if not np.isfinite(frame.raster).all():
                 raise ValueError(f"scenes.raster is not finite at step {t}")
         return encode_scene_sequence(self.params.scene, scenes, self.cfg)
@@ -125,7 +126,7 @@ class Model:
 
         prior_index = None
         prior_sim = None
-        if bank is not None and cfg.use_bank and sample.ais_mask.any():
+        if bank is not None and sample.ais_mask.any():
             prior_index, prior_fut, prior_sim = search(bank, masked_track(sample.obs_ais, sample.ais_mask))
             modes.ais = refine_and_fuse(
                 self.params.refine,
@@ -134,9 +135,8 @@ class Model:
                 modes.features,
                 f_enc,
                 cfg.offset_scale,
-                direction=cfg.fusion_direction,
             )
-        return SampleForward(modes=modes, f_enc=f_enc, prior_index=prior_index, prior_similarity=prior_sim)
+        return SampleForward(modes=modes, prior_index=prior_index, prior_similarity=prior_sim)
 
     def loss_batch(
         self,

@@ -115,7 +115,7 @@ def _global_avg(fmaps: Tensor) -> Tensor:  # (T, C, H, W) -> (T, C)
 
 def spatial_features(p: SceneEncoderParams, fmaps: Tensor, scenes: list[SceneFrame], cfg) -> Tensor:
     """Box-pooled target embedding + global context + box encoding, one row per frame -> (T, d)."""
-    size = scenes[0].raster.shape[1]
+    size = cfg.raster_size
     boxes = np.array([fr.bbox for fr in scenes], dtype=np.float64)  # (T, 4)
     pooled = roi_align(fmaps, boxes, cfg.roi_size, fmaps.shape[2] / size)
     f_tar = p.target_proj(reshape(pooled, (len(scenes), -1)))
@@ -158,7 +158,7 @@ def temporal_context(p: SceneEncoderParams, fmaps: Tensor, decay: float) -> Tens
 def encode_scene_sequence(p: SceneEncoderParams, scenes: list[SceneFrame], cfg) -> Tensor:
     """Full scene path: per-step concat(spatial, temporal) through the output MLP -> (T, d).
 
-    One or more frames, whose rasters share one shape.
+    One or more frames, each raster (3, cfg.raster_size, cfg.raster_size).
     """
     fmaps = stem_forward(p, np.stack([fr.raster for fr in scenes]))
     spatial = spatial_features(p, fmaps, scenes, cfg)

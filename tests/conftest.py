@@ -28,7 +28,6 @@ def micro_config(**overrides):
         raster_size=12,
         offset_hidden=8,
         batch_size=2,
-        bank_clusters=4,
     )
     base.update(overrides)
     return TrainConfig(**base)

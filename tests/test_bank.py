@@ -1,11 +1,11 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
 
 from conftest import micro_config
 from vesselcast.bank import (
-    BankEntry,
     TrajectoryBank,
     bank_from_samples,
     build_bank,
@@ -82,8 +82,8 @@ def test_kmeans_two_well_separated_clusters():
     feats = np.stack([motion_feature(t[:t_obs]) for t in tracks])
     _, best_labels = brute_force_two_clusters(feats)
     got_groups = set()
-    for entry in bank.entries:
-        idx = next(i for i, t in enumerate(tracks) if np.array_equal(entry.obs, t[:t_obs]))
+    for obs in bank.obs:
+        idx = next(i for i, t in enumerate(tracks) if np.array_equal(obs, t[:t_obs]))
         got_groups.add(best_labels[idx])
     # the two medoids come from the two optimal groups
     assert got_groups == {0, 1}
@@ -109,19 +109,26 @@ def test_medoid_matches_brute_force():
         mean = feats[members].mean(axis=0)
         best = min(members, key=lambda i: (float(np.linalg.norm(feats[i] - mean)), i))
         expected.append(best)
-    assert len(expected) == len(bank.entries)
-    for entry, idx in zip(bank.entries, expected):
-        assert np.array_equal(entry.obs, tracks[idx][:t_obs])
-        assert np.array_equal(entry.fut, tracks[idx][t_obs : t_obs + t_fut])
-        assert np.array_equal(entry.feat, feats[idx])
+    assert len(expected) == len(bank)
+    for obs, fut, feat, idx in zip(bank.obs, bank.fut, bank.feat, expected):
+        assert np.array_equal(obs, tracks[idx][:t_obs])
+        assert np.array_equal(fut, tracks[idx][t_obs : t_obs + t_fut])
+        assert np.array_equal(feat, feats[idx])
+
+
+@pytest.mark.parametrize("k_max", [0, -1])
+def test_build_bank_rejects_k_max_below_one(k_max):
+    with pytest.raises(ValueError, match=f"k_max must be at least 1, got {k_max}"):
+        build_bank([straight_track([0.0, 0.0], [0.1, 0.2], 9)], k_max=k_max, t_obs=4, t_fut=5, seed=0)
 
 
 def test_single_track_bank():
     track = straight_track([0.0, 0.0], [0.1, 0.2], 9)
     bank = build_bank([track], k_max=16, t_obs=4, t_fut=5, seed=0)
     assert len(bank) == 1
-    assert np.array_equal(bank.entries[0].obs, track[:4])
-    assert np.array_equal(bank.entries[0].fut, track[4:9])
+    assert bank.t_obs == 4 and bank.t_fut == 5
+    assert np.array_equal(bank.obs[0], track[:4])
+    assert np.array_equal(bank.fut[0], track[4:9])
 
 
 def test_kmeans_objective_non_increasing():
@@ -147,11 +154,11 @@ def test_search_self_match():
     rng = Rng(29)
     tracks = [np.cumsum(rand(rng, (9, 2), -0.2, 0.2), axis=0) for _ in range(6)]
     bank = build_bank(tracks, k_max=6, t_obs=4, t_fut=5, seed=1)
-    for k, entry in enumerate(bank.entries):
-        got_k, fut, sim = search(bank, entry.obs)
+    for k in range(len(bank)):
+        got_k, fut, sim = search(bank, bank.obs[k])
         assert got_k == k
         assert sim == pytest.approx(1.0, abs=1e-6)
-        assert np.array_equal(fut, entry.fut)
+        assert np.array_equal(fut, bank.fut[k])
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -159,7 +166,7 @@ def test_search_rejects_non_finite_key(value):
     rng = Rng(29)
     tracks = [np.cumsum(rand(rng, (9, 2), -0.2, 0.2), axis=0) for _ in range(6)]
     bank = build_bank(tracks, k_max=6, t_obs=4, t_fut=5, seed=1)
-    key = bank.entries[1].obs.copy()
+    key = bank.obs[1].copy()
     key[2, 1] = value
     with pytest.raises(ValueError, match="not finite"):
         search(bank, key)
@@ -172,14 +179,12 @@ def test_search_orthogonal_and_diagonal_similarities():
     e1 = np.array([[0.0, 0.0], [1.0, 0.0]])
     e2 = np.array([[0.0, 0.0], [0.0, 1.0]])
     bank = TrajectoryBank(
-        entries=[
-            BankEntry(obs=e2, fut=np.zeros((2, 2)), feat=motion_feature(e2)),
-            BankEntry(obs=e1, fut=np.ones((2, 2)), feat=motion_feature(e1)),
-        ],
-        t_obs=t_obs,
-        t_fut=2,
+        obs=np.stack([e2, e1]),
+        fut=np.stack([np.zeros((2, 2)), np.ones((2, 2))]),
+        feat=np.stack([motion_feature(e2), motion_feature(e1)]),
         seed=0,
     )
+    assert bank.t_obs == t_obs
     # orthogonal: query along x vs entry along y
     fv = motion_feature(e1)
     f2 = motion_feature(e2)
@@ -200,7 +205,7 @@ def test_search_matches_exhaustive_scan():
     rng = Rng(31)
     tracks = [np.cumsum(rand(rng, (9, 2), -0.3, 0.3), axis=0) for _ in range(40)]
     bank = build_bank(tracks, k_max=32, t_obs=4, t_fut=5, seed=2)
-    feats = np.stack([e.feat for e in bank.entries])
+    feats = np.stack([motion_feature(obs) for obs in bank.obs])
     for _ in range(200):
         query = np.cumsum(rand(rng, (4, 2), -0.3, 0.3), axis=0)
         fv = motion_feature(query)
@@ -220,7 +225,7 @@ def test_refine_gate_off_returns_base(micro_cfg):
     f_enc = tensor(rand(rng, (1, d)))
     p.gate.w.data[...] = 0.0
     p.gate.b.data[...] = -50.0  # sigmoid -> 0
-    out = refine_and_fuse(p, base, prior, feats, f_enc, micro_cfg.offset_scale, "prior")
+    out = refine_and_fuse(p, base, prior, feats, f_enc, micro_cfg.offset_scale)
     assert np.allclose(out.data, base.data, atol=1e-18)
 
 
@@ -236,7 +241,7 @@ def test_refine_gate_on_zero_offset_returns_prior(micro_cfg):
     p.gate.b.data[...] = 50.0  # sigmoid -> 1
     for tens in collect_params(p.offset_mlp).values():
         tens.data[...] = 0.0
-    out = refine_and_fuse(p, base, prior, feats, f_enc, micro_cfg.offset_scale, "prior")
+    out = refine_and_fuse(p, base, prior, feats, f_enc, micro_cfg.offset_scale)
     assert np.allclose(out.data, np.broadcast_to(prior, (k, t, 2)), atol=1e-15)
 
 
@@ -252,11 +257,8 @@ def test_refine_midpoint(micro_cfg):
     p.gate.b.data[...] = 0.0  # sigmoid(0) = 1/2
     for tens in collect_params(p.offset_mlp).values():
         tens.data[...] = 0.0
-    out = refine_and_fuse(p, base, prior, feats, f_enc, micro_cfg.offset_scale, "prior")
+    out = refine_and_fuse(p, base, prior, feats, f_enc, micro_cfg.offset_scale)
     assert np.allclose(out.data, 0.5 * (base.data + prior), atol=1e-15)
-    # "base" direction mirrors under beta <-> 1 - beta, identical at 1/2
-    out_b = refine_and_fuse(p, base, prior, feats, f_enc, micro_cfg.offset_scale, "base")
-    assert np.allclose(out_b.data, out.data, atol=1e-15)
 
 
 def test_bounded_refinement_inequality(micro_cfg):
@@ -270,7 +272,7 @@ def test_bounded_refinement_inequality(micro_cfg):
         prior = rand(rng, (t, 2))
         feats = tensor(rand(rng, (k, t, d)))
         f_enc = tensor(rand(rng, (1, d)))
-        out = refine_and_fuse(p, base, prior, feats, f_enc, micro_cfg.offset_scale, "prior")
+        out = refine_and_fuse(p, base, prior, feats, f_enc, micro_cfg.offset_scale)
         beta = sigmoid(p.gate(f_enc)).item()
         for m in range(k):
             offset = p.offset_mlp(
@@ -292,12 +294,18 @@ def test_bank_round_trip(tmp_path):
     save_bank(p1, bank)
     loaded = load_bank(p1)
     assert loaded.t_obs == bank.t_obs and loaded.t_fut == bank.t_fut and loaded.seed == bank.seed
-    for a, b in zip(bank.entries, loaded.entries):
-        assert np.array_equal(a.obs, b.obs)
-        assert np.array_equal(a.fut, b.fut)
-        assert np.array_equal(a.feat, b.feat)
+    for field in ("obs", "fut", "feat"):
+        assert np.array_equal(getattr(bank, field), getattr(loaded, field)), field
     save_bank(p2, loaded)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _saved_bank_payload(path):
+    """Write a small valid bank to `path` and return its parsed JSON."""
+    rng = Rng(53)
+    tracks = [np.cumsum(rand(rng, (9, 2), -0.2, 0.2), axis=0) for _ in range(10)]
+    save_bank(path, build_bank(tracks, k_max=4, t_obs=4, t_fut=5, seed=7))
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
 def _corrupt_entry(entry, field, how):
@@ -323,14 +331,38 @@ def _corrupt_entry(entry, field, how):
     ],
 )
 def test_load_bank_rejects_bad_entry_naming_it(tmp_path, field, how, message):
-    import json
-
-    rng = Rng(53)
-    tracks = [np.cumsum(rand(rng, (9, 2), -0.2, 0.2), axis=0) for _ in range(10)]
     path = tmp_path / "bank.json"
-    save_bank(path, build_bank(tracks, k_max=4, t_obs=4, t_fut=5, seed=7))
-    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload = _saved_bank_payload(path)
     _corrupt_entry(payload["entries"][2], field, how)
     path.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(ValueError, match=f"{path.name}: entry 2 field '{field}' {message}"):
+        load_bank(path)
+
+
+def test_load_bank_rejects_a_bank_with_no_entries(tmp_path):
+    path = tmp_path / "bank.json"
+    payload = _saved_bank_payload(path)
+    payload.update(k=0, entries=[])
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"{path.name}: header k=0, but a bank needs at least one entry"):
+        load_bank(path)
+
+
+@pytest.mark.parametrize(
+    "key, value, kind",
+    [
+        ("t_obs", "4", "an int"),
+        ("t_obs", 0, "a positive int"),
+        ("t_fut", 5.0, "an int"),
+        ("t_fut", -1, "a positive int"),
+        ("k", True, "an int"),
+        ("seed", "7", "an int"),
+    ],
+)
+def test_load_bank_rejects_bad_header_naming_it(tmp_path, key, value, kind):
+    path = tmp_path / "bank.json"
+    payload = _saved_bank_payload(path)
+    payload[key] = value
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"{path.name}: header '{key}' is {value!r}, not {kind}"):
         load_bank(path)

@@ -38,7 +38,7 @@ def test_traced_train_step_and_predict_complete(tracing, micro_cfg, micro_sample
     import vesselcast.train as vc_train  # the tracer wraps `backward` where train looks it up
 
     model = Model(micro_cfg)
-    bank = bank_from_samples(micro_samples, micro_cfg.bank_clusters, seed=0)
+    bank = bank_from_samples(micro_samples, 4, seed=0)
     tracer = tracing.Tracer()
     tracer.install()
     try:

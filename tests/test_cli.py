@@ -29,7 +29,6 @@ roi_size = 2
 bbox_dim = 4
 raster_size = 12
 offset_hidden = 8
-bank_clusters = 4
 """
 
 SCENARIO_TEXT = """
@@ -66,6 +65,13 @@ def test_generate_then_bank_then_train_artifacts(workdir):
     assert curve[0] == "epoch,total,rec,kl,lr"
     assert len(curve) == 4
     assert (workdir / "curve.svg").exists()
+
+
+def test_bank_build_with_kmax_zero_fails_naming_k_max(workdir):
+    out = workdir / "empty_bank.json"
+    with pytest.raises(ValueError, match="k_max must be at least 1, got 0"):
+        main(["bank", "build", "--data", str(workdir / "data.jsonl"), "--kmax", "0", "--out", str(out)])
+    assert not out.exists()
 
 
 def test_eval_writes_report_and_plots(workdir):
@@ -148,7 +154,7 @@ def test_predict_reports_retrieval(workdir, bank, dark):
                  *extra]) == 0
     payload = json.loads(out.read_text())
     if bank and not dark:
-        assert 0 <= payload["prior_index"] < len(load_bank(workdir / "bank.json").entries)
+        assert 0 <= payload["prior_index"] < len(load_bank(workdir / "bank.json"))
         assert math.isfinite(payload["prior_similarity"])
     else:
         assert payload["prior_index"] is None and payload["prior_similarity"] is None

@@ -1,5 +1,10 @@
+import ast
+import dataclasses
+from pathlib import Path
+
 import pytest
 
+import vesselcast
 from vesselcast.config import (
     TrainConfig,
     architecture_hash,
@@ -23,17 +28,39 @@ def test_parse_flat_rejects_bad_line():
 def test_coercion_types():
     cfg = config_from_mapping(
         TrainConfig,
-        {"lr": "0.002", "epochs": "7", "use_bank": "false", "stem_channels": "4, 8, 8"},
+        {"lr": "0.002", "epochs": "7", "use_cctv": "false", "stem_channels": "4, 8, 8"},
     )
     assert cfg.lr == 0.002
     assert cfg.epochs == 7
-    assert cfg.use_bank is False
+    assert cfg.use_cctv is False
     assert cfg.stem_channels == (4, 8, 8)
 
 
 def test_unknown_key_rejected():
     with pytest.raises(ValueError, match="unknown config keys"):
         config_from_mapping(TrainConfig, {"nope": "1"})
+
+
+@pytest.mark.parametrize("key", ["bank_clusters", "use_bank", "fusion_direction"])
+def test_removed_keys_rejected(key):
+    with pytest.raises(ValueError, match=f"unknown config keys for TrainConfig: \\['{key}'\\]"):
+        config_from_mapping(TrainConfig, {key: "1"})
+
+
+def test_every_train_field_is_read():
+    """Each TrainConfig field is read as an attribute by some package module
+    other than config.py. The data package is left out: it reads
+    WaterwayConfig, whose fields share some of these names."""
+    package = Path(vesselcast.__file__).parent
+    read = set()
+    for path in package.rglob("*.py"):
+        if path.name == "config.py" or "data" in path.relative_to(package).parts:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unread = [f.name for f in dataclasses.fields(TrainConfig) if f.name not in read]
+    assert not unread, f"TrainConfig fields no module reads: {unread}"
 
 
 def test_validation_rejects_odd_d():
@@ -50,6 +77,11 @@ def test_architecture_hash_ignores_training_fields():
     assert architecture_hash(a) != architecture_hash(c)
 
 
+def test_default_architecture_hash_is_pinned():
+    # checkpoints store this fingerprint; a changed value would reject every saved file
+    assert architecture_hash(TrainConfig()) == 7023128435413571
+
+
 def test_waterway_validation():
     with pytest.raises(ValueError, match="halfwidth"):
         WaterwayConfig(channel_halfwidth=0.0).validate()
@@ -63,7 +95,6 @@ def test_load_train_config_defaults(tmp_path):
     assert cfg.scheduler_factor == 0.5
     assert cfg.scheduler_patience == 10
     assert cfg.kl_weight == 0.01
-    assert cfg.bank_clusters == 16
     assert cfg.latent_dim == 16
     path = tmp_path / "c.cfg"
     path.write_text("lr = 3e-3\nepochs = 2\n")

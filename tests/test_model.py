@@ -146,6 +146,13 @@ def test_raster_shape_differing_between_frames_fails_naming_step(micro_cfg, micr
         model.encode_scenes(sample)
 
 
+def test_raster_side_other_than_raster_size_fails(micro_cfg):
+    model = Model(micro_cfg)
+    sample = generate_scenario(micro_waterway(raster_size=16), seed=1)[0]
+    with pytest.raises(ValueError, match=r"scenes.raster at step 0 has shape \(3, 16, 16\), not \(3, 12, 12\)"):
+        model.predict(sample, rng=Rng(0))
+
+
 def test_non_finite_raster_fails_naming_step(micro_cfg, micro_samples):
     model = Model(micro_cfg)
     raster = micro_samples[0].scenes[1].raster.copy()

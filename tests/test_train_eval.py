@@ -35,7 +35,7 @@ def test_frozen_optimizer_keeps_parameters_and_loss(tiny_dataset):
 
 def test_training_reduces_loss(tiny_dataset):
     cfg = micro_config(lr=3e-3, epochs=12, batch_size=4, seed=1)
-    bank = bank_from_samples(tiny_dataset, cfg.bank_clusters, seed=cfg.seed)
+    bank = bank_from_samples(tiny_dataset, 4, seed=cfg.seed)
     model, curve = train(tiny_dataset, cfg, bank=bank)
     assert curve[-1].total < curve[0].total
     assert all(np.isfinite(s.total) for s in curve)
