@@ -233,6 +233,8 @@ def load_bank(path: str | Path) -> TrajectoryBank:
     """Read a bank, checking its header, and each entry's shapes, values and key against it."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f"bank file {path}: top level is a {type(payload).__name__}, not a JSON object")
     for key in ("t_obs", "t_fut", "k", "seed", "entries"):
         if key not in payload:
             raise ValueError(f"bank file {path} is missing '{key}'")
@@ -242,6 +244,8 @@ def load_bank(path: str | Path) -> TrajectoryBank:
     for key in ("t_obs", "t_fut"):
         if payload[key] < 1:
             raise ValueError(f"bank file {path}: header '{key}' is {payload[key]!r}, not a positive int")
+    if not isinstance(payload["entries"], list):
+        raise ValueError(f"bank file {path}: header 'entries' is {payload['entries']!r}, not a list")
     t_obs, t_fut = payload["t_obs"], payload["t_fut"]
     obs, fut, feat = [], [], []
     for i, e in enumerate(payload["entries"]):

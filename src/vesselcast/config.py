@@ -43,11 +43,14 @@ class TrainConfig:
     use_scene: bool = True
 
     def validate(self) -> None:
-        if self.d_model % 2 != 0 or self.d_model % self.heads != 0:
-            raise ValueError(f"d_model={self.d_model} must be even and divisible by heads={self.heads}")
-        for name in ("lr", "epochs", "batch_size", "t_obs", "t_fut", "modes", "latent_dim"):
+        for name in ("lr", "epochs", "batch_size", "t_obs", "t_fut", "modes", "d_model", "heads",
+                     "latent_dim", "roi_size", "bbox_dim", "raster_size", "offset_hidden"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.d_model % 2 != 0 or self.d_model % self.heads != 0:
+            raise ValueError(f"d_model={self.d_model} must be even and divisible by heads={self.heads}")
+        if len(self.stem_channels) != 3 or min(self.stem_channels) <= 0:
+            raise ValueError(f"stem_channels must be 3 positive channel counts, got {self.stem_channels!r}")
         if self.scheduler_patience < 1:
             raise ValueError("scheduler_patience must be >= 1")
 

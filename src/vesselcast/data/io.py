@@ -78,12 +78,7 @@ def _decode_scene(entry: dict, line_no: int) -> SceneFrame:
     raster = np.frombuffer(raw, dtype="<f4")
     if raster.size != int(np.prod(shape)):
         raise DatasetFormatError(line_no, "scenes.raster", f"payload does not match shape {shape}")
-    frame = SceneFrame(raster=raster.reshape(shape).copy(), bbox=tuple(float(v) for v in entry["bbox"]))
-    try:
-        frame.validate()
-    except FieldError as e:
-        raise DatasetFormatError(line_no, f"scenes.{e.field}", str(e)) from e
-    return frame
+    return SceneFrame(raster=raster.reshape(shape).copy(), bbox=tuple(float(v) for v in entry["bbox"]))
 
 
 def read_dataset(path: str | Path) -> list[VesselSample]:
@@ -114,10 +109,9 @@ def read_dataset(path: str | Path) -> list[VesselSample]:
                     density=record["density"],
                     is_dark=bool(record["is_dark"]),
                 )
-                if len(sample.ais_mask) != len(sample.obs_ais):
-                    raise DatasetFormatError(
-                        line_no, "ais_mask", f"{len(sample.ais_mask)} flags for {len(sample.obs_ais)} obs_ais rows"
-                    )
+                sample.validate()
+            except FieldError as e:
+                raise DatasetFormatError(line_no, e.field, str(e)) from e
             except DatasetFormatError:
                 raise
             except (TypeError, ValueError) as e:

@@ -31,6 +31,8 @@ class SceneFrame:
     def validate(self) -> None:
         if self.raster.ndim != 3 or self.raster.shape[0] != 3:
             raise FieldError("raster", f"scene raster must be (3, H, W), got {self.raster.shape}")
+        if not np.isfinite(self.raster).all():
+            raise FieldError("raster", "scene raster is not finite")
         if len(self.bbox) != 4:
             raise FieldError("bbox", f"scene bbox needs 4 values, got {len(self.bbox)}")
         x0, y0, x1, y1 = self.bbox
@@ -59,6 +61,32 @@ class VesselSample:
     @property
     def t_fut(self) -> int:
         return self.fut_ais.shape[0]
+
+    def validate(self) -> None:
+        """Check the shape rules of one record; the FieldError names the field that breaks one.
+
+        Tracks are (T, 2); every observed series has one step per obs_ais
+        row; both futures have the same length and are finite; every scene
+        frame is valid. Values at masked obs_ais steps are not checked:
+        nothing reads them.
+        """
+        for name in ("obs_ais", "obs_cctv", "fut_ais", "fut_cctv"):
+            shape = getattr(self, name).shape
+            if len(shape) != 2 or shape[1] != 2:
+                raise FieldError(name, f"track must be (T, 2), got {shape}")
+        for name in ("ais_mask", "obs_cctv", "scenes"):
+            if len(getattr(self, name)) != self.t_obs:
+                raise FieldError(name, f"{len(getattr(self, name))} steps for {self.t_obs} obs_ais rows")
+        if len(self.fut_cctv) != self.t_fut:
+            raise FieldError("fut_cctv", f"{len(self.fut_cctv)} steps for {self.t_fut} fut_ais rows")
+        for name in ("fut_ais", "fut_cctv"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise FieldError(name, "future track is not finite")
+        for t, frame in enumerate(self.scenes):
+            try:
+                frame.validate()
+            except FieldError as e:
+                raise FieldError(f"scenes.{e.field}", f"step {t}: {e}") from e
 
 
 @dataclass

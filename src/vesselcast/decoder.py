@@ -52,8 +52,6 @@ class PredictionSet:
     ais: np.ndarray  # (K, T_fut, 2)
     cctv: np.ndarray  # (K, T_fut, 2)
     latents: np.ndarray  # (K, J)
-    mu: np.ndarray  # (K, J)
-    logvar: np.ndarray  # (K, J)
     prior_index: int | None = None  # retrieved bank entry; None when refinement was skipped
     prior_similarity: float | None = None
 
@@ -103,14 +101,4 @@ def predict_modes(
         z=z,
         mu=mu,
         logvar=logvar,
-    )
-
-
-def to_prediction_set(modes: ModeOutput) -> PredictionSet:
-    return PredictionSet(
-        ais=modes.ais.data,
-        cctv=modes.cctv.data,
-        latents=modes.z.data,
-        mu=modes.mu.data,
-        logvar=modes.logvar.data,
     )

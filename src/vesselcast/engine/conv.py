@@ -84,10 +84,11 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
 
 
 def _scatter_bilinear(weights: np.ndarray, rows: np.ndarray, xs: np.ndarray, ys: np.ndarray,
-                      h: int, w: int, scale: float) -> None:
+                      h: int, w: int, scale: np.ndarray | float) -> None:
     """Add scale times the bilinear weights of each sample (xs, ys) to its row of `rows`.
 
-    rows, xs and ys broadcast together; columns are flat fmap indices. One
+    xs, ys and scale broadcast together, and rows with them once a corner
+    axis is inserted before the last axis; columns are flat fmap indices. One
     np.add.at adds in the order: leading sample axes, corner, last sample axis.
     Convention: the value of pixel (ix, iy) lives at coordinate (ix, iy);
     sample points are clamped to [0, W-1] x [0, H-1] before interpolation.
@@ -106,29 +107,35 @@ def _scatter_bilinear(weights: np.ndarray, rows: np.ndarray, xs: np.ndarray, ys:
     np.add.at(weights, (rows, cols), vals)
 
 
-def _roi_weights(box: np.ndarray, h: int, w: int, p: int, spatial_scale: float) -> np.ndarray:
-    """(P*P, H*W) pooling weights of one box over an H x W map."""
-    x0, y0, x1, y1 = (float(v) * spatial_scale for v in box)
-    if x1 <= x0 or y1 <= y0:
-        raise DimensionError(f"roi_align box is inverted after scaling: {(x0, y0, x1, y1)}")
-    x0c, x1c = max(x0, 0.0), min(x1, float(w))
-    y0c, y1c = max(y0, 0.0), min(y1, float(h))
+# the four quarter points of a cell, as (x, y) fractions of the cell: (4, 1) columns
+_QUARTER_X = np.array([[0.25], [0.75], [0.25], [0.75]])
+_QUARTER_Y = np.array([[0.25], [0.25], [0.75], [0.75]])
+# a degenerate box puts its centre sample at quarter point 0 with full weight
+_DEGENERATE_SCALE = np.array([[1.0], [0.0], [0.0], [0.0]])
 
-    weights = np.zeros((p * p, h * w), dtype=np.float64)
-    rows = np.arange(p * p)  # cell (iy, ix) is row iy * p + ix
-    if x1c <= x0c or y1c <= y0c:
-        _DIAGNOSTICS["degenerate_roi"] += 1
-        cx = np.full(p * p, 0.5 * (x0 + x1))
-        cy = np.full(p * p, 0.5 * (y0 + y1))
-        _scatter_bilinear(weights, rows, cx, cy, h, w, 1.0)
-    else:
-        bw = (x1c - x0c) / p
-        bh = (y1c - y0c) / p
-        # the four quarter points of every cell, as a leading axis: (4, P*P)
-        xs = x0c + (rows % p + np.array([[0.25], [0.75], [0.25], [0.75]])) * bw
-        ys = y0c + (rows // p + np.array([[0.25], [0.25], [0.75], [0.75]])) * bh
-        _scatter_bilinear(weights, rows, xs, ys, h, w, 0.25)
-    return weights
+
+def _roi_weights(boxes: np.ndarray, h: int, w: int, p: int, spatial_scale: float) -> np.ndarray:
+    """(N, P*P, H*W) pooling weights of the N boxes of boxes[N, 4] over an H x W map."""
+    scaled = boxes * spatial_scale
+    inverted = np.flatnonzero((scaled[:, 2] <= scaled[:, 0]) | (scaled[:, 3] <= scaled[:, 1]))
+    if inverted.size:
+        box = tuple(float(v) for v in scaled[inverted[0]])
+        raise DimensionError(f"roi_align box is inverted after scaling: {box}")
+    x0, y0, x1, y1 = scaled.T[:, :, None, None]  # each (N, 1, 1): box, quarter point, cell
+    x0c, x1c = np.maximum(x0, 0.0), np.minimum(x1, float(w))
+    y0c, y1c = np.maximum(y0, 0.0), np.minimum(y1, float(h))
+    degenerate = (x1c <= x0c) | (y1c <= y0c)
+    _DIAGNOSTICS["degenerate_roi"] += int(degenerate.sum())
+
+    n = len(boxes)
+    cell = np.arange(p * p)  # cell (iy, ix) is row iy * p + ix of its box
+    xs = np.where(degenerate, 0.5 * (x0 + x1), x0c + (cell % p + _QUARTER_X) * ((x1c - x0c) / p))
+    ys = np.where(degenerate, 0.5 * (y0 + y1), y0c + (cell // p + _QUARTER_Y) * ((y1c - y0c) / p))
+    scale = np.where(degenerate, _DEGENERATE_SCALE, 0.25)  # (N, 4, 1)
+    weights = np.zeros((n * p * p, h * w), dtype=np.float64)
+    rows = (np.arange(n) * (p * p))[:, None, None, None] + cell  # (N, 1, 1, P*P): box, quarter, corner, cell
+    _scatter_bilinear(weights, rows, xs, ys, h, w, scale)
+    return weights.reshape(n, p * p, h * w)
 
 
 def roi_align(fmap: Tensor, box, out_size: int, spatial_scale: float) -> Tensor:
@@ -152,7 +159,7 @@ def roi_align(fmap: Tensor, box, out_size: int, spatial_scale: float) -> Tensor:
     if boxes.shape != (*lead, 4):
         raise DimensionError(f"roi_align needs one 4-value box per map, shape {(*lead, 4)}; got {boxes.shape}")
     p = out_size
-    weights = np.stack([_roi_weights(b, h, w, p, spatial_scale) for b in boxes.reshape(-1, 4)])
+    weights = _roi_weights(boxes.reshape(-1, 4), h, w, p, spatial_scale)
     fm = fmap.data.reshape(-1, c, h * w)
     out = np.matmul(fm, weights.transpose(0, 2, 1))  # (N, C, P*P)
 

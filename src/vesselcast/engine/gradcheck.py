@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tape, Tensor, backward, no_grad
+from .tensor import Tape, Tensor, backward
 
 
 class NonDeterministicError(RuntimeError):
@@ -12,16 +12,15 @@ class NonDeterministicError(RuntimeError):
 
 
 def _eval(f, x: Tensor) -> float:
-    with no_grad():
-        out = f(x)
-    return out.item()
+    return f(x).item()
 
 
 def finite_diff_check(f, x: Tensor, h: float = 1e-5) -> float:
     """Max relative error between analytic grad of f at x and central differences.
 
     f must map the tensor to a scalar deterministically (it is evaluated twice
-    to detect hidden randomness). Relative error per coordinate uses the
+    to detect hidden randomness). Call it outside any Tape: the perturbed
+    evaluations then record nothing. Relative error per coordinate uses the
     denominator max(|analytic|, |numeric|, 1e-8).
     """
     base1 = _eval(f, x)

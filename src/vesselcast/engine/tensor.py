@@ -1,11 +1,12 @@
 """Dense float64 tensors with taped reverse-mode differentiation.
 
-Operations record onto the active :class:`Tape` whenever gradients are
-enabled and at least one input requires them. Tape order is creation order,
-which is topological by construction; :func:`backward` walks it in reverse.
-Leaf tensors (created directly, not by an op) accumulate into ``.grad``
-across backward calls until :func:`zero_grads`; intermediate gradients live
-only for the duration of one backward pass.
+Operations record onto the active :class:`Tape` whenever at least one
+input requires gradients; outside any tape they compute forward values
+only. Tape order is creation order, which is topological by construction;
+:func:`backward` walks it in reverse. Leaf tensors (created directly, not
+by an op) accumulate into ``.grad`` across backward calls until their
+``zero_grad``; intermediate gradients live only for the duration of one
+backward pass.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ class DimensionError(ValueError):
 class _TapeState(threading.local):
     def __init__(self):
         self.stack: list["Tape"] = []
-        self.grad_enabled = True
 
 
 _STATE = _TapeState()
@@ -47,18 +47,6 @@ class Tape:
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-
-class no_grad:
-    """Context manager disabling recording (forward values only)."""
-
-    def __enter__(self):
-        self._prev = _STATE.grad_enabled
-        _STATE.grad_enabled = False
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        _STATE.grad_enabled = self._prev
 
 
 def _active_tape() -> Tape | None:
@@ -133,14 +121,10 @@ def _as_tensor(x) -> Tensor:
 
 
 def _make(out_data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
-    """Wrap an op result; record it when grads are on and an input needs them."""
+    """Wrap an op result; record it when a tape is active and an input needs grads."""
     out = Tensor(out_data)
     tape = _active_tape()
-    if (
-        _STATE.grad_enabled
-        and tape is not None
-        and any(p.requires_grad for p in parents)
-    ):
+    if tape is not None and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward_fn
@@ -175,11 +159,6 @@ def backward(loss: Tensor) -> None:
         if g is None:
             continue
         node._backward(g, grads)
-
-
-def zero_grads(params) -> None:
-    for p in params:
-        p.zero_grad()
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

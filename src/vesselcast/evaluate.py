@@ -8,7 +8,7 @@ report is a pure function of (dataset, checkpoint, grid, seeds).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -16,9 +16,8 @@ import numpy as np
 from .bank import TrajectoryBank
 from .data.generate import apply_dark_vessels
 from .data.types import DENSITY_LEVELS, VesselSample
-from .engine import Tensor, no_grad
 from .engine.rng import Rng
-from .metrics import ade_fde, constant_velocity_baseline, diversity, min_ade_fde_at_k
+from .metrics import ade_fde, constant_velocity_baseline, diversity, sum_in_order
 from .model import Model
 
 _METRICS = (
@@ -43,8 +42,8 @@ class CellReport:
     rho: float
     n_samples: int
     n_seeds: int
-    mean: dict = field(default_factory=dict)
-    std: dict = field(default_factory=dict)
+    mean: dict  # metric name -> seed mean; empty when n_samples == 0
+    std: dict
 
 
 @dataclass
@@ -54,46 +53,28 @@ class ExperimentReport:
 
 
 def _seed_metrics(
-    samples: list[VesselSample],
-    model: Model,
-    bank: TrajectoryBank | None,
-    dt: int,
-    rho: float,
-    cell_key: str,
-    seed: int,
-    scene_feats: dict[str, Tensor | None],
-    predictor=None,
-) -> dict[str, float]:
+    samples: list[VesselSample], predictor, dt: int, rho: float, cell_key: str, seed: int
+) -> np.ndarray:
+    """The `_METRICS` of one (cell, seed), each a mean over the vessels in vessel_id order."""
     stream = Rng(seed).child(cell_key)
     dark = apply_dark_vessels(samples, rho, seed=stream.child("dark-selection").seed)
-    sums = {name: 0.0 for name in _METRICS}
-    for sample in sorted(dark, key=lambda s: s.vessel_id):
-        if predictor is None:
-            preds = model.predict(
-                sample,
-                rng=stream.child(sample.vessel_id),
-                bank=bank,
-                scene_feats=scene_feats[sample.vessel_id],
-            )
-            ais_modes = preds.ais[:, :dt]
-            cctv_modes = preds.cctv[:, :dt]
-        else:
-            ais_modes, cctv_modes = predictor(sample, dt)
-        gt_a = sample.fut_ais[:dt]
-        gt_c = sample.fut_cctv[:dt]
-        min_a, min_fa = min_ade_fde_at_k(ais_modes, gt_a)
-        min_c, min_fc = min_ade_fde_at_k(cctv_modes, gt_c)
-        a1, f1 = ade_fde(ais_modes[0], gt_a)
-        c1, cf1 = ade_fde(cctv_modes[0], gt_c)
-        cv = constant_velocity_baseline(sample.obs_ais, dt)
-        cv_a, cv_f = ade_fde(cv, gt_a)
-        for name, value in zip(
-            _METRICS,
-            (min_a, min_fa, a1, f1, min_c, min_fc, c1, cf1, cv_a, cv_f, diversity(ais_modes)),
-        ):
-            sums[name] += value
-    n = len(dark)
-    return {name: total / n for name, total in sums.items()}
+    dark = sorted(dark, key=lambda s: s.vessel_id)
+    preds = [predictor(s, dt, stream.child(s.vessel_id)) for s in dark]
+    ais = np.stack([a for a, _ in preds])  # (vessels, K, dt, 2)
+    cctv = np.stack([c for _, c in preds])
+    cv = np.stack([constant_velocity_baseline(s.obs_ais, dt) for s in dark])
+    gt_a = np.stack([s.fut_ais[:dt] for s in dark])[:, None]
+    gt_c = np.stack([s.fut_cctv[:dt] for s in dark])[:, None]
+    # (ade, fde) pairs; the baseline rides along as positional mode K, after the predicted ones
+    ais_err = np.stack(ade_fde(np.concatenate([ais, cv[:, None]], axis=1), gt_a), axis=-1)  # (vessels, K+1, 2)
+    cctv_err = np.stack(ade_fde(cctv, gt_c), axis=-1)  # (vessels, K, 2)
+    k = ais.shape[1]
+    per_vessel = np.concatenate(  # (vessels, metrics), in `_METRICS` order
+        [ais_err[:, :k].min(axis=1), ais_err[:, 0], cctv_err.min(axis=1), cctv_err[:, 0], ais_err[:, k],
+         diversity(ais)[:, None]],
+        axis=1,
+    )
+    return sum_in_order(per_vessel) / len(dark)
 
 
 def evaluate(
@@ -108,24 +89,27 @@ def evaluate(
     """Metrics per (dt, density, rho) cell, mean +- std over evaluation seeds.
 
     Seeds drive latent sampling and dark-vessel selection on the fixed
-    checkpoint. `predictor(sample, dt) -> (ais_modes, cctv_modes)` overrides
-    the model (testing hook). Densities absent from the dataset produce
-    cells with n_samples=0 and no metric values. Each vessel's scenes are
-    encoded once, before the grid: the features do not depend on the dark
-    mask that the cells vary.
+    checkpoint. `predictor(sample, dt, rng) -> (ais_modes, cctv_modes)`, each
+    (K, dt, 2), overrides the model (testing hook). Densities absent from the
+    dataset produce cells with n_samples=0 and no metric values. Each
+    vessel's scenes are encoded once, before the grid: the features do not
+    depend on the dark mask that the cells vary.
     """
     max_dt = max(dts)
     t_fut = samples[0].t_fut if samples else 0
-    if predictor is None and model is not None and model.cfg.t_fut < max_dt:
+    if predictor is None and model.cfg.t_fut < max_dt:
         raise ValueError(f"checkpoint t_fut={model.cfg.t_fut} < requested horizon {max_dt}")
     if t_fut < max_dt:
         raise ValueError(f"dataset t_fut={t_fut} < requested horizon {max_dt}")
-    scene_feats = {}
     if predictor is None:
         if len({s.vessel_id for s in samples}) < len(samples):
             raise ValueError("evaluate needs a distinct vessel_id per sample")
-        with no_grad():
-            scene_feats = {s.vessel_id: model.encode_scenes(s) for s in samples}
+        scene_feats = {s.vessel_id: model.encode_scenes(s) for s in samples}
+
+        def predictor(sample, dt, rng):
+            preds = model.predict(sample, rng=rng, bank=bank, scene_feats=scene_feats[sample.vessel_id])
+            return preds.ais[:, :dt], preds.cctv[:, :dt]
+
     by_density = {
         level: [s for s in samples if s.density == level] for level in DENSITY_LEVELS
     }
@@ -135,34 +119,11 @@ def evaluate(
             pool = by_density[density]
             for rho in sorted(rhos):
                 key = f"dt={dt}/density={density}/rho={rho!r}"
-                if not pool:
-                    cells.append(
-                        CellReport(dt=dt, density=density, rho=rho, n_samples=0, n_seeds=len(seeds))
-                    )
-                    continue
-                per_seed = [
-                    _seed_metrics(
-                        pool, model, bank, dt, rho, key, seed, scene_feats, predictor=predictor
-                    )
-                    for seed in seeds
-                ]
-                mean = {}
-                std = {}
-                for name in _METRICS:
-                    vals = np.array([m[name] for m in per_seed])
-                    mean[name] = float(vals.mean())
-                    std[name] = float(vals.std())
-                cells.append(
-                    CellReport(
-                        dt=dt,
-                        density=density,
-                        rho=rho,
-                        n_samples=len(pool),
-                        n_seeds=len(seeds),
-                        mean=mean,
-                        std=std,
-                    )
-                )
+                per_seed = [_seed_metrics(pool, predictor, dt, rho, key, seed) for seed in seeds] if pool else []
+                rows = np.array(per_seed).T.copy()  # one contiguous row of seed values per metric
+                mean = {name: float(row.mean()) for name, row in zip(_METRICS, rows)}
+                std = {name: float(row.std()) for name, row in zip(_METRICS, rows)}
+                cells.append(CellReport(dt, density, rho, len(pool), len(seeds), mean, std))
     return ExperimentReport(cells=cells, seeds=list(seeds))
 
 

@@ -92,8 +92,6 @@ def _block(rng: Rng, d: int) -> BlockParams:
 
 def init_fusion(rng: Rng, cfg) -> FusionParams:
     d = cfg.d_model
-    if d % cfg.heads != 0:
-        raise ValueError(f"d_model={d} not divisible by heads={cfg.heads}")
     return FusionParams(
         ais_embed=linear(rng, 3, d),
         cctv_embed=linear(rng, 2, d),

@@ -3,15 +3,15 @@ decoding, and prototype-bank refinement of the positional head."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bank import RefinementParams, TrajectoryBank, init_refinement, refine_and_fuse, search
 from .config import TrainConfig, architecture_hash
 from .data.types import VesselSample
-from .decoder import DecoderParams, ModeOutput, PredictionSet, init_decoder, predict_modes, to_prediction_set
-from .engine import Tensor, no_grad
+from .decoder import DecoderParams, ModeOutput, PredictionSet, init_decoder, predict_modes
+from .engine import Tensor
 from .engine.rng import Rng
 from .fusion import FusionParams, encode_and_fuse, init_fusion, masked_track
 from .losses import sample_losses, total_loss
@@ -175,11 +175,15 @@ class Model:
         scene_feats: Tensor | None = None,
     ) -> PredictionSet:
         """Inference-only candidate set (refined positional head, raw camera head)
-        with the bank entry it retrieved, if any."""
-        with no_grad():
-            fwd = self.forward_sample(sample, rng=rng, eps=eps, bank=bank, scene_feats=scene_feats)
-        return replace(
-            to_prediction_set(fwd.modes), prior_index=fwd.prior_index, prior_similarity=fwd.prior_similarity
+        with the bank entry it retrieved, if any. Called outside any Tape, it
+        records nothing."""
+        fwd = self.forward_sample(sample, rng=rng, eps=eps, bank=bank, scene_feats=scene_feats)
+        return PredictionSet(
+            ais=fwd.modes.ais.data,
+            cctv=fwd.modes.cctv.data,
+            latents=fwd.modes.z.data,
+            prior_index=fwd.prior_index,
+            prior_similarity=fwd.prior_similarity,
         )
 
     # ------------------------------------------------------------------

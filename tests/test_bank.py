@@ -357,12 +357,17 @@ def test_load_bank_rejects_a_bank_with_no_entries(tmp_path):
         ("t_fut", -1, "a positive int"),
         ("k", True, "an int"),
         ("seed", "7", "an int"),
+        ("entries", 5, "a list"),
+        (None, 5, "a JSON object"),  # the whole file is one number
     ],
 )
 def test_load_bank_rejects_bad_header_naming_it(tmp_path, key, value, kind):
     path = tmp_path / "bank.json"
     payload = _saved_bank_payload(path)
-    payload[key] = value
+    if key is None:
+        payload, where = value, f"top level is a {type(value).__name__}"
+    else:
+        payload[key], where = value, f"header '{key}' is {value!r}"
     path.write_text(json.dumps(payload), encoding="utf-8")
-    with pytest.raises(ValueError, match=rf"{path.name}: header '{key}' is {value!r}, not {kind}"):
+    with pytest.raises(ValueError, match=rf"{path.name}: {where}, not {kind}"):
         load_bank(path)

@@ -6,8 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from conftest import micro_config
 from vesselcast.bank import bank_from_samples
 from vesselcast.engine import Rng, Tape
+from vesselcast.evaluate import evaluate
 from vesselcast.model import Model
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -52,3 +54,24 @@ def test_traced_train_step_and_predict_complete(tracing, micro_cfg, micro_sample
         assert tracer.calls[span] > 0, span
     assert tracer.tape_nodes == [total.node_id + 1]
     assert tracer.vessel_ids == {s.vessel_id for s in micro_samples[:3]}
+
+
+def test_traced_eval_grid_counts(tracing, micro_samples):
+    """The eval-grid counts the benchmark reports: one forward per (vessel, seed) of every
+    populated cell, one scene encode per vessel, and one dark-vessel draw per (cell, seed)
+    at the `vesselcast.evaluate` site."""
+    model = Model(micro_config())
+    bank = bank_from_samples(micro_samples, 4, seed=0)
+    seeds = [0, 1]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        report = evaluate(micro_samples, model, bank, dts=[2, 3], rhos=[0.0, 0.5], seeds=seeds)
+    finally:
+        tracer.uninstall()
+    populated = [c for c in report.cells if c.n_samples]
+    assert tracer.calls["model.Model.forward_sample"] == sum(c.n_samples * c.n_seeds for c in populated)
+    assert tracer.calls["model.Model.predict"] == tracer.calls["model.Model.forward_sample"]
+    assert tracer.calls["scene_encoder.encode_scene_sequence"] == len(micro_samples)
+    assert tracer.vessel_ids == {s.vessel_id for s in micro_samples}
+    assert tracer.calls["data.apply_dark_vessels"] == len(populated) * len(seeds)

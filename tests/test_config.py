@@ -69,6 +69,24 @@ def test_validation_rejects_odd_d():
         cfg.validate()
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("heads", 0),
+        ("stem_channels", (8, 16)),
+        ("stem_channels", (8, 0, 16)),
+        ("raster_size", 0),
+        ("roi_size", 0),
+        ("bbox_dim", 0),
+        ("offset_hidden", 0),
+    ],
+)
+def test_validation_rejects_a_bad_dimension_naming_it(field, value):
+    cfg = TrainConfig(**{field: value})
+    with pytest.raises(ValueError, match=field):
+        cfg.validate()
+
+
 def test_architecture_hash_ignores_training_fields():
     a = TrainConfig(lr=1e-4, epochs=10)
     b = TrainConfig(lr=5e-3, epochs=99)

@@ -174,6 +174,14 @@ def test_roi_degenerate_box_counts_and_returns_center_sample():
     assert roi_diagnostics()["degenerate_roi"] == 1
     center = bilinear_oracle(fmap, -2.0, 2.0)  # clamped to x=0
     assert np.allclose(out, center.reshape(1, 1, 1))
+    # one call, two degenerate boxes (off the left and off the bottom) around a normal one
+    reset_roi_diagnostics()
+    boxes = [(-3.0, 1.0, -1.0, 3.0), (0.5, 0.5, 2.5, 2.5), (1.0, 5.0, 3.0, 7.0)]
+    out = roi_align(tensor(np.stack([fmap] * 3)), boxes, 2, 1.0).data
+    assert roi_diagnostics()["degenerate_roi"] == 2
+    assert np.allclose(out[0], center)
+    assert np.allclose(out[2], bilinear_oracle(fmap, 2.0, 6.0))
+    assert out[1].tobytes() == roi_align(tensor(fmap), boxes[1], 2, 1.0).data.tobytes()
     reset_roi_diagnostics()
 
 

@@ -219,9 +219,46 @@ def _short_mask(rec):
     rec["ais_mask"] = rec["ais_mask"][:-1]
 
 
+def _nan_raster(rec):
+    frame = rec["scenes"][1]
+    raster = np.frombuffer(base64.b64decode(frame["raster"]), dtype="<f4").copy()
+    raster[5] = np.nan
+    frame["raster"] = base64.b64encode(raster.tobytes()).decode("ascii")
+
+
+def _short_cctv(rec):
+    rec["obs_cctv"] = rec["obs_cctv"][:-1]
+
+
+def _short_scenes(rec):
+    rec["scenes"] = rec["scenes"][:-1]
+
+
+def _short_future_cctv(rec):
+    rec["fut_cctv"] = rec["fut_cctv"][:-1]
+
+
+def _all_nan_future(rec):
+    rec["fut_ais"] = [[float("nan"), float("nan")] for _ in rec["fut_ais"]]
+
+
+def _three_column_track(rec):
+    rec["obs_cctv"] = [p + [0.0] for p in rec["obs_cctv"]]
+
+
 @pytest.mark.parametrize(
     "edit, field",
-    [(_two_channel_raster, "scenes.raster"), (_inverted_bbox, "scenes.bbox"), (_short_mask, "ais_mask")],
+    [
+        (_two_channel_raster, "scenes.raster"),
+        (_inverted_bbox, "scenes.bbox"),
+        (_short_mask, "ais_mask"),
+        (_nan_raster, "scenes.raster"),
+        (_short_cctv, "obs_cctv"),
+        (_short_scenes, "scenes"),
+        (_short_future_cctv, "fut_cctv"),
+        (_all_nan_future, "fut_ais"),
+        (_three_column_track, "obs_cctv"),
+    ],
 )
 def test_bad_frame_or_mask_names_field(tmp_path, edit, field):
     path = tmp_path / "bad.jsonl"
@@ -229,3 +266,16 @@ def test_bad_frame_or_mask_names_field(tmp_path, edit, field):
     _corrupt_line(path, edit)
     with pytest.raises(DatasetFormatError, match=rf"line 2: bad field '{field}'"):
         read_dataset(path)
+
+
+def test_nan_under_a_masked_step_reads(tmp_path):
+    path = tmp_path / "masked.jsonl"
+    write_dataset(path, generate_scenario(small_cfg(vessel_count=3), seed=1))
+
+    def nan_at_masked_step(rec):
+        rec["ais_mask"][0] = False
+        rec["obs_ais"][0] = [float("nan"), float("nan")]
+
+    _corrupt_line(path, nan_at_masked_step)
+    sample = read_dataset(path)[1]
+    assert not sample.ais_mask[0] and np.isnan(sample.obs_ais[0]).all()

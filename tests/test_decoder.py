@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import micro_config
-from vesselcast.decoder import init_decoder, predict_modes, to_prediction_set
+from vesselcast.decoder import init_decoder, predict_modes
 from vesselcast.engine import Rng, finite_diff_check, tensor, tsum
 from vesselcast.metrics import ade_fde
 from vesselcast.params import collect_params
@@ -80,31 +80,31 @@ def test_predict_modes_shapes_and_determinism(micro_cfg):
     p = make_params(micro_cfg)
     f_enc = tensor(rand(Rng(8), (1, micro_cfg.d_model)))
     k, t, j = micro_cfg.modes, micro_cfg.t_fut, micro_cfg.latent_dim
-    preds1 = to_prediction_set(predict_modes(p, f_enc, k, t, rng=Rng(55)))
-    preds2 = to_prediction_set(predict_modes(p, f_enc, k, t, rng=Rng(55)))
-    assert preds1.ais.shape == (k, t, 2)
-    assert preds1.cctv.shape == (k, t, 2)
-    assert preds1.latents.shape == (k, j)
-    assert np.array_equal(preds1.ais, preds2.ais)
-    assert np.array_equal(preds1.latents, preds2.latents)
+    out1 = predict_modes(p, f_enc, k, t, rng=Rng(55))
+    out2 = predict_modes(p, f_enc, k, t, rng=Rng(55))
+    assert out1.ais.shape == (k, t, 2)
+    assert out1.cctv.shape == (k, t, 2)
+    assert out1.z.shape == (k, j)
+    assert np.array_equal(out1.ais.data, out2.ais.data)
+    assert np.array_equal(out1.z.data, out2.z.data)
 
 
 def test_k1_predict_modes(micro_cfg):
     cfg = micro_config(modes=1)
     p = make_params(cfg)
     f_enc = tensor(rand(Rng(9), (1, cfg.d_model)))
-    preds = to_prediction_set(predict_modes(p, f_enc, 1, cfg.t_fut, rng=Rng(1)))
-    assert preds.ais.shape == (1, cfg.t_fut, 2)
+    out = predict_modes(p, f_enc, 1, cfg.t_fut, rng=Rng(1))
+    assert out.ais.shape == (1, cfg.t_fut, 2)
 
 
 def test_distinct_modes_give_distinct_candidates(micro_cfg):
     cfg = micro_config(modes=5)
     p = make_params(cfg)
     f_enc = tensor(rand(Rng(10), (1, cfg.d_model)))
-    preds = to_prediction_set(predict_modes(p, f_enc, 5, cfg.t_fut, eps=np.zeros((5, cfg.latent_dim))))
+    ais = predict_modes(p, f_enc, 5, cfg.t_fut, eps=np.zeros((5, cfg.latent_dim))).ais.data
     for i in range(5):
         for j in range(i + 1, 5):
-            assert ade_fde(preds.ais[i], preds.ais[j])[0] > 0
+            assert ade_fde(ais[i], ais[j])[0] > 0
 
 
 def test_decoder_gradients(micro_cfg):

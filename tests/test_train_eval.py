@@ -166,7 +166,7 @@ def test_evaluate_rejects_repeated_vessel_id(tiny_dataset):
 
 
 def test_evaluate_oracle_predictor_zero_error(tiny_dataset):
-    def oracle(sample, dt):
+    def oracle(sample, dt, rng):
         gt_a = np.stack([sample.fut_ais[:dt]] * 2)
         gt_c = np.stack([sample.fut_cctv[:dt]] * 2)
         return gt_a, gt_c
