@@ -231,8 +231,10 @@ def _entry_array(path, i: int, entry: dict, field: str, shape: tuple[int, ...]) 
 
 def load_bank(path: str | Path) -> TrajectoryBank:
     """Read a bank, checking its header, and each entry's shapes, values and key against it."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    try:
+        payload = json.loads(Path(path).read_bytes().decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise ValueError(f"bank file {path} is not UTF-8 JSON: {e}") from None
     if not isinstance(payload, dict):
         raise ValueError(f"bank file {path}: top level is a {type(payload).__name__}, not a JSON object")
     for key in ("t_obs", "t_fut", "k", "seed", "entries"):

@@ -83,15 +83,22 @@ def _decode_scene(entry: dict, line_no: int) -> SceneFrame:
 
 def read_dataset(path: str | Path) -> list[VesselSample]:
     samples = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
+    # a line carries its base64 rasters (about 0.5 MB at the default size): a
+    # large buffer keeps `readline` from joining a line out of many small chunks
+    with open(path, "rb", buffering=1 << 20) as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as e:
+                raise DatasetFormatError(line_no, "<utf-8>", str(e)) from e
             if not line:
                 continue
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as e:
                 raise DatasetFormatError(line_no, "<json>", str(e)) from e
+            if not isinstance(record, dict):
+                raise DatasetFormatError(line_no, "<json>", f"a {type(record).__name__}, not an object")
             for key in _REQUIRED:
                 if key not in record:
                     raise DatasetFormatError(line_no, key, "missing")
@@ -111,7 +118,7 @@ def read_dataset(path: str | Path) -> list[VesselSample]:
                 )
                 sample.validate()
             except FieldError as e:
-                raise DatasetFormatError(line_no, e.field, str(e)) from e
+                raise DatasetFormatError(line_no, e.field, e.detail) from e
             except DatasetFormatError:
                 raise
             except (TypeError, ValueError) as e:

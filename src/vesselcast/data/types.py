@@ -20,7 +20,8 @@ class FieldError(ValueError):
 
     def __init__(self, field: str, detail: str):
         self.field = field
-        super().__init__(detail)
+        self.detail = detail
+        super().__init__(f"{field} {detail}")
 
 
 @dataclass
@@ -30,14 +31,14 @@ class SceneFrame:
 
     def validate(self) -> None:
         if self.raster.ndim != 3 or self.raster.shape[0] != 3:
-            raise FieldError("raster", f"scene raster must be (3, H, W), got {self.raster.shape}")
+            raise FieldError("raster", f"must be (3, H, W), got {self.raster.shape}")
         if not np.isfinite(self.raster).all():
-            raise FieldError("raster", "scene raster is not finite")
+            raise FieldError("raster", "is not finite")
         if len(self.bbox) != 4:
-            raise FieldError("bbox", f"scene bbox needs 4 values, got {len(self.bbox)}")
+            raise FieldError("bbox", f"needs 4 values, got {len(self.bbox)}")
         x0, y0, x1, y1 = self.bbox
         if not (x0 < x1 and y0 < y1):
-            raise FieldError("bbox", f"degenerate scene bbox {self.bbox}")
+            raise FieldError("bbox", f"is degenerate: {self.bbox}")
 
 
 @dataclass
@@ -63,30 +64,38 @@ class VesselSample:
         return self.fut_ais.shape[0]
 
     def validate(self) -> None:
-        """Check the shape rules of one record; the FieldError names the field that breaks one.
+        """Check every rule one record obeys on its own; the FieldError names
+        the field that breaks one, and the step for a per-step rule.
 
         Tracks are (T, 2); every observed series has one step per obs_ais
-        row; both futures have the same length and are finite; every scene
-        frame is valid. Values at masked obs_ais steps are not checked:
-        nothing reads them.
+        row, and fut_cctv one per fut_ais row; every track is finite, except
+        obs_ais at masked steps, which nothing reads; every scene frame is
+        valid and has the first frame's raster shape.
         """
         for name in ("obs_ais", "obs_cctv", "fut_ais", "fut_cctv"):
             shape = getattr(self, name).shape
             if len(shape) != 2 or shape[1] != 2:
-                raise FieldError(name, f"track must be (T, 2), got {shape}")
+                raise FieldError(name, f"must be (T, 2), got {shape}")
         for name in ("ais_mask", "obs_cctv", "scenes"):
             if len(getattr(self, name)) != self.t_obs:
-                raise FieldError(name, f"{len(getattr(self, name))} steps for {self.t_obs} obs_ais rows")
+                raise FieldError(name, f"has {len(getattr(self, name))} steps for {self.t_obs} obs_ais rows")
         if len(self.fut_cctv) != self.t_fut:
-            raise FieldError("fut_cctv", f"{len(self.fut_cctv)} steps for {self.t_fut} fut_ais rows")
-        for name in ("fut_ais", "fut_cctv"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise FieldError(name, "future track is not finite")
+            raise FieldError("fut_cctv", f"has {len(self.fut_cctv)} steps for {self.t_fut} fut_ais rows")
+        for name in ("obs_ais", "obs_cctv", "fut_ais", "fut_cctv"):
+            bad = ~np.isfinite(getattr(self, name)).all(axis=1)
+            if name == "obs_ais":
+                bad &= np.asarray(self.ais_mask, dtype=bool)  # masked steps are never read
+            if bad.any():
+                raise FieldError(name, f"is not finite at step {np.flatnonzero(bad)[0]}")
         for t, frame in enumerate(self.scenes):
             try:
                 frame.validate()
             except FieldError as e:
-                raise FieldError(f"scenes.{e.field}", f"step {t}: {e}") from e
+                raise FieldError(f"scenes.{e.field}", f"{e.detail} at step {t}") from e
+            if frame.raster.shape != self.scenes[0].raster.shape:
+                raise FieldError(
+                    "scenes.raster", f"at step {t} has shape {frame.raster.shape}, not {self.scenes[0].raster.shape}"
+                )
 
 
 @dataclass

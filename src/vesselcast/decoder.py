@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Tensor, add, clamp, concat, exp, mul, narrow, reshape, tensor
+from .engine import Tensor, add, clamp, concat, exp, mul, reshape, tensor
 from .engine.rng import Rng
 from .params import Linear, Mlp, linear, mlp, uniform_init
 
@@ -68,32 +68,15 @@ def init_decoder(rng: Rng, cfg) -> DecoderParams:
     )
 
 
-def predict_modes(
-    p: DecoderParams,
-    f_enc: Tensor,
-    k_modes: int,
-    t_fut: int,
-    rng: Rng | None = None,
-    eps: np.ndarray | None = None,
-) -> ModeOutput:
-    """Decode modes k = 0..K-1 in one pass; mode k consumes draws k*J..(k+1)*J-1 of rng.
-
-    eps, when given, is a (K, J) array overriding the rng stream.
-    """
-    if k_modes > p.mode_embed.shape[0]:
-        raise IndexError(f"{k_modes} modes requested but K={p.mode_embed.shape[0]}")
-    d = f_enc.shape[1]
-    e = narrow(p.mode_embed, 0, 0, k_modes)
+def predict_modes(p: DecoderParams, f_enc: Tensor, eps: np.ndarray) -> ModeOutput:
+    """Decode the K modes of `p` in one pass; row k of the (K, J) `eps` is mode k's latent noise."""
+    k_modes, d = p.mode_embed.shape
     f_rows = add(tensor(np.zeros((k_modes, d))), f_enc)  # (K, d): f_enc on every row
-    h = concat([f_rows, e], axis=1)
+    h = concat([f_rows, p.mode_embed], axis=1)
     mu = p.mu_head(h)
     logvar = clamp(p.logvar_head(h), -LOGVAR_RANGE, LOGVAR_RANGE)
-    j = mu.shape[1]
-    if eps is None:
-        eps = np.array(rng.normals(k_modes * j))
-    noise = tensor(np.asarray(eps, dtype=np.float64).reshape(k_modes, j))
-    z = mu + mul(exp(mul(logvar, 0.5)), noise)
-    features = reshape(p.expand(concat([f_rows, z, e], axis=1)), (k_modes, t_fut, d))
+    z = mu + mul(exp(mul(logvar, 0.5)), tensor(eps))
+    features = reshape(p.expand(concat([f_rows, z, p.mode_embed], axis=1)), (k_modes, -1, d))  # (K, T_fut, d)
     return ModeOutput(
         ais=p.ais_head(features),
         cctv=p.cctv_head(features),

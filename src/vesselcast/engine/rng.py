@@ -57,17 +57,26 @@ class Rng:
         return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
     def normals(self, n: int) -> list[float]:
-        return [self.normal() for _ in range(n)]
+        """`n` draws, bit for bit those of `n` calls to `normal`: one `_words` call, then
+        `math`'s log and cos per value, since numpy's differ from them in the last bit."""
+        u = self._words(2 * n).tolist()
+        return [math.sqrt(-2.0 * math.log(1.0 - a)) * math.cos(2.0 * math.pi * b) for a, b in zip(u[0::2], u[1::2])]
 
     def uniforms(self, n: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
-        """`n` draws as a float64 array, bit for bit those of `n` calls to `uniform`.
+        """`n` draws as a float64 array, bit for bit those of `n` calls to `uniform`."""
+        return lo + (hi - lo) * self._words(n)
+
+    def _words(self, n: int) -> np.ndarray:
+        """The next `n` counter words as float64 in [0, 1), as `uniform` maps them.
 
         uint64 arithmetic wraps, which is the ``& MASK64`` of the scalar path.
         """
+        if n < 0:
+            raise ValueError(f"cannot draw {n} values; a negative count would rewind the counter")
         steps = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
         self.counter += n
         words = mix64(np.uint64(self.seed) + steps * np.uint64(GOLDEN))
-        return lo + (hi - lo) * ((words >> 11).astype(np.float64) * _TWO53_INV)
+        return (words >> 11).astype(np.float64) * _TWO53_INV
 
     def randint(self, n: int) -> int:
         """Integer in [0, n). Modulo bias is < 2^-50 for desk-scale n."""

@@ -95,6 +95,11 @@ def evaluate(
     vessel's scenes are encoded once, before the grid: the features do not
     depend on the dark mask that the cells vary.
     """
+    for name, axis in (("dts", dts), ("rhos", rhos), ("seeds", seeds)):
+        if len(axis) == 0:
+            raise ValueError(f"{name} is empty: the grid needs at least one value on each axis")
+    if min(dts) < 1:
+        raise ValueError(f"dts holds horizon {min(dts)}: every horizon must be at least 1 step")
     max_dt = max(dts)
     t_fut = samples[0].t_fut if samples else 0
     if predictor is None and model.cfg.t_fut < max_dt:

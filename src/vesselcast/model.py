@@ -41,13 +41,6 @@ def _check_steps(field: str, got: int, key: str, want: int) -> None:
         raise ValueError(f"{field} has {got} steps but cfg.{key} is {want}")
 
 
-def _check_finite(field: str, track: np.ndarray, counted: np.ndarray) -> None:
-    """Fail on the first step of `track` that `counted` selects and that is not finite."""
-    bad = np.flatnonzero(counted & ~np.isfinite(track).all(axis=1))
-    if bad.size:
-        raise ValueError(f"{field} is not finite at step {bad[0]}")
-
-
 class Model:
     def __init__(self, cfg: TrainConfig, seed: int | None = None):
         cfg.validate()
@@ -62,57 +55,57 @@ class Model:
         self.named = collect_params(self.params)
 
     # ------------------------------------------------------------------
+    def _check_sample(self, sample: VesselSample) -> None:
+        """Reject a sample this model cannot read: a window other than
+        `cfg.t_obs` steps, or a record that breaks `VesselSample.validate`."""
+        _check_steps("obs_ais", len(sample.obs_ais), "t_obs", self.cfg.t_obs)
+        sample.validate()
+
     def encode_scenes(self, sample: VesselSample) -> Tensor | None:
         """(t_obs, d) scene features of `sample`, or None when `cfg.use_scene` is off.
 
         They depend only on the parameters and `sample.scenes`, not on the
         broadcast mask, so a vessel's dark copies can share them. Checks the
-        frames first: each raster must be (3, cfg.raster_size, cfg.raster_size).
+        sample first; its rasters, which share one shape, must be
+        (3, cfg.raster_size, cfg.raster_size).
         """
+        self._check_sample(sample)
         if not self.cfg.use_scene:
             return None
-        scenes = sample.scenes
-        _check_steps("scenes", len(scenes), "t_obs", self.cfg.t_obs)
+        shape = sample.scenes[0].raster.shape
         want = (3, self.cfg.raster_size, self.cfg.raster_size)
-        for t, frame in enumerate(scenes):
-            if frame.raster.shape != want:
-                raise ValueError(f"scenes.raster at step {t} has shape {frame.raster.shape}, not {want}")
-            if not np.isfinite(frame.raster).all():
-                raise ValueError(f"scenes.raster is not finite at step {t}")
-        return encode_scene_sequence(self.params.scene, scenes, self.cfg)
+        if shape != want:
+            raise ValueError(f"scenes.raster at step 0 has shape {shape}, not {want}")
+        return encode_scene_sequence(self.params.scene, sample.scenes, self.cfg)
 
     def forward_sample(
         self,
         sample: VesselSample,
-        rng: Rng | None = None,
-        eps: np.ndarray | None = None,
+        rng: Rng,
         bank: TrajectoryBank | None = None,
         scene_feats: Tensor | None = None,
     ) -> SampleForward:
         """Run the full pipeline on one sample.
 
-        Latent noise comes from `rng` (K * J draws in mode order) unless a
-        (K, J) `eps` array pins it. `scene_feats` from `encode_scenes(sample)`
-        skips the scene encoder; without them it runs here. Bank refinement
-        applies to the positional head of all K modes at once, and is skipped
-        for dark vessels: without any broadcast track there is no retrieval
-        key. Like the embedding, the retrieval key reads masked steps as zero.
-        Observation windows and the bank's horizons must match the config;
-        futures are not checked here, since evaluation passes futures longer
-        than the model's horizon. Observed coordinates must be finite, except
-        under masked AIS steps, which are never read.
+        Latent noise is K * J draws of `rng`, in mode order. `scene_feats`
+        from `encode_scenes(sample)` skips the scene encoder; without them it
+        runs here. Bank refinement applies to the positional head of all K
+        modes at once, and is skipped for dark vessels: without any broadcast
+        track there is no retrieval key. Like the embedding, the retrieval key
+        reads masked steps as zero. The sample must pass
+        `VesselSample.validate`, and its observation window and the bank's
+        horizons must match the config; futures are not compared with
+        `cfg.t_fut` here, since evaluation passes futures longer than the
+        model's horizon.
         """
         cfg = self.cfg
-        for field in ("obs_ais", "ais_mask", "obs_cctv"):  # `encode_scenes` checks the scenes
-            _check_steps(field, len(getattr(sample, field)), "t_obs", cfg.t_obs)
-        ais_mask = np.asarray(sample.ais_mask, dtype=bool)
-        _check_finite("obs_ais", sample.obs_ais, ais_mask)
-        _check_finite("obs_cctv", sample.obs_cctv, np.ones_like(ais_mask))
         if bank is not None:
             _check_steps("bank.t_obs", bank.t_obs, "t_obs", cfg.t_obs)
             _check_steps("bank.t_fut", bank.t_fut, "t_fut", cfg.t_fut)
         if scene_feats is None:
-            scene_feats = self.encode_scenes(sample)
+            scene_feats = self.encode_scenes(sample)  # checks the sample first
+        else:
+            self._check_sample(sample)
         _, f_enc = encode_and_fuse(
             self.params.fusion,
             sample.obs_ais,
@@ -122,7 +115,8 @@ class Model:
             cfg.heads,
             use_cctv=cfg.use_cctv,
         )
-        modes = predict_modes(self.params.decoder, f_enc, cfg.modes, cfg.t_fut, rng=rng, eps=eps)
+        eps = np.array(rng.normals(cfg.modes * cfg.latent_dim)).reshape(cfg.modes, cfg.latent_dim)
+        modes = predict_modes(self.params.decoder, f_enc, eps)
 
         prior_index = None
         prior_sim = None
@@ -141,22 +135,16 @@ class Model:
     def loss_batch(
         self,
         samples: list[VesselSample],
-        rng: Rng | None = None,
-        eps: np.ndarray | None = None,
+        rng: Rng,
         bank: TrajectoryBank | None = None,
     ) -> tuple[Tensor, Tensor, Tensor, list[int]]:
-        """Batch-mean (total, rec, kl) tensors plus per-sample winning modes.
-
-        eps, when given, has shape (batch, K, J).
-        """
+        """Batch-mean (total, rec, kl) tensors plus per-sample winning modes."""
         recs = []
         kls = []
         winners = []
-        for i, sample in enumerate(samples):
+        for sample in samples:
             _check_steps("fut_ais", len(sample.fut_ais), "t_fut", self.cfg.t_fut)
-            _check_steps("fut_cctv", len(sample.fut_cctv), "t_fut", self.cfg.t_fut)
-            eps_i = None if eps is None else eps[i]
-            fwd = self.forward_sample(sample, rng=rng, eps=eps_i, bank=bank)
+            fwd = self.forward_sample(sample, rng, bank=bank)
             rec, kl, winner = sample_losses(fwd.modes, sample.fut_ais, sample.fut_cctv)
             recs.append(rec)
             kls.append(kl)
@@ -169,15 +157,14 @@ class Model:
     def predict(
         self,
         sample: VesselSample,
-        rng: Rng | None = None,
-        eps: np.ndarray | None = None,
+        rng: Rng,
         bank: TrajectoryBank | None = None,
         scene_feats: Tensor | None = None,
     ) -> PredictionSet:
         """Inference-only candidate set (refined positional head, raw camera head)
         with the bank entry it retrieved, if any. Called outside any Tape, it
         records nothing."""
-        fwd = self.forward_sample(sample, rng=rng, eps=eps, bank=bank, scene_feats=scene_feats)
+        fwd = self.forward_sample(sample, rng, bank=bank, scene_feats=scene_feats)
         return PredictionSet(
             ais=fwd.modes.ais.data,
             cctv=fwd.modes.cctv.data,

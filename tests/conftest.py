@@ -47,6 +47,38 @@ def micro_waterway(**overrides):
     return WaterwayConfig(**base)
 
 
+def corrupt_in_place(path, masks):
+    """Leave each corruption of the file at `path` there in turn, yielding
+    once per case: each byte XOR each of `masks`, then each truncation,
+    longest first. Cases are written in place, which costs far less than
+    rewriting the file for each one."""
+    blob = path.read_bytes()
+    with open(path, "r+b", buffering=0) as fh:
+        for i, byte in enumerate(blob):
+            for mask in masks:
+                fh.seek(i)
+                fh.write(bytes([byte ^ mask]))
+                yield
+            fh.seek(i)
+            fh.write(bytes([byte]))
+        for n in range(len(blob) - 1, -1, -1):
+            fh.truncate(n)
+            yield
+
+
+class PinnedNormals:
+    """Stand-in for `Rng` in model calls: `normals(n)` returns the next n of
+    `values` (flattened), so a test pins the latent noise."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=np.float64).ravel().tolist()
+
+    def normals(self, n):
+        drawn, self.values = self.values[:n], self.values[n:]
+        assert len(drawn) == n, "pinned noise ran out"
+        return drawn
+
+
 @pytest.fixture
 def micro_cfg():
     return micro_config()

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import micro_config
+from conftest import corrupt_in_place, micro_config
 from vesselcast.bank import (
     TrajectoryBank,
     bank_from_samples,
@@ -371,3 +371,15 @@ def test_load_bank_rejects_bad_header_naming_it(tmp_path, key, value, kind):
     path.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(ValueError, match=rf"{path.name}: {where}, not {kind}"):
         load_bank(path)
+
+
+def test_every_bit_flip_and_truncation_of_a_bank_loads_or_names_the_file(tmp_path, micro_samples):
+    """Each truncation and each single-bit flip of a micro bank loads or raises
+    a ValueError naming the file; never a raw decode or json error."""
+    path = tmp_path / "bank.json"
+    save_bank(path, bank_from_samples(micro_samples, 4, seed=0))
+    for _ in corrupt_in_place(path, masks=[1 << bit for bit in range(8)]):
+        try:
+            load_bank(path)
+        except ValueError as exc:
+            assert str(path) in str(exc)

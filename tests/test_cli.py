@@ -1,5 +1,6 @@
 import json
 import math
+import shlex
 import shutil
 import subprocess
 import sys
@@ -201,3 +202,19 @@ main(["eval", "--data", f"{root}/data.jsonl", "--ckpt", f"{root}/ckpt_{tag}.bin"
     assert (workdir / "ckpt_a.bin").read_bytes() == (workdir / "ckpt_b.bin").read_bytes()
     assert (workdir / "curve_a.csv").read_bytes() == (workdir / "curve_b.csv").read_bytes()
     assert (workdir / "report_a.csv").read_bytes() == (workdir / "report_b.csv").read_bytes()
+
+
+def _readme_cli_examples() -> list[str]:
+    """Each `vesselcast ...` command of the README's CLI block, continuation lines joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = block.replace("\\\n", " ").splitlines()
+    return [line for line in commands if line.startswith("vesselcast ")]
+
+
+def test_readme_cli_examples_parse():
+    examples = _readme_cli_examples()
+    assert len(examples) == 6
+    for line in examples:
+        args = cli.build_parser().parse_args(shlex.split(line)[1:])
+        assert callable(args.func), line

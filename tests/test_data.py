@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import corrupt_in_place
 from vesselcast.data import (
     DatasetFormatError,
     ProjectionError,
@@ -246,6 +247,23 @@ def _three_column_track(rec):
     rec["obs_cctv"] = [p + [0.0] for p in rec["obs_cctv"]]
 
 
+def _nan_camera_step(rec):
+    rec["obs_cctv"][1] = [float("nan"), 0.0]
+
+
+def _nan_broadcast_step(rec):
+    rec["ais_mask"][1] = True
+    rec["obs_ais"][1] = [0.0, float("nan")]
+
+
+def _smaller_second_frame(rec):
+    frame = rec["scenes"][1]
+    c, h, w = frame["shape"]
+    raster = np.frombuffer(base64.b64decode(frame["raster"]), dtype="<f4").reshape(c, h, w)
+    frame["shape"] = [c, h - 1, w - 1]
+    frame["raster"] = base64.b64encode(raster[:, :-1, :-1].tobytes()).decode("ascii")
+
+
 @pytest.mark.parametrize(
     "edit, field",
     [
@@ -258,6 +276,9 @@ def _three_column_track(rec):
         (_short_future_cctv, "fut_cctv"),
         (_all_nan_future, "fut_ais"),
         (_three_column_track, "obs_cctv"),
+        (_nan_camera_step, "obs_cctv"),
+        (_nan_broadcast_step, "obs_ais"),
+        (_smaller_second_frame, "scenes.raster"),
     ],
 )
 def test_bad_frame_or_mask_names_field(tmp_path, edit, field):
@@ -279,3 +300,16 @@ def test_nan_under_a_masked_step_reads(tmp_path):
     _corrupt_line(path, nan_at_masked_step)
     sample = read_dataset(path)[1]
     assert not sample.ais_mask[0] and np.isnan(sample.obs_ais[0]).all()
+
+
+def test_every_truncation_and_flip_of_a_dataset_reads_or_fails_naming_the_line(tmp_path, micro_samples):
+    """Each truncation of a one-vessel file, and the 0x01 and 0x80 flip of
+    each of its bytes, reads or raises DatasetFormatError; never a raw
+    decode, json or numpy error."""
+    path = tmp_path / "one.jsonl"
+    write_dataset(path, micro_samples[:1])
+    for _ in corrupt_in_place(path, masks=(0x01, 0x80)):
+        try:
+            read_dataset(path)
+        except DatasetFormatError as exc:
+            assert str(exc).startswith(f"dataset line {exc.line_no}: bad field")

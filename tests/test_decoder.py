@@ -16,8 +16,13 @@ def make_params(cfg, seed=0):
     return init_decoder(Rng(seed).child("init"), cfg)
 
 
+def normals(rng, cfg):
+    """The (K, J) noise that `Model.forward_sample` draws from `rng`."""
+    return np.array(rng.normals(cfg.modes * cfg.latent_dim)).reshape(cfg.modes, cfg.latent_dim)
+
+
 def decode_eps(p, cfg, f_enc, eps):
-    return predict_modes(p, f_enc, cfg.modes, cfg.t_fut, eps=eps)
+    return predict_modes(p, f_enc, eps)
 
 
 def test_zero_eps_gives_mu_exactly(micro_cfg):
@@ -43,7 +48,7 @@ def test_sample_mean_approaches_mu(micro_cfg):
     draws = []
     out = None
     for _ in range(10_000):
-        out = predict_modes(p, f_enc, micro_cfg.modes, micro_cfg.t_fut, rng=rng)
+        out = predict_modes(p, f_enc, normals(rng, micro_cfg))
         draws.append(out.z.data)
     draws = np.array(draws)  # (n, K, J)
     sigma = np.exp(0.5 * out.logvar.data)
@@ -80,8 +85,8 @@ def test_predict_modes_shapes_and_determinism(micro_cfg):
     p = make_params(micro_cfg)
     f_enc = tensor(rand(Rng(8), (1, micro_cfg.d_model)))
     k, t, j = micro_cfg.modes, micro_cfg.t_fut, micro_cfg.latent_dim
-    out1 = predict_modes(p, f_enc, k, t, rng=Rng(55))
-    out2 = predict_modes(p, f_enc, k, t, rng=Rng(55))
+    out1 = predict_modes(p, f_enc, normals(Rng(55), micro_cfg))
+    out2 = predict_modes(p, f_enc, normals(Rng(55), micro_cfg))
     assert out1.ais.shape == (k, t, 2)
     assert out1.cctv.shape == (k, t, 2)
     assert out1.z.shape == (k, j)
@@ -93,7 +98,7 @@ def test_k1_predict_modes(micro_cfg):
     cfg = micro_config(modes=1)
     p = make_params(cfg)
     f_enc = tensor(rand(Rng(9), (1, cfg.d_model)))
-    out = predict_modes(p, f_enc, 1, cfg.t_fut, rng=Rng(1))
+    out = predict_modes(p, f_enc, normals(Rng(1), cfg))
     assert out.ais.shape == (1, cfg.t_fut, 2)
 
 
@@ -101,7 +106,7 @@ def test_distinct_modes_give_distinct_candidates(micro_cfg):
     cfg = micro_config(modes=5)
     p = make_params(cfg)
     f_enc = tensor(rand(Rng(10), (1, cfg.d_model)))
-    ais = predict_modes(p, f_enc, 5, cfg.t_fut, eps=np.zeros((5, cfg.latent_dim))).ais.data
+    ais = predict_modes(p, f_enc, np.zeros((5, cfg.latent_dim))).ais.data
     for i in range(5):
         for j in range(i + 1, 5):
             assert ade_fde(ais[i], ais[j])[0] > 0

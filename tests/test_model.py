@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import micro_config, micro_waterway
+from conftest import PinnedNormals, micro_config, micro_waterway
 from vesselcast.bank import bank_from_samples
 from vesselcast.data import generate_scenario
 from vesselcast.engine import Rng, Tape, backward, finite_diff_check, tsum
@@ -32,8 +32,8 @@ def test_bank_refinement_changes_positional_head_only(micro_cfg, micro_samples):
     model = Model(micro_cfg)
     bank = bank_from_samples(micro_samples, 4, seed=0)
     eps = np.zeros((micro_cfg.modes, micro_cfg.latent_dim))
-    base = model.predict(micro_samples[0], eps=eps, bank=None)
-    refined = model.predict(micro_samples[0], eps=eps, bank=bank)
+    base = model.predict(micro_samples[0], rng=PinnedNormals(eps), bank=None)
+    refined = model.predict(micro_samples[0], rng=PinnedNormals(eps), bank=bank)
     assert not np.array_equal(base.ais, refined.ais)
     assert np.array_equal(base.cctv, refined.cctv)
 
@@ -45,8 +45,8 @@ def test_dark_sample_skips_refinement(micro_cfg, micro_samples):
     bank = bank_from_samples(micro_samples, 4, seed=0)
     dark = apply_dark_vessels(micro_samples, 1.0, seed=0)[0]
     eps = np.zeros((micro_cfg.modes, micro_cfg.latent_dim))
-    with_bank = model.predict(dark, eps=eps, bank=bank)
-    without = model.predict(dark, eps=eps, bank=None)
+    with_bank = model.predict(dark, rng=PinnedNormals(eps), bank=bank)
+    without = model.predict(dark, rng=PinnedNormals(eps), bank=None)
     assert np.array_equal(with_bank.ais, without.ais)
 
 
@@ -74,11 +74,11 @@ def test_modes_independent_along_mode_axis(micro_cfg, micro_samples, use_bank):
     eps = np.array(Rng(5).normals(micro_cfg.modes * micro_cfg.latent_dim)).reshape(
         micro_cfg.modes, micro_cfg.latent_dim
     )
-    base = model.predict(micro_samples[0], eps=eps, bank=bank)
+    base = model.predict(micro_samples[0], rng=PinnedNormals(eps), bank=bank)
     for k in range(micro_cfg.modes):
         bumped = eps.copy()
         bumped[k] += 0.5
-        out = model.predict(micro_samples[0], eps=bumped, bank=bank)
+        out = model.predict(micro_samples[0], rng=PinnedNormals(bumped), bank=bank)
         others = np.arange(micro_cfg.modes) != k
         for name in ("ais", "cctv", "latents"):
             new, old = getattr(out, name), getattr(base, name)
@@ -91,7 +91,7 @@ def test_rng_stream_equals_explicit_eps(micro_cfg, micro_samples):
     bank = bank_from_samples(micro_samples, 4, seed=0)
     k, j = micro_cfg.modes, micro_cfg.latent_dim
     from_rng = model.predict(micro_samples[0], rng=Rng(13), bank=bank)
-    from_eps = model.predict(micro_samples[0], eps=np.array(Rng(13).normals(k * j)).reshape(k, j), bank=bank)
+    from_eps = model.predict(micro_samples[0], rng=PinnedNormals(Rng(13).normals(k * j)), bank=bank)
     for name in ("ais", "cctv", "latents"):
         assert getattr(from_rng, name).tobytes() == getattr(from_eps, name).tobytes(), name
 
@@ -167,7 +167,8 @@ def test_non_finite_raster_fails_naming_step(micro_cfg, micro_samples):
 def test_observation_window_mismatch_fails_naming_field(micro_cfg, micro_samples, field):
     model = Model(micro_cfg)
     short = dataclasses.replace(micro_samples[0], **{field: getattr(micro_samples[0], field)[:1]})
-    with pytest.raises(ValueError, match=rf"{field} has 1 steps but cfg.t_obs is 2"):
+    rule = "but cfg.t_obs is 2" if field == "obs_ais" else "for 2 obs_ais rows"  # the model's rule, or the record's
+    with pytest.raises(ValueError, match=rf"{field} has 1 steps {rule}"):
         model.predict(short, rng=Rng(0))
 
 
@@ -192,7 +193,8 @@ def test_bank_horizon_mismatch_fails(micro_cfg, micro_samples, key, value):
 def test_loss_batch_future_mismatch_fails(micro_cfg, micro_samples, field):
     model = Model(micro_cfg)
     short = dataclasses.replace(micro_samples[0], **{field: getattr(micro_samples[0], field)[:2]})
-    with pytest.raises(ValueError, match=rf"{field} has 2 steps but cfg.t_fut is 3"):
+    rule = "but cfg.t_fut is 3" if field == "fut_ais" else "for 3 fut_ais rows"
+    with pytest.raises(ValueError, match=rf"{field} has 2 steps {rule}"):
         model.loss_batch([short], rng=Rng(0))
 
 
@@ -219,7 +221,7 @@ def test_full_loss_gradients_every_parameter(micro_cfg, micro_samples):
     )
 
     def f(_):
-        total, _, _, _ = model.loss_batch(batch, eps=eps, bank=bank)
+        total, _, _, _ = model.loss_batch(batch, rng=PinnedNormals(eps), bank=bank)
         return total * 0.01  # keep |loss| small so FD noise stays below the rel-err floor
 
     failures = {}

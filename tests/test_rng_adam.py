@@ -35,6 +35,28 @@ def test_rng_uniforms_equal_scalar_loop(seed, advanced, n):
     assert batched.counter == looped.counter
 
 
+@pytest.mark.parametrize("n", [0, 1, 80, 9_999])
+@pytest.mark.parametrize("advanced", [0, 3])
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+def test_rng_normals_equal_scalar_loop(seed, advanced, n):
+    looped, batched = Rng(seed), Rng(seed)
+    for rng in (looped, batched):
+        for _ in range(advanced):
+            rng.uniform()
+    expected = np.array([looped.normal() for _ in range(n)])
+    got = np.array(batched.normals(n))
+    assert got.tobytes() == expected.tobytes()
+    assert batched.counter == looped.counter
+
+
+@pytest.mark.parametrize("draw", ["uniforms", "normals"])
+def test_rng_negative_count_fails_without_moving_the_counter(draw):
+    rng = Rng(0)
+    with pytest.raises(ValueError, match="negative count"):
+        getattr(rng, draw)(-1)
+    assert rng.counter == 0
+
+
 def test_rng_normal_moments():
     rng = Rng(7)
     xs = np.array(rng.normals(20000))

@@ -208,3 +208,20 @@ def test_evaluate_rejects_horizon_beyond_checkpoint(tiny_dataset):
     model = Model(cfg)
     with pytest.raises(ValueError, match="horizon"):
         evaluate(tiny_dataset, model, None, dts=[5], rhos=[0.0], seeds=[0])
+
+
+@pytest.mark.parametrize(
+    "axis, value, message",
+    [
+        ("dts", [], "dts is empty"),
+        ("rhos", [], "rhos is empty"),
+        ("seeds", [], "seeds is empty"),
+        ("dts", [0], "dts holds horizon 0"),
+        ("dts", [2, -1], "dts holds horizon -1"),
+    ],
+)
+def test_evaluate_rejects_an_empty_axis_or_a_horizon_below_one(tiny_dataset, axis, value, message):
+    grid = dict(dts=[2], rhos=[0.0], seeds=[0])
+    grid[axis] = value
+    with pytest.raises(ValueError, match=message):
+        evaluate(tiny_dataset, Model(micro_config()), None, **grid)
