@@ -134,10 +134,15 @@ def build_bank(
 
 
 def bank_from_samples(samples, k_max: int, seed: int) -> TrajectoryBank:
-    tracks = [np.vstack([s.obs_ais, s.fut_ais]) for s in samples]
-    t_obs = samples[0].t_obs
-    t_fut = samples[0].t_fut
-    return build_bank(tracks, k_max, t_obs, t_fut, seed)
+    """Bank of the vessels that broadcast every observed step: the coordinate
+    stored at a masked step is not a position, so it never keys an entry."""
+    if not samples:
+        raise ValueError("cannot build a bank from an empty dataset")
+    full = [s for s in samples if s.ais_mask.all()]
+    if not full:
+        raise ValueError(f"ais_mask: none of the {len(samples)} vessels broadcast every observed step")
+    tracks = [np.vstack([s.obs_ais, s.fut_ais]) for s in full]
+    return build_bank(tracks, k_max, full[0].t_obs, full[0].t_fut, seed)
 
 
 def search(bank: TrajectoryBank, observed: np.ndarray) -> tuple[int, np.ndarray, float]:

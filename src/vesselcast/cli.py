@@ -16,7 +16,7 @@ from .checkpoint import load_model, save_model
 from .config import load_train_config, load_waterway_config
 from .data import apply_dark_vessels, generate_scenario, read_dataset, write_dataset
 from .engine.rng import Rng
-from .evaluate import evaluate, write_report
+from .evaluate import ExperimentReport, check_grid, evaluate, write_report
 from .hashutil import fnv1a64  # noqa: F401  unused here; perfbench's tracer patches this name
 from .model import Model
 from .pca import pca_project
@@ -117,6 +117,7 @@ def cmd_eval(args) -> int:
     dts = _parse_ints(args.dt)
     rhos = _parse_floats(args.rho)
     seeds = list(range(args.seeds))
+    check_grid(dts, rhos, seeds)  # before --per-horizon trains a model per horizon
 
     if args.per_horizon:
         train_samples = read_dataset(args.train_data)
@@ -129,8 +130,6 @@ def cmd_eval(args) -> int:
             model_dt, _ = train(train_dt, cfg_dt, bank=bank_dt)
             rep = evaluate(samples, model_dt, bank_dt, [dt], rhos, seeds)
             cells.extend(rep.cells)
-        from .evaluate import ExperimentReport
-
         report = ExperimentReport(cells=cells, seeds=seeds)
     else:
         model = load_model(args.ckpt, cfg)

@@ -1,4 +1,4 @@
-from .types import SceneFrame, VesselSample, WaterwayConfig, DENSITY_LEVELS
+from .types import VesselSample, WaterwayConfig, DENSITY_LEVELS
 from .generate import (
     WindowError,
     ProjectionError,
@@ -11,7 +11,6 @@ from .generate import (
 from .io import DatasetFormatError, read_dataset, write_dataset
 
 __all__ = [
-    "SceneFrame",
     "VesselSample",
     "WaterwayConfig",
     "DENSITY_LEVELS",

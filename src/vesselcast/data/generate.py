@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..engine.rng import Rng
-from .types import SceneFrame, VesselSample, WaterwayConfig
+from .types import VesselSample, WaterwayConfig
 
 # arc geometry (centerline == "arc"): circle segment sweeping the unit square
 _ARC_CENTER = (0.5, -0.35)
@@ -142,18 +142,18 @@ def _paint_occupancy(grid: np.ndarray, points: np.ndarray) -> None:
         grid[max(r - 1, 0) : min(r + 2, size), max(c - 1, 0) : min(c + 2, size)] = 1.0
 
 
-def _target_bbox(cfg: WaterwayConfig, center: np.ndarray) -> tuple[float, float, float, float]:
+def _target_boxes(cfg: WaterwayConfig, centers: np.ndarray) -> np.ndarray:
+    """(T, 4) boxes of side 2 * bbox_half around (T, 2) raster centers, shifted inside the raster."""
     size, bh = float(cfg.raster_size), cfg.bbox_half
-    x0 = min(max(center[0] - bh, 0.0), size - 2 * bh)
-    y0 = min(max(center[1] - bh, 0.0), size - 2 * bh)
-    return (x0, y0, x0 + 2 * bh, y0 + 2 * bh)
+    lo = np.minimum(np.maximum(centers - bh, 0.0), size - 2 * bh)
+    return np.concatenate([lo, lo + 2 * bh], axis=1)
 
 
-def _marker_channel(size: int, bbox: tuple[float, float, float, float]) -> np.ndarray:
-    x0, y0, x1, y1 = bbox
-    cols = np.arange(size) + 0.5
-    rows = np.arange(size) + 0.5
-    inside = ((rows >= y0) & (rows < y1))[:, None] & ((cols >= x0) & (cols < x1))[None, :]
+def _marker_channels(size: int, boxes: np.ndarray) -> np.ndarray:
+    """(T, size, size) float32: 1 where a pixel center lies inside step t's box."""
+    x0, y0, x1, y1 = boxes.T[:, :, None]  # each (T, 1)
+    centers = np.arange(size) + 0.5
+    inside = ((centers >= y0) & (centers < y1))[:, :, None] & ((centers >= x0) & (centers < x1))[:, None, :]
     return inside.astype(np.float32)
 
 
@@ -201,14 +201,12 @@ def generate_scenario(cfg: WaterwayConfig, seed: int) -> list[VesselSample]:
         else:
             density = "high"
 
-        scenes = []
+        boxes = _target_boxes(cfg, raster_pos[i, : cfg.t_obs])
+        rasters = np.zeros((cfg.t_obs, 3, cfg.raster_size, cfg.raster_size), dtype=np.float32)
+        rasters[:, 0] = channel
         for t in range(cfg.t_obs):
-            occupancy = np.zeros((cfg.raster_size, cfg.raster_size), dtype=np.float32)
-            others = np.concatenate([raster_pos[:i, t], raster_pos[i + 1 :, t]])
-            _paint_occupancy(occupancy, others)
-            bbox = _target_bbox(cfg, raster_pos[i, t])
-            raster = np.stack([channel, occupancy, _marker_channel(cfg.raster_size, bbox)])
-            scenes.append(SceneFrame(raster=raster.astype(np.float32), bbox=bbox))
+            _paint_occupancy(rasters[t, 1], np.concatenate([raster_pos[:i, t], raster_pos[i + 1 :, t]]))
+        rasters[:, 2] = _marker_channels(cfg.raster_size, boxes)
 
         obs_a, fut_a = split_window(ais[i], cfg.t_obs, cfg.t_fut)
         obs_c, fut_c = split_window(cctv[i], cfg.t_obs, cfg.t_fut)
@@ -218,7 +216,8 @@ def generate_scenario(cfg: WaterwayConfig, seed: int) -> list[VesselSample]:
                 obs_ais=obs_a,
                 ais_mask=np.ones(cfg.t_obs, dtype=bool),
                 obs_cctv=obs_c,
-                scenes=scenes,
+                rasters=rasters,
+                boxes=boxes,
                 fut_ais=fut_a,
                 fut_cctv=fut_c,
                 density=density,

@@ -1,8 +1,9 @@
 """JSON-lines dataset persistence.
 
-One vessel sample per line. Scene rasters are base64 of the little-endian
-float32 buffer; all other numbers are plain JSON (floats serialize via repr,
-so write -> read -> write is byte-identical).
+One vessel sample per line, one `{raster, shape, bbox}` entry per scene frame
+(the raster base64 of its little-endian float32 buffer); all other numbers are
+plain JSON (floats serialize via repr, so write -> read -> write is
+byte-identical).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .types import DENSITY_LEVELS, FieldError, SceneFrame, VesselSample
+from .types import DENSITY_LEVELS, FieldError, VesselSample
 
 
 class DatasetFormatError(ValueError):
@@ -30,12 +31,12 @@ def _points(arr: np.ndarray) -> list[list[float]]:
     return [[float(x), float(y)] for x, y in arr]
 
 
-def _encode_scene(frame: SceneFrame) -> dict:
-    raster = np.ascontiguousarray(frame.raster, dtype="<f4")
+def _encode_scene(raster: np.ndarray, bbox: np.ndarray) -> dict:
+    raster = np.ascontiguousarray(raster, dtype="<f4")
     return {
         "raster": base64.b64encode(raster.tobytes()).decode("ascii"),
         "shape": list(raster.shape),
-        "bbox": [float(v) for v in frame.bbox],
+        "bbox": [float(v) for v in bbox],
     }
 
 
@@ -51,7 +52,7 @@ def write_dataset(path: str | Path, samples: list[VesselSample]) -> None:
                 "obs_cctv": _points(s.obs_cctv),
                 "fut_ais": _points(s.fut_ais),
                 "fut_cctv": _points(s.fut_cctv),
-                "scenes": [_encode_scene(fr) for fr in s.scenes],
+                "scenes": [_encode_scene(r, b) for r, b in zip(s.rasters, s.boxes)],
             }
             fh.write(json.dumps(record, separators=(",", ":")) + "\n")
 
@@ -69,16 +70,26 @@ _REQUIRED = (
 )
 
 
-def _decode_scene(entry: dict, line_no: int) -> SceneFrame:
-    for key in ("raster", "shape", "bbox"):
-        if key not in entry:
-            raise DatasetFormatError(line_no, f"scenes.{key}", "missing")
-    shape = tuple(entry["shape"])
-    raw = base64.b64decode(entry["raster"])
-    raster = np.frombuffer(raw, dtype="<f4")
-    if raster.size != int(np.prod(shape)):
-        raise DatasetFormatError(line_no, "scenes.raster", f"payload does not match shape {shape}")
-    return SceneFrame(raster=raster.reshape(shape).copy(), bbox=tuple(float(v) for v in entry["bbox"]))
+def _decode_scenes(entries: list, line_no: int) -> tuple[np.ndarray, np.ndarray]:
+    """A record's frame entries, one per step, as (T, C, H, W) rasters and (T, 4) boxes."""
+    if not entries:
+        raise DatasetFormatError(line_no, "scenes", "holds no frames")
+    rasters, boxes = [], []
+    for t, entry in enumerate(entries):
+        for key in ("raster", "shape", "bbox"):
+            if key not in entry:
+                raise DatasetFormatError(line_no, f"scenes.{key}", f"missing at step {t}")
+        shape = tuple(entry["shape"])
+        raster = np.frombuffer(base64.b64decode(entry["raster"]), dtype="<f4")
+        if raster.size != int(np.prod(shape)):
+            raise DatasetFormatError(line_no, "scenes.raster", f"payload does not match shape {shape} at step {t}")
+        if rasters and shape != rasters[0].shape:  # stored apart, frames can only be ragged here
+            raise DatasetFormatError(line_no, "scenes.raster", f"at step {t} has shape {shape}, not {rasters[0].shape}")
+        if len(entry["bbox"]) != 4:
+            raise DatasetFormatError(line_no, "scenes.bbox", f"needs 4 values, got {len(entry['bbox'])} at step {t}")
+        rasters.append(raster.reshape(shape))
+        boxes.append([float(v) for v in entry["bbox"]])
+    return np.stack(rasters), np.array(boxes, dtype=np.float64)
 
 
 def read_dataset(path: str | Path) -> list[VesselSample]:
@@ -105,12 +116,14 @@ def read_dataset(path: str | Path) -> list[VesselSample]:
             if record["density"] not in DENSITY_LEVELS:
                 raise DatasetFormatError(line_no, "density", f"got '{record['density']}'")
             try:
+                rasters, boxes = _decode_scenes(record["scenes"], line_no)
                 sample = VesselSample(
                     vessel_id=str(record["vessel_id"]),
                     obs_ais=np.asarray(record["obs_ais"], dtype=np.float64),
                     ais_mask=np.asarray(record["ais_mask"], dtype=bool),
                     obs_cctv=np.asarray(record["obs_cctv"], dtype=np.float64),
-                    scenes=[_decode_scene(e, line_no) for e in record["scenes"]],
+                    rasters=rasters,
+                    boxes=boxes,
                     fut_ais=np.asarray(record["fut_ais"], dtype=np.float64),
                     fut_cctv=np.asarray(record["fut_cctv"], dtype=np.float64),
                     density=record["density"],

@@ -2,8 +2,10 @@
 
 Positions use normalized planar coordinates on the unit square; camera
 tracks use normalized image coordinates in [0, frame_w) x [0, frame_h).
-Scene rasters are 3-channel float32 grids: channel 0 the navigable-channel
-mask, channel 1 other-vessel occupancy, channel 2 the target marker.
+A sample's scene frames are two arrays with one row per observed step:
+rasters, 3-channel float32 grids (channel 0 the navigable-channel mask,
+channel 1 other-vessel occupancy, channel 2 the target marker), and the
+target's box in raster coordinates.
 """
 
 from __future__ import annotations
@@ -25,23 +27,6 @@ class FieldError(ValueError):
 
 
 @dataclass
-class SceneFrame:
-    raster: np.ndarray  # (3, H, W) float32 in [0, 1]
-    bbox: tuple[float, float, float, float]  # raster coords, x_min < x_max
-
-    def validate(self) -> None:
-        if self.raster.ndim != 3 or self.raster.shape[0] != 3:
-            raise FieldError("raster", f"must be (3, H, W), got {self.raster.shape}")
-        if not np.isfinite(self.raster).all():
-            raise FieldError("raster", "is not finite")
-        if len(self.bbox) != 4:
-            raise FieldError("bbox", f"needs 4 values, got {len(self.bbox)}")
-        x0, y0, x1, y1 = self.bbox
-        if not (x0 < x1 and y0 < y1):
-            raise FieldError("bbox", f"is degenerate: {self.bbox}")
-
-
-@dataclass
 class VesselSample:
     """One vessel's aligned observation window plus ground-truth future."""
 
@@ -49,7 +34,8 @@ class VesselSample:
     obs_ais: np.ndarray  # (T_obs, 2)
     ais_mask: np.ndarray  # (T_obs,) bool; False where the broadcast is missing
     obs_cctv: np.ndarray  # (T_obs, 2)
-    scenes: list[SceneFrame]  # length T_obs
+    rasters: np.ndarray  # (T_obs, 3, H, W) float32 in [0, 1]: one scene frame per step
+    boxes: np.ndarray  # (T_obs, 4) float64 target box per frame, raster coords, x_min < x_max
     fut_ais: np.ndarray  # (T_fut, 2)
     fut_cctv: np.ndarray  # (T_fut, 2)
     density: str = "low"
@@ -67,35 +53,37 @@ class VesselSample:
         """Check every rule one record obeys on its own; the FieldError names
         the field that breaks one, and the step for a per-step rule.
 
-        Tracks are (T, 2); every observed series has one step per obs_ais
-        row, and fut_cctv one per fut_ais row; every track is finite, except
-        obs_ais at masked steps, which nothing reads; every scene frame is
-        valid and has the first frame's raster shape.
+        Tracks are (T, 2); rasters are (T, 3, H, W) and boxes (T, 4), both
+        reported as `scenes.*`; every observed series has one step per obs_ais
+        row, and fut_cctv one per fut_ais row; every track and raster is
+        finite, except obs_ais at masked steps, which nothing reads; every box
+        has x_min < x_max and y_min < y_max.
         """
         for name in ("obs_ais", "obs_cctv", "fut_ais", "fut_cctv"):
             shape = getattr(self, name).shape
             if len(shape) != 2 or shape[1] != 2:
                 raise FieldError(name, f"must be (T, 2), got {shape}")
-        for name in ("ais_mask", "obs_cctv", "scenes"):
-            if len(getattr(self, name)) != self.t_obs:
-                raise FieldError(name, f"has {len(getattr(self, name))} steps for {self.t_obs} obs_ais rows")
+        if self.rasters.ndim != 4 or self.rasters.shape[1] != 3:
+            raise FieldError("scenes.raster", f"must be (T, 3, H, W), got {self.rasters.shape}")
+        if self.boxes.shape != (len(self.rasters), 4):
+            raise FieldError("scenes.bbox", f"must be ({len(self.rasters)}, 4), got {self.boxes.shape}")
+        for name, steps in (("ais_mask", self.ais_mask), ("obs_cctv", self.obs_cctv), ("scenes", self.rasters)):
+            if len(steps) != self.t_obs:
+                raise FieldError(name, f"has {len(steps)} steps for {self.t_obs} obs_ais rows")
         if len(self.fut_cctv) != self.t_fut:
             raise FieldError("fut_cctv", f"has {len(self.fut_cctv)} steps for {self.t_fut} fut_ais rows")
-        for name in ("obs_ais", "obs_cctv", "fut_ais", "fut_cctv"):
-            bad = ~np.isfinite(getattr(self, name)).all(axis=1)
+        for name, arr in (("obs_ais", self.obs_ais), ("obs_cctv", self.obs_cctv), ("fut_ais", self.fut_ais),
+                          ("fut_cctv", self.fut_cctv), ("scenes.raster", self.rasters)):
+            bad = ~np.isfinite(arr).all(axis=tuple(range(1, arr.ndim)))  # per step; a 0-step track passes
             if name == "obs_ais":
                 bad &= np.asarray(self.ais_mask, dtype=bool)  # masked steps are never read
             if bad.any():
                 raise FieldError(name, f"is not finite at step {np.flatnonzero(bad)[0]}")
-        for t, frame in enumerate(self.scenes):
-            try:
-                frame.validate()
-            except FieldError as e:
-                raise FieldError(f"scenes.{e.field}", f"{e.detail} at step {t}") from e
-            if frame.raster.shape != self.scenes[0].raster.shape:
-                raise FieldError(
-                    "scenes.raster", f"at step {t} has shape {frame.raster.shape}, not {self.scenes[0].raster.shape}"
-                )
+        x0, y0, x1, y1 = self.boxes.T
+        bad = ~((x0 < x1) & (y0 < y1))  # a NaN coordinate fails too
+        if bad.any():
+            t = np.flatnonzero(bad)[0]
+            raise FieldError("scenes.bbox", f"is degenerate: {tuple(self.boxes[t].tolist())} at step {t}")
 
 
 @dataclass

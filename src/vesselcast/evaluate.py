@@ -77,6 +77,15 @@ def _seed_metrics(
     return sum_in_order(per_vessel) / len(dark)
 
 
+def check_grid(dts: list[int], rhos: list[float], seeds: list) -> None:
+    """Reject a grid no evaluation can run: an empty axis, or a horizon below 1 step."""
+    for name, axis in (("dts", dts), ("rhos", rhos), ("seeds", seeds)):
+        if len(axis) == 0:
+            raise ValueError(f"{name} is empty: the grid needs at least one value on each axis")
+    if min(dts) < 1:
+        raise ValueError(f"dts holds horizon {min(dts)}: every horizon must be at least 1 step")
+
+
 def evaluate(
     samples: list[VesselSample],
     model: Model,
@@ -95,11 +104,7 @@ def evaluate(
     vessel's scenes are encoded once, before the grid: the features do not
     depend on the dark mask that the cells vary.
     """
-    for name, axis in (("dts", dts), ("rhos", rhos), ("seeds", seeds)):
-        if len(axis) == 0:
-            raise ValueError(f"{name} is empty: the grid needs at least one value on each axis")
-    if min(dts) < 1:
-        raise ValueError(f"dts holds horizon {min(dts)}: every horizon must be at least 1 step")
+    check_grid(dts, rhos, seeds)
     max_dt = max(dts)
     t_fut = samples[0].t_fut if samples else 0
     if predictor is None and model.cfg.t_fut < max_dt:

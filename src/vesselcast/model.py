@@ -64,19 +64,19 @@ class Model:
     def encode_scenes(self, sample: VesselSample) -> Tensor | None:
         """(t_obs, d) scene features of `sample`, or None when `cfg.use_scene` is off.
 
-        They depend only on the parameters and `sample.scenes`, not on the
-        broadcast mask, so a vessel's dark copies can share them. Checks the
-        sample first; its rasters, which share one shape, must be
-        (3, cfg.raster_size, cfg.raster_size).
+        They depend only on the parameters and `sample.rasters`/`sample.boxes`,
+        not on the broadcast mask, so a vessel's dark copies can share them.
+        Checks the sample first; each frame of its (T, 3, H, W) rasters must
+        be (3, cfg.raster_size, cfg.raster_size).
         """
         self._check_sample(sample)
         if not self.cfg.use_scene:
             return None
-        shape = sample.scenes[0].raster.shape
+        shape = sample.rasters.shape[1:]
         want = (3, self.cfg.raster_size, self.cfg.raster_size)
         if shape != want:
             raise ValueError(f"scenes.raster at step 0 has shape {shape}, not {want}")
-        return encode_scene_sequence(self.params.scene, sample.scenes, self.cfg)
+        return encode_scene_sequence(self.params.scene, sample.rasters, sample.boxes, self.cfg)
 
     def forward_sample(
         self,

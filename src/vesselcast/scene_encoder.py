@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data.types import SceneFrame
 from .engine import (
     Tensor,
     add,
@@ -113,12 +112,12 @@ def _global_avg(fmaps: Tensor) -> Tensor:  # (T, C, H, W) -> (T, C)
     return tmean(reshape(fmaps, (t, c, -1)), axis=2)
 
 
-def spatial_features(p: SceneEncoderParams, fmaps: Tensor, scenes: list[SceneFrame], cfg) -> Tensor:
-    """Box-pooled target embedding + global context + box encoding, one row per frame -> (T, d)."""
+def spatial_features(p: SceneEncoderParams, fmaps: Tensor, boxes: np.ndarray, cfg) -> Tensor:
+    """Target embedding pooled from each frame's box in `boxes` (T, 4, raster coordinates),
+    global context and box encoding, one row per frame -> (T, d)."""
     size = cfg.raster_size
-    boxes = np.array([fr.bbox for fr in scenes], dtype=np.float64)  # (T, 4)
     pooled = roi_align(fmaps, boxes, cfg.roi_size, fmaps.shape[2] / size)
-    f_tar = p.target_proj(reshape(pooled, (len(scenes), -1)))
+    f_tar = p.target_proj(reshape(pooled, (len(boxes), -1)))
     f_glo = p.global_proj(_global_avg(fmaps))
     f_box = p.bbox_mlp(tensor(boxes / size))
     return p.fuse_mlp(concat([f_tar, f_glo, f_box], axis=1))
@@ -155,12 +154,13 @@ def temporal_context(p: SceneEncoderParams, fmaps: Tensor, decay: float) -> Tens
     return mul(p.temporal_proj(_global_avg(concat(h2s, axis=0))), tensor(weights))
 
 
-def encode_scene_sequence(p: SceneEncoderParams, scenes: list[SceneFrame], cfg) -> Tensor:
+def encode_scene_sequence(p: SceneEncoderParams, rasters: np.ndarray, boxes: np.ndarray, cfg) -> Tensor:
     """Full scene path: per-step concat(spatial, temporal) through the output MLP -> (T, d).
 
-    One or more frames, each raster (3, cfg.raster_size, cfg.raster_size).
+    One or more frames: `rasters` (T, 3, cfg.raster_size, cfg.raster_size)
+    and their target `boxes` (T, 4), as a `VesselSample` holds them.
     """
-    fmaps = stem_forward(p, np.stack([fr.raster for fr in scenes]))
-    spatial = spatial_features(p, fmaps, scenes, cfg)
+    fmaps = stem_forward(p, rasters)
+    spatial = spatial_features(p, fmaps, boxes, cfg)
     temporal = temporal_context(p, fmaps, cfg.decay)
     return p.out_mlp(concat([spatial, temporal], axis=1))

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 
@@ -18,6 +19,7 @@ from vesselcast.bank import (
     save_bank,
     search,
 )
+from vesselcast.data import apply_dark_vessels
 from vesselcast.engine import Rng, tensor
 from vesselcast.params import collect_params
 
@@ -371,6 +373,30 @@ def test_load_bank_rejects_bad_header_naming_it(tmp_path, key, value, kind):
     path.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(ValueError, match=rf"{path.name}: {where}, not {kind}"):
         load_bank(path)
+
+
+@pytest.mark.parametrize("stored", [(np.nan, np.nan), (123.0, -77.0)])
+def test_bank_leaves_out_a_vessel_with_a_masked_step(tmp_path, micro_samples, stored):
+    """The coordinate stored at a masked step is not a position: it becomes
+    neither an entry's track nor its key, and the bank saves and loads."""
+    obs = micro_samples[0].obs_ais.copy()
+    obs[1] = stored
+    mask = np.ones(len(obs), dtype=bool)
+    mask[1] = False
+    partial = dataclasses.replace(micro_samples[0], obs_ais=obs, ais_mask=mask)
+    bank = bank_from_samples([partial, *micro_samples[1:]], 16, seed=0)  # k_max above n: every vessel kept
+    want = bank_from_samples(micro_samples[1:], 16, seed=0)
+    for field in ("obs", "fut", "feat"):
+        assert np.array_equal(getattr(bank, field), getattr(want, field)), field
+    path = tmp_path / "bank.json"
+    save_bank(path, bank)
+    assert np.array_equal(load_bank(path).obs, want.obs)
+
+
+def test_bank_from_an_all_dark_dataset_fails_naming_ais_mask(micro_samples):
+    dark = apply_dark_vessels(micro_samples, 1.0, seed=0)
+    with pytest.raises(ValueError, match="ais_mask: none of the 6 vessels"):
+        bank_from_samples(dark, 4, seed=0)
 
 
 def test_every_bit_flip_and_truncation_of_a_bank_loads_or_names_the_file(tmp_path, micro_samples):

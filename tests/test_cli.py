@@ -107,6 +107,32 @@ def test_eval_per_horizon_needs_no_checkpoint(workdir):
     assert report.read_text().splitlines()[1].startswith("2,")
 
 
+@pytest.mark.parametrize("per_horizon", [False, True])
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--dt", "", "dts is empty"),
+        ("--dt", "0", "dts holds horizon 0"),
+        ("--dt", "-1", "dts holds horizon -1"),
+        ("--rho", "", "rhos is empty"),
+        ("--seeds", "0", "seeds is empty"),
+    ],
+)
+def test_eval_rejects_a_bad_grid_before_training(workdir, tmp_path, monkeypatch, per_horizon, flag, value, message):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained a model for a grid that cannot run")
+
+    monkeypatch.setattr(cli, "train", no_training)
+    grid = {"--dt": "2", "--rho": "0", "--seeds": "1", flag: value}
+    mode = (["--per-horizon", "--train-data", str(workdir / "data.jsonl")] if per_horizon
+            else ["--ckpt", str(workdir / "ckpt.bin")])
+    report = tmp_path / "report.csv"
+    with pytest.raises(ValueError, match=message):
+        main(["eval", "--data", str(workdir / "data.jsonl"), "--config", str(workdir / "train.cfg"),
+              *[f"{k}={v}" for k, v in grid.items()], *mode, "--report", str(report)])
+    assert not report.exists()
+
+
 def test_eval_without_checkpoint_names_ckpt(workdir, capsys):
     assert main(["eval", "--data", str(workdir / "data.jsonl"), "--config", str(workdir / "train.cfg"),
                  "--report", str(workdir / "never.csv")]) == 2

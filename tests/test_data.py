@@ -20,6 +20,7 @@ from vesselcast.data import (
     split_window,
     write_dataset,
 )
+from vesselcast.data.types import FieldError
 from vesselcast.engine import Rng
 
 
@@ -123,9 +124,8 @@ def test_cctv_points_inside_frame():
 def test_marker_channel_matches_bbox():
     cfg = small_cfg()
     for s in generate_scenario(cfg, seed=4)[:3]:
-        for frame in s.scenes:
-            x0, y0, x1, y1 = frame.bbox
-            marker = frame.raster[2]
+        for raster, (x0, y0, x1, y1) in zip(s.rasters, s.boxes):
+            marker = raster[2]
             size = marker.shape[0]
             cols = np.arange(size) + 0.5
             rows = np.arange(size) + 0.5
@@ -169,9 +169,8 @@ def test_dataset_round_trip(tmp_path):
         assert np.array_equal(a.obs_ais, b.obs_ais)
         assert np.array_equal(a.ais_mask, b.ais_mask)
         assert np.array_equal(a.fut_cctv, b.fut_cctv)
-        for fa, fb in zip(a.scenes, b.scenes):
-            assert np.array_equal(fa.raster, fb.raster)
-            assert fa.bbox == fb.bbox
+        assert np.array_equal(a.rasters, b.rasters) and b.rasters.dtype == np.float32
+        assert np.array_equal(a.boxes, b.boxes) and b.boxes.dtype == np.float64
     # second write is byte-identical
     path2 = tmp_path / "d2.jsonl"
     write_dataset(path2, back)
@@ -235,6 +234,10 @@ def _short_scenes(rec):
     rec["scenes"] = rec["scenes"][:-1]
 
 
+def _empty_scenes(rec):
+    rec["scenes"] = []
+
+
 def _short_future_cctv(rec):
     rec["fut_cctv"] = rec["fut_cctv"][:-1]
 
@@ -273,6 +276,7 @@ def _smaller_second_frame(rec):
         (_nan_raster, "scenes.raster"),
         (_short_cctv, "obs_cctv"),
         (_short_scenes, "scenes"),
+        (_empty_scenes, "scenes"),
         (_short_future_cctv, "fut_cctv"),
         (_all_nan_future, "fut_ais"),
         (_three_column_track, "obs_cctv"),
@@ -287,6 +291,60 @@ def test_bad_frame_or_mask_names_field(tmp_path, edit, field):
     _corrupt_line(path, edit)
     with pytest.raises(DatasetFormatError, match=rf"line 2: bad field '{field}'"):
         read_dataset(path)
+
+
+def _rasters_3d(s):
+    return {"rasters": s.rasters[:, 0]}
+
+
+def _two_channel_rasters(s):
+    return {"rasters": s.rasters[:, :2]}
+
+
+def _three_value_boxes(s):
+    return {"boxes": s.boxes[:, :3]}
+
+
+def _nan_raster_at_step_1(s):
+    rasters = s.rasters.copy()
+    rasters[1, 0, 2, 3] = np.nan
+    return {"rasters": rasters}
+
+
+def _inverted_box_at_step_1(s):
+    boxes = s.boxes.copy()
+    boxes[1] = boxes[1, [2, 1, 0, 3]]
+    return {"boxes": boxes}
+
+
+def _nan_box_at_step_1(s):
+    boxes = s.boxes.copy()
+    boxes[1, 3] = np.nan
+    return {"boxes": boxes}
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_rasters_3d, r"scenes.raster must be \(T, 3, H, W\), got \(4, 16, 16\)"),
+        (_two_channel_rasters, r"scenes.raster must be \(T, 3, H, W\), got \(4, 2, 16, 16\)"),
+        (_three_value_boxes, r"scenes.bbox must be \(4, 4\), got \(4, 3\)"),
+        (_nan_raster_at_step_1, r"scenes.raster is not finite at step 1"),
+        (_inverted_box_at_step_1, r"scenes.bbox is degenerate: .* at step 1"),
+        (_nan_box_at_step_1, r"scenes.bbox is degenerate: .*nan.* at step 1"),
+    ],
+)
+def test_in_memory_frames_break_a_rule_naming_field_and_step(edit, message):
+    sample = generate_scenario(small_cfg(vessel_count=3), seed=1)[0]
+    bad = dataclasses.replace(sample, **edit(sample))
+    with pytest.raises(FieldError, match=message):
+        bad.validate()
+
+
+def test_sample_without_a_future_validates():
+    """Inference needs no ground truth: a 0-step future breaks no rule."""
+    sample = generate_scenario(small_cfg(vessel_count=3), seed=1)[0]
+    dataclasses.replace(sample, fut_ais=np.zeros((0, 2)), fut_cctv=np.zeros((0, 2))).validate()
 
 
 def test_nan_under_a_masked_step_reads(tmp_path):

@@ -130,21 +130,6 @@ def test_non_finite_observation_fails_naming_field_and_step(micro_cfg, micro_sam
         model.predict(sample, rng=Rng(0), bank=bank)
 
 
-def _with_raster(sample, step, raster):
-    scenes = list(sample.scenes)
-    scenes[step] = dataclasses.replace(scenes[step], raster=raster)
-    return dataclasses.replace(sample, scenes=scenes)
-
-
-def test_raster_shape_differing_between_frames_fails_naming_step(micro_cfg, micro_samples):
-    model = Model(micro_cfg)
-    sample = _with_raster(micro_samples[0], 1, micro_samples[0].scenes[1].raster[:, :-1, :-1])
-    with pytest.raises(ValueError, match=r"scenes.raster at step 1 has shape \(3, 11, 11\), not \(3, 12, 12\)"):
-        model.predict(sample, rng=Rng(0))
-    with pytest.raises(ValueError, match=r"scenes.raster at step 1"):
-        model.encode_scenes(sample)
-
-
 def test_raster_side_other_than_raster_size_fails(micro_cfg):
     model = Model(micro_cfg)
     sample = generate_scenario(micro_waterway(raster_size=16), seed=1)[0]
@@ -154,9 +139,9 @@ def test_raster_side_other_than_raster_size_fails(micro_cfg):
 
 def test_non_finite_raster_fails_naming_step(micro_cfg, micro_samples):
     model = Model(micro_cfg)
-    raster = micro_samples[0].scenes[1].raster.copy()
-    raster[2, 5, 5] = np.nan
-    sample = _with_raster(micro_samples[0], 1, raster)
+    rasters = micro_samples[0].rasters.copy()
+    rasters[1, 2, 5, 5] = np.nan
+    sample = dataclasses.replace(micro_samples[0], rasters=rasters)
     with pytest.raises(ValueError, match=r"scenes.raster is not finite at step 1"):
         model.predict(sample, rng=Rng(0))
     with pytest.raises(ValueError, match=r"scenes.raster is not finite at step 1"):
@@ -166,7 +151,8 @@ def test_non_finite_raster_fails_naming_step(micro_cfg, micro_samples):
 @pytest.mark.parametrize("field", ["obs_ais", "ais_mask", "obs_cctv", "scenes"])
 def test_observation_window_mismatch_fails_naming_field(micro_cfg, micro_samples, field):
     model = Model(micro_cfg)
-    short = dataclasses.replace(micro_samples[0], **{field: getattr(micro_samples[0], field)[:1]})
+    attrs = ("rasters", "boxes") if field == "scenes" else (field,)  # a frame is one row of each
+    short = dataclasses.replace(micro_samples[0], **{a: getattr(micro_samples[0], a)[:1] for a in attrs})
     rule = "but cfg.t_obs is 2" if field == "obs_ais" else "for 2 obs_ais rows"  # the model's rule, or the record's
     with pytest.raises(ValueError, match=rf"{field} has 1 steps {rule}"):
         model.predict(short, rng=Rng(0))

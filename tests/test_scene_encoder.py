@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from conftest import micro_config
-from vesselcast.data.types import SceneFrame
 from vesselcast.engine import Rng, Tape, finite_diff_check, narrow, tensor, tsum, zeros
 from vesselcast.scene_encoder import (
     convlstm_step,
@@ -20,13 +19,17 @@ def make_params(cfg, seed=0):
     return init_scene_encoder(Rng(seed).child("init"), cfg)
 
 
-def make_frame(cfg, rng, constant=None):
+BOX = (2.0, 3.0, 7.0, 8.0)
+
+
+def make_frames(cfg, rng, n=1, constant=None):
+    """(n, 3, S, S) rasters, each drawn from rng or constant, and their (n, 4) boxes."""
     s = cfg.raster_size
     if constant is None:
-        raster = np.array(rng.uniforms(3 * s * s)).reshape(3, s, s).astype(np.float32)
+        rasters = np.array(rng.uniforms(n * 3 * s * s)).reshape(n, 3, s, s).astype(np.float32)
     else:
-        raster = np.full((3, s, s), constant, dtype=np.float32)
-    return SceneFrame(raster=raster, bbox=(2.0, 3.0, 7.0, 8.0))
+        rasters = np.full((n, 3, s, s), constant, dtype=np.float32)
+    return rasters, np.tile(BOX, (n, 1))
 
 
 def zero_all(params):
@@ -39,10 +42,10 @@ def zero_all(params):
 def test_zero_network_spatial_features_are_zero(micro_cfg):
     p = make_params(micro_cfg)
     zero_all(p)
-    frame = make_frame(micro_cfg, Rng(1))
-    fmaps = stem_forward(p, frame.raster[None])
+    rasters, boxes = make_frames(micro_cfg, Rng(1))
+    fmaps = stem_forward(p, rasters)
     assert np.allclose(fmaps.data, 0.0)
-    f_roi = spatial_features(p, fmaps, [frame], micro_cfg)
+    f_roi = spatial_features(p, fmaps, boxes, micro_cfg)
     assert np.allclose(f_roi.data, 0.0)
 
 
@@ -52,18 +55,16 @@ def test_constant_raster_target_features_position_independent():
     # (conv padding perturbs a border ring of the feature map)
     cfg = micro_config(raster_size=32)
     p = make_params(cfg)
-    frame_a = SceneFrame(
-        raster=np.full((3, 32, 32), 0.5, dtype=np.float32), bbox=(8.0, 8.0, 20.0, 20.0)
-    )
-    frame_b = SceneFrame(raster=frame_a.raster, bbox=(12.0, 10.0, 24.0, 22.0))
-    fmaps = stem_forward(p, frame_a.raster[None])
+    box_a = np.array([[8.0, 8.0, 20.0, 20.0]])
+    box_b = np.array([[12.0, 10.0, 24.0, 22.0]])
+    fmaps = stem_forward(p, np.full((1, 3, 32, 32), 0.5, dtype=np.float32))
     from vesselcast.engine import roi_align
 
     scale = fmaps.shape[2] / cfg.raster_size
-    ra = roi_align(fmaps, [frame_a.bbox], cfg.roi_size, scale)
-    rb = roi_align(fmaps, [frame_b.bbox], cfg.roi_size, scale)
+    ra = roi_align(fmaps, box_a, cfg.roi_size, scale)
+    rb = roi_align(fmaps, box_b, cfg.roi_size, scale)
     assert np.allclose(ra.data, rb.data, atol=1e-9)
-    fa = spatial_features(p, fmaps, [frame_a], cfg)
+    fa = spatial_features(p, fmaps, box_a, cfg)
     assert fa.data.shape == (1, cfg.d_model)
 
 
@@ -85,8 +86,8 @@ def test_temporal_weights_match_exponential_decay(micro_cfg):
     cfg = micro_config(t_obs=11)
     p = make_params(cfg)
     rng = Rng(3)
-    frames = [make_frame(cfg, rng, constant=0.3) for _ in range(11)]
-    fmaps = stem_forward(p, np.stack([fr.raster for fr in frames]))
+    rasters, _ = make_frames(cfg, rng, n=11, constant=0.3)
+    fmaps = stem_forward(p, rasters)
     rows = temporal_context(p, fmaps, cfg.decay).data
     # identical frames: convlstm output at a given step is fixed, so the row
     # ratio isolates w_t; w_0(latest) = 1, w_{-10} = exp(-1)
@@ -102,46 +103,46 @@ def test_temporal_weights_match_exponential_decay(micro_cfg):
 
 def test_identical_frames_give_identical_spatial_rows(micro_cfg):
     p = make_params(micro_cfg)
-    frame = make_frame(micro_cfg, Rng(4))
-    out = encode_scene_sequence(p, [frame, frame], micro_cfg)
+    rasters, boxes = make_frames(micro_cfg, Rng(4))
+    out = encode_scene_sequence(p, np.concatenate([rasters, rasters]), np.concatenate([boxes, boxes]), micro_cfg)
     assert out.data.shape == (2, micro_cfg.d_model)
 
 
 def test_single_frame_sequence(micro_cfg):
     p = make_params(micro_cfg)
-    frame = make_frame(micro_cfg, Rng(5))
-    out = encode_scene_sequence(p, [frame], micro_cfg)
+    rasters, boxes = make_frames(micro_cfg, Rng(5))
+    out = encode_scene_sequence(p, rasters, boxes, micro_cfg)
     assert out.data.shape == (1, micro_cfg.d_model)
 
 
 def test_permuting_frames_changes_output(micro_cfg):
     p = make_params(micro_cfg)
     rng = Rng(6)
-    f1, f2 = make_frame(micro_cfg, rng), make_frame(micro_cfg, rng)
-    a = encode_scene_sequence(p, [f1, f2], micro_cfg)
-    b = encode_scene_sequence(p, [f2, f1], micro_cfg)
+    rasters, boxes = make_frames(micro_cfg, rng, n=2)
+    a = encode_scene_sequence(p, rasters, boxes, micro_cfg)
+    b = encode_scene_sequence(p, rasters[::-1], boxes[::-1], micro_cfg)
     assert np.linalg.norm(a.data - b.data) > 0
 
 
 def test_scene_gradients_vs_finite_differences(micro_cfg):
     p = make_params(micro_cfg)
     rng = Rng(7)
-    frames = [make_frame(micro_cfg, rng) for _ in range(2)]
+    rasters, boxes = make_frames(micro_cfg, rng, n=2)
     # probe scaled to keep |loss| small: the 1e-8-floored relative error on
     # near-zero gradient coordinates must reflect correctness, not float64
     # cancellation noise in the central difference
     coeff = 0.1 * np.array(rng.uniforms(2 * micro_cfg.d_model)).reshape(2, micro_cfg.d_model)
 
     def f(_):
-        return tsum(encode_scene_sequence(p, frames, micro_cfg) * coeff)
+        return tsum(encode_scene_sequence(p, rasters, boxes, micro_cfg) * coeff)
 
     for target in (p.stem1.kernel, p.cell1.kernel, p.target_proj.w, p.out_mlp.fc1.w):
         assert finite_diff_check(f, target) < 1e-4
 
 
-def _encode_nodes(p, cfg, frames):
+def _encode_nodes(p, cfg, rasters, boxes):
     with Tape() as tape:
-        encode_scene_sequence(p, frames, cfg)
+        encode_scene_sequence(p, rasters, boxes, cfg)
     return len(tape)
 
 
@@ -150,13 +151,13 @@ def test_only_the_convlstm_steps_once_per_frame(micro_cfg):
     to the tape: stem, pooling and MLPs run once over the whole sequence."""
     p = make_params(micro_cfg)
     rng = Rng(8)
-    frames = [make_frame(micro_cfg, rng) for _ in range(4)]
+    rasters, boxes = make_frames(micro_cfg, rng, n=4)
     with Tape() as tape:
-        fmaps = stem_forward(p, np.stack([fr.raster for fr in frames]))
+        fmaps = stem_forward(p, rasters)
         state = zeros((1, *fmaps.shape[1:]))
         before = len(tape)
         h1, _ = convlstm_step(p.cell1, narrow(fmaps, 0, 0, 1), state, state)
         convlstm_step(p.cell2, h1, state, state)
     per_step = len(tape) - before
-    counts = [_encode_nodes(p, micro_cfg, frames[:t]) for t in (1, 2, 3, 4)]
+    counts = [_encode_nodes(p, micro_cfg, rasters[:t], boxes[:t]) for t in (1, 2, 3, 4)]
     assert [b - a for a, b in zip(counts, counts[1:])] == [per_step] * 3

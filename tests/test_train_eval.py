@@ -130,13 +130,13 @@ def test_evaluate_deterministic(tiny_dataset, tmp_path):
 
 
 def count_scene_encodes(monkeypatch) -> Counter:
-    """Encode calls per scene list; a vessel's dark copies share its list."""
+    """Encode calls per raster array; a vessel's dark copies share its array."""
     calls = Counter()
     real = model_mod.encode_scene_sequence
 
-    def counting(params, scenes, cfg):
-        calls[id(scenes)] += 1
-        return real(params, scenes, cfg)
+    def counting(params, rasters, boxes, cfg):
+        calls[id(rasters)] += 1
+        return real(params, rasters, boxes, cfg)
 
     monkeypatch.setattr(model_mod, "encode_scene_sequence", counting)
     return calls
@@ -145,7 +145,7 @@ def count_scene_encodes(monkeypatch) -> Counter:
 def test_evaluate_encodes_each_vessel_once(tiny_dataset, monkeypatch):
     calls = count_scene_encodes(monkeypatch)
     evaluate(tiny_dataset, Model(micro_config()), None, dts=[2], rhos=[0.0, 0.5], seeds=[0, 1])
-    assert sorted(calls) == sorted(id(s.scenes) for s in tiny_dataset)
+    assert sorted(calls) == sorted(id(s.rasters) for s in tiny_dataset)
     assert set(calls.values()) == {1}
 
 
