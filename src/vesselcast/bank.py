@@ -133,12 +133,18 @@ def build_bank(
     )
 
 
+def full_broadcast(samples) -> list:
+    """The vessels that broadcast every observed step, the only ones a bank is
+    built from: the coordinate stored at a masked step is not a position, so
+    it never keys an entry."""
+    return [s for s in samples if s.ais_mask.all()]
+
+
 def bank_from_samples(samples, k_max: int, seed: int) -> TrajectoryBank:
-    """Bank of the vessels that broadcast every observed step: the coordinate
-    stored at a masked step is not a position, so it never keys an entry."""
+    """Bank of the `full_broadcast` vessels of `samples`."""
     if not samples:
         raise ValueError("cannot build a bank from an empty dataset")
-    full = [s for s in samples if s.ais_mask.all()]
+    full = full_broadcast(samples)
     if not full:
         raise ValueError(f"ais_mask: none of the {len(samples)} vessels broadcast every observed step")
     tracks = [np.vstack([s.obs_ais, s.fut_ais]) for s in full]

@@ -23,8 +23,9 @@ Version 1: the checksum is FNV-1a 64 over the payload bytes only, in tensor
 order, verified after parsing. A change to a name or dims that still parses
 goes unnoticed. Version 1 is read, never written.
 
-The model's architecture fingerprint rides along as the reserved 1-element
-tensor "meta.architecture_hash" (an integer below 2^53, exact in f64).
+Tensor names are unique. The model's architecture fingerprint rides along
+as the reserved 1-element tensor "meta.architecture_hash" (an integer below
+2^53, exact in f64).
 """
 
 from __future__ import annotations
@@ -69,7 +70,8 @@ def save_checkpoint(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], int]:
     """Read and verify a checkpoint; returns (tensors, version).
 
-    Every defect raises CheckpointError naming the path.
+    Every defect, a repeated tensor name included, raises CheckpointError
+    naming the path.
     """
     blob = Path(path).read_bytes()
     view = memoryview(blob)
@@ -108,6 +110,8 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], int]:
             size *= dim
         payload = take(8 * size)
         payloads.append(payload)
+        if name in tensors:
+            raise CheckpointError(f"checkpoint {path}: tensor name '{name}' is repeated at tensor {i}")
         try:
             tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
         except ValueError as exc:
@@ -133,11 +137,19 @@ def load_model(path: str | Path, cfg):
 
     Shape disagreements name the offending tensor; an architecture-hash
     mismatch with matching shapes means cfg differs in a non-shape field.
+    A stored hash must be exactly one finite, integer-valued entry.
     """
     from .model import Model
 
     tensors, _ = load_checkpoint(path)
     stored_hash = tensors.pop(HASH_KEY, None)
+    if stored_hash is not None and not (
+        stored_hash.size == 1 and np.isfinite(stored_hash).all() and stored_hash.flat[0] % 1 == 0
+    ):
+        raise CheckpointError(
+            f"checkpoint {path}: tensor '{HASH_KEY}' must hold one finite integer, "
+            f"got shape {stored_hash.shape} with values {stored_hash.ravel()[:4].tolist()}"
+        )
     model = Model(cfg, seed=0)
     for name, param in model.named.items():
         if name not in tensors:
@@ -150,7 +162,7 @@ def load_model(path: str | Path, cfg):
     extra = set(tensors) - set(model.named)
     if extra:
         raise CheckpointError(f"checkpoint {path} has unexpected tensors: {sorted(extra)}")
-    if stored_hash is not None and int(stored_hash[0]) != model.architecture_hash():
+    if stored_hash is not None and int(stored_hash.flat[0]) != model.architecture_hash():
         raise CheckpointError(
             f"checkpoint {path} was written under a different architecture config"
         )

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bank import bank_from_samples, load_bank, save_bank
+from .bank import bank_from_samples, full_broadcast, load_bank, save_bank
 from .checkpoint import load_model, save_model
 from .config import load_train_config, load_waterway_config
 from .data import apply_dark_vessels, generate_scenario, read_dataset, write_dataset
@@ -48,7 +48,7 @@ def cmd_bank_build(args) -> int:
     samples = read_dataset(args.data)
     bank = bank_from_samples(samples, k_max=args.kmax, seed=args.seed)
     save_bank(args.out, bank)
-    print(f"bank of {len(bank)} prototypes (from {len(samples)} tracks) -> {args.out}")
+    print(f"bank of {len(bank)} prototypes (from {len(full_broadcast(samples))} tracks) -> {args.out}")
     return 0
 
 

@@ -100,9 +100,13 @@ def evaluate(
     Seeds drive latent sampling and dark-vessel selection on the fixed
     checkpoint. `predictor(sample, dt, rng) -> (ais_modes, cctv_modes)`, each
     (K, dt, 2), overrides the model (testing hook). Densities absent from the
-    dataset produce cells with n_samples=0 and no metric values. Each
-    vessel's scenes are encoded once, before the grid: the features do not
-    depend on the dark mask that the cells vary.
+    dataset produce cells with n_samples=0 and no metric values.
+
+    The grid varies only the broadcast mask (through rho) and the latent
+    noise (through the seed), so each vessel's scenes are encoded once,
+    before the grid, and each (vessel, ais_mask) pair is fused once, when
+    the grid first meets it. Decoding, bank search and refinement run for
+    every (vessel, cell, seed).
     """
     check_grid(dts, rhos, seeds)
     max_dt = max(dts)
@@ -115,9 +119,13 @@ def evaluate(
         if len({s.vessel_id for s in samples}) < len(samples):
             raise ValueError("evaluate needs a distinct vessel_id per sample")
         scene_feats = {s.vessel_id: model.encode_scenes(s) for s in samples}
+        encodings = {}  # (vessel_id, ais_mask bytes) -> SampleEncoding, filled on first use
 
         def predictor(sample, dt, rng):
-            preds = model.predict(sample, rng=rng, bank=bank, scene_feats=scene_feats[sample.vessel_id])
+            key = (sample.vessel_id, sample.ais_mask.tobytes())
+            if key not in encodings:
+                encodings[key] = model.encode(sample, scene_feats[sample.vessel_id])
+            preds = model.predict(sample, rng=rng, bank=bank, encoding=encodings[key])
             return preds.ais[:, :dt], preds.cctv[:, :dt]
 
     by_density = {

@@ -28,6 +28,15 @@ class ModelParams:
 
 
 @dataclass
+class SampleEncoding:
+    """What `forward_sample` computes before drawing any noise: the pooled
+    fused encoding of one sample, and the broadcast mask it was computed under."""
+
+    f_enc: Tensor  # (1, d)
+    ais_mask: np.ndarray  # (t_obs,) bool
+
+
+@dataclass
 class SampleForward:
     """Graph-connected outputs for one vessel sample."""
 
@@ -78,30 +87,14 @@ class Model:
             raise ValueError(f"scenes.raster at step 0 has shape {shape}, not {want}")
         return encode_scene_sequence(self.params.scene, sample.rasters, sample.boxes, self.cfg)
 
-    def forward_sample(
-        self,
-        sample: VesselSample,
-        rng: Rng,
-        bank: TrajectoryBank | None = None,
-        scene_feats: Tensor | None = None,
-    ) -> SampleForward:
-        """Run the full pipeline on one sample.
+    def encode(self, sample: VesselSample, scene_feats: Tensor | None = None) -> SampleEncoding:
+        """The deterministic stage of `forward_sample`: check the sample, encode
+        its scenes (unless `scene_feats` from `encode_scenes(sample)` are given)
+        and fuse them with both tracks.
 
-        Latent noise is K * J draws of `rng`, in mode order. `scene_feats`
-        from `encode_scenes(sample)` skips the scene encoder; without them it
-        runs here. Bank refinement applies to the positional head of all K
-        modes at once, and is skipped for dark vessels: without any broadcast
-        track there is no retrieval key. Like the embedding, the retrieval key
-        reads masked steps as zero. The sample must pass
-        `VesselSample.validate`, and its observation window and the bank's
-        horizons must match the config; futures are not compared with
-        `cfg.t_fut` here, since evaluation passes futures longer than the
-        model's horizon.
+        The result depends only on the parameters, the sample's observations
+        and its `ais_mask`, so every draw on one (vessel, mask) can share it.
         """
-        cfg = self.cfg
-        if bank is not None:
-            _check_steps("bank.t_obs", bank.t_obs, "t_obs", cfg.t_obs)
-            _check_steps("bank.t_fut", bank.t_fut, "t_fut", cfg.t_fut)
         if scene_feats is None:
             scene_feats = self.encode_scenes(sample)  # checks the sample first
         else:
@@ -112,9 +105,49 @@ class Model:
             sample.ais_mask,
             sample.obs_cctv,
             scene_feats,
-            cfg.heads,
-            use_cctv=cfg.use_cctv,
+            self.cfg.heads,
+            use_cctv=self.cfg.use_cctv,
         )
+        return SampleEncoding(f_enc=f_enc, ais_mask=sample.ais_mask.copy())
+
+    def forward_sample(
+        self,
+        sample: VesselSample,
+        rng: Rng,
+        bank: TrajectoryBank | None = None,
+        encoding: SampleEncoding | None = None,
+    ) -> SampleForward:
+        """Run the full pipeline on one sample.
+
+        The deterministic stage is `encode(sample)`: scene features, which
+        depend only on the vessel's frames (so `evaluate` computes them once
+        per vessel), fused with both tracks, which depends on the vessel and
+        its `ais_mask` (so once per (vessel, mask)). An `encoding` it returned
+        for this vessel under the same `ais_mask` skips that stage. The
+        per-draw stage then takes K * J draws of `rng`, in mode order, as
+        latent noise, decodes the K modes, and refines their positional head
+        against the bank; it runs on every call. Bank refinement is skipped
+        for dark vessels: without any broadcast track there is no retrieval
+        key. Like the embedding, the retrieval key reads masked steps as zero.
+        The sample must pass `VesselSample.validate`, and its observation
+        window and the bank's horizons must match the config; futures are not
+        compared with `cfg.t_fut` here, since evaluation passes futures longer
+        than the model's horizon.
+        """
+        cfg = self.cfg
+        if bank is not None:
+            _check_steps("bank.t_obs", bank.t_obs, "t_obs", cfg.t_obs)
+            _check_steps("bank.t_fut", bank.t_fut, "t_fut", cfg.t_fut)
+        if encoding is None:
+            encoding = self.encode(sample)
+        else:
+            self._check_sample(sample)
+            if not np.array_equal(encoding.ais_mask, sample.ais_mask):
+                raise ValueError(
+                    f"ais_mask {sample.ais_mask.astype(int).tolist()} differs from the "
+                    f"{encoding.ais_mask.astype(int).tolist()} the encoding was computed under"
+                )
+        f_enc = encoding.f_enc
         eps = np.array(rng.normals(cfg.modes * cfg.latent_dim)).reshape(cfg.modes, cfg.latent_dim)
         modes = predict_modes(self.params.decoder, f_enc, eps)
 
@@ -159,12 +192,13 @@ class Model:
         sample: VesselSample,
         rng: Rng,
         bank: TrajectoryBank | None = None,
-        scene_feats: Tensor | None = None,
+        encoding: SampleEncoding | None = None,
     ) -> PredictionSet:
         """Inference-only candidate set (refined positional head, raw camera head)
-        with the bank entry it retrieved, if any. Called outside any Tape, it
-        records nothing."""
-        fwd = self.forward_sample(sample, rng, bank=bank, scene_feats=scene_feats)
+        with the bank entry it retrieved, if any. An `encoding` from
+        `encode(sample)` skips the scene encoder and the fusion, as in
+        `forward_sample`. Called outside any Tape, it records nothing."""
+        fwd = self.forward_sample(sample, rng, bank=bank, encoding=encoding)
         return PredictionSet(
             ais=fwd.modes.ais.data,
             cctv=fwd.modes.cctv.data,

@@ -56,13 +56,22 @@ def test_traced_train_step_and_predict_complete(tracing, micro_cfg, micro_sample
     assert tracer.vessel_ids == {s.vessel_id for s in micro_samples[:3]}
 
 
-def test_traced_eval_grid_counts(tracing, micro_samples):
+def test_traced_eval_grid_counts(tracing, micro_samples, monkeypatch):
     """The eval-grid counts the benchmark reports: one forward per (vessel, seed) of every
-    populated cell, one scene encode per vessel, and one dark-vessel draw per (cell, seed)
-    at the `vesselcast.evaluate` site."""
+    populated cell, one scene encode per vessel, one fusion per distinct (vessel, mask),
+    one bank search per lit forward, and one dark-vessel draw per (cell, seed) at the
+    `vesselcast.evaluate` site."""
     model = Model(micro_config())
     bank = bank_from_samples(micro_samples, 4, seed=0)
     seeds = [0, 1]
+    forwarded = []
+    real_forward = Model.forward_sample
+
+    def recording_forward(self, sample, *args, **kwargs):
+        forwarded.append((sample.vessel_id, sample.ais_mask.tobytes(), bool(sample.ais_mask.any())))
+        return real_forward(self, sample, *args, **kwargs)
+
+    monkeypatch.setattr(Model, "forward_sample", recording_forward)  # the tracer wraps the recorder
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -71,7 +80,12 @@ def test_traced_eval_grid_counts(tracing, micro_samples):
         tracer.uninstall()
     populated = [c for c in report.cells if c.n_samples]
     assert tracer.calls["model.Model.forward_sample"] == sum(c.n_samples * c.n_seeds for c in populated)
+    assert tracer.calls["model.Model.forward_sample"] == len(forwarded)
     assert tracer.calls["model.Model.predict"] == tracer.calls["model.Model.forward_sample"]
     assert tracer.calls["scene_encoder.encode_scene_sequence"] == len(micro_samples)
+    assert tracer.calls["fusion.encode_and_fuse"] == len({(vid, mask) for vid, mask, _ in forwarded})
+    assert tracer.calls["fusion.encode_and_fuse"] < len(forwarded)
+    assert tracer.calls["bank.search"] == sum(lit for _, _, lit in forwarded)
+    assert 0 < tracer.calls["bank.search"] < len(forwarded)
     assert tracer.vessel_ids == {s.vessel_id for s in micro_samples}
     assert tracer.calls["data.apply_dark_vessels"] == len(populated) * len(seeds)

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -117,6 +118,56 @@ def test_architecture_hash_mismatch(tmp_path):
     save_model(path, model)
     with pytest.raises(CheckpointError, match="architecture"):
         load_model(path, cfg_b)
+
+
+def _v2_blob(entries: list[tuple[str, np.ndarray]]) -> bytes:
+    """The version-2 layout, built by hand from (name, array) pairs so that a
+    name may repeat, with a valid checksum."""
+    chunks = [struct.pack("<4sII", b"CMIV", 2, len(entries))]
+    for name, arr in entries:
+        arr = np.ascontiguousarray(arr, dtype="<f8")
+        encoded = name.encode("utf-8")
+        chunks.append(struct.pack(f"<I{len(encoded)}sI{arr.ndim}Q", len(encoded), encoded, arr.ndim, *arr.shape))
+        chunks.append(arr.tobytes())
+    body = b"".join(chunks)
+    return body + hashlib.blake2b(body, digest_size=8).digest()
+
+
+@pytest.mark.parametrize("entry", ["empty", "nan", "fractional", "two-entries"])
+def test_malformed_architecture_hash_fails_naming_it(tmp_path, entry):
+    """A valid-checksum file whose hash entry is not exactly one finite integer is refused."""
+    cfg = micro_config(decay=0.3)  # its hash is below 2^52, so hash + 0.5 keeps its fraction in f64
+    model = Model(cfg)
+    value = float(model.architecture_hash())
+    assert (value + 0.5) % 1 == 0.5
+    tensors = dict(model.state_arrays())
+    tensors[HASH_KEY] = {
+        "empty": np.array([]),
+        "nan": np.array([np.nan]),
+        "fractional": np.array([value + 0.5]),
+        "two-entries": np.array([value, value]),
+    }[entry]
+    path = tmp_path / "hash.bin"
+    save_checkpoint(path, tensors)
+    with pytest.raises(CheckpointError, match=HASH_KEY):
+        load_model(path, cfg)
+
+
+def test_repeated_tensor_name_fails_naming_it(tmp_path):
+    """A second copy of a tensor may not silently replace the first."""
+    cfg = micro_config()
+    model = Model(cfg)
+    entries = list(model.state_arrays().items())
+    entries.append((HASH_KEY, np.array([float(model.architecture_hash())])))
+    path = tmp_path / "twice.bin"
+    path.write_bytes(_v2_blob(entries))
+    load_model(path, cfg)  # the hand-built file is valid without the repeat
+    entries.insert(1, ("scene.stem1.kernel", np.zeros_like(model.named["scene.stem1.kernel"].data)))
+    path.write_bytes(_v2_blob(entries))
+    with pytest.raises(CheckpointError, match="'scene.stem1.kernel' is repeated"):
+        load_checkpoint(path)
+    with pytest.raises(CheckpointError, match="'scene.stem1.kernel' is repeated"):
+        load_model(path, cfg)
 
 
 def test_v1_file_loads_as_version_1(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import shlex
@@ -12,6 +13,7 @@ import pytest
 import vesselcast.cli as cli
 from vesselcast.bank import load_bank
 from vesselcast.cli import main
+from vesselcast.data import read_dataset, write_dataset
 
 CONFIG_TEXT = """
 # micro run configuration
@@ -73,6 +75,18 @@ def test_bank_build_with_kmax_zero_fails_naming_k_max(workdir):
     with pytest.raises(ValueError, match="k_max must be at least 1, got 0"):
         main(["bank", "build", "--data", str(workdir / "data.jsonl"), "--kmax", "0", "--out", str(out)])
     assert not out.exists()
+
+
+def test_bank_build_counts_only_the_vessels_it_uses(workdir, tmp_path, capsys):
+    """The printed track count is the full-broadcast vessels the bank was built from."""
+    samples = read_dataset(workdir / "data.jsonl")
+    samples[0] = dataclasses.replace(samples[0], ais_mask=np.zeros(2, dtype=bool), is_dark=True)
+    samples[1] = dataclasses.replace(samples[1], ais_mask=np.array([True, False]))
+    write_dataset(tmp_path / "data.jsonl", samples)
+    capsys.readouterr()
+    assert main(["bank", "build", "--data", str(tmp_path / "data.jsonl"), "--kmax", "4",
+                 "--out", str(tmp_path / "bank.json")]) == 0
+    assert f"(from {len(samples) - 2} tracks)" in capsys.readouterr().out
 
 
 def test_eval_writes_report_and_plots(workdir):

@@ -49,8 +49,35 @@ with open(sys.argv[1], "rb") as f:
     print(hashlib.sha256(f.read()).hexdigest())
 """
 
+# eval caches scene features per vessel and fusions per (vessel, mask); a key
+# built on object ids or on hash-seeded iteration order would differ between
+# processes, and so would the report
+EVAL_SCRIPT = r"""
+import dataclasses
+import hashlib
+import sys
+import numpy as np
+from vesselcast.bank import bank_from_samples
+from vesselcast.config import TrainConfig
+from vesselcast.data import WaterwayConfig, generate_scenario
+from vesselcast.evaluate import evaluate, write_report
+from vesselcast.model import Model
 
-@pytest.mark.parametrize("script", [TAPE_SCRIPT, CHECKPOINT_SCRIPT], ids=["tape", "checkpoint"])
+cfg = TrainConfig(
+    t_obs=2, t_fut=3, modes=2, d_model=4, heads=2, latent_dim=2, stem_channels=(2, 2, 2),
+    roi_size=2, bbox_dim=4, raster_size=12, offset_hidden=8,
+)
+samples = generate_scenario(WaterwayConfig(vessel_count=6, t_obs=2, t_fut=3, raster_size=12, bbox_half=2.0), seed=42)
+samples[0] = dataclasses.replace(samples[0], ais_mask=np.array([False, True]))
+bank = bank_from_samples(samples, 4, seed=0)
+report = evaluate(samples, Model(cfg, seed=5), bank, dts=[2, 3], rhos=[0.0, 0.5], seeds=[0, 1])
+write_report(sys.argv[1], report)
+with open(sys.argv[1], "rb") as f:
+    print(hashlib.sha256(f.read()).hexdigest())
+"""
+
+
+@pytest.mark.parametrize("script", [TAPE_SCRIPT, CHECKPOINT_SCRIPT, EVAL_SCRIPT], ids=["tape", "checkpoint", "eval"])
 def test_tape_replay_bit_identical_across_processes(tmp_path, script):
     outs = []
     for i in range(2):

@@ -80,14 +80,34 @@ def as_bits(values: dict) -> dict:
     return {name: float(v).hex() for name, v in values.items()}
 
 
+def mask_some(samples):
+    """The pool with a mix of broadcast masks: two vessels partly masked, one
+    already dark, and one marked dark whose mask still holds a broadcast step.
+
+    The encoding depends on the mask, not on the flag, so eval's
+    per-(vessel, mask) cache must key on the mask: keyed on the vessel or on
+    `is_dark`, one of these vessels would meet an encoding made under another
+    mask in some (cell, seed).
+    """
+    first, last = np.array([True, False]), np.array([False, True])
+    out = list(samples)
+    out[1] = dataclasses.replace(out[1], ais_mask=first)
+    out[2] = dataclasses.replace(out[2], ais_mask=last)
+    out[3] = dataclasses.replace(out[3], ais_mask=np.zeros(2, dtype=bool), is_dark=True)
+    out[4] = dataclasses.replace(out[4], ais_mask=last, is_dark=True)
+    return out
+
+
 @pytest.mark.parametrize("modes", [1, 5])
-@pytest.mark.parametrize("pool", ["one-vessel", "many-vessel"])
+@pytest.mark.parametrize("pool", ["one-vessel", "many-vessel", "mixed-masks"])
 def test_evaluate_matches_loop_reference_bit_for_bit(modes, pool):
     samples = generate_scenario(micro_waterway(vessel_count=10, t_fut=T_FUT), seed=11)
     # every vessel in one density tier, so one pool holds them all
     samples = [dataclasses.replace(s, density="medium") for s in samples]
     if pool == "one-vessel":
         samples = samples[:1]
+    elif pool == "mixed-masks":
+        samples = mask_some(samples)
     model = Model(micro_config(modes=modes, t_fut=T_FUT))
     bank = bank_from_samples(samples, 4, seed=0)
     args = dict(dts=[3, T_FUT], rhos=[0.0, 0.3], seeds=list(range(8)))

@@ -52,19 +52,40 @@ def test_dark_sample_skips_refinement(micro_cfg, micro_samples):
 
 @pytest.mark.parametrize("use_bank", [False, True])
 def test_cached_scene_features_match_uncached_predict(micro_cfg, micro_samples, use_bank):
-    """A vessel's features, encoded once, serve its lit and its dark copy bit for bit."""
+    """A vessel's scene features, encoded once, serve the encodings of its lit,
+    partly masked and dark copies, and each encoding serves every draw on its
+    mask bit for bit."""
     from vesselcast.data import apply_dark_vessels
 
     model = Model(micro_cfg)
     bank = bank_from_samples(micro_samples, 4, seed=0) if use_bank else None
     lit = micro_samples[0]
+    partial = dataclasses.replace(lit, ais_mask=np.arange(lit.t_obs) > 0)
     dark = apply_dark_vessels([lit], 1.0, seed=0)[0]
     feats = model.encode_scenes(lit)
-    for sample in (lit, dark):
-        cached = model.predict(sample, rng=Rng(3), bank=bank, scene_feats=feats)
-        fresh = model.predict(sample, rng=Rng(3), bank=bank)
-        for name in ("ais", "cctv", "latents"):
-            assert getattr(cached, name).tobytes() == getattr(fresh, name).tobytes(), name
+    for sample in (lit, partial, dark):
+        encoding = model.encode(sample, feats)
+        for seed in (3, 4):
+            cached = model.predict(sample, rng=Rng(seed), bank=bank, encoding=encoding)
+            fresh = model.predict(sample, rng=Rng(seed), bank=bank)
+            for name in ("ais", "cctv", "latents"):
+                assert getattr(cached, name).tobytes() == getattr(fresh, name).tobytes(), name
+
+
+@pytest.mark.parametrize("other", ["dark", "partial"])
+def test_encoding_under_another_mask_fails_naming_ais_mask(micro_cfg, micro_samples, other):
+    from vesselcast.data import apply_dark_vessels
+
+    model = Model(micro_cfg)
+    lit = micro_samples[0]
+    if other == "dark":
+        sample = apply_dark_vessels([lit], 1.0, seed=0)[0]
+    else:
+        sample = dataclasses.replace(lit, ais_mask=np.arange(lit.t_obs) > 0)
+    with pytest.raises(ValueError, match="ais_mask"):
+        model.predict(sample, rng=Rng(3), encoding=model.encode(lit))
+    with pytest.raises(ValueError, match="ais_mask"):
+        model.predict(lit, rng=Rng(3), encoding=model.encode(sample))
 
 
 @pytest.mark.parametrize("use_bank", [False, True])

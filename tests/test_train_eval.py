@@ -149,6 +149,34 @@ def test_evaluate_encodes_each_vessel_once(tiny_dataset, monkeypatch):
     assert set(calls.values()) == {1}
 
 
+def test_evaluate_fuses_each_vessel_mask_pair_once(tiny_dataset, monkeypatch):
+    """One fusion per distinct (vessel_id, ais_mask) the grid forwards, and one
+    forward per (vessel, cell, seed) all the same."""
+    samples = list(tiny_dataset)
+    samples[0] = dataclasses.replace(samples[0], ais_mask=np.array([False, True]))
+    fusions = 0
+    forwarded = []
+    real_fuse = model_mod.encode_and_fuse
+    real_forward = Model.forward_sample
+
+    def counting_fuse(*args, **kwargs):
+        nonlocal fusions
+        fusions += 1
+        return real_fuse(*args, **kwargs)
+
+    def recording_forward(self, sample, *args, **kwargs):
+        forwarded.append((sample.vessel_id, sample.ais_mask.tobytes()))
+        return real_forward(self, sample, *args, **kwargs)
+
+    monkeypatch.setattr(model_mod, "encode_and_fuse", counting_fuse)
+    monkeypatch.setattr(Model, "forward_sample", recording_forward)
+    bank = bank_from_samples(samples, 4, seed=0)
+    report = evaluate(samples, Model(micro_config()), bank, dts=[2, 3], rhos=[0.0, 0.5], seeds=[0, 1])
+    assert len(forwarded) == sum(c.n_samples * c.n_seeds for c in report.cells)
+    assert len(set(forwarded)) > len(samples)  # some vessel went dark
+    assert fusions == len(set(forwarded))
+
+
 def test_evaluate_without_scene_stream_never_encodes(tiny_dataset, monkeypatch):
     calls = count_scene_encodes(monkeypatch)
     model = Model(micro_config(use_scene=False))
