@@ -103,10 +103,13 @@ def evaluate(
     dataset produce cells with n_samples=0 and no metric values.
 
     The grid varies only the broadcast mask (through rho) and the latent
-    noise (through the seed), so each vessel's scenes are encoded once,
-    before the grid, and each (vessel, ais_mask) pair is fused once, when
-    the grid first meets it. Decoding, bank search and refinement run for
-    every (vessel, cell, seed).
+    noise (through the seed), so every vessel's scenes are encoded before
+    the grid, in one `Model.encode_scenes` call: it checks every sample
+    first, naming the vessel_id of one that fails, then steps the ConvLSTM
+    once per frame over a vessel axis and runs the stem and the MLPs per
+    vessel. Each (vessel, ais_mask) pair is fused once, when the grid first
+    meets it. Decoding, bank search and refinement run for every (vessel,
+    cell, seed).
     """
     check_grid(dts, rhos, seeds)
     max_dt = max(dts)
@@ -118,7 +121,7 @@ def evaluate(
     if predictor is None:
         if len({s.vessel_id for s in samples}) < len(samples):
             raise ValueError("evaluate needs a distinct vessel_id per sample")
-        scene_feats = {s.vessel_id: model.encode_scenes(s) for s in samples}
+        scene_feats = dict(zip((s.vessel_id for s in samples), model.encode_scenes(samples)))
         encodings = {}  # (vessel_id, ais_mask bytes) -> SampleEncoding, filled on first use
 
         def predictor(sample, dt, rng):

@@ -9,7 +9,7 @@ import numpy as np
 
 from .bank import RefinementParams, TrajectoryBank, init_refinement, refine_and_fuse, search
 from .config import TrainConfig, architecture_hash
-from .data.types import VesselSample
+from .data.types import FieldError, VesselSample
 from .decoder import DecoderParams, ModeOutput, PredictionSet, init_decoder, predict_modes
 from .engine import Tensor
 from .engine.rng import Rng
@@ -47,7 +47,7 @@ class SampleForward:
 
 def _check_steps(field: str, got: int, key: str, want: int) -> None:
     if got != want:
-        raise ValueError(f"{field} has {got} steps but cfg.{key} is {want}")
+        raise FieldError(field, f"has {got} steps but cfg.{key} is {want}")
 
 
 class Model:
@@ -66,37 +66,48 @@ class Model:
     # ------------------------------------------------------------------
     def _check_sample(self, sample: VesselSample) -> None:
         """Reject a sample this model cannot read: a window other than
-        `cfg.t_obs` steps, or a record that breaks `VesselSample.validate`."""
-        _check_steps("obs_ais", len(sample.obs_ais), "t_obs", self.cfg.t_obs)
-        sample.validate()
+        `cfg.t_obs` steps, a record that breaks `VesselSample.validate`, or,
+        when the scene path runs, a frame other than (3, cfg.raster_size,
+        cfg.raster_size). The FieldError names the field and the vessel_id."""
+        try:
+            _check_steps("obs_ais", len(sample.obs_ais), "t_obs", self.cfg.t_obs)
+            sample.validate()
+            shape = sample.rasters.shape[1:]
+            want = (3, self.cfg.raster_size, self.cfg.raster_size)
+            if self.cfg.use_scene and shape != want:
+                raise FieldError("scenes.raster", f"at step 0 has shape {shape}, not {want}")
+        except FieldError as e:
+            raise FieldError(e.field, f"{e.detail} (vessel_id {sample.vessel_id!r})") from e
 
-    def encode_scenes(self, sample: VesselSample) -> Tensor | None:
-        """(t_obs, d) scene features of `sample`, or None when `cfg.use_scene` is off.
+    def encode_scenes(self, samples: list[VesselSample]) -> list[Tensor | None]:
+        """One (t_obs, d) tensor of scene features per sample, or None per
+        sample when `cfg.use_scene` is off.
 
-        They depend only on the parameters and `sample.rasters`/`sample.boxes`,
-        not on the broadcast mask, so a vessel's dark copies can share them.
-        Checks the sample first; each frame of its (T, 3, H, W) rasters must
-        be (3, cfg.raster_size, cfg.raster_size).
+        Checks every sample before any encoding runs. The ConvLSTM steps all
+        the samples as one batch; the stem, the pooling and the MLPs run per
+        sample (see `encode_scene_sequence`). Each result equals the sample's
+        one-sample call bit for bit. The features depend only on the
+        parameters and `sample.rasters`/`sample.boxes`, not on the broadcast
+        mask, so a vessel's dark copies can share them.
         """
-        self._check_sample(sample)
-        if not self.cfg.use_scene:
-            return None
-        shape = sample.rasters.shape[1:]
-        want = (3, self.cfg.raster_size, self.cfg.raster_size)
-        if shape != want:
-            raise ValueError(f"scenes.raster at step 0 has shape {shape}, not {want}")
-        return encode_scene_sequence(self.params.scene, sample.rasters, sample.boxes, self.cfg)
+        for sample in samples:
+            self._check_sample(sample)
+        if not (self.cfg.use_scene and samples):
+            return [None] * len(samples)
+        return encode_scene_sequence(
+            self.params.scene, [s.rasters for s in samples], [s.boxes for s in samples], self.cfg
+        )
 
     def encode(self, sample: VesselSample, scene_feats: Tensor | None = None) -> SampleEncoding:
         """The deterministic stage of `forward_sample`: check the sample, encode
-        its scenes (unless `scene_feats` from `encode_scenes(sample)` are given)
+        its scenes (unless `scene_feats`, its entry of `encode_scenes`, are given)
         and fuse them with both tracks.
 
         The result depends only on the parameters, the sample's observations
         and its `ais_mask`, so every draw on one (vessel, mask) can share it.
         """
         if scene_feats is None:
-            scene_feats = self.encode_scenes(sample)  # checks the sample first
+            scene_feats = self.encode_scenes([sample])[0]  # checks the sample first
         else:
             self._check_sample(sample)
         _, f_enc = encode_and_fuse(

@@ -1,12 +1,13 @@
 """Target-aware scene encoding.
 
-The T frames run as one batch: a small strided conv stem maps the (T, 3, S, S)
-raster stack to T feature maps, from each of which three spatial descriptors
-are pooled: a box-aligned target embedding, a global average context, and an
-encoded bounding box. A two-layer convolutional LSTM steps through the maps
-in time order for temporal context, exponentially weighted so the most recent
-frame always carries weight 1. Each timestep's spatial and temporal vectors
-fuse through an output MLP into one row of the (T x d) scene representation.
+A vessel's T frames run as one batch: a small strided conv stem maps the
+(T, 3, S, S) raster stack to T feature maps, from each of which three spatial
+descriptors are pooled: a box-aligned target embedding, a global average
+context, and an encoded bounding box. A two-layer convolutional LSTM steps
+through the maps in time order for temporal context, exponentially weighted
+so the most recent frame always carries weight 1; it steps every vessel of a
+call as one batch. Each timestep's spatial and temporal vectors fuse through
+an output MLP into one row of the vessel's (T x d) scene representation.
 """
 
 from __future__ import annotations
@@ -107,9 +108,8 @@ def stem_forward(p: SceneEncoderParams, rasters: np.ndarray) -> Tensor:
     return relu(add(conv2d(x, p.stem3.kernel, stride=1, padding=1), p.stem3.bias))
 
 
-def _global_avg(fmaps: Tensor) -> Tensor:  # (T, C, H, W) -> (T, C)
-    t, c = fmaps.shape[:2]
-    return tmean(reshape(fmaps, (t, c, -1)), axis=2)
+def _global_avg(fmaps: Tensor) -> Tensor:  # (..., C, H, W) -> (..., C)
+    return tmean(reshape(fmaps, (*fmaps.shape[:-2], -1)), axis=-1)
 
 
 def spatial_features(p: SceneEncoderParams, fmaps: Tensor, boxes: np.ndarray, cfg) -> Tensor:
@@ -136,31 +136,55 @@ def convlstm_step(cell: ConvLstmCell, x: Tensor, h: Tensor, c: Tensor) -> tuple[
     return h_next, c_next
 
 
-def temporal_context(p: SceneEncoderParams, fmaps: Tensor, decay: float) -> Tensor:
-    """Two stacked ConvLSTM layers over the T maps of (T, C, H, W), pooled,
-    projected, and decay-weighted -> (T, d).
+def _stack(parts: list[Tensor]) -> Tensor:
+    """(V, ...) from V tensors of one shape; a single part gains its axis as a
+    view, so a one-vessel call puts no copy on the tape."""
+    rows = [reshape(part, (1, *part.shape)) for part in parts]
+    return rows[0] if len(rows) == 1 else concat(rows, axis=0)
+
+
+def temporal_context(p: SceneEncoderParams, fmaps: list[Tensor], decay: float) -> list[Tensor]:
+    """Two stacked ConvLSTM layers over each vessel's T maps, pooled,
+    projected, and decay-weighted: one (T, d) tensor per (T, C, H, W) in `fmaps`.
+
+    Every vessel must have the same T and map shape. The recurrence steps all
+    of them as one batch, with state (V, 1, C, H, W), so a call makes 2T
+    `convlstm_step` calls whatever V is; each vessel's rows equal its own
+    one-vessel call bit for bit. The pooling is batched too, and the
+    projection runs per vessel.
 
     Step t (0-based, most recent last) gets weight exp(decay * (t - (T-1))),
     so weights lie in (0, 1] and the newest frame always has weight 1.
     """
-    t_obs = fmaps.shape[0]
-    h1 = c1 = h2 = c2 = zeros((1, *fmaps.shape[1:]))  # one frame's state, zero at t = 0
+    maps = _stack(fmaps)  # (V, T, C, H, W)
+    t_obs = maps.shape[1]
+    h1 = c1 = h2 = c2 = zeros((len(fmaps), 1, *maps.shape[2:]))  # one frame per vessel, zero at t = 0
     h2s = []
     for t in range(t_obs):
-        h1, c1 = convlstm_step(p.cell1, narrow(fmaps, 0, t, 1), h1, c1)
+        h1, c1 = convlstm_step(p.cell1, narrow(maps, 1, t, 1), h1, c1)
         h2, c2 = convlstm_step(p.cell2, h1, h2, c2)
         h2s.append(h2)
-    weights = np.array([[math.exp(decay * (t - (t_obs - 1)))] for t in range(t_obs)])  # (T, 1)
-    return mul(p.temporal_proj(_global_avg(concat(h2s, axis=0))), tensor(weights))
+    pooled = _global_avg(concat(h2s, axis=1))  # (V, T, C)
+    weights = tensor(np.array([[math.exp(decay * (t - (t_obs - 1)))] for t in range(t_obs)]))  # (T, 1)
+    return [
+        mul(p.temporal_proj(reshape(narrow(pooled, 0, v, 1), pooled.shape[1:])), weights)
+        for v in range(len(fmaps))
+    ]
 
 
-def encode_scene_sequence(p: SceneEncoderParams, rasters: np.ndarray, boxes: np.ndarray, cfg) -> Tensor:
-    """Full scene path: per-step concat(spatial, temporal) through the output MLP -> (T, d).
+def encode_scene_sequence(
+    p: SceneEncoderParams, rasters: list[np.ndarray], boxes: list[np.ndarray], cfg
+) -> list[Tensor]:
+    """Full scene path for V vessels: per-step concat(spatial, temporal)
+    through the output MLP -> one (T, d) tensor per vessel.
 
-    One or more frames: `rasters` (T, 3, cfg.raster_size, cfg.raster_size)
-    and their target `boxes` (T, 4), as a `VesselSample` holds them.
+    Vessel v has `rasters[v]` (T, 3, cfg.raster_size, cfg.raster_size) and
+    their target `boxes[v]` (T, 4), as a `VesselSample` holds them, with one
+    T for every vessel. The stem, the spatial features and the output MLP
+    batch a vessel's T frames and run per vessel; the ConvLSTM batches the
+    vessels too (see `temporal_context`).
     """
-    fmaps = stem_forward(p, rasters)
-    spatial = spatial_features(p, fmaps, boxes, cfg)
+    fmaps = [stem_forward(p, r) for r in rasters]
+    spatial = [spatial_features(p, f, b, cfg) for f, b in zip(fmaps, boxes)]
     temporal = temporal_context(p, fmaps, cfg.decay)
-    return p.out_mlp(concat([spatial, temporal], axis=1))
+    return [p.out_mlp(concat([s, t], axis=1)) for s, t in zip(spatial, temporal)]

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import vesselcast.model as model_mod
 from conftest import micro_config
 from vesselcast.bank import bank_from_samples
 from vesselcast.engine import Rng, Tape
@@ -58,20 +59,30 @@ def test_traced_train_step_and_predict_complete(tracing, micro_cfg, micro_sample
 
 def test_traced_eval_grid_counts(tracing, micro_samples, monkeypatch):
     """The eval-grid counts the benchmark reports: one forward per (vessel, seed) of every
-    populated cell, one scene encode per vessel, one fusion per distinct (vessel, mask),
-    one bank search per lit forward, and one dark-vessel draw per (cell, seed) at the
-    `vesselcast.evaluate` site."""
-    model = Model(micro_config())
+    populated cell, one batched scene encode covering every vessel, with one ConvLSTM
+    step per (layer, frame), one fusion per distinct (vessel, mask), one bank search per
+    lit forward, and one dark-vessel draw per (cell, seed) at the `vesselcast.evaluate`
+    site."""
+    cfg = micro_config()
+    model = Model(cfg)
     bank = bank_from_samples(micro_samples, 4, seed=0)
     seeds = [0, 1]
     forwarded = []
+    encoded = []
     real_forward = Model.forward_sample
+    real_encode = model_mod.encode_scene_sequence
 
     def recording_forward(self, sample, *args, **kwargs):
         forwarded.append((sample.vessel_id, sample.ais_mask.tobytes(), bool(sample.ais_mask.any())))
         return real_forward(self, sample, *args, **kwargs)
 
-    monkeypatch.setattr(Model, "forward_sample", recording_forward)  # the tracer wraps the recorder
+    def recording_encode(params, rasters, boxes, cfg):
+        encoded.append([id(r) for r in rasters])
+        return real_encode(params, rasters, boxes, cfg)
+
+    # the tracer wraps the recorders
+    monkeypatch.setattr(Model, "forward_sample", recording_forward)
+    monkeypatch.setattr(model_mod, "encode_scene_sequence", recording_encode)
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -82,7 +93,11 @@ def test_traced_eval_grid_counts(tracing, micro_samples, monkeypatch):
     assert tracer.calls["model.Model.forward_sample"] == sum(c.n_samples * c.n_seeds for c in populated)
     assert tracer.calls["model.Model.forward_sample"] == len(forwarded)
     assert tracer.calls["model.Model.predict"] == tracer.calls["model.Model.forward_sample"]
-    assert tracer.calls["scene_encoder.encode_scene_sequence"] == len(micro_samples)
+    assert tracer.calls["scene_encoder.encode_scene_sequence"] == 1
+    assert encoded == [[id(s.rasters) for s in micro_samples]]
+    assert tracer.calls["scene_encoder.temporal_context"] == 1
+    assert tracer.calls["scene_encoder.convlstm_step"] == 2 * cfg.t_obs
+    assert tracer.calls["scene_encoder.stem_forward"] == len(micro_samples)
     assert tracer.calls["fusion.encode_and_fuse"] == len({(vid, mask) for vid, mask, _ in forwarded})
     assert tracer.calls["fusion.encode_and_fuse"] < len(forwarded)
     assert tracer.calls["bank.search"] == sum(lit for _, _, lit in forwarded)

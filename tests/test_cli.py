@@ -154,22 +154,47 @@ def test_eval_without_checkpoint_names_ckpt(workdir, capsys):
     assert not (workdir / "never.csv").exists()
 
 
-@pytest.mark.parametrize("victim", ["data.jsonl", "ckpt.bin", "bank.json"])
-def test_eval_that_mutates_an_input_exits_3(workdir, tmp_path, monkeypatch, capsys, victim):
+def _eval_that_mutates(workdir, tmp_path, monkeypatch, victim, mutate) -> int:
+    """Run `eval` on copies of the inputs, calling `mutate(path of victim)` inside `evaluate`."""
     for name in ("data.jsonl", "ckpt.bin", "bank.json", "train.cfg"):
         shutil.copy(workdir / name, tmp_path / name)
     real_evaluate = cli.evaluate
 
     def mutating_evaluate(*args, **kwargs):
-        with open(tmp_path / victim, "ab") as fh:
-            fh.write(b"\n")
+        mutate(tmp_path / victim)
         return real_evaluate(*args, **kwargs)
 
     monkeypatch.setattr(cli, "evaluate", mutating_evaluate)
-    assert main(["eval", "--data", str(tmp_path / "data.jsonl"), "--ckpt", str(tmp_path / "ckpt.bin"),
+    return main(["eval", "--data", str(tmp_path / "data.jsonl"), "--ckpt", str(tmp_path / "ckpt.bin"),
                  "--bank", str(tmp_path / "bank.json"), "--config", str(tmp_path / "train.cfg"),
                  "--rho", "0", "--dt", "2", "--seeds", "1",
-                 "--report", str(tmp_path / "report.csv")]) == 3
+                 "--report", str(tmp_path / "report.csv")])
+
+
+@pytest.mark.parametrize("victim", ["data.jsonl", "ckpt.bin", "bank.json"])
+def test_eval_that_mutates_an_input_exits_3(workdir, tmp_path, monkeypatch, capsys, victim):
+    def append_newline(path):
+        with open(path, "ab") as fh:
+            fh.write(b"\n")
+
+    assert _eval_that_mutates(workdir, tmp_path, monkeypatch, victim, append_newline) == 3
+    assert "evaluation mutated its inputs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("victim", ["data.jsonl", "ckpt.bin", "bank.json"])
+def test_eval_that_overwrites_one_byte_of_an_input_in_place_exits_3(workdir, tmp_path, monkeypatch, capsys,
+                                                                     victim):
+    """A same-length edit in the middle of the file: only its content changes."""
+    def flip_middle_byte(path):
+        size = path.stat().st_size
+        with open(path, "r+b") as fh:
+            fh.seek(size // 2)
+            byte = fh.read(1)[0]
+            fh.seek(size // 2)
+            fh.write(bytes([byte ^ 0x01]))
+        assert path.stat().st_size == size
+
+    assert _eval_that_mutates(workdir, tmp_path, monkeypatch, victim, flip_middle_byte) == 3
     assert "evaluation mutated its inputs" in capsys.readouterr().err
 
 

@@ -62,7 +62,7 @@ def test_cached_scene_features_match_uncached_predict(micro_cfg, micro_samples, 
     lit = micro_samples[0]
     partial = dataclasses.replace(lit, ais_mask=np.arange(lit.t_obs) > 0)
     dark = apply_dark_vessels([lit], 1.0, seed=0)[0]
-    feats = model.encode_scenes(lit)
+    feats, = model.encode_scenes([lit])
     for sample in (lit, partial, dark):
         encoding = model.encode(sample, feats)
         for seed in (3, 4):
@@ -166,7 +166,7 @@ def test_non_finite_raster_fails_naming_step(micro_cfg, micro_samples):
     with pytest.raises(ValueError, match=r"scenes.raster is not finite at step 1"):
         model.predict(sample, rng=Rng(0))
     with pytest.raises(ValueError, match=r"scenes.raster is not finite at step 1"):
-        model.encode_scenes(sample)
+        model.encode_scenes([sample])
 
 
 @pytest.mark.parametrize("field", ["obs_ais", "ais_mask", "obs_cctv", "scenes"])

@@ -1,11 +1,11 @@
 import dataclasses
 import tracemalloc
-from collections import Counter
 
 import numpy as np
 import pytest
 
 import vesselcast.model as model_mod
+import vesselcast.scene_encoder as scene_mod
 from conftest import micro_config, micro_waterway
 from vesselcast.bank import bank_from_samples
 from vesselcast.data import generate_scenario
@@ -129,13 +129,14 @@ def test_evaluate_deterministic(tiny_dataset, tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def count_scene_encodes(monkeypatch) -> Counter:
-    """Encode calls per raster array; a vessel's dark copies share its array."""
-    calls = Counter()
+def count_scene_encodes(monkeypatch) -> list[list[int]]:
+    """One entry per encode call: the ids of the raster arrays it was given.
+    A vessel's dark copies share its array."""
+    calls = []
     real = model_mod.encode_scene_sequence
 
     def counting(params, rasters, boxes, cfg):
-        calls[id(rasters)] += 1
+        calls.append([id(r) for r in rasters])
         return real(params, rasters, boxes, cfg)
 
     monkeypatch.setattr(model_mod, "encode_scene_sequence", counting)
@@ -143,10 +144,42 @@ def count_scene_encodes(monkeypatch) -> Counter:
 
 
 def test_evaluate_encodes_each_vessel_once(tiny_dataset, monkeypatch):
+    """One batched encode per `evaluate` call, and every vessel's rasters reach it once."""
     calls = count_scene_encodes(monkeypatch)
     evaluate(tiny_dataset, Model(micro_config()), None, dts=[2], rhos=[0.0, 0.5], seeds=[0, 1])
-    assert sorted(calls) == sorted(id(s.rasters) for s in tiny_dataset)
-    assert set(calls.values()) == {1}
+    assert calls == [[id(s.rasters) for s in tiny_dataset]]
+
+
+@pytest.mark.parametrize("fault", ["nan", "side"])
+def test_evaluate_names_the_vessel_of_a_failing_sample_before_any_stem(tiny_dataset, monkeypatch, fault):
+    """Every sample is checked before the first stem runs, and the error names
+    the failing vessel's vessel_id and field."""
+    samples = list(tiny_dataset)
+    victim = samples[3]
+    if fault == "nan":
+        rasters = victim.rasters.copy()
+        rasters[1, 0, 2, 2] = np.nan
+        message = "scenes.raster is not finite at step 1"
+    else:
+        rasters = np.zeros((victim.t_obs, 3, 8, 8), dtype=np.float32)
+        message = r"scenes.raster at step 0 has shape \(3, 8, 8\), not \(3, 12, 12\)"
+    samples[3] = dataclasses.replace(victim, rasters=rasters)
+    stems = []
+    real_stem = scene_mod.stem_forward
+
+    def counting_stem(*args):
+        stems.append(args)
+        return real_stem(*args)
+
+    monkeypatch.setattr(scene_mod, "stem_forward", counting_stem)
+    with pytest.raises(ValueError, match=rf"{message} \(vessel_id '{victim.vessel_id}'\)"):
+        evaluate(samples, Model(micro_config()), None, dts=[2], rhos=[0.0], seeds=[0])
+    assert not stems
+
+
+def test_evaluate_on_no_samples_fails_naming_the_dataset_horizon():
+    with pytest.raises(ValueError, match=r"dataset t_fut=0 < requested horizon 2"):
+        evaluate([], Model(micro_config()), None, dts=[2], rhos=[0.0], seeds=[0])
 
 
 def test_evaluate_fuses_each_vessel_mask_pair_once(tiny_dataset, monkeypatch):
