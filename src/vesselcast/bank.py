@@ -192,20 +192,25 @@ def refine_and_fuse(
     f_enc: Tensor,
     offset_scale: float,
 ) -> Tensor:
-    """Blend the retrieved future (plus a learned, scaled offset) with the base.
+    """Blend each vessel's retrieved future (plus a learned, scaled offset) with its base.
 
-    base is (K, T_fut, 2) and features (K, T_fut, d), one row per mode; the
-    prior (T_fut, 2) is shared by every mode, as is the gate, whose weight
-    beta goes to the refined prior and 1 - beta to the base.
+    base is (V, K, T_fut, 2) and features (V, K, T_fut, d), one row per
+    (vessel, mode). Each vessel's prior, row v of the (V, T_fut, 2) `prior`,
+    is shared by its K modes, as is its gate, computed from row v of the
+    (V, 1, d) `f_enc`; weight beta goes to the refined prior and 1 - beta to
+    the base. Each vessel's rows equal its one-vessel call bit for bit.
     """
-    k_modes, t_fut = base.shape[0], base.shape[1]
+    v, k_modes, t_fut = base.shape[:3]
     prior = np.asarray(prior, dtype=np.float64)
-    flat_prior = tensor(np.tile(prior.reshape(1, 2 * t_fut), (k_modes, 1)))
-    flat_feat = reshape(features, (k_modes, -1))
-    offset = reshape(p.offset_mlp(concat([flat_prior, flat_feat], axis=1)), (k_modes, t_fut, 2))
-    refined = add(tensor(prior), mul(offset, offset_scale))
-    beta = sigmoid(p.gate(f_enc))  # (1, 1), broadcasts over (K, T, 2)
-    return add(mul(beta, refined), mul(sub(1.0, beta), base))
+    flat_prior = tensor(np.broadcast_to(prior.reshape(v, 1, 2 * t_fut), (v, k_modes, 2 * t_fut)))
+    flat_feat = reshape(features, (v, k_modes, -1))
+    offset = reshape(p.offset_mlp(concat([flat_prior, flat_feat], axis=2)), (v, k_modes, t_fut, 2))
+    refined = add(tensor(prior[:, None]), mul(offset, offset_scale))
+    beta = reshape(sigmoid(p.gate(f_enc)), (v, 1, 1, 1))
+    # beta meets each vessel's steps before its modes, so beta's gradient sums
+    # the mode axis first and the steps second, as a lone (1, 1) gate's did
+    steps = tensor(np.zeros((v, 1, t_fut, 2)))
+    return add(mul(add(steps, beta), refined), mul(add(steps, sub(1.0, beta)), base))
 
 
 # ---------------------------------------------------------------------------

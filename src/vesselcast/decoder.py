@@ -6,7 +6,8 @@ latent is reparameterized (z = mu + eps * exp(0.5 * logvar)) so gradients
 flow to the heads but not the noise. A single MLP expands the conditioned
 input to the whole future at once; per-step linear heads emit both modality
 trajectories. No recurrence anywhere, and no loop over modes: the K modes
-are the rows of one batch, so every head runs once per sample.
+are the rows of one batch, and the vessels of an evaluation pool a leading
+axis over them, so every head runs once per call.
 """
 
 from __future__ import annotations
@@ -34,15 +35,15 @@ class DecoderParams:
 
 @dataclass
 class ModeOutput:
-    """Tensors for all K decoded modes, stacked along a leading K axis
-    (graph-connected for the loss)."""
+    """Tensors for all K decoded modes of V vessels, stacked along leading
+    (V, K) axes (graph-connected for the loss)."""
 
-    ais: Tensor  # (K, T_fut, 2)
-    cctv: Tensor  # (K, T_fut, 2)
-    features: Tensor  # (K, T_fut, d) pre-head decoder features
-    z: Tensor  # (K, J)
-    mu: Tensor  # (K, J)
-    logvar: Tensor  # (K, J)
+    ais: Tensor  # (V, K, T_fut, 2)
+    cctv: Tensor  # (V, K, T_fut, 2)
+    features: Tensor  # (V, K, T_fut, d) pre-head decoder features
+    z: Tensor  # (V, K, J)
+    mu: Tensor  # (V, K, J)
+    logvar: Tensor  # (V, K, J)
 
 
 @dataclass
@@ -69,14 +70,25 @@ def init_decoder(rng: Rng, cfg) -> DecoderParams:
 
 
 def predict_modes(p: DecoderParams, f_enc: Tensor, eps: np.ndarray) -> ModeOutput:
-    """Decode the K modes of `p` in one pass; row k of the (K, J) `eps` is mode k's latent noise."""
+    """Decode the K modes of V vessels in one pass.
+
+    `f_enc` is (V, 1, d), one pooled encoding per vessel, and row (v, k) of
+    the (V, K, J) `eps` is vessel v's mode-k latent noise. Every field of the
+    result carries the leading vessel axis. The vessel axis stays a leading
+    matmul axis, never folded into the rows, so each vessel's outputs equal
+    its one-vessel call bit for bit.
+    """
+    v = f_enc.shape[0]
     k_modes, d = p.mode_embed.shape
-    f_rows = add(tensor(np.zeros((k_modes, d))), f_enc)  # (K, d): f_enc on every row
-    h = concat([f_rows, p.mode_embed], axis=1)
+    rows = tensor(np.zeros((v, k_modes, d)))
+    f_rows = add(rows, f_enc)  # (V, K, d): each vessel's f_enc on each of its mode rows
+    # mode_embed is broadcast once per use, so its two gradients still reach it one at a time
+    h = concat([f_rows, add(rows, p.mode_embed)], axis=2)
     mu = p.mu_head(h)
     logvar = clamp(p.logvar_head(h), -LOGVAR_RANGE, LOGVAR_RANGE)
     z = mu + mul(exp(mul(logvar, 0.5)), tensor(eps))
-    features = reshape(p.expand(concat([f_rows, z, p.mode_embed], axis=1)), (k_modes, -1, d))  # (K, T_fut, d)
+    expand_in = concat([f_rows, z, add(rows, p.mode_embed)], axis=2)
+    features = reshape(p.expand(expand_in), (v, k_modes, -1, d))  # (V, K, T_fut, d)
     return ModeOutput(
         ais=p.ais_head(features),
         cctv=p.cctv_head(features),

@@ -377,6 +377,14 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     return _make(out, (a,), bwd)
 
 
+def stack(parts: list[Tensor]) -> Tensor:
+    """(V, ...) from V tensors of one shape, built from `reshape` and `concat`;
+    a single part gains its axis as a view, so a one-vessel call puts no copy
+    on the tape."""
+    rows = [reshape(part, (1, *part.shape)) for part in parts]
+    return rows[0] if len(rows) == 1 else concat(rows, axis=0)
+
+
 # ---------------------------------------------------------------------------
 # fused neural-net primitives
 

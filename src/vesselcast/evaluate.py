@@ -55,13 +55,16 @@ class ExperimentReport:
 def _seed_metrics(
     samples: list[VesselSample], predictor, dt: int, rho: float, cell_key: str, seed: int
 ) -> np.ndarray:
-    """The `_METRICS` of one (cell, seed), each a mean over the vessels in vessel_id order."""
+    """The `_METRICS` of one (cell, seed), each a mean over the vessels in vessel_id order.
+
+    The pool's vessels, dark ones applied and in vessel_id order, go to one
+    `predictor` call, each with its own noise stream `stream.child(vessel_id)`,
+    which returns (vessels, K, dt, 2) candidates per modality.
+    """
     stream = Rng(seed).child(cell_key)
     dark = apply_dark_vessels(samples, rho, seed=stream.child("dark-selection").seed)
     dark = sorted(dark, key=lambda s: s.vessel_id)
-    preds = [predictor(s, dt, stream.child(s.vessel_id)) for s in dark]
-    ais = np.stack([a for a, _ in preds])  # (vessels, K, dt, 2)
-    cctv = np.stack([c for _, c in preds])
+    ais, cctv = predictor(dark, dt, [stream.child(s.vessel_id) for s in dark])  # (vessels, K, dt, 2) each
     cv = np.stack([constant_velocity_baseline(s.obs_ais, dt) for s in dark])
     gt_a = np.stack([s.fut_ais[:dt] for s in dark])[:, None]
     gt_c = np.stack([s.fut_cctv[:dt] for s in dark])[:, None]
@@ -78,12 +81,16 @@ def _seed_metrics(
 
 
 def check_grid(dts: list[int], rhos: list[float], seeds: list) -> None:
-    """Reject a grid no evaluation can run: an empty axis, or a horizon below 1 step."""
+    """Reject a grid no evaluation can run: an empty axis, a horizon below 1
+    step, or a missing rate outside [0, 1] or NaN."""
     for name, axis in (("dts", dts), ("rhos", rhos), ("seeds", seeds)):
         if len(axis) == 0:
             raise ValueError(f"{name} is empty: the grid needs at least one value on each axis")
     if min(dts) < 1:
         raise ValueError(f"dts holds horizon {min(dts)}: every horizon must be at least 1 step")
+    for rho in rhos:
+        if not 0.0 <= rho <= 1.0:  # also false for NaN
+            raise ValueError(f"rhos holds missing rate {rho!r}: every rate must lie in [0, 1]")
 
 
 def evaluate(
@@ -98,18 +105,20 @@ def evaluate(
     """Metrics per (dt, density, rho) cell, mean +- std over evaluation seeds.
 
     Seeds drive latent sampling and dark-vessel selection on the fixed
-    checkpoint. `predictor(sample, dt, rng) -> (ais_modes, cctv_modes)`, each
-    (K, dt, 2), overrides the model (testing hook). Densities absent from the
-    dataset produce cells with n_samples=0 and no metric values.
+    checkpoint. `predictor(samples, dt, rngs) -> (ais_modes, cctv_modes)`,
+    each (len(samples), K, dt, 2), with one rng per sample, overrides the
+    model (testing hook). Densities absent from the dataset produce cells
+    with n_samples=0 and no metric values.
 
     The grid varies only the broadcast mask (through rho) and the latent
     noise (through the seed), so every vessel's scenes are encoded before
     the grid, in one `Model.encode_scenes` call: it checks every sample
     first, naming the vessel_id of one that fails, then steps the ConvLSTM
     once per frame over a vessel axis and runs the stem and the MLPs per
-    vessel. Each (vessel, ais_mask) pair is fused once, when the grid first
-    meets it. Decoding, bank search and refinement run for every (vessel,
-    cell, seed).
+    vessel. Each (vessel, ais_mask) pair is checked and fused once, when the
+    grid first meets it. Decoding and refinement run once per (cell, seed),
+    over a vessel axis that holds the pool's vessels (`Model.predict_pool`);
+    bank search runs once per lit vessel of each (cell, seed).
     """
     check_grid(dts, rhos, seeds)
     max_dt = max(dts)
@@ -124,12 +133,13 @@ def evaluate(
         scene_feats = dict(zip((s.vessel_id for s in samples), model.encode_scenes(samples)))
         encodings = {}  # (vessel_id, ais_mask bytes) -> SampleEncoding, filled on first use
 
-        def predictor(sample, dt, rng):
-            key = (sample.vessel_id, sample.ais_mask.tobytes())
-            if key not in encodings:
-                encodings[key] = model.encode(sample, scene_feats[sample.vessel_id])
-            preds = model.predict(sample, rng=rng, bank=bank, encoding=encodings[key])
-            return preds.ais[:, :dt], preds.cctv[:, :dt]
+        def predictor(pool, dt, rngs):
+            keys = [(s.vessel_id, s.ais_mask.tobytes()) for s in pool]
+            for sample, key in zip(pool, keys):
+                if key not in encodings:
+                    encodings[key] = model.encode(sample, scene_feats[sample.vessel_id])
+            preds = model.predict_pool(pool, rngs, [encodings[key] for key in keys], bank=bank)
+            return np.stack([p.ais[:, :dt] for p in preds]), np.stack([p.cctv[:, :dt] for p in preds])
 
     by_density = {
         level: [s for s in samples if s.density == level] for level in DENSITY_LEVELS

@@ -9,25 +9,26 @@ from .engine import Tensor, exp, mul, narrow, reshape, sqrt, tensor, tmean, tsum
 
 
 def step_distance_mean(pred: Tensor, gt: np.ndarray) -> Tensor:
-    """Per-mode mean over steps of the per-step Euclidean distance: (K, T, 2) -> (K,)."""
+    """Per-mode mean over steps of the per-step Euclidean distance: (..., K, T, 2) -> (..., K)."""
     diff = pred - tensor(np.asarray(gt, dtype=np.float64))
-    return tmean(sqrt(tsum(mul(diff, diff), axis=2)), axis=1)
+    return tmean(sqrt(tsum(mul(diff, diff), axis=-1)), axis=-1)
 
 
 def rec_loss(modes: ModeOutput, gt_ais: np.ndarray, gt_cctv: np.ndarray) -> tuple[Tensor, int]:
     """Joint best mode over both modalities; ties go to the lowest index.
 
-    Only the winning mode's rows receive gradient.
+    `modes` holds one sample: its fields are (K, ...), or (1, K, ...) with a
+    vessel axis. Only the winning mode's rows receive gradient.
     """
     per_mode = step_distance_mean(modes.ais, gt_ais) + step_distance_mean(modes.cctv, gt_cctv)
     winner = int(np.argmin(per_mode.data))
-    return reshape(narrow(per_mode, 0, winner, 1), ()), winner
+    return reshape(narrow(per_mode, -1, winner, 1), ()), winner
 
 
 def kl_loss(mu: Tensor, logvar: Tensor) -> Tensor:
     """Per-row -1/2 sum_j (1 + logvar_j - mu_j^2 - exp(logvar_j)); zero iff standard normal."""
     inner = 1.0 + logvar - mul(mu, mu) - exp(logvar)
-    return mul(tsum(inner, axis=1), -0.5)
+    return mul(tsum(inner, axis=-1), -0.5)
 
 
 def sample_losses(modes: ModeOutput, gt_ais: np.ndarray, gt_cctv: np.ndarray) -> tuple[Tensor, Tensor, int]:

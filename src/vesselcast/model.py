@@ -11,7 +11,7 @@ from .bank import RefinementParams, TrajectoryBank, init_refinement, refine_and_
 from .config import TrainConfig, architecture_hash
 from .data.types import FieldError, VesselSample
 from .decoder import DecoderParams, ModeOutput, PredictionSet, init_decoder, predict_modes
-from .engine import Tensor
+from .engine import Tensor, concat, narrow, stack
 from .engine.rng import Rng
 from .fusion import FusionParams, encode_and_fuse, init_fusion, masked_track
 from .losses import sample_losses, total_loss
@@ -37,12 +37,19 @@ class SampleEncoding:
 
 
 @dataclass
-class SampleForward:
-    """Graph-connected outputs for one vessel sample."""
+class Forward:
+    """Graph-connected outputs of the per-draw stage for a pool of V vessels.
 
-    modes: ModeOutput  # all K modes stacked; positional head already refined when a bank applies
-    prior_index: int | None  # retrieved bank entry, None when refinement skipped
-    prior_similarity: float | None
+    Row i of every `modes` field, and entry i of each list, belongs to
+    `samples[order[i]]`: the vessels refinement applies to come first, then
+    the rest, each group in the order given, so refinement runs on one
+    contiguous block of rows.
+    """
+
+    modes: ModeOutput  # (V, K, ...); positional head already refined where a bank applies
+    order: list[int]
+    prior_index: list[int | None]  # retrieved bank entry per row, None where refinement skipped
+    prior_similarity: list[float | None]
 
 
 def _check_steps(field: str, got: int, key: str, want: int) -> None:
@@ -121,60 +128,95 @@ class Model:
         )
         return SampleEncoding(f_enc=f_enc, ais_mask=sample.ais_mask.copy())
 
+    def decode(
+        self,
+        samples: list[VesselSample],
+        rngs: list[Rng],
+        encodings: list[SampleEncoding],
+        bank: TrajectoryBank | None = None,
+    ) -> Forward:
+        """The per-draw stage for a pool of vessels, in one pass.
+
+        Sample i draws its K * J latent draws from `rngs[i]`, in mode order,
+        and uses `encodings[i]`, which `encode` computed for it under the same
+        `ais_mask`; the samples themselves are not checked again. Their
+        encodings are stacked to (V, 1, d), `predict_modes` decodes every
+        (vessel, mode) row at once, and `refine_and_fuse` refines the
+        positional head of every vessel with a broadcast step at once, each
+        against the bank entry that vessel retrieves. A dark vessel keeps the
+        raw decoder output: without any broadcast track there is no retrieval
+        key. Like the embedding, the retrieval key reads masked steps as zero.
+        The bank's horizons must match the config. Each vessel's outputs equal
+        its one-vessel call bit for bit.
+        """
+        cfg = self.cfg
+        if not 0 < len(samples) == len(rngs) == len(encodings):
+            raise ValueError(
+                f"decode needs one rng and one encoding per sample and at least one sample, got "
+                f"{len(samples)} samples, {len(rngs)} rngs and {len(encodings)} encodings"
+            )
+        if bank is not None:
+            _check_steps("bank.t_obs", bank.t_obs, "t_obs", cfg.t_obs)
+            _check_steps("bank.t_fut", bank.t_fut, "t_fut", cfg.t_fut)
+        for sample, encoding in zip(samples, encodings):
+            if not np.array_equal(encoding.ais_mask, sample.ais_mask):
+                raise ValueError(
+                    f"ais_mask {sample.ais_mask.astype(int).tolist()} differs from the "
+                    f"{encoding.ais_mask.astype(int).tolist()} the encoding was computed under "
+                    f"(vessel_id {sample.vessel_id!r})"
+                )
+        refinable = [bank is not None and s.ais_mask.any() for s in samples]
+        order = sorted(range(len(samples)), key=lambda i: not refinable[i])  # stable: refinable first
+        n_lit, n = sum(refinable), len(samples)
+        eps = np.array([rng.normals(cfg.modes * cfg.latent_dim) for rng in rngs]).reshape(n, cfg.modes, -1)
+        f_enc = stack([encodings[i].f_enc for i in order])  # (V, 1, d)
+        modes = predict_modes(self.params.decoder, f_enc, eps[order])
+
+        found = [search(bank, masked_track(samples[i].obs_ais, samples[i].ais_mask)) for i in order[:n_lit]]
+        if n_lit:
+            def head(t: Tensor) -> Tensor:  # the refined block: rows [0, n_lit)
+                return t if n_lit == n else narrow(t, 0, 0, n_lit)
+
+            refined = refine_and_fuse(
+                self.params.refine,
+                head(modes.ais),
+                np.stack([fut for _, fut, _ in found]),
+                head(modes.features),
+                head(f_enc),
+                cfg.offset_scale,
+            )
+            modes.ais = refined if n_lit == n else concat([refined, narrow(modes.ais, 0, n_lit, n - n_lit)])
+        unrefined = [None] * (n - n_lit)
+        return Forward(
+            modes=modes,
+            order=order,
+            prior_index=[index for index, _, _ in found] + unrefined,
+            prior_similarity=[sim for _, _, sim in found] + unrefined,
+        )
+
     def forward_sample(
         self,
         sample: VesselSample,
         rng: Rng,
         bank: TrajectoryBank | None = None,
         encoding: SampleEncoding | None = None,
-    ) -> SampleForward:
-        """Run the full pipeline on one sample.
+    ) -> Forward:
+        """Run the full pipeline on one sample: the one-vessel case of `decode`,
+        so every `modes` field has a vessel axis of 1.
 
-        The deterministic stage is `encode(sample)`: scene features, which
-        depend only on the vessel's frames (so `evaluate` computes them once
-        per vessel), fused with both tracks, which depends on the vessel and
-        its `ais_mask` (so once per (vessel, mask)). An `encoding` it returned
-        for this vessel under the same `ais_mask` skips that stage. The
-        per-draw stage then takes K * J draws of `rng`, in mode order, as
-        latent noise, decodes the K modes, and refines their positional head
-        against the bank; it runs on every call. Bank refinement is skipped
-        for dark vessels: without any broadcast track there is no retrieval
-        key. Like the embedding, the retrieval key reads masked steps as zero.
-        The sample must pass `VesselSample.validate`, and its observation
+        The deterministic stage is `encode(sample)`, which checks the sample:
+        scene features, which depend only on the vessel's frames, fused with
+        both tracks, which depends on the vessel and its `ais_mask`. An
+        `encoding` it returned for this vessel under the same `ais_mask` skips
+        that stage and its checks. The per-draw stage, `decode`, runs on every
+        call. The sample must pass `VesselSample.validate`, and its observation
         window and the bank's horizons must match the config; futures are not
         compared with `cfg.t_fut` here, since evaluation passes futures longer
         than the model's horizon.
         """
-        cfg = self.cfg
-        if bank is not None:
-            _check_steps("bank.t_obs", bank.t_obs, "t_obs", cfg.t_obs)
-            _check_steps("bank.t_fut", bank.t_fut, "t_fut", cfg.t_fut)
         if encoding is None:
             encoding = self.encode(sample)
-        else:
-            self._check_sample(sample)
-            if not np.array_equal(encoding.ais_mask, sample.ais_mask):
-                raise ValueError(
-                    f"ais_mask {sample.ais_mask.astype(int).tolist()} differs from the "
-                    f"{encoding.ais_mask.astype(int).tolist()} the encoding was computed under"
-                )
-        f_enc = encoding.f_enc
-        eps = np.array(rng.normals(cfg.modes * cfg.latent_dim)).reshape(cfg.modes, cfg.latent_dim)
-        modes = predict_modes(self.params.decoder, f_enc, eps)
-
-        prior_index = None
-        prior_sim = None
-        if bank is not None and sample.ais_mask.any():
-            prior_index, prior_fut, prior_sim = search(bank, masked_track(sample.obs_ais, sample.ais_mask))
-            modes.ais = refine_and_fuse(
-                self.params.refine,
-                modes.ais,
-                prior_fut,
-                modes.features,
-                f_enc,
-                cfg.offset_scale,
-            )
-        return SampleForward(modes=modes, prior_index=prior_index, prior_similarity=prior_sim)
+        return self.decode([sample], [rng], [encoding], bank=bank)
 
     def loss_batch(
         self,
@@ -209,14 +251,19 @@ class Model:
         with the bank entry it retrieved, if any. An `encoding` from
         `encode(sample)` skips the scene encoder and the fusion, as in
         `forward_sample`. Called outside any Tape, it records nothing."""
-        fwd = self.forward_sample(sample, rng, bank=bank, encoding=encoding)
-        return PredictionSet(
-            ais=fwd.modes.ais.data,
-            cctv=fwd.modes.cctv.data,
-            latents=fwd.modes.z.data,
-            prior_index=fwd.prior_index,
-            prior_similarity=fwd.prior_similarity,
-        )
+        return _prediction_sets(self.forward_sample(sample, rng, bank=bank, encoding=encoding))[0]
+
+    def predict_pool(
+        self,
+        samples: list[VesselSample],
+        rngs: list[Rng],
+        encodings: list[SampleEncoding],
+        bank: TrajectoryBank | None = None,
+    ) -> list[PredictionSet]:
+        """`predict` for a pool of vessels in one `decode` pass: one candidate
+        set per sample, in the order given, each equal bit for bit to
+        `predict(samples[i], rngs[i], bank, encodings[i])`."""
+        return _prediction_sets(self.decode(samples, rngs, encodings, bank=bank))
 
     # ------------------------------------------------------------------
     def state_arrays(self) -> dict[str, np.ndarray]:
@@ -224,3 +271,17 @@ class Model:
 
     def architecture_hash(self) -> int:
         return architecture_hash(self.cfg)
+
+
+def _prediction_sets(fwd: Forward) -> list[PredictionSet]:
+    """Plain-array candidate sets of a `Forward`, in the order its samples were given."""
+    sets = [None] * len(fwd.order)
+    for row, i in enumerate(fwd.order):
+        sets[i] = PredictionSet(
+            ais=fwd.modes.ais.data[row],
+            cctv=fwd.modes.cctv.data[row],
+            latents=fwd.modes.z.data[row],
+            prior_index=fwd.prior_index[row],
+            prior_similarity=fwd.prior_similarity[row],
+        )
+    return sets

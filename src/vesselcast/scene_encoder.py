@@ -28,6 +28,7 @@ from .engine import (
     reshape,
     roi_align,
     sigmoid,
+    stack,
     tanh,
     tensor,
     tmean,
@@ -136,13 +137,6 @@ def convlstm_step(cell: ConvLstmCell, x: Tensor, h: Tensor, c: Tensor) -> tuple[
     return h_next, c_next
 
 
-def _stack(parts: list[Tensor]) -> Tensor:
-    """(V, ...) from V tensors of one shape; a single part gains its axis as a
-    view, so a one-vessel call puts no copy on the tape."""
-    rows = [reshape(part, (1, *part.shape)) for part in parts]
-    return rows[0] if len(rows) == 1 else concat(rows, axis=0)
-
-
 def temporal_context(p: SceneEncoderParams, fmaps: list[Tensor], decay: float) -> list[Tensor]:
     """Two stacked ConvLSTM layers over each vessel's T maps, pooled,
     projected, and decay-weighted: one (T, d) tensor per (T, C, H, W) in `fmaps`.
@@ -156,7 +150,7 @@ def temporal_context(p: SceneEncoderParams, fmaps: list[Tensor], decay: float) -
     Step t (0-based, most recent last) gets weight exp(decay * (t - (T-1))),
     so weights lie in (0, 1] and the newest frame always has weight 1.
     """
-    maps = _stack(fmaps)  # (V, T, C, H, W)
+    maps = stack(fmaps)  # (V, T, C, H, W)
     t_obs = maps.shape[1]
     h1 = c1 = h2 = c2 = zeros((len(fmaps), 1, *maps.shape[2:]))  # one frame per vessel, zero at t = 0
     h2s = []

@@ -221,10 +221,10 @@ def test_refine_gate_off_returns_base(micro_cfg):
     p = init_refinement(Rng(0).child("init"), micro_cfg)
     rng = Rng(37)
     k, t, d = micro_cfg.modes, micro_cfg.t_fut, micro_cfg.d_model
-    base = tensor(rand(rng, (k, t, 2)))
-    prior = rand(rng, (t, 2))
-    feats = tensor(rand(rng, (k, t, d)))
-    f_enc = tensor(rand(rng, (1, d)))
+    base = tensor(rand(rng, (1, k, t, 2)))
+    prior = rand(rng, (1, t, 2))
+    feats = tensor(rand(rng, (1, k, t, d)))
+    f_enc = tensor(rand(rng, (1, 1, d)))
     p.gate.w.data[...] = 0.0
     p.gate.b.data[...] = -50.0  # sigmoid -> 0
     out = refine_and_fuse(p, base, prior, feats, f_enc, micro_cfg.offset_scale)
@@ -235,32 +235,32 @@ def test_refine_gate_on_zero_offset_returns_prior(micro_cfg):
     p = init_refinement(Rng(0).child("init"), micro_cfg)
     rng = Rng(41)
     k, t, d = micro_cfg.modes, micro_cfg.t_fut, micro_cfg.d_model
-    base = tensor(rand(rng, (k, t, 2)))
-    prior = rand(rng, (t, 2))
-    feats = tensor(rand(rng, (k, t, d)))
-    f_enc = tensor(rand(rng, (1, d)))
+    base = tensor(rand(rng, (1, k, t, 2)))
+    prior = rand(rng, (1, t, 2))
+    feats = tensor(rand(rng, (1, k, t, d)))
+    f_enc = tensor(rand(rng, (1, 1, d)))
     p.gate.w.data[...] = 0.0
     p.gate.b.data[...] = 50.0  # sigmoid -> 1
     for tens in collect_params(p.offset_mlp).values():
         tens.data[...] = 0.0
     out = refine_and_fuse(p, base, prior, feats, f_enc, micro_cfg.offset_scale)
-    assert np.allclose(out.data, np.broadcast_to(prior, (k, t, 2)), atol=1e-15)
+    assert np.allclose(out.data, np.broadcast_to(prior[:, None], (1, k, t, 2)), atol=1e-15)
 
 
 def test_refine_midpoint(micro_cfg):
     p = init_refinement(Rng(0).child("init"), micro_cfg)
     rng = Rng(43)
     k, t, d = micro_cfg.modes, micro_cfg.t_fut, micro_cfg.d_model
-    base = tensor(rand(rng, (k, t, 2)))
-    prior = rand(rng, (t, 2))
-    feats = tensor(rand(rng, (k, t, d)))
-    f_enc = tensor(rand(rng, (1, d)))
+    base = tensor(rand(rng, (1, k, t, 2)))
+    prior = rand(rng, (1, t, 2))
+    feats = tensor(rand(rng, (1, k, t, d)))
+    f_enc = tensor(rand(rng, (1, 1, d)))
     p.gate.w.data[...] = 0.0
     p.gate.b.data[...] = 0.0  # sigmoid(0) = 1/2
     for tens in collect_params(p.offset_mlp).values():
         tens.data[...] = 0.0
     out = refine_and_fuse(p, base, prior, feats, f_enc, micro_cfg.offset_scale)
-    assert np.allclose(out.data, 0.5 * (base.data + prior), atol=1e-15)
+    assert np.allclose(out.data, 0.5 * (base.data + prior[:, None]), atol=1e-15)
 
 
 def test_bounded_refinement_inequality(micro_cfg):
@@ -270,19 +270,19 @@ def test_bounded_refinement_inequality(micro_cfg):
     rng = Rng(47)
     k, t, d = micro_cfg.modes, micro_cfg.t_fut, micro_cfg.d_model
     for _ in range(20):
-        base = tensor(rand(rng, (k, t, 2)))
-        prior = rand(rng, (t, 2))
-        feats = tensor(rand(rng, (k, t, d)))
-        f_enc = tensor(rand(rng, (1, d)))
+        base = tensor(rand(rng, (1, k, t, 2)))
+        prior = rand(rng, (1, t, 2))
+        feats = tensor(rand(rng, (1, k, t, d)))
+        f_enc = tensor(rand(rng, (1, 1, d)))
         out = refine_and_fuse(p, base, prior, feats, f_enc, micro_cfg.offset_scale)
         beta = sigmoid(p.gate(f_enc)).item()
         for m in range(k):
             offset = p.offset_mlp(
-                concat([reshape(tensor(prior), (1, 2 * t)), reshape(tensor(feats.data[m]), (1, t * d))], axis=1)
+                concat([reshape(tensor(prior[0]), (1, 2 * t)), reshape(tensor(feats.data[0, m]), (1, t * d))], axis=1)
             )
-            lhs = np.linalg.norm(out.data[m] - base.data[m])
+            lhs = np.linalg.norm(out.data[0, m] - base.data[0, m])
             rhs = beta * (
-                np.linalg.norm(prior - base.data[m])
+                np.linalg.norm(prior[0] - base.data[0, m])
                 + micro_cfg.offset_scale * np.linalg.norm(offset.data)
             )
             assert lhs <= rhs + 1e-12

@@ -58,30 +58,31 @@ def test_traced_train_step_and_predict_complete(tracing, micro_cfg, micro_sample
 
 
 def test_traced_eval_grid_counts(tracing, micro_samples, monkeypatch):
-    """The eval-grid counts the benchmark reports: one forward per (vessel, seed) of every
-    populated cell, one batched scene encode covering every vessel, with one ConvLSTM
-    step per (layer, frame), one fusion per distinct (vessel, mask), one bank search per
-    lit forward, and one dark-vessel draw per (cell, seed) at the `vesselcast.evaluate`
-    site."""
+    """The eval-grid counts the benchmark reports: no one-vessel forward or predict,
+    one decoder pass per populated (cell, seed) and one refinement per (cell, seed)
+    with a lit vessel, both over the pool's vessel axis, one bank search per lit
+    vessel draw, one batched scene encode covering every vessel, with one ConvLSTM
+    step per (layer, frame), one fusion per distinct (vessel, mask), and one
+    dark-vessel draw per (cell, seed) at the `vesselcast.evaluate` site."""
     cfg = micro_config()
     model = Model(cfg)
     bank = bank_from_samples(micro_samples, 4, seed=0)
     seeds = [0, 1]
-    forwarded = []
+    pools = []
     encoded = []
-    real_forward = Model.forward_sample
+    real_predict_pool = Model.predict_pool
     real_encode = model_mod.encode_scene_sequence
 
-    def recording_forward(self, sample, *args, **kwargs):
-        forwarded.append((sample.vessel_id, sample.ais_mask.tobytes(), bool(sample.ais_mask.any())))
-        return real_forward(self, sample, *args, **kwargs)
+    def recording_predict_pool(self, samples, *args, **kwargs):
+        pools.append([(s.vessel_id, s.ais_mask.tobytes(), bool(s.ais_mask.any())) for s in samples])
+        return real_predict_pool(self, samples, *args, **kwargs)
 
     def recording_encode(params, rasters, boxes, cfg):
         encoded.append([id(r) for r in rasters])
         return real_encode(params, rasters, boxes, cfg)
 
     # the tracer wraps the recorders
-    monkeypatch.setattr(Model, "forward_sample", recording_forward)
+    monkeypatch.setattr(Model, "predict_pool", recording_predict_pool)
     monkeypatch.setattr(model_mod, "encode_scene_sequence", recording_encode)
     tracer = tracing.Tracer()
     tracer.install()
@@ -90,17 +91,21 @@ def test_traced_eval_grid_counts(tracing, micro_samples, monkeypatch):
     finally:
         tracer.uninstall()
     populated = [c for c in report.cells if c.n_samples]
-    assert tracer.calls["model.Model.forward_sample"] == sum(c.n_samples * c.n_seeds for c in populated)
-    assert tracer.calls["model.Model.forward_sample"] == len(forwarded)
-    assert tracer.calls["model.Model.predict"] == tracer.calls["model.Model.forward_sample"]
+    draws = [vessel for pool in pools for vessel in pool]
+    assert tracer.calls["model.Model.forward_sample"] == 0
+    assert tracer.calls["model.Model.predict"] == 0
+    assert len(pools) == len(populated) * len(seeds)
+    assert len(draws) == sum(c.n_samples * c.n_seeds for c in populated)
+    assert tracer.calls["decoder.predict_modes"] == len(pools)
+    assert tracer.calls["bank.refine_and_fuse"] == sum(any(lit for _, _, lit in pool) for pool in pools)
+    assert 0 < tracer.calls["bank.refine_and_fuse"] <= len(pools)
+    assert tracer.calls["bank.search"] == sum(lit for _, _, lit in draws)
+    assert 0 < tracer.calls["bank.search"] < len(draws)
     assert tracer.calls["scene_encoder.encode_scene_sequence"] == 1
     assert encoded == [[id(s.rasters) for s in micro_samples]]
     assert tracer.calls["scene_encoder.temporal_context"] == 1
     assert tracer.calls["scene_encoder.convlstm_step"] == 2 * cfg.t_obs
     assert tracer.calls["scene_encoder.stem_forward"] == len(micro_samples)
-    assert tracer.calls["fusion.encode_and_fuse"] == len({(vid, mask) for vid, mask, _ in forwarded})
-    assert tracer.calls["fusion.encode_and_fuse"] < len(forwarded)
-    assert tracer.calls["bank.search"] == sum(lit for _, _, lit in forwarded)
-    assert 0 < tracer.calls["bank.search"] < len(forwarded)
-    assert tracer.vessel_ids == {s.vessel_id for s in micro_samples}
+    assert tracer.calls["fusion.encode_and_fuse"] == len({(vid, mask) for vid, mask, _ in draws})
+    assert tracer.calls["fusion.encode_and_fuse"] < len(draws)
     assert tracer.calls["data.apply_dark_vessels"] == len(populated) * len(seeds)

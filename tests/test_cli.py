@@ -130,13 +130,19 @@ def test_eval_per_horizon_needs_no_checkpoint(workdir):
         ("--dt", "-1", "dts holds horizon -1"),
         ("--rho", "", "rhos is empty"),
         ("--seeds", "0", "seeds is empty"),
+        ("--rho", "0,1.5", r"rhos holds missing rate 1\.5"),
+        ("--rho", "nan", "rhos holds missing rate nan"),
     ],
 )
 def test_eval_rejects_a_bad_grid_before_training(workdir, tmp_path, monkeypatch, per_horizon, flag, value, message):
     def no_training(*args, **kwargs):
         raise AssertionError("trained a model for a grid that cannot run")
 
+    def no_loading(*args, **kwargs):
+        raise AssertionError("loaded a checkpoint for a grid that cannot run")
+
     monkeypatch.setattr(cli, "train", no_training)
+    monkeypatch.setattr(cli, "load_model", no_loading)
     grid = {"--dt": "2", "--rho": "0", "--seeds": "1", flag: value}
     mode = (["--per-horizon", "--train-data", str(workdir / "data.jsonl")] if per_horizon
             else ["--ckpt", str(workdir / "ckpt.bin")])

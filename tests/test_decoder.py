@@ -17,8 +17,8 @@ def make_params(cfg, seed=0):
 
 
 def normals(rng, cfg):
-    """The (K, J) noise that `Model.forward_sample` draws from `rng`."""
-    return np.array(rng.normals(cfg.modes * cfg.latent_dim)).reshape(cfg.modes, cfg.latent_dim)
+    """The (1, K, J) noise that `Model.forward_sample` draws from `rng` for its one vessel."""
+    return np.array(rng.normals(cfg.modes * cfg.latent_dim)).reshape(1, cfg.modes, cfg.latent_dim)
 
 
 def decode_eps(p, cfg, f_enc, eps):
@@ -27,8 +27,8 @@ def decode_eps(p, cfg, f_enc, eps):
 
 def test_zero_eps_gives_mu_exactly(micro_cfg):
     p = make_params(micro_cfg)
-    f_enc = tensor(rand(Rng(1), (1, micro_cfg.d_model)))
-    out = decode_eps(p, micro_cfg, f_enc, np.zeros((micro_cfg.modes, micro_cfg.latent_dim)))
+    f_enc = tensor(rand(Rng(1), (1, 1, micro_cfg.d_model)))
+    out = decode_eps(p, micro_cfg, f_enc, np.zeros((1, micro_cfg.modes, micro_cfg.latent_dim)))
     assert np.array_equal(out.z.data, out.mu.data)
 
 
@@ -36,14 +36,14 @@ def test_unit_eps_with_zero_logvar(micro_cfg):
     p = make_params(micro_cfg)
     p.logvar_head.w.data[...] = 0.0
     p.logvar_head.b.data[...] = 0.0
-    f_enc = tensor(rand(Rng(2), (1, micro_cfg.d_model)))
-    out = decode_eps(p, micro_cfg, f_enc, np.ones((micro_cfg.modes, micro_cfg.latent_dim)))
+    f_enc = tensor(rand(Rng(2), (1, 1, micro_cfg.d_model)))
+    out = decode_eps(p, micro_cfg, f_enc, np.ones((1, micro_cfg.modes, micro_cfg.latent_dim)))
     assert np.allclose(out.z.data, out.mu.data + 1.0, atol=1e-15)
 
 
 def test_sample_mean_approaches_mu(micro_cfg):
     p = make_params(micro_cfg)
-    f_enc = tensor(rand(Rng(3), (1, micro_cfg.d_model)))
+    f_enc = tensor(rand(Rng(3), (1, 1, micro_cfg.d_model)))
     rng = Rng(99)
     draws = []
     out = None
@@ -63,33 +63,33 @@ def test_zero_decoder_outputs_repeated_biases(micro_cfg):
         t.data[...] = 0.0
     p.ais_head.b.data[...] = np.array([0.3, -0.2])
     p.cctv_head.b.data[...] = np.array([1.5, 2.5])
-    f_enc = tensor(rand(Rng(4), (1, micro_cfg.d_model)))
-    out = decode_eps(p, micro_cfg, f_enc, np.zeros((micro_cfg.modes, micro_cfg.latent_dim)))
+    f_enc = tensor(rand(Rng(4), (1, 1, micro_cfg.d_model)))
+    out = decode_eps(p, micro_cfg, f_enc, np.zeros((1, micro_cfg.modes, micro_cfg.latent_dim)))
     k, t = micro_cfg.modes, micro_cfg.t_fut
-    assert np.allclose(out.ais.data, np.tile([0.3, -0.2], (k, t, 1)))
-    assert np.allclose(out.cctv.data, np.tile([1.5, 2.5], (k, t, 1)))
+    assert np.allclose(out.ais.data, np.tile([0.3, -0.2], (1, k, t, 1)))
+    assert np.allclose(out.cctv.data, np.tile([1.5, 2.5], (1, k, t, 1)))
 
 
 def test_different_latents_decode_differently(micro_cfg):
     p = make_params(micro_cfg)
-    f_enc = tensor(rand(Rng(5), (1, micro_cfg.d_model)))
-    shape = (micro_cfg.modes, micro_cfg.latent_dim)
+    f_enc = tensor(rand(Rng(5), (1, 1, micro_cfg.d_model)))
+    shape = (1, micro_cfg.modes, micro_cfg.latent_dim)
     out1 = decode_eps(p, micro_cfg, f_enc, rand(Rng(6), shape))
     out2 = decode_eps(p, micro_cfg, f_enc, rand(Rng(7), shape))
     for k in range(micro_cfg.modes):
-        assert not np.array_equal(out1.z.data[k], out2.z.data[k])
-        assert ade_fde(out1.ais.data[k], out2.ais.data[k])[0] > 0
+        assert not np.array_equal(out1.z.data[0, k], out2.z.data[0, k])
+        assert ade_fde(out1.ais.data[0, k], out2.ais.data[0, k])[0] > 0
 
 
 def test_predict_modes_shapes_and_determinism(micro_cfg):
     p = make_params(micro_cfg)
-    f_enc = tensor(rand(Rng(8), (1, micro_cfg.d_model)))
+    f_enc = tensor(rand(Rng(8), (1, 1, micro_cfg.d_model)))
     k, t, j = micro_cfg.modes, micro_cfg.t_fut, micro_cfg.latent_dim
     out1 = predict_modes(p, f_enc, normals(Rng(55), micro_cfg))
     out2 = predict_modes(p, f_enc, normals(Rng(55), micro_cfg))
-    assert out1.ais.shape == (k, t, 2)
-    assert out1.cctv.shape == (k, t, 2)
-    assert out1.z.shape == (k, j)
+    assert out1.ais.shape == (1, k, t, 2)
+    assert out1.cctv.shape == (1, k, t, 2)
+    assert out1.z.shape == (1, k, j)
     assert np.array_equal(out1.ais.data, out2.ais.data)
     assert np.array_equal(out1.z.data, out2.z.data)
 
@@ -97,16 +97,16 @@ def test_predict_modes_shapes_and_determinism(micro_cfg):
 def test_k1_predict_modes(micro_cfg):
     cfg = micro_config(modes=1)
     p = make_params(cfg)
-    f_enc = tensor(rand(Rng(9), (1, cfg.d_model)))
+    f_enc = tensor(rand(Rng(9), (1, 1, cfg.d_model)))
     out = predict_modes(p, f_enc, normals(Rng(1), cfg))
-    assert out.ais.shape == (1, cfg.t_fut, 2)
+    assert out.ais.shape == (1, 1, cfg.t_fut, 2)
 
 
 def test_distinct_modes_give_distinct_candidates(micro_cfg):
     cfg = micro_config(modes=5)
     p = make_params(cfg)
-    f_enc = tensor(rand(Rng(10), (1, cfg.d_model)))
-    ais = predict_modes(p, f_enc, np.zeros((5, cfg.latent_dim))).ais.data
+    f_enc = tensor(rand(Rng(10), (1, 1, cfg.d_model)))
+    ais = predict_modes(p, f_enc, np.zeros((1, 5, cfg.latent_dim))).ais.data[0]
     for i in range(5):
         for j in range(i + 1, 5):
             assert ade_fde(ais[i], ais[j])[0] > 0
@@ -116,10 +116,10 @@ def test_decoder_gradients(micro_cfg):
     p = make_params(micro_cfg)
     rng = Rng(11)
     k, t, j = micro_cfg.modes, micro_cfg.t_fut, micro_cfg.latent_dim
-    f_enc = tensor(rand(rng, (1, micro_cfg.d_model)))
-    eps = rand(rng, (k, j))
-    coeff_a = 0.2 * rand(rng, (k, t, 2))
-    coeff_c = 0.2 * rand(rng, (k, t, 2))
+    f_enc = tensor(rand(rng, (1, 1, micro_cfg.d_model)))
+    eps = rand(rng, (1, k, j))
+    coeff_a = 0.2 * rand(rng, (1, k, t, 2))
+    coeff_c = 0.2 * rand(rng, (1, k, t, 2))
 
     def f(_):
         out = decode_eps(p, micro_cfg, f_enc, eps)

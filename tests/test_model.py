@@ -88,6 +88,55 @@ def test_encoding_under_another_mask_fails_naming_ais_mask(micro_cfg, micro_samp
         model.predict(lit, rng=Rng(3), encoding=model.encode(sample))
 
 
+def mixed_pool(samples):
+    """Dark, lit and partly masked vessels, with a dark one first, so that the
+    vessels refinement applies to are not already at the front of the pool."""
+    from vesselcast.data import apply_dark_vessels
+
+    first = np.array([True, False])
+    return [
+        apply_dark_vessels([samples[0]], 1.0, seed=0)[0],
+        samples[1],
+        dataclasses.replace(samples[2], ais_mask=first),
+        apply_dark_vessels([samples[3]], 1.0, seed=0)[0],
+        dataclasses.replace(samples[4], ais_mask=~first),
+        samples[5],
+    ]
+
+
+@pytest.mark.parametrize("modes", [1, 5])
+@pytest.mark.parametrize("use_bank", [False, True])
+def test_a_pooled_predict_matches_each_vessels_own_predict_bit_for_bit(modes, use_bank):
+    """One `predict_pool` pass decodes and refines a pool of lit, partly masked
+    and dark vessels; each vessel's candidates, latents and retrieved entry
+    equal its one-vessel `predict` on the same rng bit for bit."""
+    model = Model(micro_config(modes=modes))
+    samples = generate_scenario(micro_waterway(vessel_count=7), seed=5)
+    bank = bank_from_samples(samples, 4, seed=0) if use_bank else None
+    pool = mixed_pool(samples)
+    encodings = [model.encode(s) for s in pool]
+    pooled = model.predict_pool(pool, [Rng(11).child(s.vessel_id) for s in pool], encodings, bank=bank)
+    assert len(pooled) == len(pool)
+    for sample, got in zip(pool, pooled):
+        want = model.predict(sample, rng=Rng(11).child(sample.vessel_id), bank=bank)
+        for name in ("ais", "cctv", "latents"):
+            assert getattr(got, name).shape == getattr(want, name).shape, name
+            assert np.array_equal(getattr(got, name), getattr(want, name)), (sample.vessel_id, name)
+        assert (got.prior_index, got.prior_similarity) == (want.prior_index, want.prior_similarity)
+    assert sum(p.prior_index is not None for p in pooled) == (4 if use_bank else 0)
+
+
+def test_predict_pool_rejects_an_encoding_under_another_mask_naming_the_vessel(micro_cfg, micro_samples):
+    model = Model(micro_cfg)
+    pool = mixed_pool(micro_samples)
+    encodings = [model.encode(s) for s in pool]
+    encodings[1] = encodings[0]  # made under the dark mask
+    with pytest.raises(ValueError, match=rf"ais_mask \[1, 1\] differs .* \(vessel_id '{pool[1].vessel_id}'\)"):
+        model.predict_pool(pool, [Rng(0)] * len(pool), encodings)
+    with pytest.raises(ValueError, match="one rng and one encoding per sample"):
+        model.predict_pool(pool, [Rng(0)], encodings)
+
+
 @pytest.mark.parametrize("use_bank", [False, True])
 def test_modes_independent_along_mode_axis(micro_cfg, micro_samples, use_bank):
     model = Model(micro_cfg)
@@ -216,6 +265,22 @@ def test_loss_batch_finite_and_winner_range(micro_cfg, micro_samples):
         backward(total)
     grads = [t.grad for t in model.named.values() if t.grad is not None]
     assert grads, "no parameter received gradient"
+
+
+def test_loss_batch_on_dark_samples_leaves_every_refine_grad_none(micro_cfg, micro_samples):
+    """With no broadcast step in the batch nothing is refined, so the
+    refinement parameters get no gradient at all, not a zero one."""
+    from vesselcast.data import apply_dark_vessels
+
+    model = Model(micro_cfg)
+    bank = bank_from_samples(micro_samples, 4, seed=0)
+    dark = apply_dark_vessels(micro_samples[:3], 1.0, seed=0)
+    with Tape():
+        total, _, _, _ = model.loss_batch(dark, rng=Rng(2), bank=bank)
+        backward(total)
+    refine = {name: t.grad for name, t in model.named.items() if name.startswith("refine.")}
+    assert refine and all(grad is None for grad in refine.values()), refine
+    assert model.named["decoder.mode_embed"].grad is not None
 
 
 def test_full_loss_gradients_every_parameter(micro_cfg, micro_samples):

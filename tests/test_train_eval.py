@@ -184,30 +184,52 @@ def test_evaluate_on_no_samples_fails_naming_the_dataset_horizon():
 
 def test_evaluate_fuses_each_vessel_mask_pair_once(tiny_dataset, monkeypatch):
     """One fusion per distinct (vessel_id, ais_mask) the grid forwards, and one
-    forward per (vessel, cell, seed) all the same."""
+    draw per (vessel, cell, seed) all the same."""
     samples = list(tiny_dataset)
     samples[0] = dataclasses.replace(samples[0], ais_mask=np.array([False, True]))
     fusions = 0
     forwarded = []
     real_fuse = model_mod.encode_and_fuse
-    real_forward = Model.forward_sample
+    real_predict_pool = Model.predict_pool
 
     def counting_fuse(*args, **kwargs):
         nonlocal fusions
         fusions += 1
         return real_fuse(*args, **kwargs)
 
-    def recording_forward(self, sample, *args, **kwargs):
-        forwarded.append((sample.vessel_id, sample.ais_mask.tobytes()))
-        return real_forward(self, sample, *args, **kwargs)
+    def recording_predict_pool(self, pool, *args, **kwargs):
+        forwarded.extend((sample.vessel_id, sample.ais_mask.tobytes()) for sample in pool)
+        return real_predict_pool(self, pool, *args, **kwargs)
 
     monkeypatch.setattr(model_mod, "encode_and_fuse", counting_fuse)
-    monkeypatch.setattr(Model, "forward_sample", recording_forward)
+    monkeypatch.setattr(Model, "predict_pool", recording_predict_pool)
     bank = bank_from_samples(samples, 4, seed=0)
     report = evaluate(samples, Model(micro_config()), bank, dts=[2, 3], rhos=[0.0, 0.5], seeds=[0, 1])
     assert len(forwarded) == sum(c.n_samples * c.n_seeds for c in report.cells)
     assert len(set(forwarded)) > len(samples)  # some vessel went dark
     assert fusions == len(set(forwarded))
+
+
+def test_evaluate_checks_each_sample_once_per_mask_not_per_draw(tiny_dataset, monkeypatch):
+    """A sample is checked once when its scenes are encoded and once per
+    (vessel, mask) when fused; drawing more seeds on the same masks checks
+    nothing again. rho 1 darkens every vessel whatever the seed."""
+    from vesselcast.data import VesselSample
+
+    counts = []
+    real_validate = VesselSample.validate
+
+    def counting_validate(self):
+        counts[-1] += 1
+        return real_validate(self)
+
+    monkeypatch.setattr(VesselSample, "validate", counting_validate)
+    model = Model(micro_config())
+    bank = bank_from_samples(tiny_dataset, 4, seed=0)
+    for n_seeds in (2, 4):
+        counts.append(0)
+        evaluate(tiny_dataset, model, bank, dts=[2], rhos=[0.0, 1.0], seeds=list(range(n_seeds)))
+    assert counts == [3 * len(tiny_dataset)] * 2  # encode_scenes, then the lit and the dark mask
 
 
 def test_evaluate_without_scene_stream_never_encodes(tiny_dataset, monkeypatch):
@@ -227,9 +249,10 @@ def test_evaluate_rejects_repeated_vessel_id(tiny_dataset):
 
 
 def test_evaluate_oracle_predictor_zero_error(tiny_dataset):
-    def oracle(sample, dt, rng):
-        gt_a = np.stack([sample.fut_ais[:dt]] * 2)
-        gt_c = np.stack([sample.fut_cctv[:dt]] * 2)
+    def oracle(samples, dt, rngs):
+        assert len(rngs) == len(samples)
+        gt_a = np.stack([np.stack([s.fut_ais[:dt]] * 2) for s in samples])  # (vessels, K, dt, 2)
+        gt_c = np.stack([np.stack([s.fut_cctv[:dt]] * 2) for s in samples])
         return gt_a, gt_c
 
     report = evaluate(tiny_dataset, None, None, dts=[3], rhos=[0.0, 0.2], seeds=[0, 1], predictor=oracle)
@@ -279,6 +302,9 @@ def test_evaluate_rejects_horizon_beyond_checkpoint(tiny_dataset):
         ("seeds", [], "seeds is empty"),
         ("dts", [0], "dts holds horizon 0"),
         ("dts", [2, -1], "dts holds horizon -1"),
+        ("rhos", [0.0, 1.5], r"rhos holds missing rate 1\.5"),
+        ("rhos", [-0.1], r"rhos holds missing rate -0\.1"),
+        ("rhos", [float("nan")], "rhos holds missing rate nan"),
     ],
 )
 def test_evaluate_rejects_an_empty_axis_or_a_horizon_below_one(tiny_dataset, axis, value, message):
