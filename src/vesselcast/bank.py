@@ -207,10 +207,7 @@ def refine_and_fuse(
     offset = reshape(p.offset_mlp(concat([flat_prior, flat_feat], axis=2)), (v, k_modes, t_fut, 2))
     refined = add(tensor(prior[:, None]), mul(offset, offset_scale))
     beta = reshape(sigmoid(p.gate(f_enc)), (v, 1, 1, 1))
-    # beta meets each vessel's steps before its modes, so beta's gradient sums
-    # the mode axis first and the steps second, as a lone (1, 1) gate's did
-    steps = tensor(np.zeros((v, 1, t_fut, 2)))
-    return add(mul(add(steps, beta), refined), mul(add(steps, sub(1.0, beta)), base))
+    return add(mul(beta, refined), mul(sub(1.0, beta), base))
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ latent is reparameterized (z = mu + eps * exp(0.5 * logvar)) so gradients
 flow to the heads but not the noise. A single MLP expands the conditioned
 input to the whole future at once; per-step linear heads emit both modality
 trajectories. No recurrence anywhere, and no loop over modes: the K modes
-are the rows of one batch, and the vessels of an evaluation pool a leading
-axis over them, so every head runs once per call.
+are the rows of one batch, and the vessels of a pool or a training batch a
+leading axis over them, so every head runs once per call.
 """
 
 from __future__ import annotations
@@ -82,12 +82,12 @@ def predict_modes(p: DecoderParams, f_enc: Tensor, eps: np.ndarray) -> ModeOutpu
     k_modes, d = p.mode_embed.shape
     rows = tensor(np.zeros((v, k_modes, d)))
     f_rows = add(rows, f_enc)  # (V, K, d): each vessel's f_enc on each of its mode rows
-    # mode_embed is broadcast once per use, so its two gradients still reach it one at a time
-    h = concat([f_rows, add(rows, p.mode_embed)], axis=2)
+    embed = add(rows, p.mode_embed)  # (V, K, d): each mode's embedding on each vessel
+    h = concat([f_rows, embed], axis=2)
     mu = p.mu_head(h)
     logvar = clamp(p.logvar_head(h), -LOGVAR_RANGE, LOGVAR_RANGE)
     z = mu + mul(exp(mul(logvar, 0.5)), tensor(eps))
-    expand_in = concat([f_rows, z, add(rows, p.mode_embed)], axis=2)
+    expand_in = concat([f_rows, z, embed], axis=2)
     features = reshape(p.expand(expand_in), (v, k_modes, -1, d))  # (V, K, T_fut, d)
     return ModeOutput(
         ais=p.ais_head(features),

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .decoder import ModeOutput
-from .engine import Tensor, exp, mul, narrow, reshape, sqrt, tensor, tmean, tsum
+from .engine import Tensor, exp, mul, sqrt, tensor, tmean, tsum
 
 
 def step_distance_mean(pred: Tensor, gt: np.ndarray) -> Tensor:
@@ -14,15 +14,15 @@ def step_distance_mean(pred: Tensor, gt: np.ndarray) -> Tensor:
     return tmean(sqrt(tsum(mul(diff, diff), axis=-1)), axis=-1)
 
 
-def rec_loss(modes: ModeOutput, gt_ais: np.ndarray, gt_cctv: np.ndarray) -> tuple[Tensor, int]:
-    """Joint best mode over both modalities; ties go to the lowest index.
-
-    `modes` holds one sample: its fields are (K, ...), or (1, K, ...) with a
-    vessel axis. Only the winning mode's rows receive gradient.
-    """
-    per_mode = step_distance_mean(modes.ais, gt_ais) + step_distance_mean(modes.cctv, gt_cctv)
-    winner = int(np.argmin(per_mode.data))
-    return reshape(narrow(per_mode, -1, winner, 1), ()), winner
+def rec_loss(modes: ModeOutput, gt_ais: np.ndarray, gt_cctv: np.ndarray) -> tuple[Tensor, np.ndarray]:
+    """Each vessel's (V,) joint best-mode distance over both modalities, and
+    its winner; ties go to the lowest index. `modes` fields are (V, K, ...)
+    and the ground truths (V, T, 2). A one-hot mask over the (V, K) distances
+    picks the winners, so every losing mode gets exactly zero gradient."""
+    per_mode = step_distance_mean(modes.ais, gt_ais[:, None]) + step_distance_mean(modes.cctv, gt_cctv[:, None])
+    winners = np.argmin(per_mode.data, axis=-1)
+    one_hot = np.arange(per_mode.shape[-1]) == winners[:, None]
+    return tsum(mul(per_mode, one_hot.astype(np.float64)), axis=-1), winners
 
 
 def kl_loss(mu: Tensor, logvar: Tensor) -> Tensor:
@@ -31,10 +31,10 @@ def kl_loss(mu: Tensor, logvar: Tensor) -> Tensor:
     return mul(tsum(inner, axis=-1), -0.5)
 
 
-def sample_losses(modes: ModeOutput, gt_ais: np.ndarray, gt_cctv: np.ndarray) -> tuple[Tensor, Tensor, int]:
-    """(reconstruction, mode-averaged KL, winner) for one sample."""
-    rec, winner = rec_loss(modes, gt_ais, gt_cctv)
-    return rec, tmean(kl_loss(modes.mu, modes.logvar)), winner
+def sample_losses(modes: ModeOutput, gt_ais: np.ndarray, gt_cctv: np.ndarray) -> tuple[Tensor, Tensor, np.ndarray]:
+    """(reconstruction, mode-averaged KL, winner) of each of V vessels, each of shape (V,)."""
+    rec, winners = rec_loss(modes, gt_ais, gt_cctv)
+    return rec, tmean(kl_loss(modes.mu, modes.logvar), axis=-1), winners
 
 
 def total_loss(rec: Tensor, kl: Tensor, kl_weight: float) -> Tensor:

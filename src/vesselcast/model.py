@@ -11,7 +11,7 @@ from .bank import RefinementParams, TrajectoryBank, init_refinement, refine_and_
 from .config import TrainConfig, architecture_hash
 from .data.types import FieldError, VesselSample
 from .decoder import DecoderParams, ModeOutput, PredictionSet, init_decoder, predict_modes
-from .engine import Tensor, concat, narrow, stack
+from .engine import Tensor, concat, narrow, stack, tmean
 from .engine.rng import Rng
 from .fusion import FusionParams, encode_and_fuse, init_fusion, masked_track
 from .losses import sample_losses, total_loss
@@ -71,13 +71,16 @@ class Model:
         self.named = collect_params(self.params)
 
     # ------------------------------------------------------------------
-    def _check_sample(self, sample: VesselSample) -> None:
+    def _check_sample(self, sample: VesselSample, futures: bool = False) -> None:
         """Reject a sample this model cannot read: a window other than
-        `cfg.t_obs` steps, a record that breaks `VesselSample.validate`, or,
-        when the scene path runs, a frame other than (3, cfg.raster_size,
+        `cfg.t_obs` steps, with `futures` a future other than `cfg.t_fut`
+        steps, a record that breaks `VesselSample.validate`, or, when the
+        scene path runs, a frame other than (3, cfg.raster_size,
         cfg.raster_size). The FieldError names the field and the vessel_id."""
         try:
             _check_steps("obs_ais", len(sample.obs_ais), "t_obs", self.cfg.t_obs)
+            if futures:
+                _check_steps("fut_ais", len(sample.fut_ais), "t_fut", self.cfg.t_fut)
             sample.validate()
             shape = sample.rasters.shape[1:]
             want = (3, self.cfg.raster_size, self.cfg.raster_size)
@@ -85,6 +88,20 @@ class Model:
                 raise FieldError("scenes.raster", f"at step 0 has shape {shape}, not {want}")
         except FieldError as e:
             raise FieldError(e.field, f"{e.detail} (vessel_id {sample.vessel_id!r})") from e
+
+    def _check_bank(self, bank: TrajectoryBank | None) -> None:
+        if bank is not None:
+            _check_steps("bank.t_obs", bank.t_obs, "t_obs", self.cfg.t_obs)
+            _check_steps("bank.t_fut", bank.t_fut, "t_fut", self.cfg.t_fut)
+
+    def check_training(self, samples: list[VesselSample], bank: TrajectoryBank | None = None) -> None:
+        """Reject, before any encoding, the samples or bank `loss_batch` cannot
+        train on; `train` runs it on the whole dataset before its first step."""
+        if not samples:
+            raise ValueError("samples is empty: a training batch needs at least one sample")
+        for sample in samples:
+            self._check_sample(sample, futures=True)
+        self._check_bank(bank)
 
     def encode_scenes(self, samples: list[VesselSample]) -> list[Tensor | None]:
         """One (t_obs, d) tensor of scene features per sample, or None per
@@ -155,9 +172,7 @@ class Model:
                 f"decode needs one rng and one encoding per sample and at least one sample, got "
                 f"{len(samples)} samples, {len(rngs)} rngs and {len(encodings)} encodings"
             )
-        if bank is not None:
-            _check_steps("bank.t_obs", bank.t_obs, "t_obs", cfg.t_obs)
-            _check_steps("bank.t_fut", bank.t_fut, "t_fut", cfg.t_fut)
+        self._check_bank(bank)
         for sample, encoding in zip(samples, encodings):
             if not np.array_equal(encoding.ais_mask, sample.ais_mask):
                 raise ValueError(
@@ -224,21 +239,19 @@ class Model:
         rng: Rng,
         bank: TrajectoryBank | None = None,
     ) -> tuple[Tensor, Tensor, Tensor, list[int]]:
-        """Batch-mean (total, rec, kl) tensors plus per-sample winning modes."""
-        recs = []
-        kls = []
-        winners = []
-        for sample in samples:
-            _check_steps("fut_ais", len(sample.fut_ais), "t_fut", self.cfg.t_fut)
-            fwd = self.forward_sample(sample, rng, bank=bank)
-            rec, kl, winner = sample_losses(fwd.modes, sample.fut_ais, sample.fut_cctv)
-            recs.append(rec)
-            kls.append(kl)
-            winners.append(winner)
-        inv = 1.0 / len(samples)
-        rec = sum(recs[1:], recs[0]) * inv
-        kl = sum(kls[1:], kls[0]) * inv
-        return total_loss(rec, kl, self.cfg.kl_weight), rec, kl, winners
+        """Batch-mean (total, rec, kl) tensors plus per-sample winning modes.
+
+        After `check_training`, each sample is encoded on its own (a batched
+        ConvLSTM's backward transients cost more memory than its tape saves),
+        then one `decode` pass, drawing each sample's noise from `rng` in
+        turn, and one `sample_losses` call score the whole batch.
+        """
+        self.check_training(samples, bank)
+        fwd = self.decode(samples, [rng] * len(samples), [self.encode(s) for s in samples], bank=bank)
+        fut = [np.stack([getattr(samples[i], name) for i in fwd.order]) for name in ("fut_ais", "fut_cctv")]
+        rec, kl, winners = sample_losses(fwd.modes, *fut)
+        rec, kl = tmean(rec), tmean(kl)
+        return total_loss(rec, kl, self.cfg.kl_weight), rec, kl, winners[np.argsort(fwd.order)].tolist()
 
     def predict(
         self,

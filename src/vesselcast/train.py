@@ -62,12 +62,11 @@ def train(
     """Train a fresh model; returns it with the per-epoch loss curve.
 
     Deterministic for fixed (samples, cfg): parameter init, batch order, and
-    latent noise all derive from cfg.seed.
+    latent noise all derive from cfg.seed. Every sample and the bank are
+    checked before the first step.
     """
-    if not samples:
-        raise ValueError("train needs a nonempty dataset")
-    cfg.validate()
     model = Model(cfg)
+    model.check_training(samples, bank)
     opt = Adam(model.named, lr=cfg.lr)
     sched = PlateauScheduler(opt, cfg.scheduler_factor, cfg.scheduler_patience, cfg.scheduler_threshold)
 

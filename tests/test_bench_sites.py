@@ -54,7 +54,12 @@ def test_traced_train_step_and_predict_complete(tracing, micro_cfg, micro_sample
     for span in ("scene_encoder.stem_forward", "fusion.attention", "model.Model.forward_sample"):
         assert tracer.calls[span] > 0, span
     assert tracer.tape_nodes == [total.node_id + 1]
-    assert tracer.vessel_ids == {s.vessel_id for s in micro_samples[:3]}
+    # the training step decodes and scores its batch in one pass each, with one
+    # fusion per sample; only the predict call goes through forward_sample
+    assert tracer.vessel_ids == {micro_samples[2].vessel_id}
+    assert tracer.calls["decoder.predict_modes"] == 2
+    assert tracer.calls["losses.sample_losses"] == 1
+    assert tracer.calls["fusion.encode_and_fuse"] == 3
 
 
 def test_traced_eval_grid_counts(tracing, micro_samples, monkeypatch):

@@ -14,22 +14,22 @@ def rand(rng, shape, lo=-1.0, hi=1.0):
 
 
 def modes_from(ais, cctv, mu=None, logvar=None, j=4, requires_grad=False):
-    """Stack per-mode (T, 2) tracks into one ModeOutput with a leading K axis."""
+    """Stack per-mode (T, 2) tracks into a one-vessel ModeOutput with leading (1, K) axes."""
     k, t = len(ais), len(ais[0])
     return ModeOutput(
-        ais=tensor(np.stack(ais), requires_grad=requires_grad),
-        cctv=tensor(np.stack(cctv), requires_grad=requires_grad),
-        features=tensor(np.zeros((k, t, 2))),
-        z=tensor(np.zeros((k, j))),
-        mu=tensor(np.zeros((k, j)) if mu is None else mu),
-        logvar=tensor(np.zeros((k, j)) if logvar is None else logvar),
+        ais=tensor(np.stack(ais)[None], requires_grad=requires_grad),
+        cctv=tensor(np.stack(cctv)[None], requires_grad=requires_grad),
+        features=tensor(np.zeros((1, k, t, 2))),
+        z=tensor(np.zeros((1, k, j))),
+        mu=tensor(np.zeros((1, k, j)) if mu is None else mu[None]),
+        logvar=tensor(np.zeros((1, k, j)) if logvar is None else logvar[None]),
     )
 
 
 def test_rec_loss_perfect_prediction_is_zero():
     rng = Rng(1)
     gt_a, gt_c = rand(rng, (5, 2)), rand(rng, (5, 2))
-    loss, winner = rec_loss(modes_from([gt_a], [gt_c]), gt_a, gt_c)
+    loss, (winner,) = rec_loss(modes_from([gt_a], [gt_c]), gt_a[None], gt_c[None])
     assert loss.item() == 0.0
     assert winner == 0
 
@@ -39,9 +39,9 @@ def test_rec_loss_duplicate_winner_unchanged():
     gt_a, gt_c = rand(rng, (4, 2)), rand(rng, (4, 2))
     good = (gt_a + 0.01, gt_c + 0.01)
     bad = (gt_a + 1.0, gt_c + 1.0)
-    base, _ = rec_loss(modes_from([good[0], bad[0]], [good[1], bad[1]]), gt_a, gt_c)
-    dup, winner = rec_loss(
-        modes_from([good[0], bad[0], gt_a + 0.01], [good[1], bad[1], gt_c + 0.01]), gt_a, gt_c
+    base, _ = rec_loss(modes_from([good[0], bad[0]], [good[1], bad[1]]), gt_a[None], gt_c[None])
+    dup, (winner,) = rec_loss(
+        modes_from([good[0], bad[0], gt_a + 0.01], [good[1], bad[1], gt_c + 0.01]), gt_a[None], gt_c[None]
     )
     assert dup.item() == base.item()
     assert winner == 0  # ties resolve to the lowest index
@@ -59,7 +59,7 @@ def test_rec_loss_joint_min_across_modalities():
     for offs in ((0.1, 0.9), (0.5, 0.2)):
         per_mode.append(sum(o * math.sqrt(2.0) for o in offs))
     expected_winner = int(np.argmin(per_mode))
-    loss, winner = rec_loss(modes, gt_a, gt_c)
+    loss, (winner,) = rec_loss(modes, gt_a[None], gt_c[None])
     assert winner == expected_winner == 1
     assert loss.item() == pytest.approx(per_mode[1], abs=1e-12)
 
@@ -69,13 +69,13 @@ def test_rec_loss_gradient_only_through_winner():
     gt_a, gt_c = rand(rng, (4, 2)), rand(rng, (4, 2))
     modes = modes_from([gt_a + 0.05, gt_a + 2.0], [gt_c + 0.05, gt_c + 2.0], requires_grad=True)
     with Tape():
-        loss, winner = rec_loss(modes, gt_a, gt_c)
+        loss, (winner,) = rec_loss(modes, gt_a[None], gt_c[None])
         backward(loss)
     assert winner == 0
-    assert np.linalg.norm(modes.ais.grad[0]) > 0
-    assert np.linalg.norm(modes.cctv.grad[0]) > 0
-    assert not modes.ais.grad[1].any()
-    assert not modes.cctv.grad[1].any()
+    assert np.linalg.norm(modes.ais.grad[0, 0]) > 0
+    assert np.linalg.norm(modes.cctv.grad[0, 0]) > 0
+    assert not modes.ais.grad[0, 1].any()
+    assert not modes.cctv.grad[0, 1].any()
 
 
 def test_kl_standard_normal_is_zero():
@@ -203,7 +203,7 @@ def test_sample_losses_averages_kl_over_modes():
     gt_a, gt_c = rand(rng, (4, 2)), rand(rng, (4, 2))
     mu = np.stack([np.ones(4), np.zeros(4)])
     modes = modes_from([gt_a, gt_a + 1], [gt_c, gt_c + 1], mu=mu, logvar=np.zeros((2, 4)), j=4)
-    _, kl, winner = sample_losses(modes, gt_a, gt_c)
+    _, kl, (winner,) = sample_losses(modes, gt_a[None], gt_c[None])
     # per-mode KLs are 2.0 and 0.0 -> mean 1.0
     assert kl.item() == pytest.approx(1.0, abs=1e-12)
     assert winner == 0

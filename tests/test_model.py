@@ -245,12 +245,18 @@ def test_bank_horizon_mismatch_fails(micro_cfg, micro_samples, key, value):
         model.predict(micro_samples[0], rng=Rng(0), bank=bank)
 
 
-@pytest.mark.parametrize("field", ["fut_ais", "fut_cctv"])
+@pytest.mark.parametrize("field", ["fut_ais", "fut_cctv", "samples"])
 def test_loss_batch_future_mismatch_fails(micro_cfg, micro_samples, field):
+    """A short future fails naming the field and the vessel; an empty batch
+    fails naming `samples`."""
     model = Model(micro_cfg)
+    if field == "samples":
+        with pytest.raises(ValueError, match="samples is empty"):
+            model.loss_batch([], rng=Rng(0))
+        return
     short = dataclasses.replace(micro_samples[0], **{field: getattr(micro_samples[0], field)[:2]})
     rule = "but cfg.t_fut is 3" if field == "fut_ais" else "for 3 fut_ais rows"
-    with pytest.raises(ValueError, match=rf"{field} has 2 steps {rule}"):
+    with pytest.raises(ValueError, match=rf"{field} has 2 steps {rule} \(vessel_id '{short.vessel_id}'\)"):
         model.loss_batch([short], rng=Rng(0))
 
 
@@ -281,6 +287,85 @@ def test_loss_batch_on_dark_samples_leaves_every_refine_grad_none(micro_cfg, mic
     refine = {name: t.grad for name, t in model.named.items() if name.startswith("refine.")}
     assert refine and all(grad is None for grad in refine.values()), refine
     assert model.named["decoder.mode_embed"].grad is not None
+
+
+def per_sample_losses(model, batch, rng, bank):
+    """The loop `loss_batch` batches: one `forward_sample` per sample on the
+    shared rng, each winner by `argmin` over its modes' summed mean step
+    distances, and the batch means of the winning distances and of each
+    sample's mode-averaged KL, summed in sample order."""
+    recs, kls, winners = [], [], []
+    for sample in batch:
+        modes = model.forward_sample(sample, rng, bank=bank).modes
+        dist = sum(
+            np.sqrt(((pred.data[0] - gt) ** 2).sum(-1)).sum(-1) * (1.0 / len(gt))
+            for pred, gt in ((modes.ais, sample.fut_ais), (modes.cctv, sample.fut_cctv))
+        )
+        winners.append(int(np.argmin(dist)))
+        recs.append(dist[winners[-1]])
+        mu, logvar = modes.mu.data[0], modes.logvar.data[0]
+        kls.append(((1.0 + logvar - mu * mu - np.exp(logvar)).sum(-1) * -0.5).sum() * (1.0 / len(mu)))
+    rec, kl = sum(recs) / len(batch), sum(kls) / len(batch)
+    return rec + kl * model.cfg.kl_weight, rec, kl, winners
+
+
+@pytest.mark.parametrize("modes", [1, 5])
+@pytest.mark.parametrize("use_bank", [False, True])
+def test_loss_batch_matches_a_per_sample_loop(monkeypatch, modes, use_bank):
+    """One `loss_batch` over lit, partly masked and dark samples decodes the
+    batch in one `predict_modes` call and scores it in one `sample_losses`
+    call; its winners equal the per-sample loop's, and its losses agree with
+    the loop's within 4 ulp."""
+    import vesselcast.model as model_mod
+
+    model = Model(micro_config(modes=modes))
+    samples = generate_scenario(micro_waterway(vessel_count=7), seed=5)
+    bank = bank_from_samples(samples, 4, seed=0) if use_bank else None
+    batch = mixed_pool(samples)
+    calls = {"predict_modes": 0, "sample_losses": 0}
+
+    def counting(name):
+        real = getattr(model_mod, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(model_mod, name, counting(name))
+    total, rec, kl, winners = model.loss_batch(batch, rng=Rng(13), bank=bank)
+    assert calls == {"predict_modes": 1, "sample_losses": 1}
+    want = per_sample_losses(model, batch, Rng(13), bank)
+    assert winners == want[3]
+    for got, ref in zip((total, rec, kl), want):
+        np.testing.assert_array_max_ulp(np.array(got.item()), np.array(ref), maxulp=4)
+
+
+@pytest.mark.parametrize("modes", [1, 5])
+def test_a_dark_sample_adds_nothing_to_the_refinement_gradients(modes):
+    """In a [lit, dark] batch the batch mean halves the lit sample's weight
+    and the dark sample is never refined, so every refinement gradient is
+    exactly half that of [lit] alone."""
+    from vesselcast.data import apply_dark_vessels
+
+    model = Model(micro_config(modes=modes))
+    samples = generate_scenario(micro_waterway(vessel_count=7), seed=5)
+    bank = bank_from_samples(samples, 4, seed=0)
+    lit, dark = samples[1], apply_dark_vessels([samples[2]], 1.0, seed=0)[0]
+    grads = []
+    for batch in ([lit], [lit, dark]):
+        for t in model.named.values():
+            t.grad = None
+        with Tape():
+            total, _, _, _ = model.loss_batch(batch, rng=Rng(13), bank=bank)
+            backward(total)
+        grads.append({name: t.grad for name, t in model.named.items() if name.startswith("refine.")})
+    alone, paired = grads
+    assert alone and all(g is not None for g in alone.values())
+    for name, grad in alone.items():
+        assert np.array_equal(paired[name], 0.5 * grad), name
 
 
 def test_full_loss_gradients_every_parameter(micro_cfg, micro_samples):

@@ -118,6 +118,32 @@ def test_divergence_guard(tiny_dataset):
         train_mod.Model = orig_model
 
 
+@pytest.mark.parametrize("fault", ["future", "bank"])
+def test_train_fails_at_the_boundary_before_any_step(tiny_dataset, monkeypatch, fault):
+    """A sample or a bank that a training step would reject fails before the
+    first `loss_batch` call, naming the field and, for a sample, its vessel."""
+    cfg = micro_config(epochs=2, batch_size=2)
+    samples, bank = list(tiny_dataset), None
+    if fault == "future":
+        last = samples[-1]
+        samples[-1] = dataclasses.replace(last, fut_ais=last.fut_ais[:2])
+        message = rf"fut_ais has 2 steps but cfg.t_fut is 3 \(vessel_id '{last.vessel_id}'\)"
+    else:
+        bank = bank_from_samples(generate_scenario(micro_waterway(t_fut=4), seed=1), 4, seed=0)
+        message = "bank.t_fut has 4 steps but cfg.t_fut is 3"
+    calls = []
+    real_loss_batch = Model.loss_batch
+
+    def counting_loss_batch(self, *args, **kwargs):
+        calls.append(1)
+        return real_loss_batch(self, *args, **kwargs)
+
+    monkeypatch.setattr(Model, "loss_batch", counting_loss_batch)
+    with pytest.raises(ValueError, match=message):
+        train(samples, cfg, bank=bank)
+    assert calls == []
+
+
 def test_evaluate_deterministic(tiny_dataset, tmp_path):
     cfg = micro_config()
     model = Model(cfg)
