@@ -191,14 +191,19 @@ def refine_and_fuse(
     features: Tensor,
     f_enc: Tensor,
     offset_scale: float,
+    lit: np.ndarray,
 ) -> Tensor:
-    """Blend each vessel's retrieved future (plus a learned, scaled offset) with its base.
+    """Blend each lit vessel's retrieved future (plus a learned, scaled offset) with its base.
 
     base is (V, K, T_fut, 2) and features (V, K, T_fut, d), one row per
     (vessel, mode). Each vessel's prior, row v of the (V, T_fut, 2) `prior`,
     is shared by its K modes, as is its gate, computed from row v of the
     (V, 1, d) `f_enc`; weight beta goes to the refined prior and 1 - beta to
-    the base. Each vessel's rows equal its one-vessel call bit for bit.
+    the base. The gate is multiplied by the vessel's entry of the (V,) 0/1
+    mask `lit`, so a vessel with entry 0 (one with nothing retrieved; its
+    prior only needs to be finite) keeps its base bit for bit and gives the
+    parameters exactly zero gradient. Each vessel's rows equal its one-vessel
+    call bit for bit.
     """
     v, k_modes, t_fut = base.shape[:3]
     prior = np.asarray(prior, dtype=np.float64)
@@ -206,7 +211,8 @@ def refine_and_fuse(
     flat_feat = reshape(features, (v, k_modes, -1))
     offset = reshape(p.offset_mlp(concat([flat_prior, flat_feat], axis=2)), (v, k_modes, t_fut, 2))
     refined = add(tensor(prior[:, None]), mul(offset, offset_scale))
-    beta = reshape(sigmoid(p.gate(f_enc)), (v, 1, 1, 1))
+    lit = np.asarray(lit, dtype=np.float64).reshape(v, 1, 1, 1)
+    beta = mul(reshape(sigmoid(p.gate(f_enc)), (v, 1, 1, 1)), lit)
     return add(mul(beta, refined), mul(sub(1.0, beta), base))
 
 

@@ -16,6 +16,7 @@ import numpy as np
 from .bank import TrajectoryBank
 from .data.generate import apply_dark_vessels
 from .data.types import DENSITY_LEVELS, VesselSample
+from .engine import tensor
 from .engine.rng import Rng
 from .metrics import ade_fde, constant_velocity_baseline, diversity, sum_in_order
 from .model import Model
@@ -113,12 +114,14 @@ def evaluate(
     The grid varies only the broadcast mask (through rho) and the latent
     noise (through the seed), so every vessel's scenes are encoded before
     the grid, in one `Model.encode_scenes` call: it checks every sample
-    first, naming the vessel_id of one that fails, then steps the ConvLSTM
-    once per frame over a vessel axis and runs the stem and the MLPs per
-    vessel. Each (vessel, ais_mask) pair is checked and fused once, when the
-    grid first meets it. Decoding and refinement run once per (cell, seed),
-    over a vessel axis that holds the pool's vessels (`Model.predict_pool`);
-    bank search runs once per lit vessel of each (cell, seed).
+    first, naming the vessel_id of one that fails, then runs the stem per
+    vessel and everything after it once over the vessel axis. Each
+    (vessel, ais_mask) pair is checked and fused once, when the grid first
+    meets it: one `Model.encode` call per (cell, seed) fuses the pairs that
+    (cell, seed) meets first. Decoding and refinement run once per
+    (cell, seed), over a vessel axis that holds the pool's vessels in
+    vessel_id order (`Model.predict_pool`); bank search runs once per lit
+    vessel of each (cell, seed).
     """
     check_grid(dts, rhos, seeds)
     max_dt = max(dts)
@@ -130,14 +133,17 @@ def evaluate(
     if predictor is None:
         if len({s.vessel_id for s in samples}) < len(samples):
             raise ValueError("evaluate needs a distinct vessel_id per sample")
-        scene_feats = dict(zip((s.vessel_id for s in samples), model.encode_scenes(samples)))
+        scene_feats = model.encode_scenes(samples)  # (vessels, t_obs, d), or None
+        scene_row = {s.vessel_id: i for i, s in enumerate(samples)}
         encodings = {}  # (vessel_id, ais_mask bytes) -> SampleEncoding, filled on first use
 
         def predictor(pool, dt, rngs):
             keys = [(s.vessel_id, s.ais_mask.tobytes()) for s in pool]
-            for sample, key in zip(pool, keys):
-                if key not in encodings:
-                    encodings[key] = model.encode(sample, scene_feats[sample.vessel_id])
+            fresh = {key: s for key, s in zip(keys, pool) if key not in encodings}
+            if fresh:
+                rows = [scene_row[vessel_id] for vessel_id, _ in fresh]
+                feats = None if scene_feats is None else tensor(scene_feats.data[rows])  # no tape runs here
+                encodings.update(zip(fresh, model.encode(*fresh.values(), scene_feats=feats).rows()))
             preds = model.predict_pool(pool, rngs, [encodings[key] for key in keys], bank=bank)
             return np.stack([p.ais[:, :dt] for p in preds]), np.stack([p.cctv[:, :dt] for p in preds])
 

@@ -113,30 +113,33 @@ def positional_encoding(t: int, d: int) -> np.ndarray:
 
 
 def _heads(x: Tensor, heads: int, axes: tuple[int, int, int]) -> Tensor:
-    """x (T, d) cut into `heads` column blocks, as (T, heads, d_k) with its axes permuted by `axes`."""
-    t, d = x.shape
-    return transpose(reshape(x, (t, heads, d // heads)), axes)
+    """x (..., T, d) cut into `heads` column blocks, as (..., T, heads, d_k) with
+    its last three axes permuted by `axes`."""
+    *lead, t, d = x.shape
+    n = len(lead)
+    return transpose(reshape(x, (*lead, t, heads, d // heads)), (*range(n), *(n + a for a in axes)))
 
 
 def attention_weights(query: Tensor, keys: Tensor, p: AttentionParams, heads: int) -> Tensor:
-    """Softmax weights of every head, (heads, T_query, T_keys)."""
-    q = _heads(p.wq(query), heads, (1, 0, 2))  # (heads, T_query, d_k)
-    k = _heads(p.wk(keys), heads, (1, 2, 0))  # (heads, d_k, T_keys)
-    return softmax(mul(matmul(q, k), 1.0 / math.sqrt(query.shape[1] // heads)), axis=-1)
+    """Softmax weights of every head, (..., heads, T_query, T_keys)."""
+    q = _heads(p.wq(query), heads, (1, 0, 2))  # (..., heads, T_query, d_k)
+    k = _heads(p.wk(keys), heads, (1, 2, 0))  # (..., heads, d_k, T_keys)
+    return softmax(mul(matmul(q, k), 1.0 / math.sqrt(query.shape[-1] // heads)), axis=-1)
 
 
 def attention(query: Tensor, keys: Tensor, values: Tensor, p: AttentionParams, heads: int) -> Tensor:
-    """Scaled dot-product attention with projections, multi-head."""
-    if keys.shape[0] != values.shape[0]:
+    """Scaled dot-product attention with projections, multi-head; leading axes are a batch."""
+    if keys.shape[-2] != values.shape[-2]:
         raise DimensionError(f"keys ({keys.shape}) and values ({values.shape}) disagree in length")
-    v = _heads(p.wv(values), heads, (1, 0, 2))  # (heads, T_keys, d_k)
-    out = matmul(attention_weights(query, keys, p, heads), v)  # (heads, T_query, d_k)
-    return p.wo(reshape(transpose(out, (1, 0, 2)), (query.shape[0], -1)))
+    v = _heads(p.wv(values), heads, (1, 0, 2))  # (..., heads, T_keys, d_k)
+    out = matmul(attention_weights(query, keys, p, heads), v)  # (..., heads, T_query, d_k)
+    n = len(out.shape) - 3
+    return p.wo(reshape(transpose(out, (*range(n), n + 1, n, n + 2)), query.shape))
 
 
 def cross_modal_block(z1: Tensor, z2: Tensor, p: BlockParams, heads: int) -> Tensor:
     """SA -> CA -> FFN with residual LayerNorms; output length follows z1."""
-    if z1.shape[1] != z2.shape[1]:
+    if z1.shape[-1] != z2.shape[-1]:
         raise DimensionError(f"feature dims differ: {z1.shape} vs {z2.shape}")
     zbar = layer_norm(add(z1, attention(z1, z1, z1, p.sa, heads)), p.ln1_gain, p.ln1_bias)
     ztil = layer_norm(add(zbar, attention(zbar, z2, z2, p.ca, heads)), p.ln2_gain, p.ln2_bias)
@@ -145,29 +148,27 @@ def cross_modal_block(z1: Tensor, z2: Tensor, p: BlockParams, heads: int) -> Ten
 
 def masked_track(obs_ais: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """obs_ais with every masked step zeroed: selected, not multiplied, since NaN * 0 is NaN."""
-    return np.where(np.asarray(mask, dtype=bool)[:, None], obs_ais, 0.0)
+    return np.where(np.asarray(mask, dtype=bool)[..., None], obs_ais, 0.0)
 
 
 def embed_ais(p: FusionParams, obs_ais: np.ndarray, mask: np.ndarray) -> Tensor:
-    """Embed the track with availability flags; masked steps become the token.
+    """Embed the track (..., T, 2) with availability flags (..., T); masked
+    steps become the token.
 
     Unavailable rows are zeroed before embedding and replaced by the learned
     mask token, so stored coordinates at masked steps, NaN included, cannot
     influence the output. Positional encoding is added afterwards either way.
     """
-    t = obs_ais.shape[0]
-    m = mask.astype(np.float64)[:, None]
-    inp = np.concatenate([masked_track(obs_ais, mask), m], axis=1)  # (T, 3)
+    m = mask.astype(np.float64)[..., None]
+    inp = np.concatenate([masked_track(obs_ais, mask), m], axis=-1)  # (..., T, 3)
     embedded = p.ais_embed(tensor(inp))
-    mask_col = tensor(m)
-    rows = add(mul(mask_col, embedded), mul(tensor(1.0 - m), p.mask_token))
-    return add(rows, tensor(positional_encoding(t, embedded.shape[1])))
+    rows = add(mul(tensor(m), embedded), mul(tensor(1.0 - m), p.mask_token))
+    return add(rows, tensor(positional_encoding(*embedded.shape[-2:])))
 
 
 def embed_cctv(p: FusionParams, obs_cctv: np.ndarray) -> Tensor:
-    t = obs_cctv.shape[0]
     embedded = p.cctv_embed(tensor(np.asarray(obs_cctv)))
-    return add(embedded, tensor(positional_encoding(t, embedded.shape[1])))
+    return add(embedded, tensor(positional_encoding(*embedded.shape[-2:])))
 
 
 def encode_and_fuse(
@@ -179,15 +180,19 @@ def encode_and_fuse(
     heads: int,
     use_cctv: bool = True,
 ) -> tuple[Tensor, Tensor]:
-    """Cascaded fusion -> (per-step features (T, d), pooled encoding (1, d)).
+    """Cascaded fusion -> (per-step features (..., T, d), pooled encoding (..., 1, d)).
 
-    With the camera stream ablated the first block self-fuses the track
-    stream; with no scene features the second block is skipped.
+    The tracks are (..., T, 2), the mask (..., T) and the scene features
+    (..., T, d), with the same leading axes, for example one per vessel of a
+    batch: every stage runs once over them, and each vessel's rows equal its
+    own call bit for bit. With the camera stream ablated the first block
+    self-fuses the track stream; with no scene features the second block is
+    skipped.
     """
     f_ais = embed_ais(p, obs_ais, ais_mask)
     memory = embed_cctv(p, obs_cctv) if use_cctv else f_ais
     fused = cross_modal_block(f_ais, memory, p.block1, heads)
     if scene_feats is not None:
         fused = cross_modal_block(fused, scene_feats, p.block2, heads)
-    pooled = tmean(fused, axis=0, keepdims=True)
+    pooled = tmean(fused, axis=-2, keepdims=True)
     return fused, pooled

@@ -11,7 +11,7 @@ from .bank import RefinementParams, TrajectoryBank, init_refinement, refine_and_
 from .config import TrainConfig, architecture_hash
 from .data.types import FieldError, VesselSample
 from .decoder import DecoderParams, ModeOutput, PredictionSet, init_decoder, predict_modes
-from .engine import Tensor, concat, narrow, stack, tmean
+from .engine import Tensor, concat, narrow, tmean
 from .engine.rng import Rng
 from .fusion import FusionParams, encode_and_fuse, init_fusion, masked_track
 from .losses import sample_losses, total_loss
@@ -29,11 +29,18 @@ class ModelParams:
 
 @dataclass
 class SampleEncoding:
-    """What `forward_sample` computes before drawing any noise: the pooled
-    fused encoding of one sample, and the broadcast mask it was computed under."""
+    """What `encode` computes for V samples before any noise is drawn: their
+    pooled fused encodings and the broadcast masks they were computed under,
+    row v for sample v."""
 
-    f_enc: Tensor  # (1, d)
-    ais_mask: np.ndarray  # (t_obs,) bool
+    f_enc: Tensor  # (V, 1, d)
+    ais_mask: np.ndarray  # (V, t_obs) bool
+
+    def rows(self) -> list[SampleEncoding]:
+        """The one-sample encodings of its V rows, in order, each a view of this one."""
+        return [
+            SampleEncoding(narrow(self.f_enc, 0, v, 1), self.ais_mask[v : v + 1]) for v in range(len(self.ais_mask))
+        ]
 
 
 @dataclass
@@ -41,13 +48,10 @@ class Forward:
     """Graph-connected outputs of the per-draw stage for a pool of V vessels.
 
     Row i of every `modes` field, and entry i of each list, belongs to
-    `samples[order[i]]`: the vessels refinement applies to come first, then
-    the rest, each group in the order given, so refinement runs on one
-    contiguous block of rows.
+    `samples[i]`, in the order the samples were given.
     """
 
     modes: ModeOutput  # (V, K, ...); positional head already refined where a bank applies
-    order: list[int]
     prior_index: list[int | None]  # retrieved bank entry per row, None where refinement skipped
     prior_similarity: list[float | None]
 
@@ -103,47 +107,54 @@ class Model:
             self._check_sample(sample, futures=True)
         self._check_bank(bank)
 
-    def encode_scenes(self, samples: list[VesselSample]) -> list[Tensor | None]:
-        """One (t_obs, d) tensor of scene features per sample, or None per
-        sample when `cfg.use_scene` is off.
+    def encode_scenes(self, samples: list[VesselSample]) -> Tensor | None:
+        """The (V, t_obs, d) scene features of V samples, row v for sample v,
+        or None when `cfg.use_scene` is off.
 
-        Checks every sample before any encoding runs. The ConvLSTM steps all
-        the samples as one batch; the stem, the pooling and the MLPs run per
-        sample (see `encode_scene_sequence`). Each result equals the sample's
-        one-sample call bit for bit. The features depend only on the
+        Checks every sample before any encoding runs. Only the stem runs per
+        sample; the pooling, the ConvLSTM and the MLPs run once over the
+        vessel axis (see `encode_scene_sequence`). Each row equals the
+        sample's one-sample call bit for bit. The features depend only on the
         parameters and `sample.rasters`/`sample.boxes`, not on the broadcast
         mask, so a vessel's dark copies can share them.
         """
         for sample in samples:
             self._check_sample(sample)
+        return self._scenes(samples)
+
+    def _scenes(self, samples: list[VesselSample]) -> Tensor | None:
         if not (self.cfg.use_scene and samples):
-            return [None] * len(samples)
+            return None
         return encode_scene_sequence(
             self.params.scene, [s.rasters for s in samples], [s.boxes for s in samples], self.cfg
         )
 
-    def encode(self, sample: VesselSample, scene_feats: Tensor | None = None) -> SampleEncoding:
-        """The deterministic stage of `forward_sample`: check the sample, encode
-        its scenes (unless `scene_feats`, its entry of `encode_scenes`, are given)
-        and fuse them with both tracks.
+    def encode(self, *samples: VesselSample, scene_feats: Tensor | None = None) -> SampleEncoding:
+        """The deterministic stage of `forward_sample` for V samples: check
+        them, encode their scenes (unless `scene_feats`, their rows of
+        `encode_scenes` in the same order, are given) and fuse them with both
+        tracks in one `encode_and_fuse` call over the vessel axis.
 
-        The result depends only on the parameters, the sample's observations
-        and its `ais_mask`, so every draw on one (vessel, mask) can share it.
+        Row v depends only on the parameters, sample v's observations and its
+        `ais_mask`, and equals the sample's one-sample call bit for bit, so
+        every draw on one (vessel, mask) can share it.
         """
-        if scene_feats is None:
-            scene_feats = self.encode_scenes([sample])[0]  # checks the sample first
-        else:
+        for sample in samples:
             self._check_sample(sample)
+        return self._fuse(samples, self._scenes(samples) if scene_feats is None else scene_feats)
+
+    def _fuse(self, samples: list[VesselSample], scene_feats: Tensor | None) -> SampleEncoding:
+        masks = np.stack([s.ais_mask for s in samples])
         _, f_enc = encode_and_fuse(
             self.params.fusion,
-            sample.obs_ais,
-            sample.ais_mask,
-            sample.obs_cctv,
+            np.stack([s.obs_ais for s in samples]),
+            masks,
+            np.stack([s.obs_cctv for s in samples]),
             scene_feats,
             self.cfg.heads,
             use_cctv=self.cfg.use_cctv,
         )
-        return SampleEncoding(f_enc=f_enc, ais_mask=sample.ais_mask.copy())
+        return SampleEncoding(f_enc=f_enc, ais_mask=masks)
 
     def decode(
         self,
@@ -152,86 +163,68 @@ class Model:
         encodings: list[SampleEncoding],
         bank: TrajectoryBank | None = None,
     ) -> Forward:
-        """The per-draw stage for a pool of vessels, in one pass.
+        """The per-draw stage for a pool of vessels, in one pass, with rows in
+        the order given; `encodings` may hold one row per sample, or a few
+        samples' rows per entry.
 
         Sample i draws its K * J latent draws from `rngs[i]`, in mode order,
-        and uses `encodings[i]`, which `encode` computed for it under the same
-        `ais_mask`; the samples themselves are not checked again. Their
-        encodings are stacked to (V, 1, d), `predict_modes` decodes every
-        (vessel, mode) row at once, and `refine_and_fuse` refines the
-        positional head of every vessel with a broadcast step at once, each
-        against the bank entry that vessel retrieves. A dark vessel keeps the
-        raw decoder output: without any broadcast track there is no retrieval
+        and uses row i of the `encodings` taken together, which `encode`
+        computed for it under the same `ais_mask`; the samples themselves are
+        not checked again. Those rows are stacked to (V, 1, d),
+        `predict_modes` decodes every (vessel, mode) row at once, and, when a
+        bank is given and any vessel has a broadcast step, `refine_and_fuse`
+        refines every row at once, each lit vessel against the bank entry it
+        retrieves. A dark vessel's gate is masked to 0, so it keeps the raw
+        decoder output: without any broadcast track there is no retrieval
         key. Like the embedding, the retrieval key reads masked steps as zero.
         The bank's horizons must match the config. Each vessel's outputs equal
         its one-vessel call bit for bit.
         """
         cfg = self.cfg
-        if not 0 < len(samples) == len(rngs) == len(encodings):
+        masks = [mask for e in encodings for mask in e.ais_mask]
+        if not 0 < len(samples) == len(rngs) == len(masks):
             raise ValueError(
                 f"decode needs one rng and one encoding per sample and at least one sample, got "
-                f"{len(samples)} samples, {len(rngs)} rngs and {len(encodings)} encodings"
+                f"{len(samples)} samples, {len(rngs)} rngs and {len(masks)} encodings"
             )
         self._check_bank(bank)
-        for sample, encoding in zip(samples, encodings):
-            if not np.array_equal(encoding.ais_mask, sample.ais_mask):
+        for sample, mask in zip(samples, masks):
+            if not np.array_equal(mask, sample.ais_mask):
                 raise ValueError(
                     f"ais_mask {sample.ais_mask.astype(int).tolist()} differs from the "
-                    f"{encoding.ais_mask.astype(int).tolist()} the encoding was computed under "
+                    f"{mask.astype(int).tolist()} the encoding was computed under "
                     f"(vessel_id {sample.vessel_id!r})"
                 )
-        refinable = [bank is not None and s.ais_mask.any() for s in samples]
-        order = sorted(range(len(samples)), key=lambda i: not refinable[i])  # stable: refinable first
-        n_lit, n = sum(refinable), len(samples)
-        eps = np.array([rng.normals(cfg.modes * cfg.latent_dim) for rng in rngs]).reshape(n, cfg.modes, -1)
-        f_enc = stack([encodings[i].f_enc for i in order])  # (V, 1, d)
-        modes = predict_modes(self.params.decoder, f_enc, eps[order])
-
-        found = [search(bank, masked_track(samples[i].obs_ais, samples[i].ais_mask)) for i in order[:n_lit]]
-        if n_lit:
-            def head(t: Tensor) -> Tensor:  # the refined block: rows [0, n_lit)
-                return t if n_lit == n else narrow(t, 0, 0, n_lit)
-
-            refined = refine_and_fuse(
-                self.params.refine,
-                head(modes.ais),
-                np.stack([fut for _, fut, _ in found]),
-                head(modes.features),
-                head(f_enc),
-                cfg.offset_scale,
+        eps = np.array([rng.normals(cfg.modes * cfg.latent_dim) for rng in rngs]).reshape(len(samples), cfg.modes, -1)
+        f_enc = concat([e.f_enc for e in encodings])  # (V, 1, d)
+        modes = predict_modes(self.params.decoder, f_enc, eps)
+        found = [
+            search(bank, masked_track(s.obs_ais, s.ais_mask)) if bank is not None and s.ais_mask.any() else None
+            for s in samples
+        ]
+        lit = np.array([f is not None for f in found])
+        if lit.any():
+            placeholder = np.zeros((cfg.t_fut, 2))  # a dark row's prior: finite, and weighted 0
+            prior = np.stack([placeholder if f is None else f[1] for f in found])
+            modes.ais = refine_and_fuse(
+                self.params.refine, modes.ais, prior, modes.features, f_enc, cfg.offset_scale, lit
             )
-            modes.ais = refined if n_lit == n else concat([refined, narrow(modes.ais, 0, n_lit, n - n_lit)])
-        unrefined = [None] * (n - n_lit)
         return Forward(
             modes=modes,
-            order=order,
-            prior_index=[index for index, _, _ in found] + unrefined,
-            prior_similarity=[sim for _, _, sim in found] + unrefined,
+            prior_index=[None if f is None else f[0] for f in found],
+            prior_similarity=[None if f is None else f[2] for f in found],
         )
 
-    def forward_sample(
-        self,
-        sample: VesselSample,
-        rng: Rng,
-        bank: TrajectoryBank | None = None,
-        encoding: SampleEncoding | None = None,
-    ) -> Forward:
-        """Run the full pipeline on one sample: the one-vessel case of `decode`,
-        so every `modes` field has a vessel axis of 1.
-
-        The deterministic stage is `encode(sample)`, which checks the sample:
-        scene features, which depend only on the vessel's frames, fused with
-        both tracks, which depends on the vessel and its `ais_mask`. An
-        `encoding` it returned for this vessel under the same `ais_mask` skips
-        that stage and its checks. The per-draw stage, `decode`, runs on every
-        call. The sample must pass `VesselSample.validate`, and its observation
-        window and the bank's horizons must match the config; futures are not
-        compared with `cfg.t_fut` here, since evaluation passes futures longer
-        than the model's horizon.
+    def forward_sample(self, sample: VesselSample, rng: Rng, bank: TrajectoryBank | None = None) -> Forward:
+        """Run the full pipeline on one sample: `encode(sample)`, which checks
+        the sample, then the one-vessel case of `decode`, so every `modes`
+        field has a vessel axis of 1. The sample must pass
+        `VesselSample.validate`, and its observation window and the bank's
+        horizons must match the config; futures are not compared with
+        `cfg.t_fut` here, since evaluation passes futures longer than the
+        model's horizon.
         """
-        if encoding is None:
-            encoding = self.encode(sample)
-        return self.decode([sample], [rng], [encoding], bank=bank)
+        return self.decode([sample], [rng], [self.encode(sample)], bank=bank)
 
     def loss_batch(
         self,
@@ -241,30 +234,25 @@ class Model:
     ) -> tuple[Tensor, Tensor, Tensor, list[int]]:
         """Batch-mean (total, rec, kl) tensors plus per-sample winning modes.
 
-        After `check_training`, each sample is encoded on its own (a batched
-        ConvLSTM's backward transients cost more memory than its tape saves),
-        then one `decode` pass, drawing each sample's noise from `rng` in
-        turn, and one `sample_losses` call score the whole batch.
+        `check_training` checks each sample once. The scenes are then encoded
+        one sample at a time (a batched ConvLSTM's backward transients cost
+        more memory than its tape saves), and one `encode_and_fuse` call, one
+        `decode` pass, drawing each sample's noise from `rng` in turn, and one
+        `sample_losses` call score the whole batch.
         """
         self.check_training(samples, bank)
-        fwd = self.decode(samples, [rng] * len(samples), [self.encode(s) for s in samples], bank=bank)
-        fut = [np.stack([getattr(samples[i], name) for i in fwd.order]) for name in ("fut_ais", "fut_cctv")]
+        scenes = concat([self._scenes([s]) for s in samples]) if self.cfg.use_scene else None
+        fwd = self.decode(samples, [rng] * len(samples), [self._fuse(samples, scenes)], bank=bank)
+        fut = [np.stack([getattr(s, name) for s in samples]) for name in ("fut_ais", "fut_cctv")]
         rec, kl, winners = sample_losses(fwd.modes, *fut)
         rec, kl = tmean(rec), tmean(kl)
-        return total_loss(rec, kl, self.cfg.kl_weight), rec, kl, winners[np.argsort(fwd.order)].tolist()
+        return total_loss(rec, kl, self.cfg.kl_weight), rec, kl, winners.tolist()
 
-    def predict(
-        self,
-        sample: VesselSample,
-        rng: Rng,
-        bank: TrajectoryBank | None = None,
-        encoding: SampleEncoding | None = None,
-    ) -> PredictionSet:
+    def predict(self, sample: VesselSample, rng: Rng, bank: TrajectoryBank | None = None) -> PredictionSet:
         """Inference-only candidate set (refined positional head, raw camera head)
-        with the bank entry it retrieved, if any. An `encoding` from
-        `encode(sample)` skips the scene encoder and the fusion, as in
-        `forward_sample`. Called outside any Tape, it records nothing."""
-        return _prediction_sets(self.forward_sample(sample, rng, bank=bank, encoding=encoding))[0]
+        with the bank entry it retrieved, if any. Called outside any Tape, it
+        records nothing."""
+        return _prediction_sets(self.forward_sample(sample, rng, bank=bank))[0]
 
     def predict_pool(
         self,
@@ -275,7 +263,8 @@ class Model:
     ) -> list[PredictionSet]:
         """`predict` for a pool of vessels in one `decode` pass: one candidate
         set per sample, in the order given, each equal bit for bit to
-        `predict(samples[i], rngs[i], bank, encodings[i])`."""
+        `predict(samples[i], rngs[i], bank)` when row i of the `encodings`
+        taken together is the sample's row of an `encode` call."""
         return _prediction_sets(self.decode(samples, rngs, encodings, bank=bank))
 
     # ------------------------------------------------------------------
@@ -287,14 +276,14 @@ class Model:
 
 
 def _prediction_sets(fwd: Forward) -> list[PredictionSet]:
-    """Plain-array candidate sets of a `Forward`, in the order its samples were given."""
-    sets = [None] * len(fwd.order)
-    for row, i in enumerate(fwd.order):
-        sets[i] = PredictionSet(
+    """Plain-array candidate sets of a `Forward`, one per row."""
+    return [
+        PredictionSet(
             ais=fwd.modes.ais.data[row],
             cctv=fwd.modes.cctv.data[row],
             latents=fwd.modes.z.data[row],
             prior_index=fwd.prior_index[row],
             prior_similarity=fwd.prior_similarity[row],
         )
-    return sets
+        for row in range(len(fwd.prior_index))
+    ]

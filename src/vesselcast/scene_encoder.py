@@ -5,9 +5,10 @@ A vessel's T frames run as one batch: a small strided conv stem maps the
 descriptors are pooled: a box-aligned target embedding, a global average
 context, and an encoded bounding box. A two-layer convolutional LSTM steps
 through the maps in time order for temporal context, exponentially weighted
-so the most recent frame always carries weight 1; it steps every vessel of a
-call as one batch. Each timestep's spatial and temporal vectors fuse through
-an output MLP into one row of the vessel's (T x d) scene representation.
+so the most recent frame always carries weight 1. Only the stem runs per
+vessel: the pooling, the ConvLSTM and the MLPs run once over a leading vessel
+axis. Each timestep's spatial and temporal vectors fuse through an output
+MLP into one row of the vessel's (T x d) scene representation.
 """
 
 from __future__ import annotations
@@ -114,14 +115,15 @@ def _global_avg(fmaps: Tensor) -> Tensor:  # (..., C, H, W) -> (..., C)
 
 
 def spatial_features(p: SceneEncoderParams, fmaps: Tensor, boxes: np.ndarray, cfg) -> Tensor:
-    """Target embedding pooled from each frame's box in `boxes` (T, 4, raster coordinates),
-    global context and box encoding, one row per frame -> (T, d)."""
+    """Target embedding pooled from each frame's box in `boxes` (..., T, 4, raster
+    coordinates), global context and box encoding, one row per frame of
+    fmaps (..., T, C, H, W) -> (..., T, d)."""
     size = cfg.raster_size
-    pooled = roi_align(fmaps, boxes, cfg.roi_size, fmaps.shape[2] / size)
-    f_tar = p.target_proj(reshape(pooled, (len(boxes), -1)))
+    pooled = roi_align(fmaps, boxes, cfg.roi_size, fmaps.shape[-2] / size)
+    f_tar = p.target_proj(reshape(pooled, (*boxes.shape[:-1], -1)))
     f_glo = p.global_proj(_global_avg(fmaps))
     f_box = p.bbox_mlp(tensor(boxes / size))
-    return p.fuse_mlp(concat([f_tar, f_glo, f_box], axis=1))
+    return p.fuse_mlp(concat([f_tar, f_glo, f_box], axis=-1))
 
 
 def convlstm_step(cell: ConvLstmCell, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
@@ -137,22 +139,19 @@ def convlstm_step(cell: ConvLstmCell, x: Tensor, h: Tensor, c: Tensor) -> tuple[
     return h_next, c_next
 
 
-def temporal_context(p: SceneEncoderParams, fmaps: list[Tensor], decay: float) -> list[Tensor]:
-    """Two stacked ConvLSTM layers over each vessel's T maps, pooled,
-    projected, and decay-weighted: one (T, d) tensor per (T, C, H, W) in `fmaps`.
+def temporal_context(p: SceneEncoderParams, maps: Tensor, decay: float) -> Tensor:
+    """Two stacked ConvLSTM layers over each vessel's T maps of maps
+    (V, T, C, H, W), pooled, projected, and decay-weighted -> (V, T, d).
 
-    Every vessel must have the same T and map shape. The recurrence steps all
-    of them as one batch, with state (V, 1, C, H, W), so a call makes 2T
-    `convlstm_step` calls whatever V is; each vessel's rows equal its own
-    one-vessel call bit for bit. The pooling is batched too, and the
-    projection runs per vessel.
+    The recurrence steps all V vessels as one batch, with state
+    (V, 1, C, H, W), so a call makes 2T `convlstm_step` calls whatever V is;
+    each vessel's rows equal its own one-vessel call bit for bit.
 
     Step t (0-based, most recent last) gets weight exp(decay * (t - (T-1))),
     so weights lie in (0, 1] and the newest frame always has weight 1.
     """
-    maps = stack(fmaps)  # (V, T, C, H, W)
     t_obs = maps.shape[1]
-    h1 = c1 = h2 = c2 = zeros((len(fmaps), 1, *maps.shape[2:]))  # one frame per vessel, zero at t = 0
+    h1 = c1 = h2 = c2 = zeros((maps.shape[0], 1, *maps.shape[2:]))  # one frame per vessel, zero at t = 0
     h2s = []
     for t in range(t_obs):
         h1, c1 = convlstm_step(p.cell1, narrow(maps, 1, t, 1), h1, c1)
@@ -160,25 +159,21 @@ def temporal_context(p: SceneEncoderParams, fmaps: list[Tensor], decay: float) -
         h2s.append(h2)
     pooled = _global_avg(concat(h2s, axis=1))  # (V, T, C)
     weights = tensor(np.array([[math.exp(decay * (t - (t_obs - 1)))] for t in range(t_obs)]))  # (T, 1)
-    return [
-        mul(p.temporal_proj(reshape(narrow(pooled, 0, v, 1), pooled.shape[1:])), weights)
-        for v in range(len(fmaps))
-    ]
+    return mul(p.temporal_proj(pooled), weights)
 
 
 def encode_scene_sequence(
     p: SceneEncoderParams, rasters: list[np.ndarray], boxes: list[np.ndarray], cfg
-) -> list[Tensor]:
+) -> Tensor:
     """Full scene path for V vessels: per-step concat(spatial, temporal)
-    through the output MLP -> one (T, d) tensor per vessel.
+    through the output MLP -> (V, T, d), row v for vessel v.
 
     Vessel v has `rasters[v]` (T, 3, cfg.raster_size, cfg.raster_size) and
     their target `boxes[v]` (T, 4), as a `VesselSample` holds them, with one
-    T for every vessel. The stem, the spatial features and the output MLP
-    batch a vessel's T frames and run per vessel; the ConvLSTM batches the
-    vessels too (see `temporal_context`).
+    T for every vessel. Only the stem runs per vessel, over its T frames;
+    the maps are stacked once, and everything after runs over (V, T, ...),
+    each vessel's rows equal to its one-vessel call bit for bit.
     """
-    fmaps = [stem_forward(p, r) for r in rasters]
-    spatial = [spatial_features(p, f, b, cfg) for f, b in zip(fmaps, boxes)]
-    temporal = temporal_context(p, fmaps, cfg.decay)
-    return [p.out_mlp(concat([s, t], axis=1)) for s, t in zip(spatial, temporal)]
+    maps = stack([stem_forward(p, r) for r in rasters])  # (V, T, C, H, W)
+    spatial = spatial_features(p, maps, np.stack(boxes), cfg)
+    return p.out_mlp(concat([spatial, temporal_context(p, maps, cfg.decay)], axis=-1))

@@ -217,6 +217,9 @@ def test_search_matches_exhaustive_scan():
         assert got == expected
 
 
+LIT = np.ones(1)  # the one vessel of these calls has a retrieved prior
+
+
 def test_refine_gate_off_returns_base(micro_cfg):
     p = init_refinement(Rng(0).child("init"), micro_cfg)
     rng = Rng(37)
@@ -227,7 +230,7 @@ def test_refine_gate_off_returns_base(micro_cfg):
     f_enc = tensor(rand(rng, (1, 1, d)))
     p.gate.w.data[...] = 0.0
     p.gate.b.data[...] = -50.0  # sigmoid -> 0
-    out = refine_and_fuse(p, base, prior, feats, f_enc, micro_cfg.offset_scale)
+    out = refine_and_fuse(p, base, prior, feats, f_enc, micro_cfg.offset_scale, LIT)
     assert np.allclose(out.data, base.data, atol=1e-18)
 
 
@@ -243,7 +246,7 @@ def test_refine_gate_on_zero_offset_returns_prior(micro_cfg):
     p.gate.b.data[...] = 50.0  # sigmoid -> 1
     for tens in collect_params(p.offset_mlp).values():
         tens.data[...] = 0.0
-    out = refine_and_fuse(p, base, prior, feats, f_enc, micro_cfg.offset_scale)
+    out = refine_and_fuse(p, base, prior, feats, f_enc, micro_cfg.offset_scale, LIT)
     assert np.allclose(out.data, np.broadcast_to(prior[:, None], (1, k, t, 2)), atol=1e-15)
 
 
@@ -259,8 +262,41 @@ def test_refine_midpoint(micro_cfg):
     p.gate.b.data[...] = 0.0  # sigmoid(0) = 1/2
     for tens in collect_params(p.offset_mlp).values():
         tens.data[...] = 0.0
-    out = refine_and_fuse(p, base, prior, feats, f_enc, micro_cfg.offset_scale)
+    out = refine_and_fuse(p, base, prior, feats, f_enc, micro_cfg.offset_scale, LIT)
     assert np.allclose(out.data, 0.5 * (base.data + prior[:, None]), atol=1e-15)
+
+
+def test_refine_rows_with_lit_zero_keep_their_base_and_give_no_gradient(micro_cfg):
+    """In a [lit, unlit] call the unlit row returns its base bit for bit, the
+    lit row equals its one-vessel call bit for bit, and every parameter
+    gradient equals that of the lit row alone."""
+    from vesselcast.engine import Tape, backward, tsum
+
+    p = init_refinement(Rng(0).child("init"), micro_cfg)
+    rng = Rng(45)
+    k, t, d = micro_cfg.modes, micro_cfg.t_fut, micro_cfg.d_model
+    base = rand(rng, (2, k, t, 2))
+    prior = np.stack([rand(rng, (t, 2)), np.zeros((t, 2))])
+    feats = rand(rng, (2, k, t, d))
+    f_enc = rand(rng, (2, 1, d))
+    coeff = rand(rng, (2, k, t, 2))
+    grads, outs = [], []
+    for rows, lit in ((slice(0, 1), np.ones(1)), (slice(0, 2), np.array([1.0, 0.0]))):
+        for tens in collect_params(p).values():
+            tens.grad = None
+        with Tape():
+            out = refine_and_fuse(
+                p, tensor(base[rows]), prior[rows], tensor(feats[rows]), tensor(f_enc[rows]),
+                micro_cfg.offset_scale, lit,
+            )
+            backward(tsum(out * coeff[rows]))
+        outs.append(out.data)
+        grads.append({name: tens.grad for name, tens in collect_params(p).items()})
+    alone, paired = outs
+    assert paired[0].tobytes() == alone[0].tobytes()
+    assert paired[1].tobytes() == base[1].tobytes()
+    for name, grad in grads[0].items():
+        assert np.array_equal(grads[1][name], grad), name
 
 
 def test_bounded_refinement_inequality(micro_cfg):
@@ -274,7 +310,7 @@ def test_bounded_refinement_inequality(micro_cfg):
         prior = rand(rng, (1, t, 2))
         feats = tensor(rand(rng, (1, k, t, d)))
         f_enc = tensor(rand(rng, (1, 1, d)))
-        out = refine_and_fuse(p, base, prior, feats, f_enc, micro_cfg.offset_scale)
+        out = refine_and_fuse(p, base, prior, feats, f_enc, micro_cfg.offset_scale, LIT)
         beta = sigmoid(p.gate(f_enc)).item()
         for m in range(k):
             offset = p.offset_mlp(

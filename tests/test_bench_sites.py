@@ -54,29 +54,36 @@ def test_traced_train_step_and_predict_complete(tracing, micro_cfg, micro_sample
     for span in ("scene_encoder.stem_forward", "fusion.attention", "model.Model.forward_sample"):
         assert tracer.calls[span] > 0, span
     assert tracer.tape_nodes == [total.node_id + 1]
-    # the training step decodes and scores its batch in one pass each, with one
-    # fusion per sample; only the predict call goes through forward_sample
+    # the training step fuses, decodes and scores its batch in one pass each,
+    # after encoding each sample's scenes on its own; only the predict call
+    # goes through forward_sample
     assert tracer.vessel_ids == {micro_samples[2].vessel_id}
     assert tracer.calls["decoder.predict_modes"] == 2
     assert tracer.calls["losses.sample_losses"] == 1
-    assert tracer.calls["fusion.encode_and_fuse"] == 3
+    assert tracer.calls["fusion.encode_and_fuse"] == 2
+    for span in ("encode_scene_sequence", "stem_forward", "spatial_features", "temporal_context"):
+        assert tracer.calls[f"scene_encoder.{span}"] == 3, span
 
 
 def test_traced_eval_grid_counts(tracing, micro_samples, monkeypatch):
     """The eval-grid counts the benchmark reports: no one-vessel forward or predict,
     one decoder pass per populated (cell, seed) and one refinement per (cell, seed)
     with a lit vessel, both over the pool's vessel axis, one bank search per lit
-    vessel draw, one batched scene encode covering every vessel, with one ConvLSTM
-    step per (layer, frame), one fusion per distinct (vessel, mask), and one
-    dark-vessel draw per (cell, seed) at the `vesselcast.evaluate` site."""
+    vessel draw, one batched scene encode covering every vessel, with one stem
+    per vessel, one spatial-feature pass and one ConvLSTM step per (layer,
+    frame), at most one fusion call per (cell, seed), which fuses each distinct
+    (vessel, mask) once, and one dark-vessel draw per (cell, seed) at the
+    `vesselcast.evaluate` site."""
     cfg = micro_config()
     model = Model(cfg)
     bank = bank_from_samples(micro_samples, 4, seed=0)
     seeds = [0, 1]
     pools = []
     encoded = []
+    fused = []
     real_predict_pool = Model.predict_pool
     real_encode = model_mod.encode_scene_sequence
+    real_fuse = model_mod.encode_and_fuse
 
     def recording_predict_pool(self, samples, *args, **kwargs):
         pools.append([(s.vessel_id, s.ais_mask.tobytes(), bool(s.ais_mask.any())) for s in samples])
@@ -86,9 +93,14 @@ def test_traced_eval_grid_counts(tracing, micro_samples, monkeypatch):
         encoded.append([id(r) for r in rasters])
         return real_encode(params, rasters, boxes, cfg)
 
+    def recording_fuse(params, obs_ais, *args, **kwargs):
+        fused.append(len(obs_ais))
+        return real_fuse(params, obs_ais, *args, **kwargs)
+
     # the tracer wraps the recorders
     monkeypatch.setattr(Model, "predict_pool", recording_predict_pool)
     monkeypatch.setattr(model_mod, "encode_scene_sequence", recording_encode)
+    monkeypatch.setattr(model_mod, "encode_and_fuse", recording_fuse)
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -109,8 +121,9 @@ def test_traced_eval_grid_counts(tracing, micro_samples, monkeypatch):
     assert tracer.calls["scene_encoder.encode_scene_sequence"] == 1
     assert encoded == [[id(s.rasters) for s in micro_samples]]
     assert tracer.calls["scene_encoder.temporal_context"] == 1
+    assert tracer.calls["scene_encoder.spatial_features"] == 1
     assert tracer.calls["scene_encoder.convlstm_step"] == 2 * cfg.t_obs
     assert tracer.calls["scene_encoder.stem_forward"] == len(micro_samples)
-    assert tracer.calls["fusion.encode_and_fuse"] == len({(vid, mask) for vid, mask, _ in draws})
-    assert tracer.calls["fusion.encode_and_fuse"] < len(draws)
+    assert tracer.calls["fusion.encode_and_fuse"] == len(fused) <= len(pools)
+    assert sum(fused) == len({(vid, mask) for vid, mask, _ in draws}) < len(draws)
     assert tracer.calls["data.apply_dark_vessels"] == len(populated) * len(seeds)

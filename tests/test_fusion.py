@@ -207,3 +207,30 @@ def test_every_fusion_parameter_gets_gradient(micro_cfg):
     for name, tens in collect_params(p).items():
         assert tens.grad is not None, f"no gradient for {name}"
         assert np.linalg.norm(tens.grad) > 0, f"zero gradient for {name}"
+
+
+@pytest.mark.parametrize("use_cctv", [True, False])
+@pytest.mark.parametrize("with_scene", [True, False])
+def test_a_pooled_fusion_matches_each_vessels_own_call_bit_for_bit(micro_cfg, with_scene, use_cctv):
+    """One `encode_and_fuse` call over a lit, a partly masked and a dark vessel
+    (a NaN stored under a masked step) equals each vessel's own call, without
+    the vessel axis, bit for bit: per-step features and pooled encoding."""
+    p = make_params(micro_cfg)
+    rng = Rng(12)
+    t, d = micro_cfg.t_obs, micro_cfg.d_model
+    ais = rand(rng, (3, t, 2))
+    ais[2, 0] = np.nan
+    masks = np.array([[True] * t, [False] + [True] * (t - 1), [False] * t])
+    cctv = rand(rng, (3, t, 2))
+    scene = rand(rng, (3, t, d)) if with_scene else None
+    fused, pooled = encode_and_fuse(
+        p, ais, masks, cctv, tensor(scene) if with_scene else None, micro_cfg.heads, use_cctv=use_cctv
+    )
+    assert fused.shape == (3, t, d) and pooled.shape == (3, 1, d)
+    for v in range(3):
+        one_fused, one_pooled = encode_and_fuse(
+            p, ais[v], masks[v], cctv[v], tensor(scene[v]) if with_scene else None, micro_cfg.heads, use_cctv=use_cctv
+        )
+        assert fused.data[v].tobytes() == one_fused.data.tobytes(), v
+        assert pooled.data[v].tobytes() == one_pooled.data.tobytes(), v
+    assert np.all(np.isfinite(fused.data))

@@ -6,7 +6,7 @@ import pytest
 from conftest import PinnedNormals, micro_config, micro_waterway
 from vesselcast.bank import bank_from_samples
 from vesselcast.data import generate_scenario
-from vesselcast.engine import Rng, Tape, backward, finite_diff_check, tsum
+from vesselcast.engine import Rng, Tape, backward, finite_diff_check, tensor, tsum
 from vesselcast.model import Model
 
 
@@ -53,8 +53,8 @@ def test_dark_sample_skips_refinement(micro_cfg, micro_samples):
 @pytest.mark.parametrize("use_bank", [False, True])
 def test_cached_scene_features_match_uncached_predict(micro_cfg, micro_samples, use_bank):
     """A vessel's scene features, encoded once, serve the encodings of its lit,
-    partly masked and dark copies, and each encoding serves every draw on its
-    mask bit for bit."""
+    partly masked and dark copies, fused in one call, and each copy's row
+    serves every draw on its mask bit for bit, alone or as a pool."""
     from vesselcast.data import apply_dark_vessels
 
     model = Model(micro_cfg)
@@ -62,14 +62,17 @@ def test_cached_scene_features_match_uncached_predict(micro_cfg, micro_samples, 
     lit = micro_samples[0]
     partial = dataclasses.replace(lit, ais_mask=np.arange(lit.t_obs) > 0)
     dark = apply_dark_vessels([lit], 1.0, seed=0)[0]
-    feats, = model.encode_scenes([lit])
-    for sample in (lit, partial, dark):
-        encoding = model.encode(sample, feats)
-        for seed in (3, 4):
-            cached = model.predict(sample, rng=Rng(seed), bank=bank, encoding=encoding)
+    copies = [lit, partial, dark]
+    feats = model.encode_scenes([lit])
+    encoding = model.encode(*copies, scene_feats=tensor(np.repeat(feats.data, len(copies), axis=0)))
+    for seed in (3, 4):
+        pooled = model.predict_pool(copies, [Rng(seed) for _ in copies], [encoding], bank=bank)
+        for sample, row, from_pool in zip(copies, encoding.rows(), pooled):
+            cached, = model.predict_pool([sample], [Rng(seed)], [row], bank=bank)
             fresh = model.predict(sample, rng=Rng(seed), bank=bank)
             for name in ("ais", "cctv", "latents"):
                 assert getattr(cached, name).tobytes() == getattr(fresh, name).tobytes(), name
+                assert getattr(from_pool, name).tobytes() == getattr(fresh, name).tobytes(), name
 
 
 @pytest.mark.parametrize("other", ["dark", "partial"])
@@ -83,9 +86,9 @@ def test_encoding_under_another_mask_fails_naming_ais_mask(micro_cfg, micro_samp
     else:
         sample = dataclasses.replace(lit, ais_mask=np.arange(lit.t_obs) > 0)
     with pytest.raises(ValueError, match="ais_mask"):
-        model.predict(sample, rng=Rng(3), encoding=model.encode(lit))
+        model.predict_pool([sample], [Rng(3)], [model.encode(lit)])
     with pytest.raises(ValueError, match="ais_mask"):
-        model.predict(lit, rng=Rng(3), encoding=model.encode(sample))
+        model.predict_pool([lit], [Rng(3)], [model.encode(sample)])
 
 
 def mixed_pool(samples):
@@ -271,6 +274,41 @@ def test_loss_batch_finite_and_winner_range(micro_cfg, micro_samples):
         backward(total)
     grads = [t.grad for t in model.named.values() if t.grad is not None]
     assert grads, "no parameter received gradient"
+
+
+def test_each_entry_point_checks_each_sample_once(micro_cfg, micro_samples, monkeypatch):
+    """`loss_batch` checks each sample of its batch once, and `predict` its
+    one sample once: the encoding and fusion they share check nothing again."""
+    from vesselcast.data import VesselSample
+
+    calls = []
+    real_validate = VesselSample.validate
+
+    def counting_validate(self):
+        calls.append(self.vessel_id)
+        return real_validate(self)
+
+    monkeypatch.setattr(VesselSample, "validate", counting_validate)
+    model = Model(micro_cfg)
+    bank = bank_from_samples(micro_samples, 4, seed=0)
+    batch = micro_samples[:3]
+    with Tape():
+        model.loss_batch(batch, rng=Rng(2), bank=bank)
+    assert calls == [s.vessel_id for s in batch]
+    calls.clear()
+    model.predict(micro_samples[3], rng=Rng(2), bank=bank)
+    assert calls == [micro_samples[3].vessel_id]
+
+
+def test_micro_loss_batch_graph_size(micro_cfg, micro_samples):
+    """A guard on the tape a training step walks: a micro 2-sample batch with
+    a bank records at most 430 nodes, since only the stem and the ConvLSTM
+    run per sample."""
+    model = Model(micro_cfg)
+    bank = bank_from_samples(micro_samples, 4, seed=0)
+    with Tape() as tape:
+        total, _, _, _ = model.loss_batch(micro_samples[:2], rng=Rng(1), bank=bank)
+    assert total.node_id + 1 == len(tape) <= 430
 
 
 def test_loss_batch_on_dark_samples_leaves_every_refine_grad_none(micro_cfg, micro_samples):

@@ -11,6 +11,7 @@ from vesselcast.engine import (
     narrow,
     reset_roi_diagnostics,
     roi_diagnostics,
+    stack,
     tensor,
     tsum,
     zeros,
@@ -97,15 +98,15 @@ def test_temporal_weights_match_exponential_decay(micro_cfg):
     p = make_params(cfg)
     rng = Rng(3)
     rasters, _ = make_frames(cfg, rng, n=11, constant=0.3)
-    fmaps = stem_forward(p, rasters)
-    rows = temporal_context(p, [fmaps], cfg.decay)[0].data
+    maps = stack([stem_forward(p, rasters)])
+    rows = temporal_context(p, maps, cfg.decay).data[0]
     # identical frames: convlstm output at a given step is fixed, so the row
     # ratio isolates w_t; w_0(latest) = 1, w_{-10} = exp(-1)
     assert math.exp(cfg.decay * 0) == 1.0
     expected = math.exp(-1.0)
     assert expected == pytest.approx(0.36788, abs=5e-6)
     # recompute step-10 unweighted output by rerunning with decay 0
-    rows_flat = temporal_context(p, [fmaps], 0.0)[0].data
+    rows_flat = temporal_context(p, maps, 0.0).data[0]
     ratio = rows[0] / rows_flat[0]
     assert np.allclose(ratio, expected, atol=1e-12)
     assert np.allclose(rows[-1], rows_flat[-1], atol=1e-12)
@@ -114,23 +115,23 @@ def test_temporal_weights_match_exponential_decay(micro_cfg):
 def test_identical_frames_give_identical_spatial_rows(micro_cfg):
     p = make_params(micro_cfg)
     rasters, boxes = make_frames(micro_cfg, Rng(4))
-    out, = encode_scene_sequence(p, [np.concatenate([rasters, rasters])], [np.concatenate([boxes, boxes])], micro_cfg)
-    assert out.data.shape == (2, micro_cfg.d_model)
+    out = encode_scene_sequence(p, [np.concatenate([rasters, rasters])], [np.concatenate([boxes, boxes])], micro_cfg)
+    assert out.data.shape == (1, 2, micro_cfg.d_model)
 
 
 def test_single_frame_sequence(micro_cfg):
     p = make_params(micro_cfg)
     rasters, boxes = make_frames(micro_cfg, Rng(5))
-    out, = encode_scene_sequence(p, [rasters], [boxes], micro_cfg)
-    assert out.data.shape == (1, micro_cfg.d_model)
+    out = encode_scene_sequence(p, [rasters], [boxes], micro_cfg)
+    assert out.data.shape == (1, 1, micro_cfg.d_model)
 
 
 def test_permuting_frames_changes_output(micro_cfg):
     p = make_params(micro_cfg)
     rng = Rng(6)
     rasters, boxes = make_frames(micro_cfg, rng, n=2)
-    a, = encode_scene_sequence(p, [rasters], [boxes], micro_cfg)
-    b, = encode_scene_sequence(p, [rasters[::-1]], [boxes[::-1]], micro_cfg)
+    a = encode_scene_sequence(p, [rasters], [boxes], micro_cfg)
+    b = encode_scene_sequence(p, [rasters[::-1]], [boxes[::-1]], micro_cfg)
     assert np.linalg.norm(a.data - b.data) > 0
 
 
@@ -145,15 +146,15 @@ def test_a_batched_pool_matches_each_vessels_own_call_bit_for_bit(micro_cfg):
         rasters, _ = make_frames(micro_cfg, rng, n=3)
         pool.append((rasters, np.tile(box, (3, 1))))
     reset_roi_diagnostics()
-    alone = [encode_scene_sequence(p, [rasters], [boxes], micro_cfg)[0].data for rasters, boxes in pool]
+    alone = [encode_scene_sequence(p, [rasters], [boxes], micro_cfg).data[0] for rasters, boxes in pool]
     degenerate_alone = roi_diagnostics()["degenerate_roi"]
     reset_roi_diagnostics()
     batched = encode_scene_sequence(p, [r for r, _ in pool], [b for _, b in pool], micro_cfg)
     assert roi_diagnostics()["degenerate_roi"] == degenerate_alone == 3
     reset_roi_diagnostics()
-    assert len(batched) == len(pool)
-    for one, many in zip(alone, batched):
-        assert np.array_equal(one, many.data)
+    assert batched.shape == (len(pool), 3, micro_cfg.d_model)
+    for one, many in zip(alone, batched.data):
+        assert np.array_equal(one, many)
 
 
 def test_scene_gradients_vs_finite_differences(micro_cfg):
@@ -166,7 +167,7 @@ def test_scene_gradients_vs_finite_differences(micro_cfg):
     coeff = 0.1 * np.array(rng.uniforms(2 * micro_cfg.d_model)).reshape(2, micro_cfg.d_model)
 
     def f(_):
-        return tsum(encode_scene_sequence(p, [rasters], [boxes], micro_cfg)[0] * coeff)
+        return tsum(encode_scene_sequence(p, [rasters], [boxes], micro_cfg) * coeff)
 
     for target in (p.stem1.kernel, p.cell1.kernel, p.target_proj.w, p.out_mlp.fc1.w):
         assert finite_diff_check(f, target) < 1e-4

@@ -209,19 +209,19 @@ def test_evaluate_on_no_samples_fails_naming_the_dataset_horizon():
 
 
 def test_evaluate_fuses_each_vessel_mask_pair_once(tiny_dataset, monkeypatch):
-    """One fusion per distinct (vessel_id, ais_mask) the grid forwards, and one
-    draw per (vessel, cell, seed) all the same."""
+    """Each distinct (vessel_id, ais_mask) the grid forwards is fused once, by
+    at most one fusion call per (cell, seed), and one draw per
+    (vessel, cell, seed) all the same."""
     samples = list(tiny_dataset)
     samples[0] = dataclasses.replace(samples[0], ais_mask=np.array([False, True]))
-    fusions = 0
+    fusions = []  # vessels fused per call
     forwarded = []
     real_fuse = model_mod.encode_and_fuse
     real_predict_pool = Model.predict_pool
 
-    def counting_fuse(*args, **kwargs):
-        nonlocal fusions
-        fusions += 1
-        return real_fuse(*args, **kwargs)
+    def counting_fuse(params, obs_ais, *args, **kwargs):
+        fusions.append(len(obs_ais))
+        return real_fuse(params, obs_ais, *args, **kwargs)
 
     def recording_predict_pool(self, pool, *args, **kwargs):
         forwarded.extend((sample.vessel_id, sample.ais_mask.tobytes()) for sample in pool)
@@ -233,7 +233,8 @@ def test_evaluate_fuses_each_vessel_mask_pair_once(tiny_dataset, monkeypatch):
     report = evaluate(samples, Model(micro_config()), bank, dts=[2, 3], rhos=[0.0, 0.5], seeds=[0, 1])
     assert len(forwarded) == sum(c.n_samples * c.n_seeds for c in report.cells)
     assert len(set(forwarded)) > len(samples)  # some vessel went dark
-    assert fusions == len(set(forwarded))
+    assert sum(fusions) == len(set(forwarded))
+    assert len(fusions) <= sum(c.n_seeds for c in report.cells if c.n_samples)
 
 
 def test_evaluate_checks_each_sample_once_per_mask_not_per_draw(tiny_dataset, monkeypatch):
