@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .data.types import FieldError
 from .engine import Tensor, add, concat, mul, reshape, sigmoid, sub, tensor
 from .engine.rng import Rng
 from .params import Linear, Mlp, linear, mlp
@@ -141,12 +142,21 @@ def full_broadcast(samples) -> list:
 
 
 def bank_from_samples(samples, k_max: int, seed: int) -> TrajectoryBank:
-    """Bank of the `full_broadcast` vessels of `samples`."""
+    """Bank of the `full_broadcast` vessels of `samples`, each of which must
+    have the first one's observed and future lengths: every track is split
+    at those lengths."""
     if not samples:
         raise ValueError("cannot build a bank from an empty dataset")
     full = full_broadcast(samples)
     if not full:
         raise ValueError(f"ais_mask: none of the {len(samples)} vessels broadcast every observed step")
+    for s in full:
+        for field in ("obs_ais", "fut_ais"):
+            steps, want = len(getattr(s, field)), len(getattr(full[0], field))
+            if steps != want:
+                raise FieldError(
+                    field, f"has {steps} steps but the bank's first track has {want} (vessel_id {s.vessel_id!r})"
+                )
     tracks = [np.vstack([s.obs_ais, s.fut_ais]) for s in full]
     return build_bank(tracks, k_max, full[0].t_obs, full[0].t_fut, seed)
 

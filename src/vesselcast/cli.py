@@ -17,10 +17,9 @@ from .data import apply_dark_vessels, generate_scenario, read_dataset, write_dat
 from .engine.rng import Rng
 from .evaluate import ExperimentReport, check_grid, evaluate, write_report
 from .hashutil import fnv1a64  # noqa: F401  unused here; perfbench's tracer patches this name
-from .model import Model
 from .pca import pca_project
 from .plots import svg_line_chart
-from .train import train, write_curve
+from .train import train
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -189,10 +188,11 @@ def cmd_latent_viz(args) -> int:
     samples = read_dataset(args.data)
     model = load_model(args.ckpt, cfg)
     bank = load_bank(args.bank) if args.bank else None
+    ordered = sorted(samples, key=lambda s: s.vessel_id)
+    rngs = [Rng(args.seed).child(s.vessel_id) for s in ordered]
     rows = []
     latents = []
-    for sample in sorted(samples, key=lambda s: s.vessel_id):
-        preds = model.predict(sample, rng=Rng(args.seed).child(sample.vessel_id), bank=bank)
+    for sample, preds in zip(ordered, model.predict_pool(ordered, rngs, model.encode(ordered), bank=bank)):
         disp, head, tort = _motion_descriptors(sample.obs_ais)
         for k, z in enumerate(preds.latents):
             latents.append(z)

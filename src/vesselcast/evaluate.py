@@ -15,8 +15,8 @@ import numpy as np
 
 from .bank import TrajectoryBank
 from .data.generate import apply_dark_vessels
-from .data.types import DENSITY_LEVELS, VesselSample
-from .engine import tensor
+from .data.types import DENSITY_LEVELS, FieldError, VesselSample
+from .engine import concat
 from .engine.rng import Rng
 from .metrics import ade_fde, constant_velocity_baseline, diversity, sum_in_order
 from .model import Model
@@ -111,40 +111,45 @@ def evaluate(
     model (testing hook). Densities absent from the dataset produce cells
     with n_samples=0 and no metric values.
 
+    Every sample's future must reach the longest horizon; one that falls
+    short fails naming `fut_ais` and its vessel_id before any encoding.
+
     The grid varies only the broadcast mask (through rho) and the latent
     noise (through the seed), so every vessel's scenes are encoded before
     the grid, in one `Model.encode_scenes` call: it checks every sample
     first, naming the vessel_id of one that fails, then runs the stem per
-    vessel and everything after it once over the vessel axis. Each
-    (vessel, ais_mask) pair is checked and fused once, when the grid first
-    meets it: one `Model.encode` call per (cell, seed) fuses the pairs that
-    (cell, seed) meets first. Decoding and refinement run once per
-    (cell, seed), over a vessel axis that holds the pool's vessels in
-    vessel_id order (`Model.predict_pool`); bank search runs once per lit
-    vessel of each (cell, seed).
+    vessel and everything after it once over the vessel axis. A vessel can
+    meet two masks on the grid, its own and the all-false one
+    `apply_dark_vessels` gives it, so one `Model.encode` call, also before
+    the grid, checks and fuses the 2 * vessels (vessel, ais_mask) pairs, and
+    each (cell, seed) takes its pool's rows of that one encoding. Decoding
+    and refinement run once per (cell, seed), over a vessel axis that holds
+    the pool's vessels in vessel_id order (`Model.predict_pool`); bank
+    search runs once per lit vessel of each (cell, seed).
     """
     check_grid(dts, rhos, seeds)
     max_dt = max(dts)
-    t_fut = samples[0].t_fut if samples else 0
     if predictor is None and model.cfg.t_fut < max_dt:
         raise ValueError(f"checkpoint t_fut={model.cfg.t_fut} < requested horizon {max_dt}")
-    if t_fut < max_dt:
-        raise ValueError(f"dataset t_fut={t_fut} < requested horizon {max_dt}")
+    if not samples:
+        raise ValueError(f"dataset t_fut=0 < requested horizon {max_dt}")
+    for s in samples:
+        if s.t_fut < max_dt:
+            raise FieldError(
+                "fut_ais", f"has {s.t_fut} steps, fewer than the requested horizon {max_dt} (vessel_id {s.vessel_id!r})"
+            )
     if predictor is None:
         if len({s.vessel_id for s in samples}) < len(samples):
             raise ValueError("evaluate needs a distinct vessel_id per sample")
         scene_feats = model.encode_scenes(samples)  # (vessels, t_obs, d), or None
-        scene_row = {s.vessel_id: i for i, s in enumerate(samples)}
-        encodings = {}  # (vessel_id, ais_mask bytes) -> SampleEncoding, filled on first use
+        both = samples + apply_dark_vessels(samples, 1.0, seed=0)  # as stored, then all dark, whatever the seed
+        feats = None if scene_feats is None else concat([scene_feats, scene_feats])  # no tape runs here
+        encoding = model.encode(both, scene_feats=feats)
+        row = {(s.vessel_id, s.ais_mask.tobytes()): i for i, s in enumerate(both)}
 
         def predictor(pool, dt, rngs):
-            keys = [(s.vessel_id, s.ais_mask.tobytes()) for s in pool]
-            fresh = {key: s for key, s in zip(keys, pool) if key not in encodings}
-            if fresh:
-                rows = [scene_row[vessel_id] for vessel_id, _ in fresh]
-                feats = None if scene_feats is None else tensor(scene_feats.data[rows])  # no tape runs here
-                encodings.update(zip(fresh, model.encode(*fresh.values(), scene_feats=feats).rows()))
-            preds = model.predict_pool(pool, rngs, [encodings[key] for key in keys], bank=bank)
+            rows = [row[s.vessel_id, s.ais_mask.tobytes()] for s in pool]
+            preds = model.predict_pool(pool, rngs, encoding.take(rows), bank=bank)
             return np.stack([p.ais[:, :dt] for p in preds]), np.stack([p.cctv[:, :dt] for p in preds])
 
     by_density = {

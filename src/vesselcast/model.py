@@ -11,7 +11,7 @@ from .bank import RefinementParams, TrajectoryBank, init_refinement, refine_and_
 from .config import TrainConfig, architecture_hash
 from .data.types import FieldError, VesselSample
 from .decoder import DecoderParams, ModeOutput, PredictionSet, init_decoder, predict_modes
-from .engine import Tensor, concat, narrow, tmean
+from .engine import Tensor, concat, tensor, tmean
 from .engine.rng import Rng
 from .fusion import FusionParams, encode_and_fuse, init_fusion, masked_track
 from .losses import sample_losses, total_loss
@@ -29,18 +29,17 @@ class ModelParams:
 
 @dataclass
 class SampleEncoding:
-    """What `encode` computes for V samples before any noise is drawn: their
-    pooled fused encodings and the broadcast masks they were computed under,
-    row v for sample v."""
+    """What `encode` computes for V samples before any noise is drawn, and what
+    `decode` reads: their pooled fused encodings and the broadcast masks they
+    were computed under, row v for sample v."""
 
     f_enc: Tensor  # (V, 1, d)
     ais_mask: np.ndarray  # (V, t_obs) bool
 
-    def rows(self) -> list[SampleEncoding]:
-        """The one-sample encodings of its V rows, in order, each a view of this one."""
-        return [
-            SampleEncoding(narrow(self.f_enc, 0, v, 1), self.ais_mask[v : v + 1]) for v in range(len(self.ais_mask))
-        ]
+    def take(self, rows: list[int]) -> SampleEncoding:
+        """These rows, in the order given, as forward values only: `f_enc` is
+        a copy with no link to this encoding's graph, so no gradient flows back."""
+        return SampleEncoding(tensor(self.f_enc.data[rows]), self.ais_mask[rows])
 
 
 @dataclass
@@ -129,7 +128,7 @@ class Model:
             self.params.scene, [s.rasters for s in samples], [s.boxes for s in samples], self.cfg
         )
 
-    def encode(self, *samples: VesselSample, scene_feats: Tensor | None = None) -> SampleEncoding:
+    def encode(self, samples: list[VesselSample], scene_feats: Tensor | None = None) -> SampleEncoding:
         """The deterministic stage of `forward_sample` for V samples: check
         them, encode their scenes (unless `scene_feats`, their rows of
         `encode_scenes` in the same order, are given) and fuse them with both
@@ -160,17 +159,15 @@ class Model:
         self,
         samples: list[VesselSample],
         rngs: list[Rng],
-        encodings: list[SampleEncoding],
+        encoding: SampleEncoding,
         bank: TrajectoryBank | None = None,
     ) -> Forward:
         """The per-draw stage for a pool of vessels, in one pass, with rows in
-        the order given; `encodings` may hold one row per sample, or a few
-        samples' rows per entry.
+        the order given.
 
         Sample i draws its K * J latent draws from `rngs[i]`, in mode order,
-        and uses row i of the `encodings` taken together, which `encode`
-        computed for it under the same `ais_mask`; the samples themselves are
-        not checked again. Those rows are stacked to (V, 1, d),
+        and uses row i of `encoding`, which `encode` computed for it under the
+        same `ais_mask`; the samples themselves are not checked again.
         `predict_modes` decodes every (vessel, mode) row at once, and, when a
         bank is given and any vessel has a broadcast step, `refine_and_fuse`
         refines every row at once, each lit vessel against the bank entry it
@@ -181,14 +178,13 @@ class Model:
         its one-vessel call bit for bit.
         """
         cfg = self.cfg
-        masks = [mask for e in encodings for mask in e.ais_mask]
-        if not 0 < len(samples) == len(rngs) == len(masks):
+        if not 0 < len(samples) == len(rngs) == len(encoding.ais_mask):
             raise ValueError(
                 f"decode needs one rng and one encoding per sample and at least one sample, got "
-                f"{len(samples)} samples, {len(rngs)} rngs and {len(masks)} encodings"
+                f"{len(samples)} samples, {len(rngs)} rngs and {len(encoding.ais_mask)} encoding rows"
             )
         self._check_bank(bank)
-        for sample, mask in zip(samples, masks):
+        for sample, mask in zip(samples, encoding.ais_mask):
             if not np.array_equal(mask, sample.ais_mask):
                 raise ValueError(
                     f"ais_mask {sample.ais_mask.astype(int).tolist()} differs from the "
@@ -196,8 +192,7 @@ class Model:
                     f"(vessel_id {sample.vessel_id!r})"
                 )
         eps = np.array([rng.normals(cfg.modes * cfg.latent_dim) for rng in rngs]).reshape(len(samples), cfg.modes, -1)
-        f_enc = concat([e.f_enc for e in encodings])  # (V, 1, d)
-        modes = predict_modes(self.params.decoder, f_enc, eps)
+        modes = predict_modes(self.params.decoder, encoding.f_enc, eps)
         found = [
             search(bank, masked_track(s.obs_ais, s.ais_mask)) if bank is not None and s.ais_mask.any() else None
             for s in samples
@@ -207,7 +202,7 @@ class Model:
             placeholder = np.zeros((cfg.t_fut, 2))  # a dark row's prior: finite, and weighted 0
             prior = np.stack([placeholder if f is None else f[1] for f in found])
             modes.ais = refine_and_fuse(
-                self.params.refine, modes.ais, prior, modes.features, f_enc, cfg.offset_scale, lit
+                self.params.refine, modes.ais, prior, modes.features, encoding.f_enc, cfg.offset_scale, lit
             )
         return Forward(
             modes=modes,
@@ -224,7 +219,7 @@ class Model:
         `cfg.t_fut` here, since evaluation passes futures longer than the
         model's horizon.
         """
-        return self.decode([sample], [rng], [self.encode(sample)], bank=bank)
+        return self.decode([sample], [rng], self.encode([sample]), bank=bank)
 
     def loss_batch(
         self,
@@ -242,7 +237,7 @@ class Model:
         """
         self.check_training(samples, bank)
         scenes = concat([self._scenes([s]) for s in samples]) if self.cfg.use_scene else None
-        fwd = self.decode(samples, [rng] * len(samples), [self._fuse(samples, scenes)], bank=bank)
+        fwd = self.decode(samples, [rng] * len(samples), self._fuse(samples, scenes), bank=bank)
         fut = [np.stack([getattr(s, name) for s in samples]) for name in ("fut_ais", "fut_cctv")]
         rec, kl, winners = sample_losses(fwd.modes, *fut)
         rec, kl = tmean(rec), tmean(kl)
@@ -258,14 +253,14 @@ class Model:
         self,
         samples: list[VesselSample],
         rngs: list[Rng],
-        encodings: list[SampleEncoding],
+        encoding: SampleEncoding,
         bank: TrajectoryBank | None = None,
     ) -> list[PredictionSet]:
         """`predict` for a pool of vessels in one `decode` pass: one candidate
         set per sample, in the order given, each equal bit for bit to
-        `predict(samples[i], rngs[i], bank)` when row i of the `encodings`
-        taken together is the sample's row of an `encode` call."""
-        return _prediction_sets(self.decode(samples, rngs, encodings, bank=bank))
+        `predict(samples[i], rngs[i], bank)` when row i of `encoding` is the
+        sample's row of an `encode` call."""
+        return _prediction_sets(self.decode(samples, rngs, encoding, bank=bank))
 
     # ------------------------------------------------------------------
     def state_arrays(self) -> dict[str, np.ndarray]:

@@ -6,8 +6,6 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .bank import TrajectoryBank
 from .config import TrainConfig
 from .data.types import VesselSample

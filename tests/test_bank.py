@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import corrupt_in_place, micro_config
+from conftest import corrupt_in_place, micro_config, micro_waterway
 from vesselcast.bank import (
     TrajectoryBank,
     bank_from_samples,
@@ -19,7 +19,7 @@ from vesselcast.bank import (
     save_bank,
     search,
 )
-from vesselcast.data import apply_dark_vessels
+from vesselcast.data import apply_dark_vessels, generate_scenario
 from vesselcast.engine import Rng, tensor
 from vesselcast.params import collect_params
 
@@ -445,3 +445,15 @@ def test_every_bit_flip_and_truncation_of_a_bank_loads_or_names_the_file(tmp_pat
             load_bank(path)
         except ValueError as exc:
             assert str(path) in str(exc)
+
+
+@pytest.mark.parametrize("field", ["obs_ais", "fut_ais"])
+def test_bank_from_samples_rejects_a_track_of_another_window_naming_the_field(field):
+    """Every track is split at one observed and one future length; a vessel
+    with a longer window would put observed points into its entry's future."""
+    samples = generate_scenario(micro_waterway(), seed=1)
+    longer = {"obs_ais": dict(t_obs=4), "fut_ais": dict(t_fut=5)}[field]
+    other = dataclasses.replace(generate_scenario(micro_waterway(**longer), seed=1)[2], vessel_id="longer")
+    message = rf"{field} has \d+ steps but the bank's first track has \d+ \(vessel_id 'longer'\)"
+    with pytest.raises(ValueError, match=message):
+        bank_from_samples(samples + [other], 4, seed=0)

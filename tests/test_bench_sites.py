@@ -71,9 +71,10 @@ def test_traced_eval_grid_counts(tracing, micro_samples, monkeypatch):
     with a lit vessel, both over the pool's vessel axis, one bank search per lit
     vessel draw, one batched scene encode covering every vessel, with one stem
     per vessel, one spatial-feature pass and one ConvLSTM step per (layer,
-    frame), at most one fusion call per (cell, seed), which fuses each distinct
-    (vessel, mask) once, and one dark-vessel draw per (cell, seed) at the
-    `vesselcast.evaluate` site."""
+    frame), one fusion call before the grid over every vessel's stored and
+    all-false masks, and at the `vesselcast.evaluate` site one dark-vessel
+    draw per (cell, seed) plus the one that darkens every vessel for that
+    fusion."""
     cfg = micro_config()
     model = Model(cfg)
     bank = bank_from_samples(micro_samples, 4, seed=0)
@@ -124,6 +125,7 @@ def test_traced_eval_grid_counts(tracing, micro_samples, monkeypatch):
     assert tracer.calls["scene_encoder.spatial_features"] == 1
     assert tracer.calls["scene_encoder.convlstm_step"] == 2 * cfg.t_obs
     assert tracer.calls["scene_encoder.stem_forward"] == len(micro_samples)
-    assert tracer.calls["fusion.encode_and_fuse"] == len(fused) <= len(pools)
-    assert sum(fused) == len({(vid, mask) for vid, mask, _ in draws}) < len(draws)
-    assert tracer.calls["data.apply_dark_vessels"] == len(populated) * len(seeds)
+    assert tracer.calls["fusion.encode_and_fuse"] == len(fused) == 1
+    assert fused == [2 * len(micro_samples)]
+    assert len({(vid, mask) for vid, mask, _ in draws}) <= sum(fused) < len(draws)
+    assert tracer.calls["data.apply_dark_vessels"] == len(populated) * len(seeds) + 1

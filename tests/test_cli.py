@@ -12,8 +12,12 @@ import pytest
 
 import vesselcast.cli as cli
 from vesselcast.bank import load_bank
+from vesselcast.checkpoint import load_model
 from vesselcast.cli import main
-from vesselcast.data import read_dataset, write_dataset
+from vesselcast.config import load_train_config
+from vesselcast.data import apply_dark_vessels, read_dataset, write_dataset
+from vesselcast.engine.rng import Rng
+from vesselcast.pca import pca_project
 
 CONFIG_TEXT = """
 # micro run configuration
@@ -246,6 +250,34 @@ def test_latent_viz(workdir):
     lines = out.read_text().splitlines()
     assert lines[0] == "vessel_id,mode,pc1,pc2,displacement,heading_change,tortuosity"
     assert len(lines) == 1 + 8 * 2  # vessels x modes
+
+
+def test_latent_viz_matches_a_loop_of_one_vessel_predicts(workdir):
+    """latent-viz encodes and predicts every vessel in one pool; its CSV equals,
+    byte for byte, the one a `predict` call per vessel in vessel_id order
+    gives, with lit, partly masked and dark vessels in a shuffled file."""
+    samples = read_dataset(workdir / "data.jsonl")
+    samples = apply_dark_vessels(samples, 0.25, seed=2)
+    samples[3] = dataclasses.replace(samples[3], ais_mask=np.array([True, False]))
+    data = workdir / "latent_mixed.jsonl"
+    write_dataset(data, samples[::-1])
+    out = workdir / "pca_mixed.csv"
+    assert main(["latent-viz", "--ckpt", str(workdir / "ckpt.bin"), "--data", str(data),
+                 "--bank", str(workdir / "bank.json"), "--config", str(workdir / "train.cfg"),
+                 "--seed", "3", "--out", str(out)]) == 0
+
+    model = load_model(workdir / "ckpt.bin", load_train_config(workdir / "train.cfg"))
+    bank = load_bank(workdir / "bank.json")
+    rows, latents = [], []
+    for sample in sorted(samples, key=lambda s: s.vessel_id):
+        preds = model.predict(sample, rng=Rng(3).child(sample.vessel_id), bank=bank)
+        latents += list(preds.latents)
+        rows += [(sample.vessel_id, k, *cli._motion_descriptors(sample.obs_ais)) for k in range(len(preds.latents))]
+    lines = ["vessel_id,mode,pc1,pc2,displacement,heading_change,tortuosity"]
+    for (vid, k, disp, head, tort), (x, y) in zip(rows, pca_project(np.stack(latents))):
+        lines.append(f"{vid},{k},{x!r},{y!r},{disp!r},{head!r},{tort!r}")
+    assert sum(s.is_dark for s in samples) == 2
+    assert out.read_text() == "\n".join(lines) + "\n"
 
 
 def test_train_eval_bit_identical_across_processes(workdir):

@@ -64,11 +64,11 @@ def test_cached_scene_features_match_uncached_predict(micro_cfg, micro_samples, 
     dark = apply_dark_vessels([lit], 1.0, seed=0)[0]
     copies = [lit, partial, dark]
     feats = model.encode_scenes([lit])
-    encoding = model.encode(*copies, scene_feats=tensor(np.repeat(feats.data, len(copies), axis=0)))
+    encoding = model.encode(copies, scene_feats=tensor(np.repeat(feats.data, len(copies), axis=0)))
     for seed in (3, 4):
-        pooled = model.predict_pool(copies, [Rng(seed) for _ in copies], [encoding], bank=bank)
-        for sample, row, from_pool in zip(copies, encoding.rows(), pooled):
-            cached, = model.predict_pool([sample], [Rng(seed)], [row], bank=bank)
+        pooled = model.predict_pool(copies, [Rng(seed) for _ in copies], encoding, bank=bank)
+        for row, (sample, from_pool) in enumerate(zip(copies, pooled)):
+            cached, = model.predict_pool([sample], [Rng(seed)], encoding.take([row]), bank=bank)
             fresh = model.predict(sample, rng=Rng(seed), bank=bank)
             for name in ("ais", "cctv", "latents"):
                 assert getattr(cached, name).tobytes() == getattr(fresh, name).tobytes(), name
@@ -86,9 +86,9 @@ def test_encoding_under_another_mask_fails_naming_ais_mask(micro_cfg, micro_samp
     else:
         sample = dataclasses.replace(lit, ais_mask=np.arange(lit.t_obs) > 0)
     with pytest.raises(ValueError, match="ais_mask"):
-        model.predict_pool([sample], [Rng(3)], [model.encode(lit)])
+        model.predict_pool([sample], [Rng(3)], model.encode([lit]))
     with pytest.raises(ValueError, match="ais_mask"):
-        model.predict_pool([lit], [Rng(3)], [model.encode(sample)])
+        model.predict_pool([lit], [Rng(3)], model.encode([sample]))
 
 
 def mixed_pool(samples):
@@ -117,8 +117,7 @@ def test_a_pooled_predict_matches_each_vessels_own_predict_bit_for_bit(modes, us
     samples = generate_scenario(micro_waterway(vessel_count=7), seed=5)
     bank = bank_from_samples(samples, 4, seed=0) if use_bank else None
     pool = mixed_pool(samples)
-    encodings = [model.encode(s) for s in pool]
-    pooled = model.predict_pool(pool, [Rng(11).child(s.vessel_id) for s in pool], encodings, bank=bank)
+    pooled = model.predict_pool(pool, [Rng(11).child(s.vessel_id) for s in pool], model.encode(pool), bank=bank)
     assert len(pooled) == len(pool)
     for sample, got in zip(pool, pooled):
         want = model.predict(sample, rng=Rng(11).child(sample.vessel_id), bank=bank)
@@ -132,12 +131,11 @@ def test_a_pooled_predict_matches_each_vessels_own_predict_bit_for_bit(modes, us
 def test_predict_pool_rejects_an_encoding_under_another_mask_naming_the_vessel(micro_cfg, micro_samples):
     model = Model(micro_cfg)
     pool = mixed_pool(micro_samples)
-    encodings = [model.encode(s) for s in pool]
-    encodings[1] = encodings[0]  # made under the dark mask
+    encoding = model.encode(pool).take([0, 0, 2, 3, 4, 5])  # row 1 made under the dark mask
     with pytest.raises(ValueError, match=rf"ais_mask \[1, 1\] differs .* \(vessel_id '{pool[1].vessel_id}'\)"):
-        model.predict_pool(pool, [Rng(0)] * len(pool), encodings)
+        model.predict_pool(pool, [Rng(0)] * len(pool), encoding)
     with pytest.raises(ValueError, match="one rng and one encoding per sample"):
-        model.predict_pool(pool, [Rng(0)], encodings)
+        model.predict_pool(pool, [Rng(0)], encoding)
 
 
 @pytest.mark.parametrize("use_bank", [False, True])

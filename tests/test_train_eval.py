@@ -208,22 +208,45 @@ def test_evaluate_on_no_samples_fails_naming_the_dataset_horizon():
         evaluate([], Model(micro_config()), None, dts=[2], rhos=[0.0], seeds=[0])
 
 
+def test_evaluate_rejects_a_later_vessel_with_a_shorter_future_before_any_encoding(tiny_dataset, monkeypatch):
+    """Every sample's future is compared with the longest horizon, not only the
+    first one's; the failure names `fut_ais`, its steps and the vessel_id."""
+    samples = list(tiny_dataset)
+    victim = samples[5]
+    samples[5] = dataclasses.replace(victim, fut_ais=victim.fut_ais[:2], fut_cctv=victim.fut_cctv[:2])
+    stems = []
+    real_stem = scene_mod.stem_forward
+
+    def counting_stem(*args):
+        stems.append(args)
+        return real_stem(*args)
+
+    monkeypatch.setattr(scene_mod, "stem_forward", counting_stem)
+    message = rf"fut_ais has 2 steps, fewer than the requested horizon 3 \(vessel_id '{victim.vessel_id}'\)"
+    with pytest.raises(ValueError, match=message):
+        evaluate(samples, Model(micro_config()), None, dts=[2, 3], rhos=[0.0], seeds=[0])
+    assert not stems
+    evaluate(samples, Model(micro_config()), None, dts=[2], rhos=[0.0], seeds=[0])  # 2 steps cover dt 2
+
+
 def test_evaluate_fuses_each_vessel_mask_pair_once(tiny_dataset, monkeypatch):
-    """Each distinct (vessel_id, ais_mask) the grid forwards is fused once, by
-    at most one fusion call per (cell, seed), and one draw per
-    (vessel, cell, seed) all the same."""
+    """Both masks the grid can give a vessel, its stored one and the all-false
+    one, are fused for every vessel in one call of 2 * vessels rows, before
+    the first pool is decoded; each (vessel, cell, seed) is one draw all the
+    same."""
     samples = list(tiny_dataset)
     samples[0] = dataclasses.replace(samples[0], ais_mask=np.array([False, True]))
-    fusions = []  # vessels fused per call
+    calls = []  # ("fuse", rows) or ("pool", vessels), in call order
     forwarded = []
     real_fuse = model_mod.encode_and_fuse
     real_predict_pool = Model.predict_pool
 
     def counting_fuse(params, obs_ais, *args, **kwargs):
-        fusions.append(len(obs_ais))
+        calls.append(("fuse", len(obs_ais)))
         return real_fuse(params, obs_ais, *args, **kwargs)
 
     def recording_predict_pool(self, pool, *args, **kwargs):
+        calls.append(("pool", len(pool)))
         forwarded.extend((sample.vessel_id, sample.ais_mask.tobytes()) for sample in pool)
         return real_predict_pool(self, pool, *args, **kwargs)
 
@@ -233,8 +256,9 @@ def test_evaluate_fuses_each_vessel_mask_pair_once(tiny_dataset, monkeypatch):
     report = evaluate(samples, Model(micro_config()), bank, dts=[2, 3], rhos=[0.0, 0.5], seeds=[0, 1])
     assert len(forwarded) == sum(c.n_samples * c.n_seeds for c in report.cells)
     assert len(set(forwarded)) > len(samples)  # some vessel went dark
-    assert sum(fusions) == len(set(forwarded))
-    assert len(fusions) <= sum(c.n_seeds for c in report.cells if c.n_samples)
+    assert calls[0] == ("fuse", 2 * len(samples))
+    assert [call for call in calls if call[0] == "fuse"] == [calls[0]]
+    assert len(calls) == 1 + sum(c.n_seeds for c in report.cells if c.n_samples)
 
 
 def test_evaluate_checks_each_sample_once_per_mask_not_per_draw(tiny_dataset, monkeypatch):
