@@ -99,18 +99,18 @@ def _kmeans(feats: np.ndarray, k: int, rng: Rng) -> np.ndarray:
     return assign
 
 
-def build_bank(
-    tracks: list[np.ndarray], k_max: int, t_obs: int, t_fut: int, seed: int
-) -> TrajectoryBank:
-    """Cluster observed-segment features and keep one medoid pair per cluster."""
-    from .data.generate import split_window
-
-    if not tracks:
+def build_bank(obs: np.ndarray, fut: np.ndarray, k_max: int, seed: int) -> TrajectoryBank:
+    """Cluster the motion features of the (N, T_obs, 2) observed windows `obs`
+    and keep one medoid pair per cluster: row m of `obs` with row m of the
+    (N, T_fut, 2) futures `fut`. The window lengths are those of the arrays."""
+    obs, fut = np.asarray(obs, dtype=np.float64), np.asarray(fut, dtype=np.float64)
+    if not len(obs):
         raise ValueError("cannot build a bank from an empty dataset")
+    if len(obs) != len(fut):
+        raise ValueError(f"obs has {len(obs)} tracks but fut has {len(fut)}")
     if k_max < 1:
         raise ValueError(f"k_max must be at least 1, got {k_max}")
-    pairs = [split_window(np.asarray(t, dtype=np.float64), t_obs, t_fut) for t in tracks]
-    feats = np.stack([motion_feature(obs) for obs, _ in pairs])
+    feats = np.stack([motion_feature(track) for track in obs])
     n = feats.shape[0]
     k = min(k_max, n)
     rng = Rng(seed).child("bank-kmeans")
@@ -126,12 +126,7 @@ def build_bank(
         mean = feats[members].mean(axis=0)
         dist = np.linalg.norm(feats[members] - mean, axis=1)
         medoids.append(int(members[int(np.argmin(dist))]))  # argmin takes the lowest index on ties
-    return TrajectoryBank(
-        obs=np.stack([pairs[m][0] for m in medoids]),
-        fut=np.stack([pairs[m][1] for m in medoids]),
-        feat=feats[medoids],
-        seed=seed,
-    )
+    return TrajectoryBank(obs=obs[medoids], fut=fut[medoids], feat=feats[medoids], seed=seed)
 
 
 def full_broadcast(samples) -> list:
@@ -143,8 +138,8 @@ def full_broadcast(samples) -> list:
 
 def bank_from_samples(samples, k_max: int, seed: int) -> TrajectoryBank:
     """Bank of the `full_broadcast` vessels of `samples`, each of which must
-    have the first one's observed and future lengths: every track is split
-    at those lengths."""
+    have the first one's observed and future lengths, so that their windows
+    stack into the arrays `build_bank` takes."""
     if not samples:
         raise ValueError("cannot build a bank from an empty dataset")
     full = full_broadcast(samples)
@@ -157,8 +152,7 @@ def bank_from_samples(samples, k_max: int, seed: int) -> TrajectoryBank:
                 raise FieldError(
                     field, f"has {steps} steps but the bank's first track has {want} (vessel_id {s.vessel_id!r})"
                 )
-    tracks = [np.vstack([s.obs_ais, s.fut_ais]) for s in full]
-    return build_bank(tracks, k_max, full[0].t_obs, full[0].t_fut, seed)
+    return build_bank(np.stack([s.obs_ais for s in full]), np.stack([s.fut_ais for s in full]), k_max, seed)
 
 
 def search(bank: TrajectoryBank, observed: np.ndarray) -> tuple[int, np.ndarray, float]:

@@ -186,6 +186,9 @@ def _motion_descriptors(obs: np.ndarray) -> tuple[float, float, float]:
 def cmd_latent_viz(args) -> int:
     cfg = load_train_config(args.config)
     samples = read_dataset(args.data)
+    if not samples:
+        print(f"no samples in {args.data}: latent-viz needs at least one", file=sys.stderr)
+        return 2
     model = load_model(args.ckpt, cfg)
     bank = load_bank(args.bank) if args.bank else None
     ordered = sorted(samples, key=lambda s: s.vessel_id)

@@ -1,8 +1,6 @@
 from .types import VesselSample, WaterwayConfig, DENSITY_LEVELS
 from .generate import (
-    WindowError,
     ProjectionError,
-    split_window,
     project_geo_to_pixels,
     plan_vessels,
     generate_scenario,
@@ -14,9 +12,7 @@ __all__ = [
     "VesselSample",
     "WaterwayConfig",
     "DENSITY_LEVELS",
-    "WindowError",
     "ProjectionError",
-    "split_window",
     "project_geo_to_pixels",
     "plan_vessels",
     "generate_scenario",

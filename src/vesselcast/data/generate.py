@@ -1,4 +1,4 @@
-"""Synthetic waterway scenario generation and window handling."""
+"""Synthetic waterway scenario generation and dark-vessel masking."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..engine.rng import Rng
-from .types import VesselSample, WaterwayConfig
+from .types import DENSITY_LEVELS, VesselSample, WaterwayConfig
 
 # arc geometry (centerline == "arc"): circle segment sweeping the unit square
 _ARC_CENTER = (0.5, -0.35)
@@ -17,20 +17,8 @@ _ARC_RADIUS = 0.85
 _ARC_THETA = (2.20, 0.94)
 
 
-class WindowError(ValueError):
-    """Track too short for the requested observed/future split."""
-
-
 class ProjectionError(ValueError):
     """Point mapped to the plane at infinity (w ~ 0)."""
-
-
-def split_window(track: np.ndarray, t_obs: int, t_fut: int) -> tuple[np.ndarray, np.ndarray]:
-    """Contiguous split into the last-t_obs-first part and the following t_fut."""
-    n = len(track)
-    if n < t_obs + t_fut:
-        raise WindowError(f"track of length {n} cannot supply t_obs={t_obs} + t_fut={t_fut}")
-    return np.array(track[:t_obs]), np.array(track[t_obs : t_obs + t_fut])
 
 
 def project_geo_to_pixels(points: np.ndarray, homography: np.ndarray) -> np.ndarray:
@@ -69,47 +57,47 @@ def _centerline_point(cfg: WaterwayConfig, s: np.ndarray) -> tuple[np.ndarray, n
 
 
 @dataclass
-class VesselPlan:
-    vessel_id: str
-    s0: float
-    speed: float
-    offset: float
-    maneuver: bool
-    maneuver_sign: float
+class FleetPlan:
+    """Per-vessel kinematic draws, one (N,) array per field, row i for vessel i."""
+
+    s0: np.ndarray
+    speed: np.ndarray
+    offset: np.ndarray
+    maneuver: np.ndarray  # bool
+    sign: np.ndarray  # +1.0 or -1.0: the side a maneuvering vessel swerves to
 
 
-def plan_vessels(cfg: WaterwayConfig, seed: int) -> list[VesselPlan]:
-    """Per-vessel kinematic draws; the maneuvering minority swerves and returns."""
-    rng = Rng(seed)
-    t_total = cfg.t_obs + cfg.t_fut
-    s_span = cfg.speed_max * (t_total - 1)
-    plans = []
-    for i in range(cfg.vessel_count):
-        vid = f"v{i:04d}"
-        s0 = rng.uniform(0.0, max(1.0 - s_span, 1e-6))
-        speed = rng.uniform(cfg.speed_min, cfg.speed_max)
-        offset = rng.uniform(-0.8 * cfg.channel_halfwidth, 0.8 * cfg.channel_halfwidth)
-        maneuver = rng.uniform() < cfg.maneuver_prob
-        sign = 1.0 if rng.uniform() < 0.5 else -1.0
-        plans.append(VesselPlan(vid, s0, speed, offset, maneuver, sign))
-    return plans
+def plan_vessels(cfg: WaterwayConfig, seed: int) -> FleetPlan:
+    """Per-vessel kinematic draws; the maneuvering minority swerves and returns.
+
+    One `Rng(seed).uniforms(5 * N)` draw, row i of its (N, 5) reshape for
+    vessel i: start, speed, offset, maneuver and sign, in that order. These
+    are, bit for bit, the values of scalar `uniform` calls in (vessel, field)
+    order.
+    """
+    u = Rng(seed).uniforms(5 * cfg.vessel_count).reshape(-1, 5).T
+    s_span = cfg.speed_max * (cfg.t_obs + cfg.t_fut - 1)
+    lo, hi = -0.8 * cfg.channel_halfwidth, 0.8 * cfg.channel_halfwidth
+    return FleetPlan(
+        s0=max(1.0 - s_span, 1e-6) * u[0],
+        speed=cfg.speed_min + (cfg.speed_max - cfg.speed_min) * u[1],
+        offset=lo + (hi - lo) * u[2],
+        maneuver=u[3] < cfg.maneuver_prob,
+        sign=np.where(u[4] < 0.5, 1.0, -1.0),
+    )
 
 
-def _geo_tracks(cfg: WaterwayConfig, plans: list[VesselPlan]) -> np.ndarray:
+def _geo_tracks(cfg: WaterwayConfig, plan: FleetPlan) -> np.ndarray:
     """True positions, shape (N, T_total, 2)."""
     t_total = cfg.t_obs + cfg.t_fut
     steps = np.arange(t_total, dtype=np.float64)
-    tracks = np.zeros((len(plans), t_total, 2))
-    for i, plan in enumerate(plans):
-        s = plan.s0 + plan.speed * steps
-        lateral = np.full(t_total, plan.offset)
-        if plan.maneuver:
-            # smooth out-and-back avoidance swerve over the whole window
-            u = steps / max(t_total - 1, 1)
-            lateral = lateral + plan.maneuver_sign * cfg.maneuver_amp * np.sin(math.pi * u) ** 2
-        pos, normal = _centerline_point(cfg, s)
-        tracks[i] = pos + lateral[:, None] * normal
-    return tracks
+    s = plan.s0[:, None] + plan.speed[:, None] * steps
+    # smooth out-and-back avoidance swerve over the whole window
+    swerve = np.sin(math.pi * (steps / max(t_total - 1, 1))) ** 2
+    offset = plan.offset[:, None]
+    lateral = np.where(plan.maneuver[:, None], offset + plan.sign[:, None] * cfg.maneuver_amp * swerve, offset)
+    pos, normal = _centerline_point(cfg, s)
+    return pos + lateral[..., None] * normal
 
 
 def _channel_mask(cfg: WaterwayConfig) -> np.ndarray:
@@ -129,102 +117,85 @@ def _channel_mask(cfg: WaterwayConfig) -> np.ndarray:
     return mask.reshape(size, size).astype(np.float32)
 
 
-def _to_raster(cfg: WaterwayConfig, pixels: np.ndarray) -> np.ndarray:
-    scale = np.array([cfg.raster_size / cfg.frame_w, cfg.raster_size / cfg.frame_h])
-    return pixels * scale
+def _occupancy(size: int, raster_pos: np.ndarray) -> np.ndarray:
+    """(N, T, size, size) float32 other-vessel occupancy from (N, T, 2) raster positions.
 
-
-def _paint_occupancy(grid: np.ndarray, points: np.ndarray) -> None:
-    size = grid.shape[0]
-    for x, y in points:
-        c = int(np.floor(x))
-        r = int(np.floor(y))
-        grid[max(r - 1, 0) : min(r + 2, size), max(c - 1, 0) : min(c + 2, size)] = 1.0
+    Each vessel covers the 3x3 square of cells around the cell its position
+    floors to, clipped to the raster; vessel i's map is 1 where more squares
+    cover a cell than its own does, that is where another vessel's square does.
+    """
+    near = np.abs(np.arange(size) - np.floor(raster_pos)[..., None]) <= 1  # (N, T, 2, size)
+    square = near[:, :, 1, :, None] & near[:, :, 0, None, :]
+    return (square.sum(axis=0) > square).astype(np.float32)
 
 
 def _target_boxes(cfg: WaterwayConfig, centers: np.ndarray) -> np.ndarray:
-    """(T, 4) boxes of side 2 * bbox_half around (T, 2) raster centers, shifted inside the raster."""
+    """(..., 4) boxes of side 2 * bbox_half around (..., 2) raster centers, shifted inside the raster."""
     size, bh = float(cfg.raster_size), cfg.bbox_half
     lo = np.minimum(np.maximum(centers - bh, 0.0), size - 2 * bh)
-    return np.concatenate([lo, lo + 2 * bh], axis=1)
+    return np.concatenate([lo, lo + 2 * bh], axis=-1)
 
 
 def _marker_channels(size: int, boxes: np.ndarray) -> np.ndarray:
-    """(T, size, size) float32: 1 where a pixel center lies inside step t's box."""
-    x0, y0, x1, y1 = boxes.T[:, :, None]  # each (T, 1)
+    """(..., size, size) float32: 1 where a pixel center lies inside the (..., 4) box."""
+    x0, y0, x1, y1 = np.moveaxis(boxes, -1, 0)[..., None]  # each (..., 1)
     centers = np.arange(size) + 0.5
-    inside = ((centers >= y0) & (centers < y1))[:, :, None] & ((centers >= x0) & (centers < x1))[:, None, :]
+    inside = ((centers >= y0) & (centers < y1))[..., :, None] & ((centers >= x0) & (centers < x1))[..., None, :]
     return inside.astype(np.float32)
 
 
 def generate_scenario(cfg: WaterwayConfig, seed: int) -> list[VesselSample]:
     """Simulate all vessels on a shared timeline and cut one window per vessel.
 
-    Deterministic for a given (cfg, seed): vessel plans, then observation
-    noise, are drawn in fixed (vessel, timestep, coordinate) order.
+    Every stage runs once over the leading vessel axis. Deterministic for a
+    given (cfg, seed): `plan_vessels` draws the kinematics; the
+    "observation-noise" child stream then draws every vessel's AIS noise,
+    then every vessel's camera noise, each in (vessel, timestep, coordinate)
+    order, and only when its scale is positive. Density counts the vessels
+    within `density_radius` at the last observed step. Each sample holds row
+    views of the scenario's arrays.
     """
     cfg.validate()
-    plans = plan_vessels(cfg, seed)
-    geo = _geo_tracks(cfg, plans)
-    n, t_total = geo.shape[0], geo.shape[1]
+    geo = _geo_tracks(cfg, plan_vessels(cfg, seed))
+    n, t_obs, size = cfg.vessel_count, cfg.t_obs, cfg.raster_size
 
     noise_rng = Rng(seed).child("observation-noise")
-    ais = geo.copy()
+    ais = geo
     if cfg.ais_noise > 0:
-        for i in range(n):
-            draws = np.array(noise_rng.normals(t_total * 2)).reshape(t_total, 2)
-            ais[i] += cfg.ais_noise * draws
-    homography = cfg.matrix()
-    cctv = np.zeros_like(geo)
-    for i in range(n):
-        cam = project_geo_to_pixels(geo[i], homography)
-        if cfg.pixel_noise > 0:
-            draws = np.array(noise_rng.normals(t_total * 2)).reshape(t_total, 2)
-            cam = cam + cfg.pixel_noise * draws
-        cctv[i, :, 0] = np.clip(cam[:, 0], 0.0, cfg.frame_w * (1 - 1e-9))
-        cctv[i, :, 1] = np.clip(cam[:, 1], 0.0, cfg.frame_h * (1 - 1e-9))
+        ais = geo + cfg.ais_noise * np.reshape(noise_rng.normals(geo.size), geo.shape)
+    pixels = project_geo_to_pixels(geo.reshape(-1, 2), cfg.matrix()).reshape(geo.shape)
+    cam = pixels
+    if cfg.pixel_noise > 0:
+        cam = pixels + cfg.pixel_noise * np.reshape(noise_rng.normals(geo.size), geo.shape)
+    cctv = np.clip(cam, 0.0, [cfg.frame_w * (1 - 1e-9), cfg.frame_h * (1 - 1e-9)])
 
-    channel = _channel_mask(cfg)
-    raster_pos = np.zeros_like(geo)
-    for i in range(n):
-        raster_pos[i] = _to_raster(cfg, project_geo_to_pixels(geo[i], homography))
+    ref = geo[:, t_obs - 1]
+    dist = np.sqrt(((ref[:, None] - ref[None]) ** 2).sum(axis=-1))
+    neighbors = (dist <= cfg.density_radius).sum(axis=1) - 1
+    level = np.searchsorted([cfg.density_low_max, cfg.density_med_max], neighbors)
 
-    ref_t = cfg.t_obs - 1  # density measured at the most recent observed step
-    samples = []
-    for i in range(n):
-        dist = np.sqrt(((geo[:, ref_t] - geo[i, ref_t]) ** 2).sum(axis=1))
-        neighbors = int((dist <= cfg.density_radius).sum()) - 1
-        if neighbors <= cfg.density_low_max:
-            density = "low"
-        elif neighbors <= cfg.density_med_max:
-            density = "medium"
-        else:
-            density = "high"
-
-        boxes = _target_boxes(cfg, raster_pos[i, : cfg.t_obs])
-        rasters = np.zeros((cfg.t_obs, 3, cfg.raster_size, cfg.raster_size), dtype=np.float32)
-        rasters[:, 0] = channel
-        for t in range(cfg.t_obs):
-            _paint_occupancy(rasters[t, 1], np.concatenate([raster_pos[:i, t], raster_pos[i + 1 :, t]]))
-        rasters[:, 2] = _marker_channels(cfg.raster_size, boxes)
-
-        obs_a, fut_a = split_window(ais[i], cfg.t_obs, cfg.t_fut)
-        obs_c, fut_c = split_window(cctv[i], cfg.t_obs, cfg.t_fut)
-        samples.append(
-            VesselSample(
-                vessel_id=plans[i].vessel_id,
-                obs_ais=obs_a,
-                ais_mask=np.ones(cfg.t_obs, dtype=bool),
-                obs_cctv=obs_c,
-                rasters=rasters,
-                boxes=boxes,
-                fut_ais=fut_a,
-                fut_cctv=fut_c,
-                density=density,
-                is_dark=False,
-            )
+    raster_pos = pixels[:, :t_obs] * [size / cfg.frame_w, size / cfg.frame_h]
+    boxes = _target_boxes(cfg, raster_pos)
+    channel = _channel_mask(cfg)  # first, so its large temporaries are freed before the raster block exists
+    rasters = np.empty((n, t_obs, 3, size, size), dtype=np.float32)
+    rasters[:, :, 0] = channel
+    rasters[:, :, 1] = _occupancy(size, raster_pos)
+    rasters[:, :, 2] = _marker_channels(size, boxes)
+    ais_mask = np.ones((n, t_obs), dtype=bool)
+    return [
+        VesselSample(
+            vessel_id=f"v{i:04d}",
+            obs_ais=ais[i, :t_obs],
+            ais_mask=ais_mask[i],
+            obs_cctv=cctv[i, :t_obs],
+            rasters=rasters[i],
+            boxes=boxes[i],
+            fut_ais=ais[i, t_obs:],
+            fut_cctv=cctv[i, t_obs:],
+            density=DENSITY_LEVELS[level[i]],
         )
-    return samples
+        for i in range(n)
+    ]
 
 
 def apply_dark_vessels(samples: list[VesselSample], rho: float, seed: int) -> list[VesselSample]:

@@ -10,6 +10,7 @@ target's box in raster coordinates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,12 +119,36 @@ class WaterwayConfig:
         return np.asarray(self.homography, dtype=np.float64).reshape(3, 3)
 
     def validate(self) -> None:
-        if self.channel_halfwidth <= 0:
-            raise ValueError("channel_halfwidth must be positive")
+        """Reject a field no scenario can be generated from, naming it; every
+        comparison is written so that a NaN fails it."""
         if self.centerline not in ("sine", "arc", "straight"):
             raise ValueError(f"unknown centerline kind '{self.centerline}'")
-        det = float(np.linalg.det(self.matrix()))
-        if abs(det) <= 1e-9:
-            raise ValueError(f"homography is not invertible (det={det:g})")
         if self.vessel_count < 1 or self.t_obs < 1 or self.t_fut < 1:
             raise ValueError("vessel_count, t_obs, t_fut must be positive")
+        if len(self.homography) != 9:
+            raise FieldError("homography", f"must hold 9 values, got {len(self.homography)}")
+        matrix = self.matrix()
+        det = float(np.linalg.det(matrix)) if np.isfinite(matrix).all() else math.nan
+        if not abs(det) > 1e-9:
+            raise ValueError(f"homography is not invertible (det={det:g})")
+        rules = (
+            ("channel_halfwidth", self.channel_halfwidth > 0, "must be positive"),
+            ("period", self.period > 0 or self.centerline != "sine", "must be positive for a sine centerline"),
+            ("amplitude", math.isfinite(self.amplitude), "must be finite"),
+            ("frame_w", self.frame_w > 0, "must be positive"),
+            ("frame_h", self.frame_h > 0, "must be positive"),
+            ("ais_noise", self.ais_noise >= 0, "must be >= 0"),
+            ("pixel_noise", self.pixel_noise >= 0, "must be >= 0"),
+            ("speed_min", 0 <= self.speed_min <= self.speed_max, f"must be in [0, speed_max={self.speed_max}]"),
+            ("maneuver_prob", 0 <= self.maneuver_prob <= 1, "must be in [0, 1]"),
+            ("maneuver_amp", math.isfinite(self.maneuver_amp), "must be finite"),
+            ("raster_size", self.raster_size >= 1, "must be positive"),
+            ("bbox_half", 0 < 2 * self.bbox_half <= self.raster_size,
+             f"must be positive with 2 * bbox_half <= raster_size={self.raster_size}"),
+            ("density_radius", self.density_radius >= 0, "must be >= 0"),
+            ("density_low_max", self.density_low_max <= self.density_med_max,
+             f"must be <= density_med_max={self.density_med_max}"),
+        )
+        for name, ok, rule in rules:
+            if not ok:
+                raise FieldError(name, f"{rule}, got {getattr(self, name)!r}")

@@ -100,36 +100,39 @@ class Model:
     def check_training(self, samples: list[VesselSample], bank: TrajectoryBank | None = None) -> None:
         """Reject, before any encoding, the samples or bank `loss_batch` cannot
         train on; `train` runs it on the whole dataset before its first step."""
-        if not samples:
-            raise ValueError("samples is empty: a training batch needs at least one sample")
-        for sample in samples:
-            self._check_sample(sample, futures=True)
+        self._check_samples(samples, "a training batch", futures=True)
         self._check_bank(bank)
+
+    def _check_samples(self, samples: list[VesselSample], what: str, futures: bool = False) -> None:
+        if not samples:
+            raise ValueError(f"samples is empty: {what} needs at least one sample")
+        for sample in samples:
+            self._check_sample(sample, futures=futures)
 
     def encode_scenes(self, samples: list[VesselSample]) -> Tensor | None:
         """The (V, t_obs, d) scene features of V samples, row v for sample v,
         or None when `cfg.use_scene` is off.
 
-        Checks every sample before any encoding runs. Only the stem runs per
-        sample; the pooling, the ConvLSTM and the MLPs run once over the
-        vessel axis (see `encode_scene_sequence`). Each row equals the
-        sample's one-sample call bit for bit. The features depend only on the
+        Checks every sample, and that there is at least one, before any
+        encoding runs. Only the stem runs per sample; the pooling, the
+        ConvLSTM and the MLPs run once over the vessel axis (see
+        `encode_scene_sequence`). Each row equals the sample's one-sample
+        call bit for bit. The features depend only on the
         parameters and `sample.rasters`/`sample.boxes`, not on the broadcast
         mask, so a vessel's dark copies can share them.
         """
-        for sample in samples:
-            self._check_sample(sample)
+        self._check_samples(samples, "a scene encoding")
         return self._scenes(samples)
 
     def _scenes(self, samples: list[VesselSample]) -> Tensor | None:
-        if not (self.cfg.use_scene and samples):
+        if not self.cfg.use_scene:
             return None
         return encode_scene_sequence(
             self.params.scene, [s.rasters for s in samples], [s.boxes for s in samples], self.cfg
         )
 
     def encode(self, samples: list[VesselSample], scene_feats: Tensor | None = None) -> SampleEncoding:
-        """The deterministic stage of `forward_sample` for V samples: check
+        """The deterministic stage of `forward_sample` for V >= 1 samples: check
         them, encode their scenes (unless `scene_feats`, their rows of
         `encode_scenes` in the same order, are given) and fuse them with both
         tracks in one `encode_and_fuse` call over the vessel axis.
@@ -138,8 +141,7 @@ class Model:
         `ais_mask`, and equals the sample's one-sample call bit for bit, so
         every draw on one (vessel, mask) can share it.
         """
-        for sample in samples:
-            self._check_sample(sample)
+        self._check_samples(samples, "an encoding")
         return self._fuse(samples, self._scenes(samples) if scene_feats is None else scene_feats)
 
     def _fuse(self, samples: list[VesselSample], scene_feats: Tensor | None) -> SampleEncoding:

@@ -33,6 +33,12 @@ def straight_track(start, velocity, n):
     return np.asarray(start) + steps * np.asarray(velocity)
 
 
+def windows(tracks, t_obs):
+    """The (observed, future) arrays `build_bank` takes, split from a list of equal-length tracks."""
+    stacked = np.stack(tracks)
+    return stacked[:, :t_obs], stacked[:, t_obs:]
+
+
 def test_motion_feature_unit_segment():
     track = straight_track([0.0, 0.0], [0.25, 0.0], 5)  # ends at (1, 0)
     feat = motion_feature(track)
@@ -80,7 +86,7 @@ def test_kmeans_two_well_separated_clusters():
         np.cumsum(np.vstack([[0, 0]] + [[1.0, 0.8**i] for i in range(6)]), axis=0),
         np.cumsum(np.vstack([[0, 0]] + [[1.0, 0.82**i] for i in range(6)]), axis=0),
     ]
-    bank = build_bank(tracks, k_max=2, t_obs=t_obs, t_fut=t_fut, seed=3)
+    bank = build_bank(*windows(tracks, t_obs), k_max=2, seed=3)
     feats = np.stack([motion_feature(t[:t_obs]) for t in tracks])
     _, best_labels = brute_force_two_clusters(feats)
     got_groups = set()
@@ -98,7 +104,7 @@ def test_medoid_matches_brute_force():
     t_obs, t_fut = 5, 4
     seed = 5
     tracks = [np.cumsum(rand(rng, (t_obs + t_fut, 2), -0.2, 0.2), axis=0) for _ in range(12)]
-    bank = build_bank(tracks, k_max=3, t_obs=t_obs, t_fut=t_fut, seed=seed)
+    bank = build_bank(*windows(tracks, t_obs), k_max=3, seed=seed)
     feats = np.stack([motion_feature(t[:t_obs]) for t in tracks])
     # reproduce the assignment, then pick each cluster's medoid by explicit
     # enumeration with (distance, index) ordering as the independent rule
@@ -121,12 +127,18 @@ def test_medoid_matches_brute_force():
 @pytest.mark.parametrize("k_max", [0, -1])
 def test_build_bank_rejects_k_max_below_one(k_max):
     with pytest.raises(ValueError, match=f"k_max must be at least 1, got {k_max}"):
-        build_bank([straight_track([0.0, 0.0], [0.1, 0.2], 9)], k_max=k_max, t_obs=4, t_fut=5, seed=0)
+        build_bank(*windows([straight_track([0.0, 0.0], [0.1, 0.2], 9)], 4), k_max=k_max, seed=0)
+
+
+def test_build_bank_rejects_windows_of_different_row_counts_naming_both():
+    obs, fut = windows([straight_track([0.0, 0.0], [0.1, 0.2], 9)] * 3, 4)
+    with pytest.raises(ValueError, match="obs has 3 tracks but fut has 2"):
+        build_bank(obs, fut[:2], k_max=2, seed=0)
 
 
 def test_single_track_bank():
     track = straight_track([0.0, 0.0], [0.1, 0.2], 9)
-    bank = build_bank([track], k_max=16, t_obs=4, t_fut=5, seed=0)
+    bank = build_bank(*windows([track], 4), k_max=16, seed=0)
     assert len(bank) == 1
     assert bank.t_obs == 4 and bank.t_fut == 5
     assert np.array_equal(bank.obs[0], track[:4])
@@ -155,7 +167,7 @@ def test_kmeans_objective_non_increasing():
 def test_search_self_match():
     rng = Rng(29)
     tracks = [np.cumsum(rand(rng, (9, 2), -0.2, 0.2), axis=0) for _ in range(6)]
-    bank = build_bank(tracks, k_max=6, t_obs=4, t_fut=5, seed=1)
+    bank = build_bank(*windows(tracks, 4), k_max=6, seed=1)
     for k in range(len(bank)):
         got_k, fut, sim = search(bank, bank.obs[k])
         assert got_k == k
@@ -167,7 +179,7 @@ def test_search_self_match():
 def test_search_rejects_non_finite_key(value):
     rng = Rng(29)
     tracks = [np.cumsum(rand(rng, (9, 2), -0.2, 0.2), axis=0) for _ in range(6)]
-    bank = build_bank(tracks, k_max=6, t_obs=4, t_fut=5, seed=1)
+    bank = build_bank(*windows(tracks, 4), k_max=6, seed=1)
     key = bank.obs[1].copy()
     key[2, 1] = value
     with pytest.raises(ValueError, match="not finite"):
@@ -206,7 +218,7 @@ def test_search_orthogonal_and_diagonal_similarities():
 def test_search_matches_exhaustive_scan():
     rng = Rng(31)
     tracks = [np.cumsum(rand(rng, (9, 2), -0.3, 0.3), axis=0) for _ in range(40)]
-    bank = build_bank(tracks, k_max=32, t_obs=4, t_fut=5, seed=2)
+    bank = build_bank(*windows(tracks, 4), k_max=32, seed=2)
     feats = np.stack([motion_feature(obs) for obs in bank.obs])
     for _ in range(200):
         query = np.cumsum(rand(rng, (4, 2), -0.3, 0.3), axis=0)
@@ -327,7 +339,7 @@ def test_bounded_refinement_inequality(micro_cfg):
 def test_bank_round_trip(tmp_path):
     rng = Rng(53)
     tracks = [np.cumsum(rand(rng, (9, 2), -0.2, 0.2), axis=0) for _ in range(10)]
-    bank = build_bank(tracks, k_max=4, t_obs=4, t_fut=5, seed=7)
+    bank = build_bank(*windows(tracks, 4), k_max=4, seed=7)
     p1, p2 = tmp_path / "b1.json", tmp_path / "b2.json"
     save_bank(p1, bank)
     loaded = load_bank(p1)
@@ -342,7 +354,7 @@ def _saved_bank_payload(path):
     """Write a small valid bank to `path` and return its parsed JSON."""
     rng = Rng(53)
     tracks = [np.cumsum(rand(rng, (9, 2), -0.2, 0.2), axis=0) for _ in range(10)]
-    save_bank(path, build_bank(tracks, k_max=4, t_obs=4, t_fut=5, seed=7))
+    save_bank(path, build_bank(*windows(tracks, 4), k_max=4, seed=7))
     return json.loads(path.read_text(encoding="utf-8"))
 
 

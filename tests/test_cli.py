@@ -252,6 +252,15 @@ def test_latent_viz(workdir):
     assert len(lines) == 1 + 8 * 2  # vessels x modes
 
 
+def test_latent_viz_on_an_empty_dataset_exits_2_naming_the_file(workdir, capsys):
+    data = workdir / "empty.jsonl"
+    data.write_text("")
+    assert main(["latent-viz", "--ckpt", str(workdir / "ckpt.bin"), "--data", str(data),
+                 "--config", str(workdir / "train.cfg"), "--out", str(workdir / "empty.csv")]) == 2
+    assert f"no samples in {data}" in capsys.readouterr().err
+    assert not (workdir / "empty.csv").exists()
+
+
 def test_latent_viz_matches_a_loop_of_one_vessel_predicts(workdir):
     """latent-viz encodes and predicts every vessel in one pool; its CSV equals,
     byte for byte, the one a `predict` call per vessel in vessel_id order
@@ -305,6 +314,25 @@ main(["eval", "--data", f"{root}/data.jsonl", "--ckpt", f"{root}/ckpt_{tag}.bin"
     assert (workdir / "ckpt_a.bin").read_bytes() == (workdir / "ckpt_b.bin").read_bytes()
     assert (workdir / "curve_a.csv").read_bytes() == (workdir / "curve_b.csv").read_bytes()
     assert (workdir / "report_a.csv").read_bytes() == (workdir / "report_b.csv").read_bytes()
+
+
+def test_generate_and_bank_build_bit_identical_across_processes(workdir):
+    """`generate` then `bank build` in two fresh processes -> the bytes of the
+    in-process run that made the shared fixture."""
+    script = r"""
+import sys
+from vesselcast.cli import main
+root, tag = sys.argv[1], sys.argv[2]
+main(["generate", "--config", f"{root}/scenario.cfg", "--seed", "1", "--out", f"{root}/data_{tag}.jsonl"])
+main(["bank", "build", "--data", f"{root}/data_{tag}.jsonl", "--kmax", "4", "--out", f"{root}/bank_{tag}.json"])
+"""
+    for tag in ("a", "b"):
+        proc = subprocess.run([sys.executable, "-c", script, str(workdir), tag], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+    for name, suffix in (("data", "jsonl"), ("bank", "json")):
+        want = (workdir / f"{name}.{suffix}").read_bytes()
+        assert (workdir / f"{name}_a.{suffix}").read_bytes() == want, name
+        assert (workdir / f"{name}_b.{suffix}").read_bytes() == want, name
 
 
 def _readme_cli_examples() -> list[str]:

@@ -105,6 +105,45 @@ def test_waterway_validation():
         WaterwayConfig(channel_halfwidth=0.0).validate()
     with pytest.raises(ValueError, match="invertible"):
         WaterwayConfig(homography=(1, 0, 0, 2, 0, 0, 3, 0, 0)).validate()
+    with pytest.raises(ValueError, match="invertible"):
+        WaterwayConfig(homography=(float("nan"), 0, 0, 0, 1, 0, 0, 0, 1)).validate()
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        (dict(period=0.0), "period"),
+        (dict(period=NAN), "period"),
+        (dict(frame_w=0.0), "frame_w"),
+        (dict(frame_h=NAN), "frame_h"),
+        (dict(ais_noise=-0.01), "ais_noise"),
+        (dict(pixel_noise=NAN), "pixel_noise"),
+        (dict(speed_min=0.05), "speed_min"),
+        (dict(speed_min=-0.01), "speed_min"),
+        (dict(speed_max=NAN), "speed_min"),
+        (dict(maneuver_prob=1.5), "maneuver_prob"),
+        (dict(maneuver_prob=NAN), "maneuver_prob"),
+        (dict(bbox_half=40.0, raster_size=16), "bbox_half"),
+        (dict(bbox_half=0.0), "bbox_half"),
+        (dict(density_radius=NAN), "density_radius"),
+        (dict(density_radius=-0.1), "density_radius"),
+        (dict(density_low_max=6), "density_low_max"),
+        (dict(channel_halfwidth=NAN), "channel_halfwidth"),
+        (dict(amplitude=NAN), "amplitude"),
+        (dict(raster_size=0), "raster_size"),
+        (dict(homography=(1.0, 0.0, 0.0)), "homography"),
+    ],
+)
+def test_waterway_validation_names_the_field_no_scenario_can_use(overrides, field):
+    with pytest.raises(ValueError, match=rf"^{field} must"):
+        WaterwayConfig(**overrides).validate()
+
+
+def test_a_non_sine_centerline_needs_no_period():
+    WaterwayConfig(centerline="arc", period=0.0).validate()
 
 
 def test_load_train_config_defaults(tmp_path):

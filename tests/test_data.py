@@ -11,13 +11,11 @@ from vesselcast.data import (
     DatasetFormatError,
     ProjectionError,
     WaterwayConfig,
-    WindowError,
     apply_dark_vessels,
     generate_scenario,
     plan_vessels,
     project_geo_to_pixels,
     read_dataset,
-    split_window,
     write_dataset,
 )
 from vesselcast.data.types import FieldError
@@ -28,25 +26,6 @@ def small_cfg(**overrides):
     base = dict(vessel_count=8, t_obs=4, t_fut=6, raster_size=16, bbox_half=2.0)
     base.update(overrides)
     return WaterwayConfig(**base)
-
-
-def test_split_window_partition():
-    track = np.arange(40.0).reshape(20, 2)
-    obs, fut = split_window(track, 8, 12)
-    assert obs.shape == (8, 2) and fut.shape == (12, 2)
-    # the first future element is the 9th track element
-    assert np.array_equal(fut[0], track[8])
-
-
-def test_split_window_exact_boundary():
-    track = np.arange(40.0).reshape(20, 2)
-    obs, fut = split_window(track, 8, 12)
-    assert np.array_equal(np.vstack([obs, fut]), track)
-
-
-def test_split_window_too_short():
-    with pytest.raises(WindowError, match="19"):
-        split_window(np.zeros((19, 2)), 8, 12)
 
 
 def test_project_identity():
@@ -99,9 +78,58 @@ def test_generator_deterministic_files(tmp_path):
 
 def test_maneuver_fraction_binomial():
     cfg = small_cfg(vessel_count=200, maneuver_prob=0.15)
-    plans = plan_vessels(cfg, seed=21)
-    frac = sum(p.maneuver for p in plans) / len(plans)
+    frac = plan_vessels(cfg, seed=21).maneuver.mean()
     assert 0.10 <= frac <= 0.20
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+def test_plan_vessels_equals_scalar_draws_in_vessel_field_order(seed):
+    cfg = small_cfg(vessel_count=13)
+    rng = Rng(seed)
+    s_hi = max(1.0 - cfg.speed_max * (cfg.t_obs + cfg.t_fut - 1), 1e-6)
+    half = 0.8 * cfg.channel_halfwidth
+    rows = [
+        (rng.uniform(0.0, s_hi), rng.uniform(cfg.speed_min, cfg.speed_max), rng.uniform(-half, half),
+         rng.uniform() < cfg.maneuver_prob, 1.0 if rng.uniform() < 0.5 else -1.0)
+        for _ in range(cfg.vessel_count)
+    ]
+    plan = plan_vessels(cfg, seed)
+    for name, want in zip(("s0", "speed", "offset", "maneuver", "sign"), zip(*rows)):
+        got = getattr(plan, name)
+        assert got.shape == (cfg.vessel_count,), name
+        assert got.tolist() == list(want), name
+
+
+def test_occupancy_is_the_union_of_the_other_vessels_squares_clipped_to_the_raster():
+    """A homography that maps part of the waterway left of the frame: each
+    occupancy map is the union of the other vessels' 3x3 squares, cells off
+    the raster dropped, and a vessel far off the raster paints nothing."""
+    cfg = small_cfg(vessel_count=6, homography=(0.82, 0.06, -0.3, 0.04, 0.80, 0.10, 0.05, 0.08, 1.0))
+    samples = generate_scenario(cfg, seed=3)
+    size = cfg.raster_size
+    pixels = np.stack([project_geo_to_pixels(s.obs_ais, cfg.matrix()) for s in samples])  # frame is the unit square
+    cells = np.floor(pixels * size).astype(int)  # (vessel, step, (column, row))
+    assert (cells < -2).any(), "the config must put some vessel off the raster"
+    for i, s in enumerate(samples):
+        for t in range(cfg.t_obs):
+            want = np.zeros((size, size), dtype=np.float32)
+            for c, r in np.delete(cells[:, t], i, axis=0):
+                for rr in range(r - 1, r + 2):
+                    for cc in range(c - 1, c + 2):
+                        if 0 <= rr < size and 0 <= cc < size:
+                            want[rr, cc] = 1.0
+            assert np.array_equal(s.rasters[t, 1], want), (i, t)
+
+
+def test_density_labels_count_the_neighbours_at_the_last_observed_step():
+    cfg = small_cfg(vessel_count=24, density_radius=0.15, density_low_max=1, density_med_max=3)
+    samples = generate_scenario(cfg, seed=5)  # noiseless: obs_ais is the true track
+    labels = []
+    for s in samples:
+        near = sum(np.sqrt(((o.obs_ais[-1] - s.obs_ais[-1]) ** 2).sum()) <= cfg.density_radius for o in samples) - 1
+        labels.append("low" if near <= 1 else "medium" if near <= 3 else "high")
+    assert [s.density for s in samples] == labels
+    assert set(labels) == {"low", "medium", "high"}
 
 
 def test_zero_noise_cctv_equals_projected_ais():

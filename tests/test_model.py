@@ -246,6 +246,12 @@ def test_bank_horizon_mismatch_fails(micro_cfg, micro_samples, key, value):
         model.predict(micro_samples[0], rng=Rng(0), bank=bank)
 
 
+@pytest.mark.parametrize("method", ["encode", "encode_scenes"])
+def test_encoding_no_samples_fails_naming_samples(micro_cfg, method):
+    with pytest.raises(ValueError, match="samples is empty"):
+        getattr(Model(micro_cfg), method)([])
+
+
 @pytest.mark.parametrize("field", ["fut_ais", "fut_cctv", "samples"])
 def test_loss_batch_future_mismatch_fails(micro_cfg, micro_samples, field):
     """A short future fails naming the field and the vessel; an empty batch
