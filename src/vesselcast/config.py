@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing
 from dataclasses import dataclass
 from pathlib import Path
 
-from .data.types import WaterwayConfig
+from .data.types import FieldError, WaterwayConfig
 from .hashutil import config_fingerprint
 
 
@@ -43,16 +44,29 @@ class TrainConfig:
     use_scene: bool = True
 
     def validate(self) -> None:
-        for name in ("lr", "epochs", "batch_size", "t_obs", "t_fut", "modes", "d_model", "heads",
+        """Reject a value no run can use, naming its field; every comparison
+        is written so that a NaN fails it."""
+        for name in ("epochs", "batch_size", "t_obs", "t_fut", "modes", "d_model", "heads",
                      "latent_dim", "roi_size", "bbox_dim", "raster_size", "offset_hidden"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not getattr(self, name) > 0:
+                raise FieldError(name, "must be positive")
         if self.d_model % 2 != 0 or self.d_model % self.heads != 0:
             raise ValueError(f"d_model={self.d_model} must be even and divisible by heads={self.heads}")
         if len(self.stem_channels) != 3 or min(self.stem_channels) <= 0:
             raise ValueError(f"stem_channels must be 3 positive channel counts, got {self.stem_channels!r}")
-        if self.scheduler_patience < 1:
-            raise ValueError("scheduler_patience must be >= 1")
+        rules = (
+            ("lr", 0 < self.lr < math.inf, "must be finite and positive"),
+            ("kl_weight", 0 <= self.kl_weight < math.inf, "must be finite and >= 0"),
+            # temporal_context weights frames by exp(-decay * age), which must lie in (0, 1]
+            ("decay", 0 <= self.decay < math.inf, "must be finite and >= 0"),
+            ("offset_scale", math.isfinite(self.offset_scale), "must be finite"),
+            ("scheduler_factor", 0 < self.scheduler_factor < 1, "must be in (0, 1)"),
+            ("scheduler_patience", self.scheduler_patience >= 1, "must be >= 1"),
+            ("scheduler_threshold", 0 <= self.scheduler_threshold < math.inf, "must be finite and >= 0"),
+        )
+        for name, ok, rule in rules:
+            if not ok:
+                raise FieldError(name, f"{rule}, got {getattr(self, name)!r}")
 
 
 # fields that define the parameter layout and forward semantics; their
@@ -129,7 +143,13 @@ def config_from_mapping(cls, mapping: dict[str, str]):
     unknown = set(mapping) - known
     if unknown:
         raise ValueError(f"unknown config keys for {cls.__name__}: {sorted(unknown)}")
-    kwargs = {key: _coerce(value, hints[key]) for key, value in mapping.items()}
+    kwargs = {}
+    for key, value in mapping.items():
+        try:
+            kwargs[key] = _coerce(value, hints[key])
+        except ValueError as e:
+            expected = hints[key].__name__ if isinstance(hints[key], type) else str(hints[key])
+            raise ValueError(f"{cls.__name__} key '{key}': cannot parse {value!r} as {expected} ({e})") from e
     return cls(**kwargs)
 
 

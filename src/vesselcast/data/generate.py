@@ -109,12 +109,12 @@ def _channel_mask(cfg: WaterwayConfig) -> np.ndarray:
         [(cc.ravel() + 0.5) / size * cfg.frame_w, (rr.ravel() + 0.5) / size * cfg.frame_h],
         axis=-1,
     )
-    geo = project_geo_to_pixels(px, h_inv)
-    s_samples = np.linspace(-0.2, 1.2, 512)
-    line, _ = _centerline_point(cfg, s_samples)
-    d2 = ((geo[:, None, :] - line[None, :, :]) ** 2).sum(axis=-1)
-    mask = np.sqrt(d2.min(axis=1)) <= cfg.channel_halfwidth
-    return mask.reshape(size, size).astype(np.float32)
+    geo = project_geo_to_pixels(px, h_inv).reshape(size, size, 2)
+    line, _ = _centerline_point(cfg, np.linspace(-0.2, 1.2, 512))
+    # nearest centerline sample one raster row at a time: the (size, 512, 2)
+    # differences of a row stay small where the whole raster's would not
+    d2 = np.stack([((row[:, None, :] - line) ** 2).sum(axis=-1).min(axis=1) for row in geo])
+    return (np.sqrt(d2) <= cfg.channel_halfwidth).astype(np.float32)
 
 
 def _occupancy(size: int, raster_pos: np.ndarray) -> np.ndarray:
@@ -176,7 +176,7 @@ def generate_scenario(cfg: WaterwayConfig, seed: int) -> list[VesselSample]:
 
     raster_pos = pixels[:, :t_obs] * [size / cfg.frame_w, size / cfg.frame_h]
     boxes = _target_boxes(cfg, raster_pos)
-    channel = _channel_mask(cfg)  # first, so its large temporaries are freed before the raster block exists
+    channel = _channel_mask(cfg)
     rasters = np.empty((n, t_obs, 3, size, size), dtype=np.float32)
     rasters[:, :, 0] = channel
     rasters[:, :, 1] = _occupancy(size, raster_pos)

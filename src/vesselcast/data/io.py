@@ -1,140 +1,186 @@
-"""JSON-lines dataset persistence.
+"""Dataset persistence: one file holds a pool of vessel samples.
 
-One vessel sample per line, one `{raster, shape, bbox}` entry per scene frame
-(the raster base64 of its little-endian float32 buffer); all other numbers are
-plain JSON (floats serialize via repr, so write -> read -> write is
-byte-identical).
+Layout (integers little-endian):
+
+    magic       4 bytes  b"VCDS"
+    version     u32      2
+    header_len  u64      byte length of the header
+    header      UTF-8 JSON object, padded with spaces so that the block
+                starts at a multiple of 8 bytes (the raster views are
+                then aligned)
+    block       float32 little-endian, C order, of the header's `shape`
+                (V, T, 3, H, W): every vessel's rasters, one row per vessel
+
+The header holds `shape` and `records`, one object per vessel in block row
+order with every field but the rasters: `vessel_id`, `density`, `is_dark`,
+`obs_ais`, `ais_mask`, `obs_cctv`, `fut_ais`, `fut_cctv` and `boxes`. Floats
+serialize via repr, so write -> read -> write is byte-identical. A sample
+read back holds row i of the block as its `rasters`, a view, not a copy. A
+0-byte file is the empty pool. Version 1, one JSON line per vessel with
+base64 rasters, is not read; such a file fails naming the format.
+
+There is no checksum. Every single-bit flip either reads or fails naming the
+field: a flip in the block reads as another float32 or fails as a
+non-finite `scenes.raster`, and one in the preamble or header breaks the
+magic, the version, the header's JSON or one of the rules checked here or
+by `VesselSample.validate`.
 """
 
 from __future__ import annotations
 
-import base64
 import json
+import math
+import os
+import struct
 from pathlib import Path
 
 import numpy as np
 
 from .types import DENSITY_LEVELS, FieldError, VesselSample
 
+MAGIC = b"VCDS"
+VERSION = 2
+_PREAMBLE = struct.Struct("<4sIQ")  # magic, version, header byte length
+_ALIGN = 8
+_FIELDS = ("vessel_id", "density", "is_dark", "obs_ais", "ais_mask", "obs_cctv", "fut_ais", "fut_cctv", "boxes")
+
 
 class DatasetFormatError(ValueError):
-    def __init__(self, line_no: int, field: str, detail: str = ""):
-        self.line_no = line_no
+    """A dataset file that cannot be right; `record` is the index of the
+    vessel record at fault, or None for the file as a whole."""
+
+    def __init__(self, record: int | None, field: str, detail: str = ""):
+        self.record = record
         self.field = field
-        msg = f"dataset line {line_no}: bad field '{field}'"
+        where = "dataset" if record is None else f"dataset record {record}"
+        msg = f"{where}: bad field '{field}'"
         if detail:
             msg += f" ({detail})"
         super().__init__(msg)
 
 
-def _points(arr: np.ndarray) -> list[list[float]]:
-    return [[float(x), float(y)] for x, y in arr]
+def _floats(arr: np.ndarray) -> list:
+    return np.asarray(arr, dtype=np.float64).tolist()
 
 
-def _encode_scene(raster: np.ndarray, bbox: np.ndarray) -> dict:
-    raster = np.ascontiguousarray(raster, dtype="<f4")
+def _record(s: VesselSample) -> dict:
     return {
-        "raster": base64.b64encode(raster.tobytes()).decode("ascii"),
-        "shape": list(raster.shape),
-        "bbox": [float(v) for v in bbox],
+        "vessel_id": s.vessel_id,
+        "density": s.density,
+        "is_dark": bool(s.is_dark),
+        "obs_ais": _floats(s.obs_ais),
+        "ais_mask": np.asarray(s.ais_mask, dtype=bool).tolist(),
+        "obs_cctv": _floats(s.obs_cctv),
+        "fut_ais": _floats(s.fut_ais),
+        "fut_cctv": _floats(s.fut_cctv),
+        "boxes": _floats(s.boxes),
     }
 
 
 def write_dataset(path: str | Path, samples: list[VesselSample]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for s in samples:
-            record = {
-                "vessel_id": s.vessel_id,
-                "density": s.density,
-                "is_dark": bool(s.is_dark),
-                "obs_ais": _points(s.obs_ais),
-                "ais_mask": [bool(b) for b in s.ais_mask],
-                "obs_cctv": _points(s.obs_cctv),
-                "fut_ais": _points(s.fut_ais),
-                "fut_cctv": _points(s.fut_cctv),
-                "scenes": [_encode_scene(r, b) for r, b in zip(s.rasters, s.boxes)],
-            }
-            fh.write(json.dumps(record, separators=(",", ":")) + "\n")
+    """Write `samples` as one file; every sample's rasters must share one shape."""
+    if not samples:
+        Path(path).write_bytes(b"")
+        return
+    first = samples[0]
+    for s in samples:
+        if s.rasters.shape != first.rasters.shape:
+            raise FieldError("scenes.raster", f"of vessel {s.vessel_id} has shape {s.rasters.shape}, "
+                             f"not {first.rasters.shape} as vessel {first.vessel_id}")
+    block = np.stack([s.rasters for s in samples]).astype("<f4", copy=False)
+    header = {"shape": list(block.shape), "records": [_record(s) for s in samples]}
+    head = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    head += b" " * (-(_PREAMBLE.size + len(head)) % _ALIGN)
+    with open(path, "wb") as fh:
+        fh.write(_PREAMBLE.pack(MAGIC, VERSION, len(head)))
+        fh.write(head)
+        fh.write(block)
 
 
-_REQUIRED = (
-    "vessel_id",
-    "density",
-    "is_dark",
-    "obs_ais",
-    "ais_mask",
-    "obs_cctv",
-    "fut_ais",
-    "fut_cctv",
-    "scenes",
-)
+def _array(record: dict, index: int, key: str, dtype, ndim: int) -> np.ndarray:
+    try:
+        arr = np.asarray(record[key], dtype=dtype)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise DatasetFormatError(index, key, str(e)) from e
+    if arr.ndim != ndim:
+        raise DatasetFormatError(index, key, f"must have {ndim} axes, got shape {arr.shape}")
+    return arr
 
 
-def _decode_scenes(entries: list, line_no: int) -> tuple[np.ndarray, np.ndarray]:
-    """A record's frame entries, one per step, as (T, C, H, W) rasters and (T, 4) boxes."""
-    if not entries:
-        raise DatasetFormatError(line_no, "scenes", "holds no frames")
-    rasters, boxes = [], []
-    for t, entry in enumerate(entries):
-        for key in ("raster", "shape", "bbox"):
-            if key not in entry:
-                raise DatasetFormatError(line_no, f"scenes.{key}", f"missing at step {t}")
-        shape = tuple(entry["shape"])
-        raster = np.frombuffer(base64.b64decode(entry["raster"]), dtype="<f4")
-        if raster.size != int(np.prod(shape)):
-            raise DatasetFormatError(line_no, "scenes.raster", f"payload does not match shape {shape} at step {t}")
-        if rasters and shape != rasters[0].shape:  # stored apart, frames can only be ragged here
-            raise DatasetFormatError(line_no, "scenes.raster", f"at step {t} has shape {shape}, not {rasters[0].shape}")
-        if len(entry["bbox"]) != 4:
-            raise DatasetFormatError(line_no, "scenes.bbox", f"needs 4 values, got {len(entry['bbox'])} at step {t}")
-        rasters.append(raster.reshape(shape))
-        boxes.append([float(v) for v in entry["bbox"]])
-    return np.stack(rasters), np.array(boxes, dtype=np.float64)
+def _header(blob: bytearray) -> tuple[list[int], list, int]:
+    """The checked header of a non-empty file: (shape, records, block offset)."""
+    if blob[:1] == b"{":
+        raise DatasetFormatError(None, "magic", "a v1 JSON-lines dataset; regenerate it with `vesselcast generate`")
+    if len(blob) < _PREAMBLE.size:
+        raise DatasetFormatError(None, "magic", f"the file holds {len(blob)} bytes, short of the preamble")
+    magic, version, head_len = _PREAMBLE.unpack_from(blob)
+    if magic != MAGIC:
+        raise DatasetFormatError(None, "magic", f"got {bytes(magic)!r}, not {MAGIC!r}")
+    if version != VERSION:
+        raise DatasetFormatError(None, "version", f"got {version}, only {VERSION} is read")
+    start = _PREAMBLE.size + head_len
+    if start > len(blob):
+        raise DatasetFormatError(None, "header", f"declares {head_len} bytes; "
+                                 f"{len(blob) - _PREAMBLE.size} follow the preamble")
+    try:
+        header = json.loads(blob[_PREAMBLE.size:start].decode("utf-8"))
+    except ValueError as e:  # UnicodeDecodeError and JSONDecodeError alike
+        raise DatasetFormatError(None, "header", str(e)) from e
+    if not isinstance(header, dict):
+        raise DatasetFormatError(None, "header", f"a {type(header).__name__}, not an object")
+    for key in ("shape", "records"):
+        if key not in header:
+            raise DatasetFormatError(None, key, "missing")
+    shape, records = header["shape"], header["records"]
+    if not (isinstance(shape, list) and len(shape) == 5 and all(type(n) is int and n >= 0 for n in shape)):
+        raise DatasetFormatError(None, "shape", f"must be 5 non-negative ints (V, T, 3, H, W), got {shape!r}")
+    if not (isinstance(records, list) and len(records) == shape[0]):
+        raise DatasetFormatError(None, "records", f"must be a list of {shape[0]} records, one per block row")
+    if shape[1] == 0:
+        raise DatasetFormatError(None, "scenes", "holds no frames")
+    need, have = 4 * math.prod(shape), len(blob) - start
+    if have < need:
+        raise DatasetFormatError(None, "scenes.raster", f"the block holds {have} bytes; shape {shape} needs {need}")
+    if have > need:
+        raise DatasetFormatError(None, "scenes.raster", f"{have - need} trailing bytes after the block of shape {shape}")
+    return shape, records, start
 
 
 def read_dataset(path: str | Path) -> list[VesselSample]:
+    """Read and check a dataset file. Every defect raises DatasetFormatError
+    naming the field, and the record for a per-vessel one; each sample also
+    passes `VesselSample.validate`."""
+    with open(path, "rb") as fh:
+        blob = bytearray(os.fstat(fh.fileno()).st_size)
+        del blob[fh.readinto(blob):]
+    if not blob:
+        return []
+    shape, records, start = _header(blob)
+    block = np.frombuffer(blob, dtype="<f4", count=math.prod(shape), offset=start).reshape(shape)
     samples = []
-    # a line carries its base64 rasters (about 0.5 MB at the default size): a
-    # large buffer keeps `readline` from joining a line out of many small chunks
-    with open(path, "rb", buffering=1 << 20) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8").strip()
-            except UnicodeDecodeError as e:
-                raise DatasetFormatError(line_no, "<utf-8>", str(e)) from e
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DatasetFormatError(line_no, "<json>", str(e)) from e
-            if not isinstance(record, dict):
-                raise DatasetFormatError(line_no, "<json>", f"a {type(record).__name__}, not an object")
-            for key in _REQUIRED:
-                if key not in record:
-                    raise DatasetFormatError(line_no, key, "missing")
-            if record["density"] not in DENSITY_LEVELS:
-                raise DatasetFormatError(line_no, "density", f"got '{record['density']}'")
-            try:
-                rasters, boxes = _decode_scenes(record["scenes"], line_no)
-                sample = VesselSample(
-                    vessel_id=str(record["vessel_id"]),
-                    obs_ais=np.asarray(record["obs_ais"], dtype=np.float64),
-                    ais_mask=np.asarray(record["ais_mask"], dtype=bool),
-                    obs_cctv=np.asarray(record["obs_cctv"], dtype=np.float64),
-                    rasters=rasters,
-                    boxes=boxes,
-                    fut_ais=np.asarray(record["fut_ais"], dtype=np.float64),
-                    fut_cctv=np.asarray(record["fut_cctv"], dtype=np.float64),
-                    density=record["density"],
-                    is_dark=bool(record["is_dark"]),
-                )
-                sample.validate()
-            except FieldError as e:
-                raise DatasetFormatError(line_no, e.field, e.detail) from e
-            except DatasetFormatError:
-                raise
-            except (TypeError, ValueError) as e:
-                raise DatasetFormatError(line_no, "<record>", str(e)) from e
-            samples.append(sample)
+    for i, record in enumerate(records):
+        if not isinstance(record, dict):
+            raise DatasetFormatError(i, "<record>", f"a {type(record).__name__}, not an object")
+        for key in _FIELDS:
+            if key not in record:
+                raise DatasetFormatError(i, key, "missing")
+        if record["density"] not in DENSITY_LEVELS:
+            raise DatasetFormatError(i, "density", f"got {record['density']!r}")
+        sample = VesselSample(
+            vessel_id=str(record["vessel_id"]),
+            obs_ais=_array(record, i, "obs_ais", np.float64, 2),
+            ais_mask=_array(record, i, "ais_mask", bool, 1),
+            obs_cctv=_array(record, i, "obs_cctv", np.float64, 2),
+            rasters=block[i],
+            boxes=_array(record, i, "boxes", np.float64, 2),
+            fut_ais=_array(record, i, "fut_ais", np.float64, 2),
+            fut_cctv=_array(record, i, "fut_cctv", np.float64, 2),
+            density=record["density"],
+            is_dark=bool(record["is_dark"]),
+        )
+        try:
+            sample.validate()
+        except FieldError as e:
+            raise DatasetFormatError(i, e.field, e.detail) from e
+        samples.append(sample)
     return samples

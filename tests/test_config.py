@@ -1,5 +1,7 @@
 import ast
 import dataclasses
+import math
+import re
 from pathlib import Path
 
 import pytest
@@ -85,6 +87,51 @@ def test_validation_rejects_a_bad_dimension_naming_it(field, value):
     cfg = TrainConfig(**{field: value})
     with pytest.raises(ValueError, match=field):
         cfg.validate()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("lr", math.nan),
+        ("lr", math.inf),
+        ("lr", 0.0),
+        ("kl_weight", math.nan),
+        ("kl_weight", -1.0),
+        ("kl_weight", math.inf),
+        ("decay", math.nan),
+        ("decay", -0.1),
+        ("offset_scale", math.inf),
+        ("offset_scale", math.nan),
+        ("scheduler_factor", math.nan),
+        ("scheduler_factor", 2.0),
+        ("scheduler_factor", 1.0),
+        ("scheduler_factor", 0.0),
+        ("scheduler_threshold", math.nan),
+        ("scheduler_threshold", -1e-4),
+        ("scheduler_patience", 0),
+    ],
+)
+def test_train_validation_names_the_field_no_run_can_use(field, value):
+    with pytest.raises(ValueError, match=rf"^{field} must .*, got {value!r}$"):
+        TrainConfig(**{field: value}).validate()
+
+
+@pytest.mark.parametrize(
+    "cls, key, value, expected",
+    [
+        (TrainConfig, "epochs", "1.5", "int"),
+        (TrainConfig, "use_scene", "maybe", "bool"),
+        (TrainConfig, "stem_channels", "(4,4,4)", "tuple[int, int, int]"),
+        (TrainConfig, "lr", "fast", "float"),
+        (WaterwayConfig, "vessel_count", "12.0", "int"),
+        (WaterwayConfig, "amplitude", "0.1.2", "float"),
+        (WaterwayConfig, "homography", "1, 0, x", "tuple[float, ...]"),
+    ],
+)
+def test_an_unparsable_value_names_its_key_and_type(cls, key, value, expected):
+    message = rf"^{cls.__name__} key '{key}': cannot parse {re.escape(repr(value))} as {re.escape(expected)} \("
+    with pytest.raises(ValueError, match=message):
+        config_from_mapping(cls, {key: value})
 
 
 def test_architecture_hash_ignores_training_fields():

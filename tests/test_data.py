@@ -1,7 +1,8 @@
-import base64
 import dataclasses
 import json
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from vesselcast.data import (
     read_dataset,
     write_dataset,
 )
+from vesselcast.data.generate import _centerline_point, _channel_mask
 from vesselcast.data.types import FieldError
 from vesselcast.engine import Rng
 
@@ -70,7 +72,7 @@ def test_noiseless_straight_centerline_is_collinear():
 
 def test_generator_deterministic_files(tmp_path):
     cfg = small_cfg()
-    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    a, b = tmp_path / "a.vcds", tmp_path / "b.vcds"
     write_dataset(a, generate_scenario(cfg, seed=11))
     write_dataset(b, generate_scenario(cfg, seed=11))
     assert a.read_bytes() == b.read_bytes()
@@ -98,6 +100,44 @@ def test_plan_vessels_equals_scalar_draws_in_vessel_field_order(seed):
         got = getattr(plan, name)
         assert got.shape == (cfg.vessel_count,), name
         assert got.tolist() == list(want), name
+
+
+def _channel_mask_all_at_once(cfg):
+    """Reference: every pixel against every centerline sample in one array."""
+    size = cfg.raster_size
+    rr, cc = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
+    px = np.stack([(cc.ravel() + 0.5) / size * cfg.frame_w, (rr.ravel() + 0.5) / size * cfg.frame_h], axis=-1)
+    geo = project_geo_to_pixels(px, np.linalg.inv(cfg.matrix()))
+    line, _ = _centerline_point(cfg, np.linspace(-0.2, 1.2, 512))
+    d2 = ((geo[:, None, :] - line[None, :, :]) ** 2).sum(axis=-1)
+    return (np.sqrt(d2.min(axis=1)) <= cfg.channel_halfwidth).reshape(size, size).astype(np.float32)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},
+        {"centerline": "arc", "raster_size": 16},
+        {"centerline": "straight", "raster_size": 17, "channel_halfwidth": 0.2},
+        {"period": 0.5, "amplitude": 0.1, "frame_w": 2.0, "frame_h": 1.5, "raster_size": 24},
+        {"homography": (0.82, 0.06, -0.3, 0.04, 0.80, 0.10, 0.05, 0.08, 1.0), "raster_size": 1, "bbox_half": 0.5},
+    ],
+)
+def test_channel_mask_equals_the_all_at_once_reference(overrides):
+    cfg = WaterwayConfig(**overrides)
+    got = _channel_mask(cfg)
+    assert got.dtype == np.float32 and got.tobytes() == _channel_mask_all_at_once(cfg).tobytes()
+
+
+def test_channel_mask_allocates_one_raster_row_of_differences_at_a_time():
+    """At raster 64 the all-at-once differences are 33.5 MB; a row's are 0.5 MB."""
+    tracemalloc.start()
+    try:
+        _channel_mask(WaterwayConfig(raster_size=64))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, peak
 
 
 def test_occupancy_is_the_union_of_the_other_vessels_squares_clipped_to_the_raster():
@@ -187,7 +227,7 @@ def test_dark_vessels_count_and_determinism():
 def test_dataset_round_trip(tmp_path):
     cfg = small_cfg(ais_noise=0.004, pixel_noise=0.01, vessel_count=10)
     samples = generate_scenario(cfg, seed=13)
-    path = tmp_path / "d.jsonl"
+    path = tmp_path / "d.vcds"
     write_dataset(path, samples)
     back = read_dataset(path)
     assert len(back) == len(samples)
@@ -200,99 +240,130 @@ def test_dataset_round_trip(tmp_path):
         assert np.array_equal(a.rasters, b.rasters) and b.rasters.dtype == np.float32
         assert np.array_equal(a.boxes, b.boxes) and b.boxes.dtype == np.float64
     # second write is byte-identical
-    path2 = tmp_path / "d2.jsonl"
+    path2 = tmp_path / "d2.vcds"
     write_dataset(path2, back)
     assert path.read_bytes() == path2.read_bytes()
 
 
 def test_empty_file_is_empty_dataset(tmp_path):
-    path = tmp_path / "empty.jsonl"
+    path = tmp_path / "empty.vcds"
     path.write_text("")
     assert read_dataset(path) == []
+    write_dataset(path, [])
+    assert path.read_bytes() == b""
 
 
-def test_missing_field_names_line(tmp_path):
+_PREAMBLE = struct.Struct("<4sIQ")  # magic, version, header byte length
+
+
+def _corrupt(path, edit):
+    """Rewrite the dataset at `path` after edit(header, block); `block` is a
+    writable copy of the rasters, and the edit returns the block to store."""
+    blob = path.read_bytes()
+    magic, version, head_len = _PREAMBLE.unpack_from(blob)
+    header = json.loads(blob[_PREAMBLE.size:_PREAMBLE.size + head_len])
+    block = np.frombuffer(blob, "<f4", offset=_PREAMBLE.size + head_len).reshape(header["shape"]).copy()
+    block = edit(header, block)
+    head = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    path.write_bytes(_PREAMBLE.pack(magic, version, len(head)) + head + block.tobytes())
+
+
+def test_missing_field_names_record(tmp_path):
     cfg = small_cfg(vessel_count=3)
     samples = generate_scenario(cfg, seed=1)
-    path = tmp_path / "bad.jsonl"
+    path = tmp_path / "bad.vcds"
     write_dataset(path, samples)
-    _corrupt_line(path, lambda rec: rec.pop("fut_ais"))
-    with pytest.raises(DatasetFormatError, match="line 2.*fut_ais"):
+
+    def drop_future(header, block):
+        del header["records"][1]["fut_ais"]
+        return block
+
+    _corrupt(path, drop_future)
+    with pytest.raises(DatasetFormatError, match="record 1: bad field 'fut_ais' \\(missing\\)"):
         read_dataset(path)
 
 
-def _corrupt_line(path, edit):
-    """Apply edit(record) to the dataset's second line."""
-    lines = path.read_text().splitlines()
-    rec = json.loads(lines[1])
-    edit(rec)
-    lines[1] = json.dumps(rec, separators=(",", ":"))
-    path.write_text("\n".join(lines) + "\n")
+def _two_channel_raster(header, block):
+    header["shape"][2] = 2
+    return block[:, :, :2]
 
 
-def _two_channel_raster(rec):
-    frame = rec["scenes"][0]
-    c, h, w = frame["shape"]
-    frame["shape"] = [2, h, w]
-    raw = base64.b64decode(frame["raster"])
-    frame["raster"] = base64.b64encode(raw[: 2 * h * w * 4]).decode("ascii")
+def _inverted_bbox(header, block):
+    boxes = header["records"][1]["boxes"]
+    x0, y0, x1, y1 = boxes[0]
+    boxes[0] = [x1, y0, x0, y1]
+    return block
 
 
-def _inverted_bbox(rec):
-    x0, y0, x1, y1 = rec["scenes"][0]["bbox"]
-    rec["scenes"][0]["bbox"] = [x1, y0, x0, y1]
-
-
-def _short_mask(rec):
+def _short_mask(header, block):
+    rec = header["records"][1]
     rec["ais_mask"] = rec["ais_mask"][:-1]
+    return block
 
 
-def _nan_raster(rec):
-    frame = rec["scenes"][1]
-    raster = np.frombuffer(base64.b64decode(frame["raster"]), dtype="<f4").copy()
-    raster[5] = np.nan
-    frame["raster"] = base64.b64encode(raster.tobytes()).decode("ascii")
+def _nan_raster(header, block):
+    block[1, 1, 0, 0, 5] = np.nan
+    return block
 
 
-def _short_cctv(rec):
+def _short_cctv(header, block):
+    rec = header["records"][1]
     rec["obs_cctv"] = rec["obs_cctv"][:-1]
+    return block
 
 
-def _short_scenes(rec):
-    rec["scenes"] = rec["scenes"][:-1]
+def _short_scenes(header, block):
+    """One observed step more than the record has frames."""
+    rec = header["records"][1]
+    for key in ("obs_ais", "ais_mask", "obs_cctv"):
+        rec[key].append(rec[key][-1])
+    return block
 
 
-def _empty_scenes(rec):
-    rec["scenes"] = []
+def _empty_scenes(header, block):
+    header["shape"][1] = 0
+    return block[:, :0]
 
 
-def _short_future_cctv(rec):
+def _short_future_cctv(header, block):
+    rec = header["records"][1]
     rec["fut_cctv"] = rec["fut_cctv"][:-1]
+    return block
 
 
-def _all_nan_future(rec):
+def _all_nan_future(header, block):
+    rec = header["records"][1]
     rec["fut_ais"] = [[float("nan"), float("nan")] for _ in rec["fut_ais"]]
+    return block
 
 
-def _three_column_track(rec):
+def _three_column_track(header, block):
+    rec = header["records"][1]
     rec["obs_cctv"] = [p + [0.0] for p in rec["obs_cctv"]]
+    return block
 
 
-def _nan_camera_step(rec):
-    rec["obs_cctv"][1] = [float("nan"), 0.0]
+def _nan_camera_step(header, block):
+    header["records"][1]["obs_cctv"][1] = [float("nan"), 0.0]
+    return block
 
 
-def _nan_broadcast_step(rec):
+def _nan_broadcast_step(header, block):
+    rec = header["records"][1]
     rec["ais_mask"][1] = True
     rec["obs_ais"][1] = [0.0, float("nan")]
+    return block
 
 
-def _smaller_second_frame(rec):
-    frame = rec["scenes"][1]
-    c, h, w = frame["shape"]
-    raster = np.frombuffer(base64.b64decode(frame["raster"]), dtype="<f4").reshape(c, h, w)
-    frame["shape"] = [c, h - 1, w - 1]
-    frame["raster"] = base64.b64encode(raster[:, :-1, :-1].tobytes()).decode("ascii")
+def _smaller_second_frame(header, block):
+    """Record 1's second frame stored one row and one column short."""
+    return np.concatenate([block[:1].ravel(), block[1, :1].ravel(), block[1, 1, :, :-1, :-1].ravel(),
+                           block[1, 2:].ravel(), block[2:].ravel()])
+
+
+# these edits reshape the whole block, so the file fails as a whole, or at
+# its first record; every other edit breaks record 1 alone
+_BLOCK_WIDE = {_two_channel_raster: "dataset record 0", _empty_scenes: "dataset", _smaller_second_frame: "dataset"}
 
 
 @pytest.mark.parametrize(
@@ -314,11 +385,90 @@ def _smaller_second_frame(rec):
     ],
 )
 def test_bad_frame_or_mask_names_field(tmp_path, edit, field):
-    path = tmp_path / "bad.jsonl"
+    path = tmp_path / "bad.vcds"
     write_dataset(path, generate_scenario(small_cfg(vessel_count=3), seed=1))
-    _corrupt_line(path, edit)
-    with pytest.raises(DatasetFormatError, match=rf"line 2: bad field '{field}'"):
+    _corrupt(path, edit)
+    where = _BLOCK_WIDE.get(edit, "dataset record 1")
+    with pytest.raises(DatasetFormatError, match=rf"^{where}: bad field '{field}'"):
         read_dataset(path)
+
+
+def _set_bytes(offset, value):
+    return lambda blob: blob[:offset] + value + blob[offset + len(value):]
+
+
+def _header_text(edit_text):
+    """Replace the header by edit_text(header text), fixing its declared length."""
+    def edit(blob):
+        (n,) = struct.unpack_from("<Q", blob, 8)
+        head = edit_text(blob[16:16 + n].decode("utf-8")).encode("utf-8")
+        return blob[:8] + struct.pack("<Q", len(head)) + head + blob[16 + n:]
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        pytest.param(_set_bytes(0, b"VCDX"), r"^dataset: bad field 'magic' \(got b'VCDX'", id="magic"),
+        pytest.param(lambda blob: blob[:10], r"^dataset: bad field 'magic' \(the file holds 10 bytes",
+                     id="short-preamble"),
+        pytest.param(_set_bytes(4, struct.pack("<I", 3)), r"^dataset: bad field 'version' \(got 3, only 2 is read\)",
+                     id="version"),
+        pytest.param(_set_bytes(8, struct.pack("<Q", 1 << 40)),
+                     r"^dataset: bad field 'header' \(declares 1099511627776 bytes", id="header-length"),
+        pytest.param(_set_bytes(17, b"\xff"), r"^dataset: bad field 'header' \(.*utf-8", id="header-not-utf8"),
+        pytest.param(_header_text(lambda text: text[:-40]), r"^dataset: bad field 'header'", id="header-not-json"),
+        pytest.param(_header_text(lambda text: "[" + text + "]"),
+                     r"^dataset: bad field 'header' \(a list, not an object\)", id="header-not-object"),
+        pytest.param(_header_text(lambda text: text.replace('"records"', '"recs"')),
+                     r"^dataset: bad field 'records' \(missing\)", id="records-missing"),
+        pytest.param(_header_text(lambda text: text.replace('"shape":[3,', '"shape":[2,')),
+                     r"^dataset: bad field 'records' \(must be a list of 2 records", id="records-count"),
+        pytest.param(_header_text(lambda text: text.replace('"shape":[3,', '"shape":[3.0,')),
+                     r"^dataset: bad field 'shape' \(must be 5 non-negative ints", id="shape-float"),
+        pytest.param(_header_text(lambda text: text.replace('"shape":[3,', '"shape":[3,1,')),
+                     r"^dataset: bad field 'shape' \(must be 5 non-negative ints", id="shape-rank"),
+        pytest.param(lambda blob: blob[:-4],
+                     r"^dataset: bad field 'scenes.raster' \(the block holds \d+ bytes; .* needs \d+\)",
+                     id="block-short"),
+        pytest.param(lambda blob: blob + b"\0" * 4,
+                     r"^dataset: bad field 'scenes.raster' \(4 trailing bytes after the block", id="trailing-bytes"),
+        pytest.param(_header_text(lambda text: text.replace('"vessel_id":"v0001",', "", 1)),
+                     r"^dataset record 1: bad field 'vessel_id' \(missing\)", id="record-field-missing"),
+        pytest.param(_header_text(lambda text: text.replace('"density":', '"density":7,"x":', 1)),
+                     r"^dataset record 0: bad field 'density' \(got 7\)", id="record-density"),
+        pytest.param(_header_text(lambda text: text.replace('"boxes":', '"boxes":{},"x":', 1)),
+                     r"^dataset record 0: bad field 'boxes' \(.*float", id="record-boxes-object"),
+        pytest.param(_header_text(lambda text: text.replace('"ais_mask":', '"ais_mask":true,"x":', 1)),
+                     r"^dataset record 0: bad field 'ais_mask' \(must have 1 axes, got shape \(\)\)",
+                     id="record-mask-scalar"),
+    ],
+)
+def test_a_bad_file_fails_naming_the_field(tmp_path, edit, message):
+    """Defects of the preamble, header and block; a file-wide one names no record."""
+    path = tmp_path / "bad.vcds"
+    write_dataset(path, generate_scenario(small_cfg(vessel_count=3), seed=1))
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(DatasetFormatError, match=message):
+        read_dataset(path)
+
+
+def test_a_v1_json_lines_file_fails_naming_the_format(tmp_path):
+    path = tmp_path / "old.jsonl"
+    path.write_text('{"vessel_id":"v0000","density":"low","is_dark":false,"scenes":[]}\n')
+    with pytest.raises(DatasetFormatError, match="bad field 'magic' \\(a v1 JSON-lines dataset; regenerate it "
+                                                 "with `vesselcast generate`\\)"):
+        read_dataset(path)
+
+
+def test_writing_rasters_of_different_shapes_fails_naming_the_vessel(tmp_path):
+    samples = generate_scenario(small_cfg(vessel_count=3), seed=1)
+    samples[2] = dataclasses.replace(samples[2], rasters=samples[2].rasters[:, :, :-1, :-1])
+    path = tmp_path / "ragged.vcds"
+    with pytest.raises(FieldError, match=r"scenes.raster of vessel v0002 has shape \(4, 3, 15, 15\), "
+                                         r"not \(4, 3, 16, 16\) as vessel v0000"):
+        write_dataset(path, samples)
+    assert not path.exists()
 
 
 def _rasters_3d(s):
@@ -376,26 +526,29 @@ def test_sample_without_a_future_validates():
 
 
 def test_nan_under_a_masked_step_reads(tmp_path):
-    path = tmp_path / "masked.jsonl"
+    path = tmp_path / "masked.vcds"
     write_dataset(path, generate_scenario(small_cfg(vessel_count=3), seed=1))
 
-    def nan_at_masked_step(rec):
+    def nan_at_masked_step(header, block):
+        rec = header["records"][1]
         rec["ais_mask"][0] = False
         rec["obs_ais"][0] = [float("nan"), float("nan")]
+        return block
 
-    _corrupt_line(path, nan_at_masked_step)
+    _corrupt(path, nan_at_masked_step)
     sample = read_dataset(path)[1]
     assert not sample.ais_mask[0] and np.isnan(sample.obs_ais[0]).all()
 
 
-def test_every_truncation_and_flip_of_a_dataset_reads_or_fails_naming_the_line(tmp_path, micro_samples):
+def test_every_truncation_and_flip_of_a_dataset_reads_or_fails_naming_the_record(tmp_path, micro_samples):
     """Each truncation of a one-vessel file, and the 0x01 and 0x80 flip of
     each of its bytes, reads or raises DatasetFormatError; never a raw
-    decode, json or numpy error."""
-    path = tmp_path / "one.jsonl"
+    decode, json, struct or numpy error."""
+    path = tmp_path / "one.vcds"
     write_dataset(path, micro_samples[:1])
     for _ in corrupt_in_place(path, masks=(0x01, 0x80)):
         try:
             read_dataset(path)
         except DatasetFormatError as exc:
-            assert str(exc).startswith(f"dataset line {exc.line_no}: bad field")
+            where = "dataset" if exc.record is None else f"dataset record {exc.record}"
+            assert str(exc).startswith(f"{where}: bad field")
