@@ -101,7 +101,17 @@ def _geo_tracks(cfg: WaterwayConfig, plan: FleetPlan) -> np.ndarray:
 
 
 def _channel_mask(cfg: WaterwayConfig) -> np.ndarray:
-    """Static waterway raster channel: 1 where a pixel center lies in the channel."""
+    """Static waterway raster channel: 1 where a pixel center lies in the channel.
+
+    A pixel center, mapped to the geo frame by the inverse homography, is in
+    the channel when it lies within `channel_halfwidth` of the nearest of 512
+    centerline samples over s in [-0.2, 1.2]. The squared distance is formed
+    as `dx ** 2 + dy ** 2` from separate x and y differences. That is the same
+    bits as summing the squared (x, y) differences over a length-2 axis:
+    numpy's `x ** 2` is `x * x`, a two-element sum is `x0 + x1`, and the
+    minimum is exact. The decision stays `sqrt(d2) <= channel_halfwidth`;
+    comparing `d2` with the squared halfwidth rounds differently.
+    """
     size = cfg.raster_size
     h_inv = np.linalg.inv(cfg.matrix())
     rr, cc = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
@@ -111,9 +121,14 @@ def _channel_mask(cfg: WaterwayConfig) -> np.ndarray:
     )
     geo = project_geo_to_pixels(px, h_inv).reshape(size, size, 2)
     line, _ = _centerline_point(cfg, np.linspace(-0.2, 1.2, 512))
-    # nearest centerline sample one raster row at a time: the (size, 512, 2)
+    lx, ly = line.T
+    # nearest centerline sample one raster row at a time: the (size, 512)
     # differences of a row stay small where the whole raster's would not
-    d2 = np.stack([((row[:, None, :] - line) ** 2).sum(axis=-1).min(axis=1) for row in geo])
+    d2 = np.empty((size, size))
+    for r, (gx, gy) in enumerate(geo.transpose(0, 2, 1)):
+        dx = gx[:, None] - lx
+        dy = gy[:, None] - ly
+        d2[r] = (dx ** 2 + dy ** 2).min(axis=1)
     return (np.sqrt(d2) <= cfg.channel_halfwidth).astype(np.float32)
 
 

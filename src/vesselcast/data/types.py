@@ -121,17 +121,17 @@ class WaterwayConfig:
     def validate(self) -> None:
         """Reject a field no scenario can be generated from, naming it; every
         comparison is written so that a NaN fails it."""
-        if self.centerline not in ("sine", "arc", "straight"):
-            raise ValueError(f"unknown centerline kind '{self.centerline}'")
-        if self.vessel_count < 1 or self.t_obs < 1 or self.t_fut < 1:
-            raise ValueError("vessel_count, t_obs, t_fut must be positive")
         if len(self.homography) != 9:
             raise FieldError("homography", f"must hold 9 values, got {len(self.homography)}")
         matrix = self.matrix()
         det = float(np.linalg.det(matrix)) if np.isfinite(matrix).all() else math.nan
         if not abs(det) > 1e-9:
-            raise ValueError(f"homography is not invertible (det={det:g})")
+            raise FieldError("homography", f"must be invertible, got det={det:g}")
         rules = (
+            ("centerline", self.centerline in ("sine", "arc", "straight"), "must be one of sine, arc, straight"),
+            ("vessel_count", self.vessel_count >= 1, "must be positive"),
+            ("t_obs", self.t_obs >= 1, "must be positive"),
+            ("t_fut", self.t_fut >= 1, "must be positive"),
             ("channel_halfwidth", self.channel_halfwidth > 0, "must be positive"),
             ("period", self.period > 0 or self.centerline != "sine", "must be positive for a sine centerline"),
             ("amplitude", math.isfinite(self.amplitude), "must be finite"),

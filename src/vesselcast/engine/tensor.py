@@ -245,7 +245,7 @@ def sigmoid(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     x = a.data
     z = np.exp(-np.abs(x))  # stable in both tails
-    y = np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+    y = np.where(x >= 0, 1.0, z) / (1.0 + z)  # 1/(1+z) or z/(1+z), one division
 
     def bwd(g, grads):
         _accum(a, g * y * (1.0 - y), grads)

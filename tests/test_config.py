@@ -14,7 +14,7 @@ from vesselcast.config import (
     load_train_config,
     parse_flat,
 )
-from vesselcast.data.types import WaterwayConfig
+from vesselcast.data.types import FieldError, WaterwayConfig
 
 
 def test_parse_flat_comments_and_blanks():
@@ -182,11 +182,19 @@ NAN = float("nan")
         (dict(amplitude=NAN), "amplitude"),
         (dict(raster_size=0), "raster_size"),
         (dict(homography=(1.0, 0.0, 0.0)), "homography"),
+        (dict(homography=(1, 0, 0, 2, 0, 0, 3, 0, 0)), "homography"),
+        (dict(homography=(NAN, 0, 0, 0, 1, 0, 0, 0, 1)), "homography"),
+        (dict(centerline="spiral"), "centerline"),
+        (dict(vessel_count=0), "vessel_count"),
+        (dict(t_obs=0), "t_obs"),
+        (dict(t_fut=0), "t_fut"),
+        (dict(t_fut=NAN), "t_fut"),
     ],
 )
 def test_waterway_validation_names_the_field_no_scenario_can_use(overrides, field):
-    with pytest.raises(ValueError, match=rf"^{field} must"):
+    with pytest.raises(FieldError, match=rf"^{field} must") as err:
         WaterwayConfig(**overrides).validate()
+    assert err.value.field == field
 
 
 def test_a_non_sine_centerline_needs_no_period():

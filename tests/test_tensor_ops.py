@@ -15,6 +15,7 @@ from vesselcast.engine import (
     narrow,
     relu,
     reshape,
+    sigmoid,
     softmax,
     tensor,
     tmean,
@@ -73,6 +74,19 @@ def test_transpose_axes_and_gradient():
     assert finite_diff_check(lambda t: tsum(transpose(t, (1, 2, 0)) * probe), a) < 1e-6
     with pytest.raises(DimensionError):
         transpose(tensor(np.zeros(3)))
+
+
+def test_sigmoid_is_bit_equal_to_the_two_quotient_form_and_so_is_its_gradient():
+    edges = [0.0, -0.0, 1e-300, -1e-300, 709.0, -709.0, 710.0, -710.0, math.inf, -math.inf, math.nan]
+    x = np.concatenate([edges, 40.0 * np.array(Rng(3).normals(4096))])
+    z = np.exp(-np.abs(x))
+    want = np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+    w = tensor(x, requires_grad=True)
+    with Tape():
+        y = sigmoid(w)
+        backward(tsum(y))
+    assert y.data.tobytes() == want.tobytes()
+    np.testing.assert_array_equal(w.grad, want * (1.0 - want))
 
 
 def test_backward_linear_case():
