@@ -1,10 +1,9 @@
 """Binary checkpoint format.
 
-Layout (all integers little-endian), the same in both versions up to the
-trailing checksum:
+Layout (all integers little-endian):
 
     magic    4 bytes  b"CMIV"
-    version  u32          2 is written; 1 is still read
+    version  u32          2, the only version written or read
     count    u32          number of tensors
     per tensor:
         name_len u32, name UTF-8 bytes
@@ -13,19 +12,15 @@ trailing checksum:
         payload  prod(dims) x f64 little-endian
     checksum u64
 
-Version 2: the checksum is the 8-byte BLAKE2b digest of every byte before
-it (magic, version, count, names, ranks, dims and payloads), stored as is,
-i.e. the digest read as a little-endian u64. The reader verifies it before
-it parses the tensor table, so a corrupt or truncated file fails as a
-checksum mismatch before any name is decoded or any dim is trusted.
+The checksum is the 8-byte BLAKE2b digest of every byte before it (magic,
+version, count, names, ranks, dims and payloads), stored as is, i.e. the
+digest read as a little-endian u64. The reader verifies it before it parses
+the tensor table, so a corrupt or truncated file fails as a checksum
+mismatch before any name is decoded or any dim is trusted.
 
-Version 1: the checksum is FNV-1a 64 over the payload bytes only, in tensor
-order, verified after parsing. A change to a name or dims that still parses
-goes unnoticed. Version 1 is read, never written.
-
-Tensor names are unique. The model's architecture fingerprint rides along
-as the reserved 1-element tensor "meta.architecture_hash" (an integer below
-2^53, exact in f64).
+Tensor names are unique. A model checkpoint also holds its architecture
+fingerprint as the reserved 1-element tensor "meta.architecture_hash" (an
+integer below 2^53, exact in f64); the model loader requires it.
 """
 
 from __future__ import annotations
@@ -36,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .hashutil import fnv1a64
+from .hashutil import fnv1a64  # noqa: F401  unused here; perfbench's tracer patches this name
 
 MAGIC = b"CMIV"
 VERSION = 2
@@ -67,8 +62,8 @@ def save_checkpoint(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
         f.write(_digest(body))
 
 
-def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], int]:
-    """Read and verify a checkpoint; returns (tensors, version).
+def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
+    """Read and verify a checkpoint; returns its tensors by name.
 
     Every defect, a repeated tensor name included, raises CheckpointError
     naming the path.
@@ -80,11 +75,10 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], int]:
     magic, version, count = _HEADER.unpack_from(blob)
     if magic != MAGIC:
         raise CheckpointError(f"checkpoint {path} has bad magic {magic!r}")
-    if version == VERSION:
-        if _digest(view[:-_CHECKSUM_BYTES]) != blob[-_CHECKSUM_BYTES:]:
-            raise CheckpointError(f"checkpoint {path} checksum mismatch: the file is corrupt or truncated")
-    elif version != 1:
+    if version != VERSION:
         raise CheckpointError(f"checkpoint {path} has unsupported version {version}")
+    if _digest(view[:-_CHECKSUM_BYTES]) != blob[-_CHECKSUM_BYTES:]:
+        raise CheckpointError(f"checkpoint {path} checksum mismatch: the file is corrupt or truncated")
     pos = _HEADER.size
 
     def take(n: int) -> memoryview:
@@ -96,7 +90,6 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], int]:
         return chunk
 
     tensors: dict[str, np.ndarray] = {}
-    payloads = []
     for i in range(count):
         (name_len,) = struct.unpack("<I", take(4))
         try:
@@ -109,7 +102,6 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], int]:
         for dim in dims:
             size *= dim
         payload = take(8 * size)
-        payloads.append(payload)
         if name in tensors:
             raise CheckpointError(f"checkpoint {path}: tensor name '{name}' is repeated at tensor {i}")
         try:
@@ -118,12 +110,10 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], int]:
             raise CheckpointError(
                 f"checkpoint {path}: field 'dims' of tensor '{name}' is invalid: {dims}"
             ) from exc
-    (stored,) = struct.unpack("<Q", take(_CHECKSUM_BYTES))
+    take(_CHECKSUM_BYTES)
     if pos != len(blob):
         raise CheckpointError(f"checkpoint {path} has {len(blob) - pos} trailing bytes")
-    if version == 1 and stored != fnv1a64(b"".join(payloads)):
-        raise CheckpointError(f"checkpoint {path} payload checksum mismatch")
-    return tensors, version
+    return tensors
 
 
 def save_model(path: str | Path, model) -> None:
@@ -137,15 +127,15 @@ def load_model(path: str | Path, cfg):
 
     Shape disagreements name the offending tensor; an architecture-hash
     mismatch with matching shapes means cfg differs in a non-shape field.
-    A stored hash must be exactly one finite, integer-valued entry.
+    The stored hash is required and must be exactly one finite, integer-valued entry.
     """
     from .model import Model
 
-    tensors, _ = load_checkpoint(path)
+    tensors = load_checkpoint(path)
     stored_hash = tensors.pop(HASH_KEY, None)
-    if stored_hash is not None and not (
-        stored_hash.size == 1 and np.isfinite(stored_hash).all() and stored_hash.flat[0] % 1 == 0
-    ):
+    if stored_hash is None:
+        raise CheckpointError(f"checkpoint {path} has no tensor '{HASH_KEY}'")
+    if not (stored_hash.size == 1 and np.isfinite(stored_hash).all() and stored_hash.flat[0] % 1 == 0):
         raise CheckpointError(
             f"checkpoint {path}: tensor '{HASH_KEY}' must hold one finite integer, "
             f"got shape {stored_hash.shape} with values {stored_hash.ravel()[:4].tolist()}"
@@ -162,7 +152,7 @@ def load_model(path: str | Path, cfg):
     extra = set(tensors) - set(model.named)
     if extra:
         raise CheckpointError(f"checkpoint {path} has unexpected tensors: {sorted(extra)}")
-    if stored_hash is not None and int(stored_hash.flat[0]) != model.architecture_hash():
+    if int(stored_hash.flat[0]) != model.architecture_hash():
         raise CheckpointError(
             f"checkpoint {path} was written under a different architecture config"
         )

@@ -185,6 +185,9 @@ def _motion_descriptors(obs: np.ndarray) -> tuple[float, float, float]:
 
 def cmd_latent_viz(args) -> int:
     cfg = load_train_config(args.config)
+    if cfg.t_obs < 2:
+        print(f"latent-viz needs t_obs >= 2 for its motion descriptors, got t_obs = {cfg.t_obs}", file=sys.stderr)
+        return 2
     samples = read_dataset(args.data)
     if not samples:
         print(f"no samples in {args.data}: latent-viz needs at least one", file=sys.stderr)

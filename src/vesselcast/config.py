@@ -91,11 +91,7 @@ ARCHITECTURE_FIELDS = (
 
 
 def architecture_text(cfg: TrainConfig) -> str:
-    lines = [f"{name} = {getattr(cfg, name)!r}" for name in ARCHITECTURE_FIELDS]
-    # once a setting, now fixed (the gate weights the refined prior); the line
-    # keeps the fingerprint, and so every existing checkpoint, unchanged
-    lines.insert(ARCHITECTURE_FIELDS.index("use_cctv"), "fusion_direction = 'prior'")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{name} = {getattr(cfg, name)!r}\n" for name in ARCHITECTURE_FIELDS)
 
 
 def architecture_hash(cfg: TrainConfig) -> int:

@@ -35,7 +35,7 @@ from .params import Linear, Mlp, linear, mlp, uniform_init
 @dataclass
 class AttentionParams:
     wq: Linear
-    wk: Linear
+    wk: Tensor  # (d, d); a bias would add one q.b to a whole score row, which softmax cancels
     wv: Linear
     wo: Linear
 
@@ -63,7 +63,7 @@ class FusionParams:
 
 
 def _attention_params(rng: Rng, d: int) -> AttentionParams:
-    return AttentionParams(*(linear(rng, d, d) for _ in range(4)))
+    return AttentionParams(linear(rng, d, d), uniform_init(rng, (d, d), d), linear(rng, d, d), linear(rng, d, d))
 
 
 def _ln_pair(d: int) -> tuple[Tensor, Tensor]:
@@ -123,7 +123,7 @@ def _heads(x: Tensor, heads: int, axes: tuple[int, int, int]) -> Tensor:
 def attention_weights(query: Tensor, keys: Tensor, p: AttentionParams, heads: int) -> Tensor:
     """Softmax weights of every head, (..., heads, T_query, T_keys)."""
     q = _heads(p.wq(query), heads, (1, 0, 2))  # (..., heads, T_query, d_k)
-    k = _heads(p.wk(keys), heads, (1, 2, 0))  # (..., heads, d_k, T_keys)
+    k = _heads(matmul(keys, p.wk), heads, (1, 2, 0))  # (..., heads, d_k, T_keys)
     return softmax(mul(matmul(q, k), 1.0 / math.sqrt(query.shape[-1] // heads)), axis=-1)
 
 

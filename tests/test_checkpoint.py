@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import struct
 
@@ -14,23 +15,7 @@ from vesselcast.checkpoint import (
     save_model,
 )
 from vesselcast.engine import Rng
-from vesselcast.hashutil import fnv1a64
 from vesselcast.model import Model
-
-
-def _v1_blob(tensors: dict[str, np.ndarray]) -> bytes:
-    """The version-1 layout, built by hand: FNV-1a 64 over the payloads only."""
-    chunks = [b"CMIV", struct.pack("<II", 1, len(tensors))]
-    payloads = []
-    for name, arr in tensors.items():
-        arr = np.ascontiguousarray(arr, dtype="<f8")
-        encoded = name.encode("utf-8")
-        chunks.append(struct.pack("<I", len(encoded)) + encoded + struct.pack("<I", arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        payloads.append(arr.tobytes())
-        chunks.append(payloads[-1])
-    chunks.append(struct.pack("<Q", fnv1a64(b"".join(payloads))))
-    return b"".join(chunks)
 
 
 def _small_tensors() -> dict[str, np.ndarray]:
@@ -47,8 +32,7 @@ def test_round_trip_bit_exact(tmp_path):
     }
     p1, p2 = tmp_path / "c1.bin", tmp_path / "c2.bin"
     save_checkpoint(p1, tensors)
-    loaded, version = load_checkpoint(p1)
-    assert version == 2
+    loaded = load_checkpoint(p1)
     assert list(loaded) == list(tensors)
     for name in tensors:
         assert np.array_equal(loaded[name], tensors[name])
@@ -153,6 +137,17 @@ def test_malformed_architecture_hash_fails_naming_it(tmp_path, entry):
         load_model(path, cfg)
 
 
+def test_missing_architecture_hash_fails_naming_it(tmp_path):
+    """A checkpoint without its architecture hash cannot show which config it
+    was trained under, so it does not load, even under a config whose shapes fit."""
+    cfg = micro_config()
+    path = tmp_path / "nohash.bin"
+    save_checkpoint(path, Model(cfg).state_arrays())
+    for other in (cfg, dataclasses.replace(cfg, use_cctv=False, decay=0.7, offset_scale=3.0)):
+        with pytest.raises(CheckpointError, match=HASH_KEY):
+            load_model(path, other)
+
+
 def test_repeated_tensor_name_fails_naming_it(tmp_path):
     """A second copy of a tensor may not silently replace the first."""
     cfg = micro_config()
@@ -170,64 +165,24 @@ def test_repeated_tensor_name_fails_naming_it(tmp_path):
         load_model(path, cfg)
 
 
-def test_v1_file_loads_as_version_1(tmp_path):
-    tensors = _small_tensors()
-    path = tmp_path / "v1.bin"
-    path.write_bytes(_v1_blob(tensors))
-    loaded, version = load_checkpoint(path)
-    assert version == 1
-    assert list(loaded) == list(tensors)
-    for name in tensors:
-        assert loaded[name].tobytes() == tensors[name].tobytes()
-
-
-def test_v1_model_checkpoint_loads(tmp_path):
-    cfg = micro_config()
-    model = Model(cfg)
-    tensors = dict(model.state_arrays())
-    tensors[HASH_KEY] = np.array([float(model.architecture_hash())])
-    path = tmp_path / "v1.bin"
-    path.write_bytes(_v1_blob(tensors))
-    loaded = load_model(path, cfg)
-    for name, tens in model.named.items():
-        assert np.array_equal(tens.data, loaded.named[name].data), name
-
-
-def test_v1_payload_corruption_fails_checksum(tmp_path):
-    blob = bytearray(_v1_blob(_small_tensors()))
-    blob[-9] ^= 0x01  # last byte of the last payload
-    path = tmp_path / "v1flip.bin"
-    path.write_bytes(bytes(blob))
-    with pytest.raises(CheckpointError, match="checksum"):
-        load_checkpoint(path)
-
-
 def test_unknown_version_rejected_naming_it(tmp_path):
-    path = tmp_path / "v3.bin"
-    save_checkpoint(path, _small_tensors())
-    blob = bytearray(path.read_bytes())
-    blob[4:8] = struct.pack("<I", 3)
-    path.write_bytes(bytes(blob))
-    with pytest.raises(CheckpointError, match="unsupported version 3"):
-        load_checkpoint(path)
+    """Version 2 is the only layout read; the retired version 1 is refused too."""
+    save_checkpoint(tmp_path / "v2.bin", _small_tensors())
+    for version in (1, 3):
+        blob = bytearray((tmp_path / "v2.bin").read_bytes())
+        blob[4:8] = struct.pack("<I", version)
+        path = tmp_path / f"v{version}.bin"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match=f"unsupported version {version}"):
+            load_checkpoint(path)
 
 
-@pytest.mark.parametrize("version", [1, 2])
-def test_every_bit_flip_and_truncation_fails_cleanly(tmp_path, version):
+def test_every_bit_flip_and_truncation_fails_cleanly(tmp_path):
     """Each single-bit flip and each truncation of a small file raises
-    CheckpointError or, for version 1 only, loads.
-
-    Version 2's checksum covers every byte before it, so none of these may
-    load. Version 1's covers only the payloads: a flip in a name or in dims
-    that still parses loads silently under a changed name or shape. That is
-    the version-1 limit version 2 closes; here version 1 must only never
-    leak another exception.
-    """
-    if version == 1:
-        blob = _v1_blob(_small_tensors())
-    else:
-        save_checkpoint(tmp_path / "v2.bin", _small_tensors())
-        blob = (tmp_path / "v2.bin").read_bytes()
+    CheckpointError naming the path; the checksum covers every byte before
+    it, so none of them loads."""
+    save_checkpoint(tmp_path / "v2.bin", _small_tensors())
+    blob = (tmp_path / "v2.bin").read_bytes()
     cases = [blob[:n] for n in range(len(blob))]
     for bit in range(8 * len(blob)):
         flipped = bytearray(blob)
@@ -241,4 +196,4 @@ def test_every_bit_flip_and_truncation_fails_cleanly(tmp_path, version):
         except CheckpointError as exc:
             assert str(path) in str(exc)
         else:
-            assert version == 1, f"corrupt file of {len(case)} bytes loaded"
+            raise AssertionError(f"corrupt file of {len(case)} bytes loaded")

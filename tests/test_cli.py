@@ -261,6 +261,26 @@ def test_latent_viz_on_an_empty_dataset_exits_2_naming_the_file(workdir, capsys)
     assert not (workdir / "empty.csv").exists()
 
 
+def test_latent_viz_on_a_one_step_model_exits_2_naming_t_obs(tmp_path, monkeypatch, capsys):
+    """A one-step window has no step to describe; latent-viz refuses it before
+    it loads the checkpoint, instead of failing deep in the descriptors."""
+    (tmp_path / "train.cfg").write_text(CONFIG_TEXT.replace("t_obs = 2", "t_obs = 1") + "epochs = 1\n")
+    (tmp_path / "scenario.cfg").write_text(SCENARIO_TEXT.replace("t_obs = 2", "t_obs = 1"))
+    assert main(["generate", "--config", str(tmp_path / "scenario.cfg"), "--out", str(tmp_path / "data.bin")]) == 0
+    assert main(["train", "--data", str(tmp_path / "data.bin"), "--config", str(tmp_path / "train.cfg"),
+                 "--out", str(tmp_path / "ckpt.bin"), "--quiet"]) == 0
+    capsys.readouterr()
+
+    def no_load(*args):
+        raise AssertionError("the checkpoint was loaded")
+
+    monkeypatch.setattr(cli, "load_model", no_load)
+    assert main(["latent-viz", "--ckpt", str(tmp_path / "ckpt.bin"), "--data", str(tmp_path / "data.bin"),
+                 "--config", str(tmp_path / "train.cfg"), "--out", str(tmp_path / "pca.csv")]) == 2
+    assert "t_obs" in capsys.readouterr().err
+    assert not (tmp_path / "pca.csv").exists()
+
+
 def test_latent_viz_matches_a_loop_of_one_vessel_predicts(workdir):
     """latent-viz encodes and predicts every vessel in one pool; its CSV equals,
     byte for byte, the one a `predict` call per vessel in vessel_id order

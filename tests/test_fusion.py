@@ -74,7 +74,7 @@ def test_batched_heads_match_per_head_reference():
     def proj(lin, x):
         return x @ lin.w.data + lin.b.data
 
-    q, k, v = proj(a.wq, q_in), proj(a.wk, kv_in), proj(a.wv, kv_in)
+    q, k, v = proj(a.wq, q_in), kv_in @ a.wk.data, proj(a.wv, kv_in)
     heads = []
     for h in range(4):
         cols = slice(2 * h, 2 * h + 2)
@@ -149,7 +149,7 @@ def test_block_gradients(micro_cfg):
         return tsum(cross_modal_block(t, z2, p.block1, micro_cfg.heads) * coeff)
 
     assert finite_diff_check(f, z1) < 1e-4
-    for target in (p.block1.sa.wq.w, p.block1.ca.wk.w, p.block1.ffn.fc1.w, p.block1.ln2_gain):
+    for target in (p.block1.sa.wq.w, p.block1.ca.wk, p.block1.ffn.fc1.w, p.block1.ln2_gain):
         assert finite_diff_check(lambda _: tsum(cross_modal_block(z1, z2, p.block1, micro_cfg.heads) * coeff), target) < 1e-4
 
 

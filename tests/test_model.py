@@ -315,6 +315,23 @@ def test_micro_loss_batch_graph_size(micro_cfg, micro_samples):
     assert total.node_id + 1 == len(tape) <= 430
 
 
+def test_every_parameter_moves_the_loss(micro_cfg, micro_samples):
+    """A guard against dead parameters: in one training step on a lit vessel
+    and one with a masked step (the mask token's only source of gradient),
+    every parameter's largest |grad| is more than 1e-12 of the largest over
+    all parameters. A parameter the forward pass cancels, such as a key bias
+    under softmax, reads about 1e-19."""
+    model = Model(micro_cfg)
+    bank = bank_from_samples(micro_samples, 4, seed=0)
+    masked = dataclasses.replace(micro_samples[1], ais_mask=np.array([True, False]))
+    with Tape():
+        total, _, _, _ = model.loss_batch([micro_samples[0], masked], rng=Rng(2), bank=bank)
+        backward(total)
+    peak = {name: np.abs(t.grad).max() if t.grad is not None else 0.0 for name, t in model.named.items()}
+    floor = 1e-12 * max(peak.values())
+    assert [name for name, g in peak.items() if not g > floor] == []
+
+
 def test_loss_batch_on_dark_samples_leaves_every_refine_grad_none(micro_cfg, micro_samples):
     """With no broadcast step in the batch nothing is refined, so the
     refinement parameters get no gradient at all, not a zero one."""

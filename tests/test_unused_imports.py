@@ -9,6 +9,7 @@ PACKAGE = Path(vesselcast.__file__).parent
 # "module.name" entries imported on purpose without a use
 ALLOWED = {
     "cli.fnv1a64",  # perfbench's tracer patches the name where `cli` looks it up
+    "checkpoint.fnv1a64",  # and where `checkpoint` looks it up
 }
 
 
