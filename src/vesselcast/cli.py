@@ -103,6 +103,9 @@ def cmd_eval(args) -> int:
         print("eval needs --ckpt unless --per-horizon is given", file=sys.stderr)
         return 2
     cfg = load_train_config(args.config)
+    if cfg.t_obs < 2:
+        print(f"eval needs t_obs >= 2 for its constant-velocity baseline, got t_obs = {cfg.t_obs}", file=sys.stderr)
+        return 2
     # the input-mutation guard covers exactly the files this command reads; it
     # keeps their bytes, and an exact comparison is as strict as any digest's
     read = [args.data, args.bank, args.train_data if args.per_horizon else args.ckpt]
@@ -205,7 +208,7 @@ def cmd_latent_viz(args) -> int:
             rows.append((sample.vessel_id, k, disp, head, tort))
     proj = pca_project(np.stack(latents))
     lines = ["vessel_id,mode,pc1,pc2,displacement,heading_change,tortuosity"]
-    for (vid, k, disp, head, tort), (x, y) in zip(rows, proj):
+    for (vid, k, disp, head, tort), (x, y) in zip(rows, proj.tolist()):
         lines.append(f"{vid},{k},{x!r},{y!r},{disp!r},{head!r},{tort!r}")
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"{len(rows)} latent projections -> {args.out}")

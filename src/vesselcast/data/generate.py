@@ -218,7 +218,7 @@ def apply_dark_vessels(samples: list[VesselSample], rho: float, seed: int) -> li
 
     Selection shuffles the vessel ids in sorted order, so it does not depend
     on how the input list happens to be ordered. Futures stay untouched;
-    only availability flags and is_dark change.
+    only the chosen vessels' `ais_mask` changes, to all false.
     """
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho must be in [0, 1], got {rho}")
@@ -229,11 +229,7 @@ def apply_dark_vessels(samples: list[VesselSample], rho: float, seed: int) -> li
     out = []
     for s in samples:
         if s.vessel_id in chosen:
-            out.append(
-                dataclasses.replace(
-                    s, ais_mask=np.zeros(s.t_obs, dtype=bool), is_dark=True
-                )
-            )
+            out.append(dataclasses.replace(s, ais_mask=np.zeros(s.t_obs, dtype=bool)))
         else:
             out.append(s)
     return out

@@ -12,8 +12,9 @@ Layout (integers little-endian):
                 (V, T, 3, H, W): every vessel's rasters, one row per vessel
 
 The header holds `shape` and `records`, one object per vessel in block row
-order with every field but the rasters: `vessel_id`, `density`, `is_dark`,
-`obs_ais`, `ais_mask`, `obs_cctv`, `fut_ais`, `fut_cctv` and `boxes`. Floats
+order with every field but the rasters: `vessel_id`, `density`, `obs_ais`,
+`ais_mask`, `obs_cctv`, `fut_ais`, `fut_cctv` and `boxes`; a key outside
+these is ignored. A dark vessel is one whose `ais_mask` is all false. Floats
 serialize via repr, so write -> read -> write is byte-identical. A sample
 read back holds row i of the block as its `rasters`, a view, not a copy. A
 0-byte file is the empty pool. Version 1, one JSON line per vessel with
@@ -42,7 +43,7 @@ MAGIC = b"VCDS"
 VERSION = 2
 _PREAMBLE = struct.Struct("<4sIQ")  # magic, version, header byte length
 _ALIGN = 8
-_FIELDS = ("vessel_id", "density", "is_dark", "obs_ais", "ais_mask", "obs_cctv", "fut_ais", "fut_cctv", "boxes")
+_FIELDS = ("vessel_id", "density", "obs_ais", "ais_mask", "obs_cctv", "fut_ais", "fut_cctv", "boxes")
 
 
 class DatasetFormatError(ValueError):
@@ -67,7 +68,6 @@ def _record(s: VesselSample) -> dict:
     return {
         "vessel_id": s.vessel_id,
         "density": s.density,
-        "is_dark": bool(s.is_dark),
         "obs_ais": _floats(s.obs_ais),
         "ais_mask": np.asarray(s.ais_mask, dtype=bool).tolist(),
         "obs_cctv": _floats(s.obs_cctv),
@@ -176,7 +176,6 @@ def read_dataset(path: str | Path) -> list[VesselSample]:
             fut_ais=_array(record, i, "fut_ais", np.float64, 2),
             fut_cctv=_array(record, i, "fut_cctv", np.float64, 2),
             density=record["density"],
-            is_dark=bool(record["is_dark"]),
         )
         try:
             sample.validate()

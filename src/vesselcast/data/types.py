@@ -40,7 +40,6 @@ class VesselSample:
     fut_ais: np.ndarray  # (T_fut, 2)
     fut_cctv: np.ndarray  # (T_fut, 2)
     density: str = "low"
-    is_dark: bool = False
 
     @property
     def t_obs(self) -> int:

@@ -111,8 +111,10 @@ def evaluate(
     model (testing hook). Densities absent from the dataset produce cells
     with n_samples=0 and no metric values.
 
-    Every sample's future must reach the longest horizon; one that falls
-    short fails naming `fut_ais` and its vessel_id before any encoding.
+    Every sample's future must reach the longest horizon, and every sample
+    needs 2 observed steps for the constant-velocity baseline; one that falls
+    short fails naming `fut_ais` or `obs_ais` and its vessel_id before any
+    encoding.
 
     The grid varies only the broadcast mask (through rho) and the latent
     noise (through the seed), so every vessel's scenes are encoded before
@@ -134,6 +136,11 @@ def evaluate(
     if not samples:
         raise ValueError(f"dataset t_fut=0 < requested horizon {max_dt}")
     for s in samples:
+        if s.t_obs < 2:
+            raise FieldError(
+                "obs_ais", f"has {s.t_obs} steps, fewer than the 2 the constant-velocity baseline needs "
+                f"(vessel_id {s.vessel_id!r})"
+            )
         if s.t_fut < max_dt:
             raise FieldError(
                 "fut_ais", f"has {s.t_fut} steps, fewer than the requested horizon {max_dt} (vessel_id {s.vessel_id!r})"

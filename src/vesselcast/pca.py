@@ -1,33 +1,10 @@
-"""Two-component PCA by power iteration with deflation."""
+"""Two-component PCA from one eigendecomposition of the sample covariance."""
 
 from __future__ import annotations
 
 import warnings
 
 import numpy as np
-
-from .engine.rng import Rng
-
-TOLERANCE = 1e-9
-MAX_ITERS = 500
-
-
-def _power_iteration(cov: np.ndarray, rng: Rng) -> np.ndarray:
-    n = cov.shape[0]
-    v = np.array(rng.normals(n))
-    norm = np.linalg.norm(v)
-    v = v / norm if norm > 0 else np.ones(n) / np.sqrt(n)
-    for _ in range(MAX_ITERS):
-        w = cov @ v
-        norm = np.linalg.norm(w)
-        if norm < 1e-300:
-            return v  # null space; any unit vector is an eigenvector
-        w /= norm
-        if np.linalg.norm(w - v) < TOLERANCE or np.linalg.norm(w + v) < TOLERANCE:
-            v = w
-            break
-        v = w
-    return v
 
 
 def _fix_sign(v: np.ndarray) -> np.ndarray:
@@ -39,20 +16,13 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
 
 def top_two_components(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Leading two principal axes of (N, J) data, sign-fixed so the first
-    nonzero loading of each is positive."""
+    nonzero loading of each is positive; with J = 1 the second is zeros."""
     data = np.asarray(data, dtype=np.float64)
     centered = data - data.mean(axis=0)
     cov = centered.T @ centered / max(len(data) - 1, 1)
-    rng = Rng(0x5EED)  # fixed, documented init stream
-    v1 = _power_iteration(cov, rng)
-    lam1 = float(v1 @ cov @ v1)
-    deflated = cov - lam1 * np.outer(v1, v1)
-    v2 = _power_iteration(deflated, rng)
-    # re-orthogonalize against v1 (exact for symmetric cov, guards roundoff)
-    v2 = v2 - (v2 @ v1) * v1
-    norm = np.linalg.norm(v2)
-    if norm > 1e-12:
-        v2 /= norm
+    vecs = np.linalg.eigh(cov)[1]  # columns in ascending eigenvalue order
+    v1 = vecs[:, -1]
+    v2 = vecs[:, -2] if vecs.shape[1] > 1 else np.zeros_like(v1)
     return _fix_sign(v1), _fix_sign(v2)
 
 

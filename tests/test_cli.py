@@ -84,7 +84,7 @@ def test_bank_build_with_kmax_zero_fails_naming_k_max(workdir):
 def test_bank_build_counts_only_the_vessels_it_uses(workdir, tmp_path, capsys):
     """The printed track count is the full-broadcast vessels the bank was built from."""
     samples = read_dataset(workdir / "data.jsonl")
-    samples[0] = dataclasses.replace(samples[0], ais_mask=np.zeros(2, dtype=bool), is_dark=True)
+    samples[0] = dataclasses.replace(samples[0], ais_mask=np.zeros(2, dtype=bool))
     samples[1] = dataclasses.replace(samples[1], ais_mask=np.array([True, False]))
     write_dataset(tmp_path / "data.jsonl", samples)
     capsys.readouterr()
@@ -252,6 +252,33 @@ def test_latent_viz(workdir):
     assert len(lines) == 1 + 8 * 2  # vessels x modes
 
 
+def test_latent_viz_csv_numbers_all_parse_as_floats(workdir):
+    """Every cell after `vessel_id,mode` is a plain float literal, not a numpy repr."""
+    out = workdir / "pca_parse.csv"
+    assert main(["latent-viz", "--ckpt", str(workdir / "ckpt.bin"), "--data", str(workdir / "data.jsonl"),
+                 "--bank", str(workdir / "bank.json"), "--config", str(workdir / "train.cfg"),
+                 "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 8 * 2
+    for row in rows:
+        assert len(row) == 7
+        assert all(math.isfinite(float(cell)) for cell in row[2:]), row
+
+
+def test_latent_viz_with_one_latent_dimension_has_a_zero_pc2(workdir, tmp_path):
+    """One latent dimension has one principal axis; the second column is 0."""
+    (tmp_path / "train.cfg").write_text(CONFIG_TEXT.replace("latent_dim = 2", "latent_dim = 1") + "epochs = 1\n")
+    assert main(["train", "--data", str(workdir / "data.jsonl"), "--config", str(tmp_path / "train.cfg"),
+                 "--out", str(tmp_path / "ckpt.bin"), "--quiet"]) == 0
+    out = tmp_path / "pca.csv"
+    assert main(["latent-viz", "--ckpt", str(tmp_path / "ckpt.bin"), "--data", str(workdir / "data.jsonl"),
+                 "--config", str(tmp_path / "train.cfg"), "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 8 * 2
+    assert all(float(row[3]) == 0.0 for row in rows)
+    assert len({row[2] for row in rows}) > 1
+
+
 def test_latent_viz_on_an_empty_dataset_exits_2_naming_the_file(workdir, capsys):
     data = workdir / "empty.jsonl"
     data.write_text("")
@@ -281,6 +308,31 @@ def test_latent_viz_on_a_one_step_model_exits_2_naming_t_obs(tmp_path, monkeypat
     assert not (tmp_path / "pca.csv").exists()
 
 
+def test_eval_on_a_one_step_model_exits_2_naming_t_obs(tmp_path, monkeypatch, capsys):
+    """The constant-velocity baseline needs two observed steps; eval refuses a
+    one-step config before it reads the dataset or loads the checkpoint, with
+    or without --per-horizon, instead of failing after every vessel is encoded."""
+    (tmp_path / "train.cfg").write_text(CONFIG_TEXT.replace("t_obs = 2", "t_obs = 1") + "epochs = 1\n")
+    (tmp_path / "scenario.cfg").write_text(SCENARIO_TEXT.replace("t_obs = 2", "t_obs = 1"))
+    data = str(tmp_path / "data.bin")
+    assert main(["generate", "--config", str(tmp_path / "scenario.cfg"), "--out", data]) == 0
+    assert main(["train", "--data", data, "--config", str(tmp_path / "train.cfg"),
+                 "--out", str(tmp_path / "ckpt.bin"), "--quiet"]) == 0
+    capsys.readouterr()
+
+    def never(*args, **kwargs):
+        raise AssertionError("eval read its inputs for a config it cannot evaluate")
+
+    for name in ("load_model", "read_dataset", "train"):
+        monkeypatch.setattr(cli, name, never)
+    report = tmp_path / "report.csv"
+    for mode in (["--ckpt", str(tmp_path / "ckpt.bin")], ["--per-horizon", "--train-data", data]):
+        assert main(["eval", "--data", data, "--config", str(tmp_path / "train.cfg"), "--dt", "3",
+                     "--rho", "0", "--seeds", "1", *mode, "--report", str(report)]) == 2
+        assert "t_obs" in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_latent_viz_matches_a_loop_of_one_vessel_predicts(workdir):
     """latent-viz encodes and predicts every vessel in one pool; its CSV equals,
     byte for byte, the one a `predict` call per vessel in vessel_id order
@@ -303,9 +355,9 @@ def test_latent_viz_matches_a_loop_of_one_vessel_predicts(workdir):
         latents += list(preds.latents)
         rows += [(sample.vessel_id, k, *cli._motion_descriptors(sample.obs_ais)) for k in range(len(preds.latents))]
     lines = ["vessel_id,mode,pc1,pc2,displacement,heading_change,tortuosity"]
-    for (vid, k, disp, head, tort), (x, y) in zip(rows, pca_project(np.stack(latents))):
+    for (vid, k, disp, head, tort), (x, y) in zip(rows, pca_project(np.stack(latents)).tolist()):
         lines.append(f"{vid},{k},{x!r},{y!r},{disp!r},{head!r},{tort!r}")
-    assert sum(s.is_dark for s in samples) == 2
+    assert sum(not s.ais_mask.any() for s in samples) == 2
     assert out.read_text() == "\n".join(lines) + "\n"
 
 
@@ -323,6 +375,11 @@ main(["eval", "--data", f"{root}/data.jsonl", "--ckpt", f"{root}/ckpt_{tag}.bin"
       "--bank", f"{root}/bank.json", "--config", f"{root}/train.cfg",
       "--rho", "0,0.5", "--dt", "2", "--seeds", "2",
       "--report", f"{root}/report_{tag}.csv"])
+main(["predict", "--ckpt", f"{root}/ckpt_{tag}.bin", "--data", f"{root}/data.jsonl",
+      "--bank", f"{root}/bank.json", "--config", f"{root}/train.cfg",
+      "--sample-id", "v0003", "--out", f"{root}/preds_{tag}.json"])
+main(["latent-viz", "--ckpt", f"{root}/ckpt_{tag}.bin", "--data", f"{root}/data.jsonl",
+      "--bank", f"{root}/bank.json", "--config", f"{root}/train.cfg", "--out", f"{root}/pca_{tag}.csv"])
 """
     for tag in ("a", "b"):
         proc = subprocess.run(
@@ -334,6 +391,8 @@ main(["eval", "--data", f"{root}/data.jsonl", "--ckpt", f"{root}/ckpt_{tag}.bin"
     assert (workdir / "ckpt_a.bin").read_bytes() == (workdir / "ckpt_b.bin").read_bytes()
     assert (workdir / "curve_a.csv").read_bytes() == (workdir / "curve_b.csv").read_bytes()
     assert (workdir / "report_a.csv").read_bytes() == (workdir / "report_b.csv").read_bytes()
+    assert (workdir / "preds_a.json").read_bytes() == (workdir / "preds_b.json").read_bytes()
+    assert (workdir / "pca_a.csv").read_bytes() == (workdir / "pca_b.csv").read_bytes()
 
 
 def test_generate_and_bank_build_bit_identical_across_processes(workdir):

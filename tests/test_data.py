@@ -220,9 +220,9 @@ def test_dark_vessels_rho_zero_and_one():
     cfg = small_cfg()
     samples = generate_scenario(cfg, seed=6)
     same = apply_dark_vessels(samples, 0.0, seed=1)
-    assert all(not s.is_dark and s.ais_mask.all() for s in same)
+    assert all(s.ais_mask.all() for s in same)
     dark = apply_dark_vessels(samples, 1.0, seed=1)
-    assert all(s.is_dark and not s.ais_mask.any() for s in dark)
+    assert all(not s.ais_mask.any() for s in dark)
     for before, after in zip(samples, dark):
         assert np.array_equal(before.fut_ais, after.fut_ais)
         assert np.array_equal(before.obs_ais, after.obs_ais)  # coordinates untouched
@@ -233,8 +233,8 @@ def test_dark_vessels_count_and_determinism():
     samples = generate_scenario(cfg, seed=7)
     d1 = apply_dark_vessels(samples, 0.3, seed=5)
     d2 = apply_dark_vessels(list(reversed(samples)), 0.3, seed=5)
-    picked1 = {s.vessel_id for s in d1 if s.is_dark}
-    picked2 = {s.vessel_id for s in d2 if s.is_dark}
+    picked1 = {s.vessel_id for s in d1 if not s.ais_mask.any()}
+    picked2 = {s.vessel_id for s in d2 if not s.ais_mask.any()}
     assert len(picked1) == 6
     assert picked1 == picked2  # input order must not matter
 
@@ -466,6 +466,23 @@ def test_a_bad_file_fails_naming_the_field(tmp_path, edit, message):
     path.write_bytes(edit(path.read_bytes()))
     with pytest.raises(DatasetFormatError, match=message):
         read_dataset(path)
+
+
+def test_a_record_with_a_stale_is_dark_key_reads_with_its_mask_as_stored(tmp_path):
+    """Darkness is an all-false `ais_mask`; an `is_dark` key that older files
+    carry is ignored, even where it contradicts the mask."""
+    samples = generate_scenario(small_cfg(vessel_count=3), seed=1)
+    assert all(s.ais_mask.all() for s in samples)
+    path = tmp_path / "stale.vcds"
+    write_dataset(path, samples)
+    path.write_bytes(_header_text(lambda text: text.replace('"density":', '"is_dark":true,"density":'))(
+        path.read_bytes()))
+    assert path.read_bytes().count(b'"is_dark":true') == 3
+    back = read_dataset(path)
+    for before, after in zip(samples, back):
+        assert np.array_equal(after.ais_mask, before.ais_mask)
+        assert np.array_equal(after.obs_ais, before.obs_ais)
+        assert not hasattr(after, "is_dark")
 
 
 def test_a_v1_json_lines_file_fails_naming_the_format(tmp_path):

@@ -81,20 +81,19 @@ def as_bits(values: dict) -> dict:
 
 
 def mask_some(samples):
-    """The pool with a mix of broadcast masks: two vessels partly masked, one
-    already dark, and one marked dark whose mask still holds a broadcast step.
+    """The pool with a mix of broadcast masks: three vessels partly masked and
+    one already dark.
 
-    The encoding depends on the mask, not on the flag, so eval's
-    per-(vessel, mask) cache must key on the mask: keyed on the vessel or on
-    `is_dark`, one of these vessels would meet an encoding made under another
-    mask in some (cell, seed).
+    The encoding depends on the mask, so eval's per-(vessel, mask) rows must
+    key on the mask: keyed on the vessel, one of these vessels would meet an
+    encoding made under another mask in some (cell, seed).
     """
     first, last = np.array([True, False]), np.array([False, True])
     out = list(samples)
     out[1] = dataclasses.replace(out[1], ais_mask=first)
     out[2] = dataclasses.replace(out[2], ais_mask=last)
-    out[3] = dataclasses.replace(out[3], ais_mask=np.zeros(2, dtype=bool), is_dark=True)
-    out[4] = dataclasses.replace(out[4], ais_mask=last, is_dark=True)
+    out[3] = dataclasses.replace(out[3], ais_mask=np.zeros(2, dtype=bool))
+    out[4] = dataclasses.replace(out[4], ais_mask=last)
     return out
 
 

@@ -70,3 +70,19 @@ def test_sign_convention_first_nonzero_positive():
         for v in top_two_components(data):
             nz = v[np.abs(v) > 1e-12]
             assert nz[0] > 0
+
+
+@pytest.mark.parametrize("gap", [1e-2, 1e-3])
+def test_recovers_constructed_axes_at_a_small_eigengap(gap):
+    """40 points in 4-D whose covariance is Q diag(λ) Q^T with orthonormal Q
+    and each λ 1 - gap times the one before: both top axes are Q's first two
+    columns, up to sign, however close the eigenvalues."""
+    rng = Rng(5)
+    n, j = 40, 4
+    q, _ = np.linalg.qr(rand(rng, (j, j)))
+    scores = rand(rng, (n, j))
+    u, _ = np.linalg.qr(scores - scores.mean(axis=0))  # orthonormal, zero-mean columns
+    lam = (1.0 - gap) ** np.arange(j)
+    data = (u * np.sqrt(lam * (n - 1))) @ q.T + np.array([0.3, -1.0, 2.0, 0.5])
+    for v, axis in zip(top_two_components(data), q.T):
+        assert min(np.abs(v - axis).max(), np.abs(v + axis).max()) <= 1e-9

@@ -9,6 +9,7 @@ import vesselcast.scene_encoder as scene_mod
 from conftest import micro_config, micro_waterway
 from vesselcast.bank import bank_from_samples
 from vesselcast.data import generate_scenario
+from vesselcast.data.types import FieldError
 from vesselcast.evaluate import evaluate, write_report
 from vesselcast.model import Model
 from vesselcast.train import DivergenceError, PlateauScheduler, train
@@ -227,6 +228,25 @@ def test_evaluate_rejects_a_later_vessel_with_a_shorter_future_before_any_encodi
         evaluate(samples, Model(micro_config()), None, dts=[2, 3], rhos=[0.0], seeds=[0])
     assert not stems
     evaluate(samples, Model(micro_config()), None, dts=[2], rhos=[0.0], seeds=[0])  # 2 steps cover dt 2
+
+
+def test_evaluate_rejects_a_one_step_observation_before_any_encoding(monkeypatch):
+    """The constant-velocity baseline needs two observed steps; a one-step
+    window fails naming `obs_ais` and the vessel_id, not deep in the grid."""
+    samples = generate_scenario(micro_waterway(t_obs=1), seed=5)
+    stems = []
+    real_stem = scene_mod.stem_forward
+
+    def counting_stem(*args):
+        stems.append(args)
+        return real_stem(*args)
+
+    monkeypatch.setattr(scene_mod, "stem_forward", counting_stem)
+    message = rf"^obs_ais has 1 steps, fewer than the 2 .* \(vessel_id '{samples[0].vessel_id}'\)"
+    with pytest.raises(FieldError, match=message) as err:
+        evaluate(samples, Model(micro_config(t_obs=1)), None, dts=[3], rhos=[0.0], seeds=[0])
+    assert err.value.field == "obs_ais"
+    assert not stems
 
 
 def test_evaluate_fuses_each_vessel_mask_pair_once(tiny_dataset, monkeypatch):
