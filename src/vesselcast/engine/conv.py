@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .tensor import DimensionError, Tensor, _accum, _as_tensor, _make
+from .tensor import DimensionError, Tensor, _as_tensor, _make
 
 _DIAGNOSTICS = {"degenerate_roi": 0}
 
@@ -61,24 +61,27 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
             f"kernel {kh}x{kw} larger than padded input {h + 2 * padding}x{w + 2 * padding}"
         )
     out_h, out_w = (h + 2 * padding - kh) // stride + 1, (w + 2 * padding - kw) // stride + 1
+    xd = x.data
     kmat = k.data.reshape(co, -1)
-    out = np.matmul(kmat, _im2col(_pad(x.data.reshape(-1, c, h, w), padding), kh, kw, stride))
+    out = np.matmul(kmat, _im2col(_pad(xd.reshape(-1, c, h, w), padding), kh, kw, stride))
 
-    def bwd(g, grads):
+    def bwd(g, need):
         gm = g.reshape(-1, co, out_h * out_w)
-        if k.requires_grad:
+        dx = dk = None
+        if need[1]:
             # gathered again rather than kept from the forward pass: the
-            # patches are kh*kw/stride^2 times the input, and the tape holds every conv's
-            cols = _im2col(_pad(x.data.reshape(-1, c, h, w), padding), kh, kw, stride)
-            _accum(k, np.tensordot(gm, cols, axes=([0, 2], [0, 2])).reshape(k.data.shape), grads)
-        if x.requires_grad:
+            # patches are kh*kw/stride^2 times the input, which the record keeps
+            cols = _im2col(_pad(xd.reshape(-1, c, h, w), padding), kh, kw, stride)
+            dk = np.tensordot(gm, cols, axes=([0, 2], [0, 2])).reshape(co, ci, kh, kw)
+        if need[0]:
             dcols = np.matmul(kmat.T, gm).reshape(-1, c, kh, kw, out_h, out_w)
             dxp = np.zeros((dcols.shape[0], c, h + 2 * padding, w + 2 * padding))
             for i in range(kh):
                 for j in range(kw):
                     dxp[:, :, i : i + stride * (out_h - 1) + 1 : stride,
                         j : j + stride * (out_w - 1) + 1 : stride] += dcols[:, :, i, j]
-            _accum(x, dxp[..., padding : padding + h, padding : padding + w].reshape(x.data.shape), grads)
+            dx = dxp[..., padding : padding + h, padding : padding + w].reshape(xd.shape)
+        return dx, dk
 
     return _make(out.reshape(*lead, co, out_h, out_w), (x, k), bwd)
 
@@ -163,7 +166,9 @@ def roi_align(fmap: Tensor, box, out_size: int, spatial_scale: float) -> Tensor:
     fm = fmap.data.reshape(-1, c, h * w)
     out = np.matmul(fm, weights.transpose(0, 2, 1))  # (N, C, P*P)
 
-    def bwd(g, grads):
-        _accum(fmap, np.matmul(g.reshape(-1, c, p * p), weights).reshape(fmap.data.shape), grads)
+    shape = fmap.data.shape
+
+    def bwd(g, _need):
+        return (np.matmul(g.reshape(-1, c, p * p), weights).reshape(shape),)
 
     return _make(out.reshape(*lead, c, p, p), (fmap,), bwd)

@@ -1,12 +1,29 @@
 """Dense float64 tensors with taped reverse-mode differentiation.
 
 Operations record onto the active :class:`Tape` whenever at least one
-input requires gradients; outside any tape they compute forward values
-only. Tape order is creation order, which is topological by construction;
-:func:`backward` walks it in reverse. Leaf tensors (created directly, not
-by an op) accumulate into ``.grad`` across backward calls until their
-``zero_grad``; intermediate gradients live only for the duration of one
-backward pass.
+input is a gradient target; outside any tape they compute forward values
+only. A record is a pair ``(targets, backward_fn)``. Each target stands for
+one input: the input's node id when it was recorded on this tape, the input
+itself when it is a leaf that requires gradients (created directly, not by
+an op), and ``None`` otherwise, so a tensor recorded on another tape acts
+as a constant. ``backward_fn(g, need)`` takes the gradient of the op's
+output and one flag per input (is its target not ``None``), and returns
+one contribution per input: an array, or ``None`` where the flag is false.
+
+The tape holds no output tensor, and a backward function captures only the
+arrays its formula reads: ``mul``, ``matmul`` and ``conv2d`` keep their
+inputs' data; ``sigmoid``, ``tanh``, ``exp``, ``sqrt`` and ``softmax`` their
+output; ``relu`` and ``clamp`` their mask; ``layer_norm`` the normalized
+input, its scale and the gain; ``roi_align`` its pooling weights; the rest
+only shapes and indices. A value no formula reads is freed as soon as the
+forward pass drops it. An output tensor refers to its tape, and so keeps
+the tape's records alive while it lives.
+
+Tape order is creation order, which is topological by construction;
+:func:`backward` walks it in reverse and is the only place that
+accumulates: intermediate gradients, keyed by node id, live only for the
+duration of one backward pass, and leaves accumulate into ``.grad`` across
+backward calls until their ``zero_grad``.
 """
 
 from __future__ import annotations
@@ -32,11 +49,12 @@ class Tape:
     """Ordered record of differentiable ops for one forward pass.
 
     Entering pushes the tape as the active recording target for the current
-    thread; ops created outside any tape are forward-only.
+    thread; ops created outside any tape are forward-only. ``nodes[i]`` is the
+    ``(targets, backward_fn)`` record of the op whose output has node id i.
     """
 
     def __init__(self):
-        self.nodes: list[Tensor] = []
+        self.nodes: list[tuple[tuple, object]] = []
 
     def __enter__(self) -> "Tape":
         _STATE.stack.append(self)
@@ -54,15 +72,14 @@ def _active_tape() -> Tape | None:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "node_id", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "node_id", "_tape")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self.node_id: int | None = None
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward = None
+        self._tape: Tape | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -120,30 +137,31 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
+def _target(p: Tensor, tape: Tape):
+    """What a record keeps for input p: see the module docstring."""
+    if not p.requires_grad:
+        return None
+    if p.node_id is None:
+        return p
+    return p.node_id if p._tape is tape else None
+
+
 def _make(out_data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
-    """Wrap an op result; record it when a tape is active and an input needs grads."""
+    """Wrap an op result; record it when a tape is active and an input is a target.
+
+    A one-input op is recorded only when its input is a target, so its
+    backward function reads no flag.
+    """
     out = Tensor(out_data)
     tape = _active_tape()
-    if tape is not None and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._backward = backward_fn
-        out.node_id = len(tape.nodes)
-        tape.nodes.append(out)
+    if tape is not None:
+        targets = tuple(_target(p, tape) for p in parents)
+        if any(t is not None for t in targets):
+            out.requires_grad = True
+            out.node_id = len(tape.nodes)
+            out._tape = tape
+            tape.nodes.append((targets, backward_fn))
     return out
-
-
-def _accum(parent: Tensor, contribution: np.ndarray, grads: dict) -> None:
-    if not parent.requires_grad:
-        return
-    if parent._backward is None:  # leaf: persistent accumulation
-        if parent.grad is None:
-            parent.grad = np.zeros_like(parent.data)
-        parent.grad += contribution
-    else:
-        key = id(parent)
-        prev = grads.get(key)
-        grads[key] = contribution if prev is None else prev + contribution
 
 
 def backward(loss: Tensor) -> None:
@@ -151,14 +169,24 @@ def backward(loss: Tensor) -> None:
     if loss.data.size != 1:
         raise DimensionError(f"backward needs a scalar loss, got shape {loss.data.shape}")
     tape = _active_tape()
-    if tape is None or loss.node_id is None or tape.nodes[loss.node_id] is not loss:
+    if tape is None or loss._tape is not tape:
         raise RuntimeError("loss is not recorded on the active tape")
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(tape.nodes[: loss.node_id + 1]):
-        g = grads.pop(id(node), None)
+    grads: dict[int, np.ndarray] = {loss.node_id: np.ones_like(loss.data)}
+    for node_id in range(loss.node_id, -1, -1):
+        g = grads.pop(node_id, None)
         if g is None:
             continue
-        node._backward(g, grads)
+        targets, backward_fn = tape.nodes[node_id]
+        for target, contribution in zip(targets, backward_fn(g, [t is not None for t in targets])):
+            if target is None:
+                continue
+            if isinstance(target, int):
+                prev = grads.get(target)
+                grads[target] = contribution if prev is None else prev + contribution
+            else:  # leaf: persistent accumulation
+                if target.grad is None:
+                    target.grad = np.zeros_like(target.data)
+                target.grad += contribution
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -179,39 +207,42 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
+    a_shape, b_shape = a.data.shape, b.data.shape
 
-    def bwd(g, grads):
-        _accum(a, _unbroadcast(g, a.data.shape), grads)
-        _accum(b, _unbroadcast(g, b.data.shape), grads)
+    def bwd(g, need):
+        return (_unbroadcast(g, a_shape) if need[0] else None,
+                _unbroadcast(g, b_shape) if need[1] else None)
 
     return _make(a.data + b.data, (a, b), bwd)
 
 
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
+    a_shape, b_shape = a.data.shape, b.data.shape
 
-    def bwd(g, grads):
-        _accum(a, _unbroadcast(g, a.data.shape), grads)
-        _accum(b, _unbroadcast(-g, b.data.shape), grads)
+    def bwd(g, need):
+        return (_unbroadcast(g, a_shape) if need[0] else None,
+                _unbroadcast(-g, b_shape) if need[1] else None)
 
     return _make(a.data - b.data, (a, b), bwd)
 
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
+    x, y = a.data, b.data
 
-    def bwd(g, grads):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape), grads)
-        _accum(b, _unbroadcast(g * a.data, b.data.shape), grads)
+    def bwd(g, need):
+        return (_unbroadcast(g * y, x.shape) if need[0] else None,
+                _unbroadcast(g * x, y.shape) if need[1] else None)
 
-    return _make(a.data * b.data, (a, b), bwd)
+    return _make(x * y, (a, b), bwd)
 
 
 def neg(a) -> Tensor:
     a = _as_tensor(a)
 
-    def bwd(g, grads):
-        _accum(a, -g, grads)
+    def bwd(g, _need):
+        return (-g,)
 
     return _make(-a.data, (a,), bwd)
 
@@ -223,20 +254,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"matmul expects operands of 2 or more axes, got {a.data.shape} @ {b.data.shape}")
     if a.data.shape[-1] != b.data.shape[-2]:
         raise DimensionError(f"matmul inner dimensions disagree: {a.data.shape} @ {b.data.shape}")
+    x, y = a.data, b.data
 
-    def bwd(g, grads):
-        _accum(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape), grads)
-        _accum(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape), grads)
+    def bwd(g, need):
+        return (_unbroadcast(np.matmul(g, np.swapaxes(y, -1, -2)), x.shape) if need[0] else None,
+                _unbroadcast(np.matmul(np.swapaxes(x, -1, -2), g), y.shape) if need[1] else None)
 
-    return _make(np.matmul(a.data, b.data), (a, b), bwd)
+    return _make(np.matmul(x, y), (a, b), bwd)
 
 
 def relu(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     mask = a.data > 0
 
-    def bwd(g, grads):
-        _accum(a, g * mask, grads)
+    def bwd(g, _need):
+        return (g * mask,)
 
     return _make(np.where(mask, a.data, 0.0), (a,), bwd)
 
@@ -247,8 +279,8 @@ def sigmoid(a: Tensor) -> Tensor:
     z = np.exp(-np.abs(x))  # stable in both tails
     y = np.where(x >= 0, 1.0, z) / (1.0 + z)  # 1/(1+z) or z/(1+z), one division
 
-    def bwd(g, grads):
-        _accum(a, g * y * (1.0 - y), grads)
+    def bwd(g, _need):
+        return (g * y * (1.0 - y),)
 
     return _make(y, (a,), bwd)
 
@@ -257,8 +289,8 @@ def tanh(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     y = np.tanh(a.data)
 
-    def bwd(g, grads):
-        _accum(a, g * (1.0 - y * y), grads)
+    def bwd(g, _need):
+        return (g * (1.0 - y * y),)
 
     return _make(y, (a,), bwd)
 
@@ -267,8 +299,8 @@ def exp(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     y = np.exp(a.data)
 
-    def bwd(g, grads):
-        _accum(a, g * y, grads)
+    def bwd(g, _need):
+        return (g * y,)
 
     return _make(y, (a,), bwd)
 
@@ -277,9 +309,9 @@ def sqrt(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     y = np.sqrt(a.data)
 
-    def bwd(g, grads):
+    def bwd(g, _need):
         # guard the derivative at 0 (forward stays exact)
-        _accum(a, g * 0.5 / np.maximum(y, 1e-12), grads)
+        return (g * 0.5 / np.maximum(y, 1e-12),)
 
     return _make(y, (a,), bwd)
 
@@ -288,8 +320,8 @@ def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
     a = _as_tensor(a)
     passed = (a.data > lo) & (a.data < hi)
 
-    def bwd(g, grads):
-        _accum(a, g * passed, grads)
+    def bwd(g, _need):
+        return (g * passed,)
 
     return _make(np.clip(a.data, lo, hi), (a,), bwd)
 
@@ -301,12 +333,9 @@ def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
     shape = a.data.shape
 
-    def bwd(g, grads):
-        if axis is None:
-            _accum(a, np.broadcast_to(g, shape).copy(), grads)
-        else:
-            ge = g if keepdims else np.expand_dims(g, axis)
-            _accum(a, np.broadcast_to(ge, shape).copy(), grads)
+    def bwd(g, _need):
+        ge = g if axis is None or keepdims else np.expand_dims(g, axis)
+        return (np.broadcast_to(ge, shape).copy(),)
 
     return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), bwd)
 
@@ -321,8 +350,8 @@ def reshape(a: Tensor, shape) -> Tensor:
     a = _as_tensor(a)
     old = a.data.shape
 
-    def bwd(g, grads):
-        _accum(a, g.reshape(old), grads)
+    def bwd(g, _need):
+        return (g.reshape(old),)
 
     return _make(a.data.reshape(shape), (a,), bwd)
 
@@ -336,8 +365,8 @@ def transpose(a: Tensor, axes=None) -> Tensor:
         axes = (*range(a.data.ndim - 2), a.data.ndim - 1, a.data.ndim - 2)
     inverse = np.argsort(axes)
 
-    def bwd(g, grads):
-        _accum(a, g.transpose(inverse), grads)
+    def bwd(g, _need):
+        return (g.transpose(inverse),)
 
     return _make(a.data.transpose(axes).copy(), (a,), bwd)
 
@@ -347,11 +376,13 @@ def concat(parts, axis: int = 0) -> Tensor:
     sizes = [p.data.shape[axis] for p in parts]
     offsets = np.cumsum([0] + sizes)
 
-    def bwd(g, grads):
-        for p, a, b in zip(parts, offsets[:-1], offsets[1:]):
-            idx = [slice(None)] * g.ndim
+    def bwd(g, need):
+        idx = [slice(None)] * g.ndim
+        out = []
+        for wanted, a, b in zip(need, offsets[:-1], offsets[1:]):
             idx[axis] = slice(a, b)
-            _accum(p, g[tuple(idx)], grads)
+            out.append(g[tuple(idx)] if wanted else None)
+        return out
 
     return _make(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), bwd)
 
@@ -363,14 +394,15 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     to it fails instead of changing `a`.
     """
     a = _as_tensor(a)
+    shape = a.data.shape
     idx = [slice(None)] * a.data.ndim
     idx[axis] = slice(start, start + length)
     idx = tuple(idx)
 
-    def bwd(g, grads):
-        full = np.zeros_like(a.data)
+    def bwd(g, _need):
+        full = np.zeros(shape)
         full[idx] = g
-        _accum(a, full, grads)
+        return (full,)
 
     out = a.data[idx]
     out.flags.writeable = False
@@ -395,9 +427,9 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     e = np.exp(shifted)
     y = e / e.sum(axis=axis, keepdims=True)
 
-    def bwd(g, grads):
+    def bwd(g, _need):
         dot = (g * y).sum(axis=axis, keepdims=True)
-        _accum(a, y * (g - dot), grads)
+        return (y * (g - dot),)
 
     return _make(y, (a,), bwd)
 
@@ -413,19 +445,23 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         raise DimensionError(
             f"layer_norm affine shapes {gain.data.shape}/{bias.data.shape} do not match feature dim {d}"
         )
+    gamma = gain.data
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    y = xhat * gain.data + bias.data
+    y = xhat * gamma + bias.data
 
-    def bwd(g, grads):
+    def bwd(g, need):
         reduce_axes = tuple(range(g.ndim - 1))
-        _accum(gain, (g * xhat).sum(axis=reduce_axes), grads)
-        _accum(bias, g.sum(axis=reduce_axes), grads)
-        dxhat = g * gain.data
-        term = dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        _accum(x, inv * term, grads)
+        d_gain = (g * xhat).sum(axis=reduce_axes) if need[1] else None
+        d_bias = g.sum(axis=reduce_axes) if need[2] else None
+        d_x = None
+        if need[0]:
+            dxhat = g * gamma
+            term = dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+            d_x = inv * term
+        return d_x, d_gain, d_bias
 
     return _make(y, (x, gain, bias), bwd)

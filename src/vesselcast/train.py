@@ -88,7 +88,8 @@ def train(
                         f"non-finite loss at step {step} (epoch {epoch}): total={value}"
                     )
                 backward(total)
-                # these reach the whole graph; freed here, not when the next step rebinds them
+                # each refers to this step's tape, and so keeps its records alive;
+                # freed here, not when the next step rebinds them
                 del total, rec, kl
             opt.step()
             opt.zero_grad()

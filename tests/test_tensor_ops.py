@@ -131,10 +131,10 @@ def test_tape_order_is_topological():
         b = a + 1.0
         c = tsum(b * a)
         backward(c)
-    for node in tape.nodes:
-        for parent in node._parents:
-            if parent.node_id is not None:
-                assert parent.node_id < node.node_id
+    parents = [(node_id, t) for node_id, (targets, _) in enumerate(tape.nodes)
+               for t in targets if isinstance(t, int)]
+    assert len(tape) == c.node_id + 1 and len(parents) == 4
+    assert all(parent < node_id for node_id, parent in parents)
 
 
 def test_softmax_symmetry():
