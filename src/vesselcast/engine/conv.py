@@ -6,6 +6,9 @@ independent (C, H, W) map, and the batch runs as one matmul.
 
 from __future__ import annotations
 
+import math
+from numbers import Integral, Real
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -22,10 +25,17 @@ def reset_roi_diagnostics() -> None:
     _DIAGNOSTICS["degenerate_roi"] = 0
 
 
+def _check_int(op: str, name: str, value, least: int) -> None:
+    """Reject an argument that is not an int of at least `least`, naming it."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        raise DimensionError(f"{op} {name} must be an int >= {least}, got {value!r}")
+
+
 def _pad(x: np.ndarray, pad: int) -> np.ndarray:
-    """x[N,C,H,W] with `pad` zero rows and columns on every side of each map (np.pad costs more)."""
+    """Float64 x[N,C,H,W] with `pad` zero rows and columns on every side of
+    each map (np.pad costs more); a float32 x widens exactly."""
     if not pad:
-        return x
+        return x.astype(np.float64, copy=False)
     n, c, h, w = x.shape
     xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
     xp[..., pad : pad + h, pad : pad + w] = x
@@ -40,19 +50,26 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
     return win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, oh * ow)
 
 
-def conv2d(x: Tensor, k: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
+def conv2d(x: Tensor | np.ndarray, k: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlate each image of x[..., C_in, H, W] with k[C_out, C_in, kh, kw] (no kernel flip).
 
     Leading axes of x are a batch; the output is (..., C_out, H', W') with
-    H' = floor((H + 2*padding - kh) / stride) + 1, likewise W'. The backward
-    pass gathers the input patches again instead of keeping them, and forms
-    the input gradient by col2im: Kᵀ·g, added back into the padded input by
-    kh*kw strided slices.
+    H' = floor((H + 2*padding - kh) / stride) + 1, likewise W'; stride must
+    be an int of at least 1 and padding one of at least 0. x may be a Tensor
+    or, as a constant, an array of any real dtype: the record keeps that array
+    as given, not a float64 copy, and padding widens it to float64 exactly, so
+    a float32 array gives the bits of its float64 copy. The backward pass
+    gathers the input patches again instead of keeping them, and forms the
+    input gradient by col2im: Kᵀ·g, added back into the padded input by kh*kw
+    strided slices.
     """
-    x, k = _as_tensor(x), _as_tensor(k)
-    if x.data.ndim < 3 or k.data.ndim != 4:
-        raise DimensionError(f"conv2d expects x[...,C,H,W], k[Co,Ci,kh,kw]; got {x.data.shape}, {k.data.shape}")
-    *lead, c, h, w = x.data.shape
+    _check_int("conv2d", "stride", stride, 1)
+    _check_int("conv2d", "padding", padding, 0)
+    xd = x.data if isinstance(x, Tensor) else np.asarray(x)
+    k = _as_tensor(k)
+    if xd.ndim < 3 or k.data.ndim != 4:
+        raise DimensionError(f"conv2d expects x[...,C,H,W], k[Co,Ci,kh,kw]; got {xd.shape}, {k.data.shape}")
+    *lead, c, h, w = xd.shape
     co, ci, kh, kw = k.data.shape
     if ci != c:
         raise DimensionError(f"conv2d channel mismatch: input has {c}, kernel expects {ci}")
@@ -61,7 +78,6 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
             f"kernel {kh}x{kw} larger than padded input {h + 2 * padding}x{w + 2 * padding}"
         )
     out_h, out_w = (h + 2 * padding - kh) // stride + 1, (w + 2 * padding - kw) // stride + 1
-    xd = x.data
     kmat = k.data.reshape(co, -1)
     out = np.matmul(kmat, _im2col(_pad(xd.reshape(-1, c, h, w), padding), kh, kw, stride))
 
@@ -117,8 +133,9 @@ _QUARTER_Y = np.array([[0.25], [0.25], [0.75], [0.75]])
 _DEGENERATE_SCALE = np.array([[1.0], [0.0], [0.0], [0.0]])
 
 
-def _roi_weights(boxes: np.ndarray, h: int, w: int, p: int, spatial_scale: float) -> np.ndarray:
-    """(N, P*P, H*W) pooling weights of the N boxes of boxes[N, 4] over an H x W map."""
+def _roi_weights(boxes: np.ndarray, h: int, w: int, p: int, spatial_scale: float) -> tuple[np.ndarray, int]:
+    """(N, P*P, H*W) pooling weights of the N boxes of boxes[N, 4] over an H x W
+    map, and how many of the boxes are degenerate."""
     scaled = boxes * spatial_scale
     inverted = np.flatnonzero((scaled[:, 2] <= scaled[:, 0]) | (scaled[:, 3] <= scaled[:, 1]))
     if inverted.size:
@@ -128,7 +145,6 @@ def _roi_weights(boxes: np.ndarray, h: int, w: int, p: int, spatial_scale: float
     x0c, x1c = np.maximum(x0, 0.0), np.minimum(x1, float(w))
     y0c, y1c = np.maximum(y0, 0.0), np.minimum(y1, float(h))
     degenerate = (x1c <= x0c) | (y1c <= y0c)
-    _DIAGNOSTICS["degenerate_roi"] += int(degenerate.sum())
 
     n = len(boxes)
     cell = np.arange(p * p)  # cell (iy, ix) is row iy * p + ix of its box
@@ -138,7 +154,7 @@ def _roi_weights(boxes: np.ndarray, h: int, w: int, p: int, spatial_scale: float
     weights = np.zeros((n * p * p, h * w), dtype=np.float64)
     rows = (np.arange(n) * (p * p))[:, None, None, None] + cell  # (N, 1, 1, P*P): box, quarter, corner, cell
     _scatter_bilinear(weights, rows, xs, ys, h, w, scale)
-    return weights.reshape(n, p * p, h * w)
+    return weights.reshape(n, p * p, h * w), int(degenerate.sum())
 
 
 def roi_align(fmap: Tensor, box, out_size: int, spatial_scale: float) -> Tensor:
@@ -151,24 +167,31 @@ def roi_align(fmap: Tensor, box, out_size: int, spatial_scale: float) -> Tensor:
     cell's quarter points, i.e. at fractional offsets (0.25, 0.25),
     (0.75, 0.25), (0.25, 0.75), (0.75, 0.75) of the cell. A box with zero area
     after clamping degenerates to the bilinear sample at the box center,
-    replicated, and bumps the degenerate-roi diagnostics counter. The output
-    is (..., C, P, P).
+    replicated, and bumps the degenerate-roi diagnostics counter once, in the
+    forward pass. out_size must be an int of at least 1 and spatial_scale a
+    finite positive number. The output is (..., C, P, P). The record keeps a
+    copy of the boxes, not the (N, P*P, H*W) pooling weights: the backward
+    pass rebuilds them from the boxes as the forward pass built them.
     """
+    _check_int("roi_align", "out_size", out_size, 1)
+    if isinstance(spatial_scale, bool) or not isinstance(spatial_scale, Real) or not 0 < spatial_scale < math.inf:
+        raise DimensionError(f"roi_align spatial_scale must be a finite positive number, got {spatial_scale!r}")
     fmap = _as_tensor(fmap)
     if fmap.data.ndim < 3:
         raise DimensionError(f"roi_align expects fmap[...,C,H,W], got {fmap.data.shape}")
     *lead, c, h, w = fmap.data.shape
-    boxes = np.asarray(box, dtype=np.float64)
+    boxes = np.array(box, dtype=np.float64)
     if boxes.shape != (*lead, 4):
         raise DimensionError(f"roi_align needs one 4-value box per map, shape {(*lead, 4)}; got {boxes.shape}")
-    p = out_size
-    weights = _roi_weights(boxes.reshape(-1, 4), h, w, p, spatial_scale)
-    fm = fmap.data.reshape(-1, c, h * w)
-    out = np.matmul(fm, weights.transpose(0, 2, 1))  # (N, C, P*P)
+    boxes, p = boxes.reshape(-1, 4), out_size
+    weights, degenerate = _roi_weights(boxes, h, w, p, spatial_scale)
+    _DIAGNOSTICS["degenerate_roi"] += degenerate
+    out = np.matmul(fmap.data.reshape(-1, c, h * w), weights.transpose(0, 2, 1))  # (N, C, P*P)
 
     shape = fmap.data.shape
 
     def bwd(g, _need):
-        return (np.matmul(g.reshape(-1, c, p * p), weights).reshape(shape),)
+        pooling = _roi_weights(boxes, h, w, p, spatial_scale)[0]
+        return (np.matmul(g.reshape(-1, c, p * p), pooling).reshape(shape),)
 
     return _make(out.reshape(*lead, c, p, p), (fmap,), bwd)

@@ -12,12 +12,14 @@ one contribution per input: an array, or ``None`` where the flag is false.
 
 The tape holds no output tensor, and a backward function captures only the
 arrays its formula reads: ``mul``, ``matmul`` and ``conv2d`` keep their
-inputs' data; ``sigmoid``, ``tanh``, ``exp``, ``sqrt`` and ``softmax`` their
-output; ``relu`` and ``clamp`` their mask; ``layer_norm`` the normalized
-input, its scale and the gain; ``roi_align`` its pooling weights; the rest
-only shapes and indices. A value no formula reads is freed as soon as the
-forward pass drops it. An output tensor refers to its tape, and so keeps
-the tape's records alive while it lives.
+inputs' data, where ``conv2d`` keeps a constant input passed as an array as
+given (float32 rasters stay float32), not as a float64 copy; ``sigmoid``,
+``tanh``, ``exp``, ``sqrt`` and ``softmax`` their output; ``relu`` and
+``clamp`` their mask; ``layer_norm`` the normalized input, its scale and the
+gain; ``roi_align`` its boxes, from which its backward rebuilds the pooling
+weights; the rest only shapes and indices. A value no formula reads is freed
+as soon as the forward pass drops it. An output tensor refers to its tape,
+and so keeps the tape's records alive while it lives.
 
 Tape order is creation order, which is topological by construction;
 :func:`backward` walks it in reverse and is the only place that
@@ -138,8 +140,8 @@ def _as_tensor(x) -> Tensor:
 
 
 def _target(p: Tensor, tape: Tape):
-    """What a record keeps for input p: see the module docstring."""
-    if not p.requires_grad:
+    """What a record keeps for input p, a Tensor or a constant array: see the module docstring."""
+    if not isinstance(p, Tensor) or not p.requires_grad:
         return None
     if p.node_id is None:
         return p

@@ -103,9 +103,13 @@ def init_scene_encoder(rng: Rng, cfg) -> SceneEncoderParams:
 
 
 def stem_forward(p: SceneEncoderParams, rasters: np.ndarray) -> Tensor:
-    """Three convs, stride 4 overall: rasters (T,3,S,S) -> feature maps (T, C_f, S/4, S/4)."""
-    x = tensor(np.asarray(rasters, dtype=np.float64))
-    x = relu(add(conv2d(x, p.stem1.kernel, stride=2, padding=1), p.stem1.bias))
+    """Three convs, stride 4 overall: rasters (T,3,S,S) -> feature maps (T, C_f, S/4, S/4).
+
+    The rasters go to the first conv as given (float32 as a sample holds
+    them): its record keeps them, not a float64 copy, and its padding widens
+    them exactly, so float32 and float64 rasters of equal values give equal bits.
+    """
+    x = relu(add(conv2d(rasters, p.stem1.kernel, stride=2, padding=1), p.stem1.bias))
     x = relu(add(conv2d(x, p.stem2.kernel, stride=2, padding=1), p.stem2.bias))
     return relu(add(conv2d(x, p.stem3.kernel, stride=1, padding=1), p.stem3.bias))
 

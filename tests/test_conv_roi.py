@@ -17,6 +17,7 @@ from vesselcast.engine import (
     tensor,
     tsum,
 )
+from vesselcast.engine.conv import _roi_weights
 
 
 def rand(rng, shape, lo=-1.0, hi=1.0):
@@ -245,3 +246,97 @@ def test_taped_conv_holds_output_not_im2col():
         tracemalloc.stop()
     padded = 4 * 34 * 34 * 8
     assert held <= out.data.nbytes + padded + 16 * 1024
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("padding", [0, 1])
+def test_conv_on_a_float32_array_equals_its_float64_tensor_bit_for_bit(stride, padding):
+    """A constant input passed as a float32 array gives the output and kernel
+    gradient of the same values passed as a float64 Tensor, byte for byte."""
+    rng = Rng(13)
+    x32 = rand(rng, (2, 3, 7, 6)).astype(np.float32)
+    got = []
+    for x in (x32, tensor(x32.astype(np.float64))):
+        k = tensor(rand(Rng(14), (4, 3, 3, 3)), requires_grad=True)
+        with Tape():
+            out = conv2d(x, k, stride=stride, padding=padding)
+            backward(tsum(mul(out, tensor(rand(Rng(15), out.shape)))))
+        got.append((out.data.tobytes(), k.grad.tobytes()))
+    assert got[0] == got[1]
+
+
+def test_taped_conv_keeps_a_constant_array_as_given():
+    """The record of a conv on a float32 array keeps that array, not a float64 copy of it."""
+    rng = Rng(16)
+    x = rand(rng, (4, 3, 32, 32)).astype(np.float32)
+    k = tensor(rand(rng, (4, 3, 3, 3)), requires_grad=True)
+    tsum(conv2d(x, k, padding=1))  # a first call outside the measurement
+    tracemalloc.start()
+    try:
+        with Tape():
+            before = tracemalloc.get_traced_memory()[0]
+            loss = tsum(conv2d(x, k, padding=1))
+            held = tracemalloc.get_traced_memory()[0] - before
+            backward(loss)
+    finally:
+        tracemalloc.stop()
+    assert held <= x.nbytes + 16 * 1024, held
+    assert k.grad is not None
+
+
+def _roi_case():
+    rng = Rng(17)
+    fmap = tensor(rand(rng, (8, 4, 16, 16)), requires_grad=True)
+    boxes = np.array([[1.0 + n, 2.0, 9.0 + n, 12.5] for n in range(8)])
+    return fmap, boxes
+
+
+def test_taped_roi_align_holds_its_boxes_not_its_pooling_weights():
+    """Of a taped roi_align the record keeps the boxes, not the
+    N * P*P * H*W float64 pooling weights (here 256 KiB)."""
+    fmap, boxes = _roi_case()
+    tsum(roi_align(fmap, boxes, 4, 1.0))  # a first call outside the measurement
+    tracemalloc.start()
+    try:
+        with Tape():
+            before = tracemalloc.get_traced_memory()[0]
+            loss = tsum(roi_align(fmap, boxes, 4, 1.0))
+            held = tracemalloc.get_traced_memory()[0] - before
+            backward(loss)
+    finally:
+        tracemalloc.stop()
+    assert held <= boxes.nbytes + 16 * 1024, held
+    assert fmap.grad is not None
+
+
+def test_roi_input_gradient_is_g_times_the_pooling_weights_bit_for_bit():
+    fmap, boxes = _roi_case()
+    with Tape():
+        out = roi_align(fmap, boxes, 4, 0.5)
+        g = rand(Rng(18), out.shape)
+        backward(tsum(mul(out, tensor(g))))
+    weights, _ = _roi_weights(boxes, 16, 16, 4, 0.5)
+    assert fmap.grad.tobytes() == np.matmul(g.reshape(8, 4, 16), weights).reshape(fmap.shape).tobytes()
+
+
+def test_a_degenerate_box_is_counted_once_across_forward_and_backward():
+    fmap = tensor(np.ones((2, 1, 4, 4)), requires_grad=True)
+    reset_roi_diagnostics()
+    with Tape():
+        backward(tsum(roi_align(fmap, [(-3.0, 1.0, -1.0, 3.0), (0.5, 0.5, 2.5, 2.5)], 2, 1.0)))
+    assert roi_diagnostics()["degenerate_roi"] == 1
+    assert fmap.grad is not None
+    reset_roi_diagnostics()
+
+
+@pytest.mark.parametrize("name, value", [("stride", 0), ("stride", -1), ("stride", 1.5), ("padding", -1)])
+def test_conv_rejects_a_bad_stride_or_padding_naming_it(name, value):
+    with pytest.raises(DimensionError, match=f"conv2d {name} must be an int"):
+        conv2d(tensor(np.zeros((1, 6, 6))), tensor(np.zeros((1, 1, 3, 3))), **{name: value})
+
+
+@pytest.mark.parametrize("name, value", [("out_size", 0), ("out_size", -1), ("spatial_scale", float("nan"))])
+def test_roi_rejects_a_bad_out_size_or_spatial_scale_naming_it(name, value):
+    args = {"out_size": 2, "spatial_scale": 1.0, name: value}
+    with pytest.raises(DimensionError, match=f"roi_align {name} must be"):
+        roi_align(tensor(np.zeros((1, 4, 4))), (0.0, 0.0, 2.0, 2.0), **args)

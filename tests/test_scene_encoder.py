@@ -7,6 +7,7 @@ from conftest import micro_config
 from vesselcast.engine import (
     Rng,
     Tape,
+    backward,
     finite_diff_check,
     narrow,
     reset_roi_diagnostics,
@@ -155,6 +156,25 @@ def test_a_batched_pool_matches_each_vessels_own_call_bit_for_bit(micro_cfg):
     assert batched.shape == (len(pool), 3, micro_cfg.d_model)
     for one, many in zip(alone, batched.data):
         assert np.array_equal(one, many)
+
+
+def test_float32_and_float64_rasters_give_the_same_bits(micro_cfg):
+    """The same raster values as float32 (as a sample holds them) or as a
+    float64 copy give the same features and parameter gradients, byte for byte."""
+    from vesselcast.params import collect_params
+
+    p = make_params(micro_cfg)
+    rasters, boxes = make_frames(micro_cfg, Rng(10), n=3)
+    got = []
+    for r in (rasters, rasters.astype(np.float64)):
+        params = collect_params(p)
+        for t in params.values():
+            t.zero_grad()
+        with Tape():
+            out = encode_scene_sequence(p, [r], [boxes], micro_cfg)
+            backward(tsum(out))
+        got.append([out.data.tobytes()] + [t.grad.tobytes() for _, t in sorted(params.items())])
+    assert got[0] == got[1]
 
 
 def test_scene_gradients_vs_finite_differences(micro_cfg):
