@@ -88,7 +88,12 @@ def conv2d(x: Tensor | np.ndarray, k: Tensor, stride: int = 1, padding: int = 0)
             # gathered again rather than kept from the forward pass: the
             # patches are kh*kw/stride^2 times the input, which the record keeps
             cols = _im2col(_pad(xd.reshape(-1, c, h, w), padding), kh, kw, stride)
-            dk = np.tensordot(gm, cols, axes=([0, 2], [0, 2])).reshape(co, ci, kh, kw)
+            # one (Co, N*P) x (N*P, C*kh*kw) product whose right operand is the
+            # transposed view of the (C*kh*kw, N*P) patches: gathering those
+            # moves whole rows (nothing when N is 1), where np.tensordot
+            # copies every patch column into an (N*P, C*kh*kw) layout
+            dk = np.matmul(gm.transpose(1, 0, 2).reshape(co, -1),
+                           cols.transpose(1, 0, 2).reshape(ci * kh * kw, -1).T).reshape(co, ci, kh, kw)
         if need[0]:
             dcols = np.matmul(kmat.T, gm).reshape(-1, c, kh, kw, out_h, out_w)
             dxp = np.zeros((dcols.shape[0], c, h + 2 * padding, w + 2 * padding))

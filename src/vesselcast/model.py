@@ -11,7 +11,7 @@ from .bank import RefinementParams, TrajectoryBank, init_refinement, refine_and_
 from .config import TrainConfig, architecture_hash
 from .data.types import FieldError, VesselSample
 from .decoder import DecoderParams, ModeOutput, PredictionSet, init_decoder, predict_modes
-from .engine import Tensor, concat, tensor, tmean
+from .engine import Tensor, tensor, tmean
 from .engine.rng import Rng
 from .fusion import FusionParams, encode_and_fuse, init_fusion, masked_track
 from .losses import sample_losses, total_loss
@@ -231,14 +231,15 @@ class Model:
     ) -> tuple[Tensor, Tensor, Tensor, list[int]]:
         """Batch-mean (total, rec, kl) tensors plus per-sample winning modes.
 
-        `check_training` checks each sample once. The scenes are then encoded
-        one sample at a time (a batched ConvLSTM's backward transients cost
-        more memory than its tape saves), and one `encode_and_fuse` call, one
-        `decode` pass, drawing each sample's noise from `rng` in turn, and one
-        `sample_losses` call score the whole batch.
+        `check_training` checks each sample once. One `encode_scene_sequence`
+        call, one `encode_and_fuse` call, one `decode` pass, drawing each
+        sample's noise from `rng` in turn, and one `sample_losses` call then
+        score the whole batch. Every op is recorded on the active tape, so
+        the graph held grows with the batch; `train` calls this with one
+        sample at a time and adds the gradients up itself.
         """
         self.check_training(samples, bank)
-        scenes = concat([self._scenes([s]) for s in samples]) if self.cfg.use_scene else None
+        scenes = self._scenes(samples)
         fwd = self.decode(samples, [rng] * len(samples), self._fuse(samples, scenes), bank=bank)
         fut = [np.stack([getattr(s, name) for s in samples]) for name in ("fut_ais", "fut_cctv")]
         rec, kl, winners = sample_losses(fwd.modes, *fut)

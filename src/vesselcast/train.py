@@ -6,16 +6,20 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .bank import TrajectoryBank
 from .config import TrainConfig
 from .data.types import VesselSample
-from .engine import Adam, Tape, backward
+from .engine import Adam, Tape, backward, mul, tensor
 from .engine.rng import Rng
+from .losses import total_loss
 from .model import Model
 
 
 class DivergenceError(RuntimeError):
-    """Loss became non-finite; carries the step where it happened."""
+    """A sample's loss became non-finite; names the step, the epoch and the
+    sample's vessel_id."""
 
 
 @dataclass
@@ -62,6 +66,14 @@ def train(
     Deterministic for fixed (samples, cfg): parameter init, batch order, and
     latent noise all derive from cfg.seed. Every sample and the bank are
     checked before the first step.
+
+    A step builds one sample's graph at a time: each sample of the batch gets
+    its own `Tape`, its loss is checked, and `backward` adds its share,
+    `1 / len(batch)` of its total, to the leaves' gradients before the tape is
+    dropped. One Adam step then follows per batch. So `cfg.batch_size` sets
+    the step, but a step holds no more than one sample's graph. A step's
+    reported losses are the per-sample values summed by numpy and scaled by
+    `1 / len(batch)`, as `tmean` forms the batch mean.
     """
     model = Model(cfg)
     model.check_training(samples, bank)
@@ -80,20 +92,28 @@ def train(
         sum_total = sum_rec = sum_kl = 0.0
         for start in range(0, len(order), cfg.batch_size):
             batch = [samples[i] for i in order[start : start + cfg.batch_size]]
-            with Tape():
-                total, rec, kl, _ = model.loss_batch(batch, rng=noise_rng, bank=bank)
-                value, rec_value, kl_value = total.item(), rec.item(), kl.item()
-                if not math.isfinite(value):
-                    raise DivergenceError(
-                        f"non-finite loss at step {step} (epoch {epoch}): total={value}"
-                    )
-                backward(total)
-                # each refers to this step's tape, and so keeps its records alive;
-                # freed here, not when the next step rebinds them
-                del total, rec, kl
+            share = 1.0 / len(batch)
+            recs, kls = [], []
+            for sample in batch:
+                with Tape():
+                    total, rec, kl, _ = model.loss_batch([sample], rng=noise_rng, bank=bank)
+                    if not math.isfinite(total.item()):
+                        raise DivergenceError(
+                            f"non-finite loss at step {step} (epoch {epoch}, vessel_id "
+                            f"{sample.vessel_id!r}): total={total.item()}"
+                        )
+                    backward(mul(total, share))
+                    recs.append(rec.item())
+                    kls.append(kl.item())
+                    # each refers to this sample's tape, and so keeps its records
+                    # alive; freed here, before the next sample's forward pass
+                    del total, rec, kl
             opt.step()
             opt.zero_grad()
             step += 1
+            rec_value = float(np.sum(recs) * share)
+            kl_value = float(np.sum(kls) * share)
+            value = total_loss(tensor(rec_value), tensor(kl_value), cfg.kl_weight).item()
             sum_total += value * len(batch)
             sum_rec += rec_value * len(batch)
             sum_kl += kl_value * len(batch)

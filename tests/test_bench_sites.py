@@ -54,15 +54,16 @@ def test_traced_train_step_and_predict_complete(tracing, micro_cfg, micro_sample
     for span in ("scene_encoder.stem_forward", "fusion.attention", "model.Model.forward_sample"):
         assert tracer.calls[span] > 0, span
     assert tracer.tape_nodes == [total.node_id + 1]
-    # the training step fuses, decodes and scores its batch in one pass each,
-    # after encoding each sample's scenes on its own; only the predict call
-    # goes through forward_sample
+    # the two-sample loss encodes, fuses, decodes and scores its batch in one
+    # pass each, with one stem per sample; only the predict call goes through
+    # forward_sample
     assert tracer.vessel_ids == {micro_samples[2].vessel_id}
     assert tracer.calls["decoder.predict_modes"] == 2
     assert tracer.calls["losses.sample_losses"] == 1
     assert tracer.calls["fusion.encode_and_fuse"] == 2
-    for span in ("encode_scene_sequence", "stem_forward", "spatial_features", "temporal_context"):
-        assert tracer.calls[f"scene_encoder.{span}"] == 3, span
+    assert tracer.calls["scene_encoder.stem_forward"] == 3
+    for span in ("encode_scene_sequence", "spatial_features", "temporal_context"):
+        assert tracer.calls[f"scene_encoder.{span}"] == 2, span
 
 
 def test_traced_eval_grid_counts(tracing, micro_samples, monkeypatch):

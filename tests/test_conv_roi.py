@@ -17,7 +17,7 @@ from vesselcast.engine import (
     tensor,
     tsum,
 )
-from vesselcast.engine.conv import _roi_weights
+from vesselcast.engine.conv import _im2col, _pad, _roi_weights
 
 
 def rand(rng, shape, lo=-1.0, hi=1.0):
@@ -228,6 +228,40 @@ def test_conv_gradients_equal_explicit_gemm_bit_for_bit(stride, padding):
                 for x_ in range(ow):
                     dxp[:, i + stride * y, j + stride * x_] += dcols[:, i, j, y, x_]
     assert x.grad.tobytes() == dxp[:, padding : padding + h, padding : padding + w].tobytes()
+
+
+def kernel_gradient_and_tensordot(n, ci, size, co):
+    """conv2d's kernel gradient for a random 3x3, padding-1 conv of n
+    (ci, size, size) images to co channels, and `np.tensordot` over the same
+    patch matrices, the product the gradient was formed by before."""
+    rng = np.random.default_rng(n * co + ci)
+    x = rng.standard_normal((n, ci, size, size))
+    k = tensor(rng.standard_normal((co, ci, 3, 3)), requires_grad=True)
+    g = rng.standard_normal((n, co, size, size))
+    with Tape():
+        backward(tsum(mul(conv2d(x, k, padding=1), tensor(g))))
+    cols = _im2col(_pad(x, 1), 3, 3, 1)
+    return k.grad, np.tensordot(g.reshape(n, co, -1), cols, axes=([0, 2], [0, 2])).reshape(k.data.shape)
+
+
+# each case (N, C_in, H, C_out) forms a default-config kernel-gradient product
+# (N, C_out, C_in*9, H*W): (1, 64, 288, 256) is a ConvLSTM gate conv, the three
+# stem convs run over one sample's 8 frames, and (12, 64, 288, 256) is a batch
+@pytest.mark.parametrize("n, ci, size, co", [(1, 32, 16, 64), (8, 16, 16, 16), (8, 8, 16, 16),
+                                             (8, 3, 32, 8), (12, 32, 16, 64)])
+def test_conv_kernel_gradient_equals_tensordot_bit_for_bit(n, ci, size, co):
+    """At the default config's shapes the kernel gradient has the bits of
+    `np.tensordot`, for one image and for many."""
+    got, want = kernel_gradient_and_tensordot(n, ci, size, co)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_small_conv_kernel_gradient_matches_tensordot_to_rounding():
+    """At a product as small as the micro config's, BLAS may sum the
+    transposed operand in another order than `np.tensordot` does, so the bits
+    may differ in the last places; the values agree to rounding."""
+    got, want = kernel_gradient_and_tensordot(3, 2, 12, 2)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 def test_taped_conv_holds_output_not_im2col():

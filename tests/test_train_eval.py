@@ -6,10 +6,12 @@ import pytest
 
 import vesselcast.model as model_mod
 import vesselcast.scene_encoder as scene_mod
+import vesselcast.train as train_mod
 from conftest import micro_config, micro_waterway
 from vesselcast.bank import bank_from_samples
 from vesselcast.data import generate_scenario
 from vesselcast.data.types import FieldError
+from vesselcast.engine import Rng, Tape, backward
 from vesselcast.evaluate import evaluate, write_report
 from vesselcast.model import Model
 from vesselcast.train import DivergenceError, PlateauScheduler, train
@@ -66,6 +68,61 @@ def test_training_holds_one_step_graph_at_a_time(tiny_dataset):
     assert peaks[1] <= 1.4 * peaks[0], peaks
 
 
+def epoch_zero_order(samples, cfg):
+    """The samples in the order `train` visits them in epoch 0."""
+    order = list(range(len(samples)))
+    Rng(cfg.seed).child("batch-order").child(0).shuffle(order)
+    return [samples[i] for i in order]
+
+
+def test_training_memory_does_not_grow_with_the_batch(tiny_dataset):
+    """A step holds one sample's graph at a time, so an epoch of one
+    8-sample step peaks no higher than an epoch of eight 1-sample steps,
+    plus slack; with one tape per batch it was about twice as high."""
+    cfg = micro_config(epochs=1, batch_size=1)
+    train(tiny_dataset, cfg)  # fills the gather-index cache before measuring
+    peaks = []
+    for batch_size in (1, 8):
+        tracemalloc.start()
+        try:
+            train(tiny_dataset, dataclasses.replace(cfg, batch_size=batch_size))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
+
+
+def test_one_batch_epoch_equals_loss_batch(tiny_dataset, monkeypatch):
+    """An epoch of one batch reports `loss_batch`'s batch-mean losses bit for
+    bit, and its per-sample backward passes add up to the gradients of
+    `loss_batch`'s one backward pass, to rounding: the contributions are
+    summed in another order."""
+    cfg = micro_config(epochs=1, batch_size=len(tiny_dataset), lr=1e-3)
+    bank = bank_from_samples(tiny_dataset, 4, seed=cfg.seed)
+    stepped = []
+
+    class RecordingAdam(train_mod.Adam):
+        def step(self):
+            stepped.append({name: p.grad.copy() for name, p in self.params.items()})
+            super().step()
+
+    monkeypatch.setattr(train_mod, "Adam", RecordingAdam)
+    _, curve = train(tiny_dataset, cfg, bank=bank)
+
+    model = Model(cfg)
+    with Tape():
+        total, rec, kl, _ = model.loss_batch(
+            epoch_zero_order(tiny_dataset, cfg), rng=Rng(cfg.seed).child("latent-noise").child(0), bank=bank
+        )
+        backward(total)
+    assert (curve[0].total, curve[0].rec, curve[0].kl) == (total.item(), rec.item(), kl.item())
+    (grads,) = stepped
+    assert grads.keys() == model.named.keys()
+    for name, t in model.named.items():
+        scale = np.abs(t.grad).max()
+        np.testing.assert_allclose(grads[name], t.grad, rtol=0, atol=1e-12 * scale, err_msg=name)
+
+
 def test_scheduler_halves_on_plateau():
     class FakeOpt:
         lr = 1.0
@@ -89,34 +146,29 @@ def test_scheduler_lr_monotone_nonincreasing(tiny_dataset):
     assert all(b <= a for a, b in zip(lrs, lrs[1:]))
 
 
-def test_divergence_guard(tiny_dataset):
+def test_divergence_guard(tiny_dataset, monkeypatch):
+    """A non-finite loss stops training at the first sample of the batch
+    order, naming it, before that sample's backward and before any Adam
+    step: no parameter has a gradient or has moved."""
     cfg = micro_config(lr=1e-3, epochs=1, batch_size=4)
-    model = Model(cfg)
-    model.named["decoder.ais_head.b"].data[...] = np.inf
+    built = []
 
-    # drive through the training path by monkey-constructing: simplest is to
-    # verify the guard directly at loss level
-    from vesselcast.train import train as _train
-
-    class Boom(Exception):
-        pass
-
-    # poison a parameter so any forward is non-finite
-    import vesselcast.train as train_mod
-
-    orig_model = train_mod.Model
-
-    class PoisonedModel(orig_model):
+    class PoisonedModel(Model):
         def __init__(self, cfg2, seed=None):
             super().__init__(cfg2, seed=seed)
             self.named["decoder.ais_head.b"].data[...] = np.nan
+            built.append(self)
 
-    train_mod.Model = PoisonedModel
-    try:
-        with pytest.raises(DivergenceError, match="step 0"):
-            _train(tiny_dataset, cfg)
-    finally:
-        train_mod.Model = orig_model
+    monkeypatch.setattr(train_mod, "Model", PoisonedModel)
+    first = epoch_zero_order(tiny_dataset, cfg)[0].vessel_id
+    with pytest.raises(DivergenceError, match=rf"step 0 \(epoch 0, vessel_id '{first}'\)"):
+        train(tiny_dataset, cfg)
+    (model,) = built
+    fresh = Model(cfg)
+    for name, t in model.named.items():
+        assert t.grad is None, name
+        if name != "decoder.ais_head.b":
+            assert t.data.tobytes() == fresh.named[name].data.tobytes(), name
 
 
 @pytest.mark.parametrize("fault", ["future", "bank"])
