@@ -13,7 +13,7 @@ import numpy as np
 from .bank import bank_from_samples, full_broadcast, load_bank, save_bank
 from .checkpoint import load_model, save_model
 from .config import load_train_config, load_waterway_config
-from .data import apply_dark_vessels, generate_scenario, read_dataset, write_dataset
+from .data import apply_dark_vessels, generate_scenario, parse_dataset, read_dataset, write_dataset
 from .engine.rng import Rng
 from .evaluate import ExperimentReport, check_grid, evaluate, write_report
 from .hashutil import fnv1a64  # noqa: F401  unused here; perfbench's tracer patches this name
@@ -107,10 +107,14 @@ def cmd_eval(args) -> int:
         print(f"eval needs t_obs >= 2 for its constant-velocity baseline, got t_obs = {cfg.t_obs}", file=sys.stderr)
         return 2
     # the input-mutation guard covers exactly the files this command reads; it
-    # keeps their bytes, and an exact comparison is as strict as any digest's
+    # keeps their bytes, and an exact comparison is as strict as any digest's.
+    # The datasets are decoded from those bytes, so each is held once
     read = [args.data, args.bank, args.train_data if args.per_horizon else args.ckpt]
     before = {path: Path(path).read_bytes() for path in read if path}
-    samples = read_dataset(args.data)
+    samples = parse_dataset(before[args.data])
+    if not samples:
+        print(f"no samples in {args.data}: eval needs at least one", file=sys.stderr)
+        return 2
     bank = load_bank(args.bank) if args.bank else None
     dts = _parse_ints(args.dt)
     rhos = _parse_floats(args.rho)
@@ -118,7 +122,7 @@ def cmd_eval(args) -> int:
     check_grid(dts, rhos, seeds)  # before --per-horizon trains a model per horizon
 
     if args.per_horizon:
-        train_samples = read_dataset(args.train_data)
+        train_samples = parse_dataset(before[args.train_data])
         cells = []
         for dt in dts:
             cfg_dt = dataclasses.replace(cfg, t_fut=dt)

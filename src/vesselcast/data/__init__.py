@@ -6,7 +6,7 @@ from .generate import (
     generate_scenario,
     apply_dark_vessels,
 )
-from .io import DatasetFormatError, read_dataset, write_dataset
+from .io import DatasetFormatError, parse_dataset, read_dataset, write_dataset
 
 __all__ = [
     "VesselSample",
@@ -18,6 +18,7 @@ __all__ = [
     "generate_scenario",
     "apply_dark_vessels",
     "DatasetFormatError",
+    "parse_dataset",
     "read_dataset",
     "write_dataset",
 ]

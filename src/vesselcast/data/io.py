@@ -16,8 +16,10 @@ order with every field but the rasters: `vessel_id`, `density`, `obs_ais`,
 `ais_mask`, `obs_cctv`, `fut_ais`, `fut_cctv` and `boxes`; a key outside
 these is ignored. A dark vessel is one whose `ais_mask` is all false. Floats
 serialize via repr, so write -> read -> write is byte-identical. A sample
-read back holds row i of the block as its `rasters`, a view, not a copy. A
-0-byte file is the empty pool. Version 1, one JSON line per vessel with
+read back holds row i of the block as its `rasters`: a read-only view of the
+file's bytes, not a copy, so a pool read from one file holds its rasters
+once, in those bytes (`parse_dataset` decodes bytes a caller already holds).
+A 0-byte file is the empty pool. Version 1, one JSON line per vessel with
 base64 rasters, is not read; such a file fails naming the format.
 
 There is no checksum. Every single-bit flip either reads or fails naming the
@@ -31,7 +33,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import struct
 from pathlib import Path
 
@@ -107,7 +108,7 @@ def _array(record: dict, index: int, key: str, dtype, ndim: int) -> np.ndarray:
     return arr
 
 
-def _header(blob: bytearray) -> tuple[list[int], list, int]:
+def _header(blob: bytes) -> tuple[list[int], list, int]:
     """The checked header of a non-empty file: (shape, records, block offset)."""
     if blob[:1] == b"{":
         raise DatasetFormatError(None, "magic", "a v1 JSON-lines dataset; regenerate it with `vesselcast generate`")
@@ -147,12 +148,15 @@ def _header(blob: bytearray) -> tuple[list[int], list, int]:
 
 
 def read_dataset(path: str | Path) -> list[VesselSample]:
-    """Read and check a dataset file. Every defect raises DatasetFormatError
-    naming the field, and the record for a per-vessel one; each sample also
-    passes `VesselSample.validate`."""
-    with open(path, "rb") as fh:
-        blob = bytearray(os.fstat(fh.fileno()).st_size)
-        del blob[fh.readinto(blob):]
+    """Read and check a dataset file: `parse_dataset` of its bytes."""
+    return parse_dataset(Path(path).read_bytes())
+
+
+def parse_dataset(blob: bytes) -> list[VesselSample]:
+    """Decode and check the bytes of a dataset file. Every defect raises
+    DatasetFormatError naming the field, and the record for a per-vessel one;
+    each sample also passes `VesselSample.validate`. The samples' rasters are
+    read-only views of `blob`, which they keep alive."""
     if not blob:
         return []
     shape, records, start = _header(blob)

@@ -120,7 +120,8 @@ def evaluate(
     noise (through the seed), so every vessel's scenes are encoded before
     the grid, in one `Model.encode_scenes` call: it checks every sample
     first, naming the vessel_id of one that fails, then runs the stem per
-    vessel and everything after it once over the vessel axis. A vessel can
+    vessel and everything after it over the vessel axis, `CHUNK` vessels
+    per pass, so its transients do not grow with the pool. A vessel can
     meet two masks on the grid, its own and the all-false one
     `apply_dark_vessels` gives it, so one `Model.encode` call, also before
     the grid, checks and fuses the 2 * vessels (vessel, ais_mask) pairs, and

@@ -115,9 +115,10 @@ class Model:
 
         Checks every sample, and that there is at least one, before any
         encoding runs. Only the stem runs per sample; the pooling, the
-        ConvLSTM and the MLPs run once over the vessel axis (see
-        `encode_scene_sequence`). Each row equals the sample's one-sample
-        call bit for bit. The features depend only on the
+        ConvLSTM and the MLPs run over the vessel axis, `CHUNK` samples per
+        pass (see `encode_scene_sequence`), so outside a tape a call's
+        transients do not grow with the pool. Each row equals the sample's
+        one-sample call bit for bit. The features depend only on the
         parameters and `sample.rasters`/`sample.boxes`, not on the broadcast
         mask, so a vessel's dark copies can share them.
         """
@@ -232,9 +233,10 @@ class Model:
         """Batch-mean (total, rec, kl) tensors plus per-sample winning modes.
 
         `check_training` checks each sample once. One `encode_scene_sequence`
-        call, one `encode_and_fuse` call, one `decode` pass, drawing each
-        sample's noise from `rng` in turn, and one `sample_losses` call then
-        score the whole batch. Every op is recorded on the active tape, so
+        call (`CHUNK` samples per pass, so a scene kernel's gradient is
+        summed per pass, then over the passes), one `encode_and_fuse` call,
+        one `decode` pass, drawing each sample's noise from `rng` in turn,
+        and one `sample_losses` call then score the whole batch. Every op is recorded on the active tape, so
         the graph held grows with the batch; `train` calls this with one
         sample at a time and adds the gradients up itself.
         """

@@ -6,9 +6,10 @@ descriptors are pooled: a box-aligned target embedding, a global average
 context, and an encoded bounding box. A two-layer convolutional LSTM steps
 through the maps in time order for temporal context, exponentially weighted
 so the most recent frame always carries weight 1. Only the stem runs per
-vessel: the pooling, the ConvLSTM and the MLPs run once over a leading vessel
-axis. Each timestep's spatial and temporal vectors fuse through an output
-MLP into one row of the vessel's (T x d) scene representation.
+vessel: the pooling, the ConvLSTM and the MLPs run over a leading vessel
+axis, `CHUNK` vessels per pass. Each timestep's spatial and temporal vectors
+fuse through an output MLP into one row of the vessel's (T x d) scene
+representation.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ from .engine import (
 )
 from .engine.rng import Rng
 from .params import Linear, Mlp, linear, mlp, uniform_init
+
+CHUNK = 2  # vessels per pass of `encode_scene_sequence`: the smallest that kept eval throughput
 
 
 @dataclass
@@ -174,10 +177,22 @@ def encode_scene_sequence(
 
     Vessel v has `rasters[v]` (T, 3, cfg.raster_size, cfg.raster_size) and
     their target `boxes[v]` (T, 4), as a `VesselSample` holds them, with one
-    T for every vessel. Only the stem runs per vessel, over its T frames;
-    the maps are stacked once, and everything after runs over (V, T, ...),
-    each vessel's rows equal to its one-vessel call bit for bit.
+    T for every vessel. The vessels run in passes of at most `CHUNK`, in
+    order: in each pass the stem runs per vessel, over its T frames, the
+    maps are stacked, and everything after runs over (CHUNK, T, ...). The
+    passes' rows are concatenated, each vessel's rows equal to its
+    one-vessel call bit for bit, so a pass's transients (stacked maps,
+    pooling weights, ConvLSTM state) scale with `CHUNK`, not with V.
     """
+    rows = [
+        _encode_pass(p, rasters[i : i + CHUNK], boxes[i : i + CHUNK], cfg) for i in range(0, len(rasters), CHUNK)
+    ]
+    return rows[0] if len(rows) == 1 else concat(rows, axis=0)
+
+
+def _encode_pass(p: SceneEncoderParams, rasters: list[np.ndarray], boxes: list[np.ndarray], cfg) -> Tensor:
+    """One pass of `encode_scene_sequence`; its maps are freed on return,
+    before the next pass's stems run, unless a tape holds them."""
     maps = stack([stem_forward(p, r) for r in rasters])  # (V, T, C, H, W)
     spatial = spatial_features(p, maps, np.stack(boxes), cfg)
     return p.out_mlp(concat([spatial, temporal_context(p, maps, cfg.decay)], axis=-1))

@@ -2,6 +2,7 @@
 and the tracer must run the model with the arguments it reads."""
 
 import importlib.util
+import math
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from vesselcast.bank import bank_from_samples
 from vesselcast.engine import Rng, Tape
 from vesselcast.evaluate import evaluate
 from vesselcast.model import Model
+from vesselcast.scene_encoder import CHUNK
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -71,8 +73,9 @@ def test_traced_eval_grid_counts(tracing, micro_samples, monkeypatch):
     one decoder pass per populated (cell, seed) and one refinement per (cell, seed)
     with a lit vessel, both over the pool's vessel axis, one bank search per lit
     vessel draw, one batched scene encode covering every vessel, with one stem
-    per vessel, one spatial-feature pass and one ConvLSTM step per (layer,
-    frame), one fusion call before the grid over every vessel's stored and
+    per vessel and, per pass of at most `CHUNK` vessels, one spatial-feature
+    pass, one temporal-context pass and one ConvLSTM step per (layer, frame),
+    one fusion call before the grid over every vessel's stored and
     all-false masks, and at the `vesselcast.evaluate` site one dark-vessel
     draw per (cell, seed) plus the one that darkens every vessel for that
     fusion."""
@@ -122,9 +125,11 @@ def test_traced_eval_grid_counts(tracing, micro_samples, monkeypatch):
     assert 0 < tracer.calls["bank.search"] < len(draws)
     assert tracer.calls["scene_encoder.encode_scene_sequence"] == 1
     assert encoded == [[id(s.rasters) for s in micro_samples]]
-    assert tracer.calls["scene_encoder.temporal_context"] == 1
-    assert tracer.calls["scene_encoder.spatial_features"] == 1
-    assert tracer.calls["scene_encoder.convlstm_step"] == 2 * cfg.t_obs
+    passes = math.ceil(len(micro_samples) / CHUNK)
+    assert passes > 1  # the pool spans several passes
+    assert tracer.calls["scene_encoder.temporal_context"] == passes
+    assert tracer.calls["scene_encoder.spatial_features"] == passes
+    assert tracer.calls["scene_encoder.convlstm_step"] == passes * 2 * cfg.t_obs
     assert tracer.calls["scene_encoder.stem_forward"] == len(micro_samples)
     assert tracer.calls["fusion.encode_and_fuse"] == len(fused) == 1
     assert fused == [2 * len(micro_samples)]

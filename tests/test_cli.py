@@ -1,6 +1,9 @@
+import builtins
 import dataclasses
+import io
 import json
 import math
+import os
 import shlex
 import shutil
 import subprocess
@@ -286,6 +289,46 @@ def test_latent_viz_on_an_empty_dataset_exits_2_naming_the_file(workdir, capsys)
                  "--config", str(workdir / "train.cfg"), "--out", str(workdir / "empty.csv")]) == 2
     assert f"no samples in {data}" in capsys.readouterr().err
     assert not (workdir / "empty.csv").exists()
+
+
+def test_eval_on_an_empty_dataset_exits_2_naming_the_file(workdir, tmp_path, monkeypatch, capsys):
+    """As latent-viz does, eval refuses a dataset with no samples before it
+    loads a checkpoint or trains a model, with or without --per-horizon."""
+    data = tmp_path / "empty.jsonl"
+    data.write_bytes(b"")
+
+    def never(*args, **kwargs):
+        raise AssertionError("eval loaded a checkpoint or trained a model for an empty dataset")
+
+    for name in ("load_model", "train"):
+        monkeypatch.setattr(cli, name, never)
+    report = tmp_path / "report.csv"
+    for mode in (["--ckpt", str(workdir / "ckpt.bin")], ["--per-horizon", "--train-data", str(workdir / "data.jsonl")]):
+        assert main(["eval", "--data", str(data), "--config", str(workdir / "train.cfg"), *mode,
+                     "--report", str(report)]) == 2
+        assert f"no samples in {data}" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_eval_reads_its_dataset_once_before_the_run_and_once_after(workdir, tmp_path, monkeypatch):
+    """The samples are decoded from the bytes the input-mutation guard keeps,
+    so --data is opened twice, by the guard's read before the run and its
+    read after it, and no more."""
+    data = workdir / "data.jsonl"
+    opened = []
+    real_open = io.open
+
+    def counting_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and Path(file) == data:
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting_open)  # where pathlib looks it up
+    monkeypatch.setattr(builtins, "open", counting_open)
+    assert main(["eval", "--data", str(data), "--ckpt", str(workdir / "ckpt.bin"),
+                 "--bank", str(workdir / "bank.json"), "--config", str(workdir / "train.cfg"),
+                 "--rho", "0", "--dt", "2", "--seeds", "1", "--report", str(tmp_path / "report.csv")]) == 0
+    assert len(opened) == 2
 
 
 def test_latent_viz_on_a_one_step_model_exits_2_naming_t_obs(tmp_path, monkeypatch, capsys):

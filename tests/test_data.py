@@ -260,6 +260,21 @@ def test_dataset_round_trip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_read_rasters_are_read_only_rows_of_one_buffer(tmp_path):
+    """A pool read from one file holds its rasters once: sample i's rasters
+    are row i of one read-only block over the file's bytes, not a copy."""
+    samples = generate_scenario(small_cfg(vessel_count=4), seed=2)
+    path = tmp_path / "d.vcds"
+    write_dataset(path, samples)
+    back = read_dataset(path)
+    assert not any(s.rasters.flags.writeable for s in back)
+    with pytest.raises(ValueError, match="read-only"):
+        back[0].rasters[0, 0, 0, 0] = 1.0
+    first = back[0].rasters
+    assert all(s.rasters.base is first.base for s in back)
+    assert [s.rasters.ctypes.data - first.ctypes.data for s in back] == [i * first.nbytes for i in range(len(back))]
+
+
 def test_empty_file_is_empty_dataset(tmp_path):
     path = tmp_path / "empty.vcds"
     path.write_text("")

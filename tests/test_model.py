@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from vesselcast.bank import bank_from_samples
 from vesselcast.data import generate_scenario
 from vesselcast.engine import Rng, Tape, backward, finite_diff_check, tensor, tsum
 from vesselcast.model import Model
+from vesselcast.scene_encoder import CHUNK
 
 
 def test_forward_shapes(micro_cfg, micro_samples):
@@ -250,6 +252,26 @@ def test_bank_horizon_mismatch_fails(micro_cfg, micro_samples, key, value):
 def test_encoding_no_samples_fails_naming_samples(micro_cfg, method):
     with pytest.raises(ValueError, match="samples is empty"):
         getattr(Model(micro_cfg), method)([])
+
+
+def test_scene_encoding_memory_does_not_grow_with_the_pool():
+    """Scenes are encoded `CHUNK` vessels per pass, and a pass's maps are
+    freed before the next pass's stems run, so encoding 3 * CHUNK vessels
+    peaks no higher than encoding CHUNK, plus slack; in one pass over the
+    whole pool it was more than twice as high."""
+    cfg = micro_config(raster_size=24, stem_channels=(4, 4, 4))
+    samples = generate_scenario(micro_waterway(vessel_count=3 * CHUNK, raster_size=24), seed=5)
+    model = Model(cfg)
+    model.encode_scenes(samples)  # fills the gather-index cache before measuring
+    peaks = []
+    for pool in (samples[:CHUNK], samples):
+        tracemalloc.start()
+        try:
+            model.encode_scenes(pool)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 @pytest.mark.parametrize("field", ["fut_ais", "fut_cctv", "samples"])

@@ -18,6 +18,7 @@ from vesselcast.engine import (
     zeros,
 )
 from vesselcast.scene_encoder import (
+    CHUNK,
     convlstm_step,
     encode_scene_sequence,
     init_scene_encoder,
@@ -137,25 +138,29 @@ def test_permuting_frames_changes_output(micro_cfg):
 
 
 def test_a_batched_pool_matches_each_vessels_own_call_bit_for_bit(micro_cfg):
-    """Three vessels with different boxes, one off the map (a degenerate RoI at
-    every frame), encoded in one call: each vessel's features equal its
-    one-vessel call bit for bit, and RoI-Align counts the same degenerate boxes."""
+    """Pools with different boxes, one vessel in three off the map (a
+    degenerate RoI at every frame), encoded in one call: three vessels, and
+    2 * CHUNK + 1, which run in three passes, the last of one vessel. Each
+    vessel's features equal its one-vessel call bit for bit, and RoI-Align
+    counts the same degenerate boxes."""
     p = make_params(micro_cfg)
     rng = Rng(9)
-    pool = []
-    for box in (BOX, (4.0, 1.0, 10.0, 6.0), (-3.0, 1.0, -1.0, 3.0)):
-        rasters, _ = make_frames(micro_cfg, rng, n=3)
-        pool.append((rasters, np.tile(box, (3, 1))))
-    reset_roi_diagnostics()
-    alone = [encode_scene_sequence(p, [rasters], [boxes], micro_cfg).data[0] for rasters, boxes in pool]
-    degenerate_alone = roi_diagnostics()["degenerate_roi"]
-    reset_roi_diagnostics()
-    batched = encode_scene_sequence(p, [r for r, _ in pool], [b for _, b in pool], micro_cfg)
-    assert roi_diagnostics()["degenerate_roi"] == degenerate_alone == 3
-    reset_roi_diagnostics()
-    assert batched.shape == (len(pool), 3, micro_cfg.d_model)
-    for one, many in zip(alone, batched.data):
-        assert np.array_equal(one, many)
+    corners = (BOX, (4.0, 1.0, 10.0, 6.0), (-3.0, 1.0, -1.0, 3.0))
+    for vessels in (3, 2 * CHUNK + 1):
+        pool = []
+        for v in range(vessels):
+            rasters, _ = make_frames(micro_cfg, rng, n=3)
+            pool.append((rasters, np.tile(corners[v % 3], (3, 1))))
+        reset_roi_diagnostics()
+        alone = [encode_scene_sequence(p, [rasters], [boxes], micro_cfg).data[0] for rasters, boxes in pool]
+        degenerate_alone = roi_diagnostics()["degenerate_roi"]
+        reset_roi_diagnostics()
+        batched = encode_scene_sequence(p, [r for r, _ in pool], [b for _, b in pool], micro_cfg)
+        assert roi_diagnostics()["degenerate_roi"] == degenerate_alone == 3 * (vessels // 3)
+        reset_roi_diagnostics()
+        assert batched.shape == (vessels, 3, micro_cfg.d_model)
+        for one, many in zip(alone, batched.data):
+            assert np.array_equal(one, many)
 
 
 def test_float32_and_float64_rasters_give_the_same_bits(micro_cfg):
