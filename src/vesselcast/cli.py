@@ -203,14 +203,10 @@ def cmd_latent_viz(args) -> int:
     bank = load_bank(args.bank) if args.bank else None
     ordered = sorted(samples, key=lambda s: s.vessel_id)
     rngs = [Rng(args.seed).child(s.vessel_id) for s in ordered]
-    rows = []
-    latents = []
-    for sample, preds in zip(ordered, model.predict_pool(ordered, rngs, model.encode(ordered), bank=bank)):
-        disp, head, tort = _motion_descriptors(sample.obs_ais)
-        for k, z in enumerate(preds.latents):
-            latents.append(z)
-            rows.append((sample.vessel_id, k, disp, head, tort))
-    proj = pca_project(np.stack(latents))
+    latents = model.decode(model.encode(ordered), rngs, bank=bank).modes.z.data  # (vessels, K, latent_dim)
+    descriptors = [_motion_descriptors(s.obs_ais) for s in ordered]
+    rows = [(s.vessel_id, k, *d) for s, d in zip(ordered, descriptors) for k in range(latents.shape[1])]
+    proj = pca_project(latents.reshape(len(rows), -1))
     lines = ["vessel_id,mode,pc1,pc2,displacement,heading_change,tortuosity"]
     for (vid, k, disp, head, tort), (x, y) in zip(rows, proj.tolist()):
         lines.append(f"{vid},{k},{x!r},{y!r},{disp!r},{head!r},{tort!r}")

@@ -56,15 +56,15 @@ class ExperimentReport:
 def _seed_metrics(
     samples: list[VesselSample], predictor, dt: int, rho: float, cell_key: str, seed: int
 ) -> np.ndarray:
-    """The `_METRICS` of one (cell, seed), each a mean over the vessels in vessel_id order.
+    """The `_METRICS` of one (cell, seed), each a mean over the pool's vessels,
+    which `evaluate` gives in vessel_id order.
 
-    The pool's vessels, dark ones applied and in vessel_id order, go to one
+    The pool's vessels, dark ones applied and in the same order, go to one
     `predictor` call, each with its own noise stream `stream.child(vessel_id)`,
     which returns (vessels, K, dt, 2) candidates per modality.
     """
     stream = Rng(seed).child(cell_key)
     dark = apply_dark_vessels(samples, rho, seed=stream.child("dark-selection").seed)
-    dark = sorted(dark, key=lambda s: s.vessel_id)
     ais, cctv = predictor(dark, dt, [stream.child(s.vessel_id) for s in dark])  # (vessels, K, dt, 2) each
     cv = np.stack([constant_velocity_baseline(s.obs_ais, dt) for s in dark])
     gt_a = np.stack([s.fut_ais[:dt] for s in dark])[:, None]
@@ -124,11 +124,13 @@ def evaluate(
     per pass, so its transients do not grow with the pool. A vessel can
     meet two masks on the grid, its own and the all-false one
     `apply_dark_vessels` gives it, so one `Model.encode` call, also before
-    the grid, checks and fuses the 2 * vessels (vessel, ais_mask) pairs, and
-    each (cell, seed) takes its pool's rows of that one encoding. Decoding
-    and refinement run once per (cell, seed), over a vessel axis that holds
-    the pool's vessels in vessel_id order (`Model.predict_pool`); bank
-    search runs once per lit vessel of each (cell, seed).
+    the grid, checks and fuses the 2 * vessels (vessel, ais_mask) pairs:
+    with the samples in vessel_id order, row i holds vessel i under its
+    stored mask and row vessels + i under the all-false one. Each (cell,
+    seed) takes its pool's rows of that one encoding by position, the
+    all-false row for a vessel with no broadcast step, and decodes and
+    refines them in one `Model.decode` pass, which reads only those rows;
+    bank search runs once per lit vessel of each (cell, seed).
     """
     check_grid(dts, rhos, seeds)
     max_dt = max(dts)
@@ -146,6 +148,7 @@ def evaluate(
             raise FieldError(
                 "fut_ais", f"has {s.t_fut} steps, fewer than the requested horizon {max_dt} (vessel_id {s.vessel_id!r})"
             )
+    samples = sorted(samples, key=lambda s: s.vessel_id)
     if predictor is None:
         if len({s.vessel_id for s in samples}) < len(samples):
             raise ValueError("evaluate needs a distinct vessel_id per sample")
@@ -153,12 +156,12 @@ def evaluate(
         both = samples + apply_dark_vessels(samples, 1.0, seed=0)  # as stored, then all dark, whatever the seed
         feats = None if scene_feats is None else concat([scene_feats, scene_feats])  # no tape runs here
         encoding = model.encode(both, scene_feats=feats)
-        row = {(s.vessel_id, s.ais_mask.tobytes()): i for i, s in enumerate(both)}
+        position = {s.vessel_id: i for i, s in enumerate(samples)}
 
         def predictor(pool, dt, rngs):
-            rows = [row[s.vessel_id, s.ais_mask.tobytes()] for s in pool]
-            preds = model.predict_pool(pool, rngs, encoding.take(rows), bank=bank)
-            return np.stack([p.ais[:, :dt] for p in preds]), np.stack([p.cctv[:, :dt] for p in preds])
+            rows = [position[s.vessel_id] + len(samples) * (not s.ais_mask.any()) for s in pool]
+            modes = model.decode(encoding.take(rows), rngs, bank=bank).modes
+            return modes.ais.data[:, :, :dt], modes.cctv.data[:, :, :dt]
 
     by_density = {
         level: [s for s in samples if s.density == level] for level in DENSITY_LEVELS

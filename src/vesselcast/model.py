@@ -29,25 +29,29 @@ class ModelParams:
 
 @dataclass
 class SampleEncoding:
-    """What `encode` computes for V samples before any noise is drawn, and what
-    `decode` reads: their pooled fused encodings and the broadcast masks they
-    were computed under, row v for sample v."""
+    """What `encode` computes for V samples before any noise is drawn, and all
+    that `decode` reads of them, row v for sample v: the pooled fused
+    encodings, the broadcast masks they were computed under, and the bank
+    retrieval keys under those masks (`masked_track`, masked steps at the
+    origin). One row holds one (vessel, mask) pair, so its encoding and its
+    key cannot disagree on the mask."""
 
     f_enc: Tensor  # (V, 1, d)
     ais_mask: np.ndarray  # (V, t_obs) bool
+    keys: np.ndarray  # (V, t_obs, 2)
 
     def take(self, rows: list[int]) -> SampleEncoding:
         """These rows, in the order given, as forward values only: `f_enc` is
         a copy with no link to this encoding's graph, so no gradient flows back."""
-        return SampleEncoding(tensor(self.f_enc.data[rows]), self.ais_mask[rows])
+        return SampleEncoding(tensor(self.f_enc.data[rows]), self.ais_mask[rows], self.keys[rows])
 
 
 @dataclass
 class Forward:
     """Graph-connected outputs of the per-draw stage for a pool of V vessels.
 
-    Row i of every `modes` field, and entry i of each list, belongs to
-    `samples[i]`, in the order the samples were given.
+    Row i of every `modes` field, and entry i of each list, belongs to row i
+    of the encoding it was decoded from.
     """
 
     modes: ModeOutput  # (V, K, ...); positional head already refined where a bank applies
@@ -135,8 +139,9 @@ class Model:
     def encode(self, samples: list[VesselSample], scene_feats: Tensor | None = None) -> SampleEncoding:
         """The deterministic stage of `forward_sample` for V >= 1 samples: check
         them, encode their scenes (unless `scene_feats`, their rows of
-        `encode_scenes` in the same order, are given) and fuse them with both
-        tracks in one `encode_and_fuse` call over the vessel axis.
+        `encode_scenes` in the same order, are given), fuse them with both
+        tracks in one `encode_and_fuse` call over the vessel axis, and build
+        their retrieval keys over the same axis.
 
         Row v depends only on the parameters, sample v's observations and its
         `ais_mask`, and equals the sample's one-sample call bit for bit, so
@@ -146,59 +151,43 @@ class Model:
         return self._fuse(samples, self._scenes(samples) if scene_feats is None else scene_feats)
 
     def _fuse(self, samples: list[VesselSample], scene_feats: Tensor | None) -> SampleEncoding:
-        masks = np.stack([s.ais_mask for s in samples])
+        obs, masks = np.stack([s.obs_ais for s in samples]), np.stack([s.ais_mask for s in samples])
         _, f_enc = encode_and_fuse(
             self.params.fusion,
-            np.stack([s.obs_ais for s in samples]),
+            obs,
             masks,
             np.stack([s.obs_cctv for s in samples]),
             scene_feats,
             self.cfg.heads,
             use_cctv=self.cfg.use_cctv,
         )
-        return SampleEncoding(f_enc=f_enc, ais_mask=masks)
+        return SampleEncoding(f_enc=f_enc, ais_mask=masks, keys=masked_track(obs, masks))
 
-    def decode(
-        self,
-        samples: list[VesselSample],
-        rngs: list[Rng],
-        encoding: SampleEncoding,
-        bank: TrajectoryBank | None = None,
-    ) -> Forward:
-        """The per-draw stage for a pool of vessels, in one pass, with rows in
-        the order given.
+    def decode(self, encoding: SampleEncoding, rngs: list[Rng], bank: TrajectoryBank | None = None) -> Forward:
+        """The per-draw stage for the V rows of `encoding`, in one pass, with
+        rows in the order given.
 
-        Sample i draws its K * J latent draws from `rngs[i]`, in mode order,
-        and uses row i of `encoding`, which `encode` computed for it under the
-        same `ais_mask`; the samples themselves are not checked again.
-        `predict_modes` decodes every (vessel, mode) row at once, and, when a
-        bank is given and any vessel has a broadcast step, `refine_and_fuse`
-        refines every row at once, each lit vessel against the bank entry it
-        retrieves. A dark vessel's gate is masked to 0, so it keeps the raw
-        decoder output: without any broadcast track there is no retrieval
-        key. Like the embedding, the retrieval key reads masked steps as zero.
-        The bank's horizons must match the config. Each vessel's outputs equal
-        its one-vessel call bit for bit.
+        Row i draws its K * J latent draws from `rngs[i]`, in mode order, and
+        reads only row i of `encoding`. `predict_modes` decodes every
+        (vessel, mode) row at once, and, when a bank is given and any row has
+        a broadcast step, `refine_and_fuse` refines every row at once, each lit
+        row against the bank entry its retrieval key finds. A dark row's gate
+        is masked to 0, so it keeps the raw decoder output: without any
+        broadcast step there is no key. The bank's horizons must match the
+        config. Each row's outputs equal its one-row call bit for bit.
         """
         cfg = self.cfg
-        if not 0 < len(samples) == len(rngs) == len(encoding.ais_mask):
+        if not 0 < len(rngs) == len(encoding.ais_mask):
             raise ValueError(
-                f"decode needs one rng and one encoding per sample and at least one sample, got "
-                f"{len(samples)} samples, {len(rngs)} rngs and {len(encoding.ais_mask)} encoding rows"
+                f"decode needs one rng per encoding row and at least one row, got "
+                f"{len(rngs)} rngs and {len(encoding.ais_mask)} encoding rows"
             )
         self._check_bank(bank)
-        for sample, mask in zip(samples, encoding.ais_mask):
-            if not np.array_equal(mask, sample.ais_mask):
-                raise ValueError(
-                    f"ais_mask {sample.ais_mask.astype(int).tolist()} differs from the "
-                    f"{mask.astype(int).tolist()} the encoding was computed under "
-                    f"(vessel_id {sample.vessel_id!r})"
-                )
-        eps = np.array([rng.normals(cfg.modes * cfg.latent_dim) for rng in rngs]).reshape(len(samples), cfg.modes, -1)
+        eps = np.array([rng.normals(cfg.modes * cfg.latent_dim) for rng in rngs]).reshape(len(rngs), cfg.modes, -1)
         modes = predict_modes(self.params.decoder, encoding.f_enc, eps)
         found = [
-            search(bank, masked_track(s.obs_ais, s.ais_mask)) if bank is not None and s.ais_mask.any() else None
-            for s in samples
+            search(bank, key) if bank is not None and mask.any() else None
+            for key, mask in zip(encoding.keys, encoding.ais_mask)
         ]
         lit = np.array([f is not None for f in found])
         if lit.any():
@@ -222,7 +211,7 @@ class Model:
         `cfg.t_fut` here, since evaluation passes futures longer than the
         model's horizon.
         """
-        return self.decode([sample], [rng], self.encode([sample]), bank=bank)
+        return self.decode(self.encode([sample]), [rng], bank=bank)
 
     def loss_batch(
         self,
@@ -242,7 +231,7 @@ class Model:
         """
         self.check_training(samples, bank)
         scenes = self._scenes(samples)
-        fwd = self.decode(samples, [rng] * len(samples), self._fuse(samples, scenes), bank=bank)
+        fwd = self.decode(self._fuse(samples, scenes), [rng] * len(samples), bank=bank)
         fut = [np.stack([getattr(s, name) for s in samples]) for name in ("fut_ais", "fut_cctv")]
         rec, kl, winners = sample_losses(fwd.modes, *fut)
         rec, kl = tmean(rec), tmean(kl)
@@ -252,20 +241,14 @@ class Model:
         """Inference-only candidate set (refined positional head, raw camera head)
         with the bank entry it retrieved, if any. Called outside any Tape, it
         records nothing."""
-        return _prediction_sets(self.forward_sample(sample, rng, bank=bank))[0]
-
-    def predict_pool(
-        self,
-        samples: list[VesselSample],
-        rngs: list[Rng],
-        encoding: SampleEncoding,
-        bank: TrajectoryBank | None = None,
-    ) -> list[PredictionSet]:
-        """`predict` for a pool of vessels in one `decode` pass: one candidate
-        set per sample, in the order given, each equal bit for bit to
-        `predict(samples[i], rngs[i], bank)` when row i of `encoding` is the
-        sample's row of an `encode` call."""
-        return _prediction_sets(self.decode(samples, rngs, encoding, bank=bank))
+        fwd = self.forward_sample(sample, rng, bank=bank)
+        return PredictionSet(
+            ais=fwd.modes.ais.data[0],
+            cctv=fwd.modes.cctv.data[0],
+            latents=fwd.modes.z.data[0],
+            prior_index=fwd.prior_index[0],
+            prior_similarity=fwd.prior_similarity[0],
+        )
 
     # ------------------------------------------------------------------
     def state_arrays(self) -> dict[str, np.ndarray]:
@@ -274,16 +257,3 @@ class Model:
     def architecture_hash(self) -> int:
         return architecture_hash(self.cfg)
 
-
-def _prediction_sets(fwd: Forward) -> list[PredictionSet]:
-    """Plain-array candidate sets of a `Forward`, one per row."""
-    return [
-        PredictionSet(
-            ais=fwd.modes.ais.data[row],
-            cctv=fwd.modes.cctv.data[row],
-            latents=fwd.modes.z.data[row],
-            prior_index=fwd.prior_index[row],
-            prior_similarity=fwd.prior_similarity[row],
-        )
-        for row in range(len(fwd.prior_index))
-    ]

@@ -12,7 +12,7 @@ from conftest import micro_config
 from vesselcast.bank import bank_from_samples
 from vesselcast.engine import Rng, Tape
 from vesselcast.evaluate import evaluate
-from vesselcast.model import Model
+from vesselcast.model import Model, SampleEncoding
 from vesselcast.scene_encoder import CHUNK
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -83,16 +83,22 @@ def test_traced_eval_grid_counts(tracing, micro_samples, monkeypatch):
     model = Model(cfg)
     bank = bank_from_samples(micro_samples, 4, seed=0)
     seeds = [0, 1]
-    pools = []
+    pools = []  # per decode pass, whether each row is lit
+    taken = []  # encoding rows taken, one per draw
     encoded = []
     fused = []
-    real_predict_pool = Model.predict_pool
+    real_decode = Model.decode
+    real_take = SampleEncoding.take
     real_encode = model_mod.encode_scene_sequence
     real_fuse = model_mod.encode_and_fuse
 
-    def recording_predict_pool(self, samples, *args, **kwargs):
-        pools.append([(s.vessel_id, s.ais_mask.tobytes(), bool(s.ais_mask.any())) for s in samples])
-        return real_predict_pool(self, samples, *args, **kwargs)
+    def recording_decode(self, encoding, *args, **kwargs):
+        pools.append(encoding.ais_mask.any(1).tolist())
+        return real_decode(self, encoding, *args, **kwargs)
+
+    def recording_take(self, rows):
+        taken.extend(rows)
+        return real_take(self, rows)
 
     def recording_encode(params, rasters, boxes, cfg):
         encoded.append([id(r) for r in rasters])
@@ -103,7 +109,8 @@ def test_traced_eval_grid_counts(tracing, micro_samples, monkeypatch):
         return real_fuse(params, obs_ais, *args, **kwargs)
 
     # the tracer wraps the recorders
-    monkeypatch.setattr(Model, "predict_pool", recording_predict_pool)
+    monkeypatch.setattr(Model, "decode", recording_decode)
+    monkeypatch.setattr(SampleEncoding, "take", recording_take)
     monkeypatch.setattr(model_mod, "encode_scene_sequence", recording_encode)
     monkeypatch.setattr(model_mod, "encode_and_fuse", recording_fuse)
     tracer = tracing.Tracer()
@@ -119,9 +126,9 @@ def test_traced_eval_grid_counts(tracing, micro_samples, monkeypatch):
     assert len(pools) == len(populated) * len(seeds)
     assert len(draws) == sum(c.n_samples * c.n_seeds for c in populated)
     assert tracer.calls["decoder.predict_modes"] == len(pools)
-    assert tracer.calls["bank.refine_and_fuse"] == sum(any(lit for _, _, lit in pool) for pool in pools)
+    assert tracer.calls["bank.refine_and_fuse"] == sum(any(pool) for pool in pools)
     assert 0 < tracer.calls["bank.refine_and_fuse"] <= len(pools)
-    assert tracer.calls["bank.search"] == sum(lit for _, _, lit in draws)
+    assert tracer.calls["bank.search"] == sum(draws)
     assert 0 < tracer.calls["bank.search"] < len(draws)
     assert tracer.calls["scene_encoder.encode_scene_sequence"] == 1
     assert encoded == [[id(s.rasters) for s in micro_samples]]
@@ -133,5 +140,6 @@ def test_traced_eval_grid_counts(tracing, micro_samples, monkeypatch):
     assert tracer.calls["scene_encoder.stem_forward"] == len(micro_samples)
     assert tracer.calls["fusion.encode_and_fuse"] == len(fused) == 1
     assert fused == [2 * len(micro_samples)]
-    assert len({(vid, mask) for vid, mask, _ in draws}) <= sum(fused) < len(draws)
+    assert len(taken) == len(draws)
+    assert len(set(taken)) <= sum(fused) < len(draws)
     assert tracer.calls["data.apply_dark_vessels"] == len(populated) * len(seeds) + 1

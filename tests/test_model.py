@@ -68,29 +68,14 @@ def test_cached_scene_features_match_uncached_predict(micro_cfg, micro_samples, 
     feats = model.encode_scenes([lit])
     encoding = model.encode(copies, scene_feats=tensor(np.repeat(feats.data, len(copies), axis=0)))
     for seed in (3, 4):
-        pooled = model.predict_pool(copies, [Rng(seed) for _ in copies], encoding, bank=bank)
-        for row, (sample, from_pool) in enumerate(zip(copies, pooled)):
-            cached, = model.predict_pool([sample], [Rng(seed)], encoding.take([row]), bank=bank)
+        pooled = model.decode(encoding, [Rng(seed) for _ in copies], bank=bank).modes
+        for row, sample in enumerate(copies):
+            cached = model.decode(encoding.take([row]), [Rng(seed)], bank=bank).modes
             fresh = model.predict(sample, rng=Rng(seed), bank=bank)
-            for name in ("ais", "cctv", "latents"):
-                assert getattr(cached, name).tobytes() == getattr(fresh, name).tobytes(), name
-                assert getattr(from_pool, name).tobytes() == getattr(fresh, name).tobytes(), name
-
-
-@pytest.mark.parametrize("other", ["dark", "partial"])
-def test_encoding_under_another_mask_fails_naming_ais_mask(micro_cfg, micro_samples, other):
-    from vesselcast.data import apply_dark_vessels
-
-    model = Model(micro_cfg)
-    lit = micro_samples[0]
-    if other == "dark":
-        sample = apply_dark_vessels([lit], 1.0, seed=0)[0]
-    else:
-        sample = dataclasses.replace(lit, ais_mask=np.arange(lit.t_obs) > 0)
-    with pytest.raises(ValueError, match="ais_mask"):
-        model.predict_pool([sample], [Rng(3)], model.encode([lit]))
-    with pytest.raises(ValueError, match="ais_mask"):
-        model.predict_pool([lit], [Rng(3)], model.encode([sample]))
+            for name, field in (("ais", "ais"), ("cctv", "cctv"), ("latents", "z")):
+                want = getattr(fresh, name).tobytes()
+                assert getattr(cached, field).data[0].tobytes() == want, name
+                assert getattr(pooled, field).data[row].tobytes() == want, name
 
 
 def mixed_pool(samples):
@@ -112,32 +97,31 @@ def mixed_pool(samples):
 @pytest.mark.parametrize("modes", [1, 5])
 @pytest.mark.parametrize("use_bank", [False, True])
 def test_a_pooled_predict_matches_each_vessels_own_predict_bit_for_bit(modes, use_bank):
-    """One `predict_pool` pass decodes and refines a pool of lit, partly masked
-    and dark vessels; each vessel's candidates, latents and retrieved entry
-    equal its one-vessel `predict` on the same rng bit for bit."""
+    """One `decode` pass decodes and refines a pool of lit, partly masked and
+    dark vessels; each vessel's candidates, latents and retrieved entry equal
+    its one-vessel `predict` on the same rng bit for bit."""
     model = Model(micro_config(modes=modes))
     samples = generate_scenario(micro_waterway(vessel_count=7), seed=5)
     bank = bank_from_samples(samples, 4, seed=0) if use_bank else None
     pool = mixed_pool(samples)
-    pooled = model.predict_pool(pool, [Rng(11).child(s.vessel_id) for s in pool], model.encode(pool), bank=bank)
-    assert len(pooled) == len(pool)
-    for sample, got in zip(pool, pooled):
+    fwd = model.decode(model.encode(pool), [Rng(11).child(s.vessel_id) for s in pool], bank=bank)
+    assert len(fwd.prior_index) == len(fwd.modes.z.data) == len(pool)
+    for row, sample in enumerate(pool):
         want = model.predict(sample, rng=Rng(11).child(sample.vessel_id), bank=bank)
-        for name in ("ais", "cctv", "latents"):
-            assert getattr(got, name).shape == getattr(want, name).shape, name
-            assert np.array_equal(getattr(got, name), getattr(want, name)), (sample.vessel_id, name)
-        assert (got.prior_index, got.prior_similarity) == (want.prior_index, want.prior_similarity)
-    assert sum(p.prior_index is not None for p in pooled) == (4 if use_bank else 0)
+        for name, field in (("ais", "ais"), ("cctv", "cctv"), ("latents", "z")):
+            got = getattr(fwd.modes, field).data[row]
+            assert got.shape == getattr(want, name).shape, name
+            assert np.array_equal(got, getattr(want, name)), (sample.vessel_id, name)
+        got = (fwd.prior_index[row], fwd.prior_similarity[row])
+        assert got == (want.prior_index, want.prior_similarity)
+    assert sum(i is not None for i in fwd.prior_index) == (4 if use_bank else 0)
 
 
-def test_predict_pool_rejects_an_encoding_under_another_mask_naming_the_vessel(micro_cfg, micro_samples):
+def test_decode_needs_one_rng_per_encoding_row(micro_cfg, micro_samples):
     model = Model(micro_cfg)
-    pool = mixed_pool(micro_samples)
-    encoding = model.encode(pool).take([0, 0, 2, 3, 4, 5])  # row 1 made under the dark mask
-    with pytest.raises(ValueError, match=rf"ais_mask \[1, 1\] differs .* \(vessel_id '{pool[1].vessel_id}'\)"):
-        model.predict_pool(pool, [Rng(0)] * len(pool), encoding)
-    with pytest.raises(ValueError, match="one rng and one encoding per sample"):
-        model.predict_pool(pool, [Rng(0)], encoding)
+    encoding = model.encode(mixed_pool(micro_samples))
+    with pytest.raises(ValueError, match="one rng per encoding row"):
+        model.decode(encoding, [Rng(0)])
 
 
 @pytest.mark.parametrize("use_bank", [False, True])

@@ -13,7 +13,7 @@ from vesselcast.data import generate_scenario
 from vesselcast.data.types import FieldError
 from vesselcast.engine import Rng, Tape, backward
 from vesselcast.evaluate import evaluate, write_report
-from vesselcast.model import Model
+from vesselcast.model import Model, SampleEncoding
 from vesselcast.train import DivergenceError, PlateauScheduler, train
 
 
@@ -309,21 +309,26 @@ def test_evaluate_fuses_each_vessel_mask_pair_once(tiny_dataset, monkeypatch):
     samples = list(tiny_dataset)
     samples[0] = dataclasses.replace(samples[0], ais_mask=np.array([False, True]))
     calls = []  # ("fuse", rows) or ("pool", vessels), in call order
-    forwarded = []
+    forwarded = []  # encoding rows taken, one per draw
     real_fuse = model_mod.encode_and_fuse
-    real_predict_pool = Model.predict_pool
+    real_decode = Model.decode
+    real_take = SampleEncoding.take
 
     def counting_fuse(params, obs_ais, *args, **kwargs):
         calls.append(("fuse", len(obs_ais)))
         return real_fuse(params, obs_ais, *args, **kwargs)
 
-    def recording_predict_pool(self, pool, *args, **kwargs):
-        calls.append(("pool", len(pool)))
-        forwarded.extend((sample.vessel_id, sample.ais_mask.tobytes()) for sample in pool)
-        return real_predict_pool(self, pool, *args, **kwargs)
+    def recording_take(self, rows):
+        forwarded.extend(rows)
+        return real_take(self, rows)
+
+    def recording_decode(self, encoding, *args, **kwargs):
+        calls.append(("pool", len(encoding.ais_mask)))
+        return real_decode(self, encoding, *args, **kwargs)
 
     monkeypatch.setattr(model_mod, "encode_and_fuse", counting_fuse)
-    monkeypatch.setattr(Model, "predict_pool", recording_predict_pool)
+    monkeypatch.setattr(SampleEncoding, "take", recording_take)
+    monkeypatch.setattr(Model, "decode", recording_decode)
     bank = bank_from_samples(samples, 4, seed=0)
     report = evaluate(samples, Model(micro_config()), bank, dts=[2, 3], rhos=[0.0, 0.5], seeds=[0, 1])
     assert len(forwarded) == sum(c.n_samples * c.n_seeds for c in report.cells)
