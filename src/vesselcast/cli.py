@@ -30,6 +30,13 @@ def _parse_ints(text: str) -> list[int]:
     return [int(v) for v in text.split(",") if v.strip()]
 
 
+def _no_samples(samples: list, path: str, command: str) -> bool:
+    """Say on stderr that `command` cannot run on the dataset at `path` when it holds no samples."""
+    if not samples:
+        print(f"no samples in {path}: {command} needs at least one", file=sys.stderr)
+    return not samples
+
+
 def cmd_generate(args) -> int:
     cfg = load_waterway_config(args.config)
     samples = generate_scenario(cfg, seed=args.seed)
@@ -40,6 +47,8 @@ def cmd_generate(args) -> int:
 
 def cmd_bank_build(args) -> int:
     samples = read_dataset(args.data)
+    if _no_samples(samples, args.data, "bank build"):
+        return 2
     bank = bank_from_samples(samples, k_max=args.kmax, seed=args.seed)
     save_bank(args.out, bank)
     print(f"bank of {len(bank)} prototypes (from {len(full_broadcast(samples))} tracks) -> {args.out}")
@@ -49,6 +58,8 @@ def cmd_bank_build(args) -> int:
 def cmd_train(args) -> int:
     cfg = load_train_config(args.config)
     samples = read_dataset(args.data)
+    if _no_samples(samples, args.data, "train"):
+        return 2
     bank = load_bank(args.bank) if args.bank else None
     model, curve = train(
         samples,
@@ -112,8 +123,10 @@ def cmd_eval(args) -> int:
     read = [args.data, args.bank, args.train_data if args.per_horizon else args.ckpt]
     before = {path: Path(path).read_bytes() for path in read if path}
     samples = parse_dataset(before[args.data])
-    if not samples:
-        print(f"no samples in {args.data}: eval needs at least one", file=sys.stderr)
+    if _no_samples(samples, args.data, "eval"):
+        return 2
+    train_samples = parse_dataset(before[args.train_data]) if args.per_horizon else None
+    if args.per_horizon and _no_samples(train_samples, args.train_data, "eval --per-horizon"):
         return 2
     bank = load_bank(args.bank) if args.bank else None
     dts = _parse_ints(args.dt)
@@ -122,7 +135,6 @@ def cmd_eval(args) -> int:
     check_grid(dts, rhos, seeds)  # before --per-horizon trains a model per horizon
 
     if args.per_horizon:
-        train_samples = parse_dataset(before[args.train_data])
         cells = []
         for dt in dts:
             cfg_dt = dataclasses.replace(cfg, t_fut=dt)
@@ -196,22 +208,21 @@ def cmd_latent_viz(args) -> int:
         print(f"latent-viz needs t_obs >= 2 for its motion descriptors, got t_obs = {cfg.t_obs}", file=sys.stderr)
         return 2
     samples = read_dataset(args.data)
-    if not samples:
-        print(f"no samples in {args.data}: latent-viz needs at least one", file=sys.stderr)
+    if _no_samples(samples, args.data, "latent-viz"):
         return 2
     model = load_model(args.ckpt, cfg)
     bank = load_bank(args.bank) if args.bank else None
     ordered = sorted(samples, key=lambda s: s.vessel_id)
     rngs = [Rng(args.seed).child(s.vessel_id) for s in ordered]
     latents = model.decode(model.encode(ordered), rngs, bank=bank).modes.z.data  # (vessels, K, latent_dim)
-    descriptors = [_motion_descriptors(s.obs_ais) for s in ordered]
-    rows = [(s.vessel_id, k, *d) for s, d in zip(ordered, descriptors) for k in range(latents.shape[1])]
-    proj = pca_project(latents.reshape(len(rows), -1))
+    proj = pca_project(latents.reshape(-1, latents.shape[-1])).reshape(len(ordered), -1, 2).tolist()
     lines = ["vessel_id,mode,pc1,pc2,displacement,heading_change,tortuosity"]
-    for (vid, k, disp, head, tort), (x, y) in zip(rows, proj.tolist()):
-        lines.append(f"{vid},{k},{x!r},{y!r},{disp!r},{head!r},{tort!r}")
+    for sample, points in zip(ordered, proj):
+        # a track with a masked step was not all broadcast, so it is not described
+        desc = ",".join(map(repr, _motion_descriptors(sample.obs_ais))) if sample.ais_mask.all() else ",,"
+        lines += [f"{sample.vessel_id},{k},{x!r},{y!r},{desc}" for k, (x, y) in enumerate(points)]
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"{len(rows)} latent projections -> {args.out}")
+    print(f"{len(lines) - 1} latent projections -> {args.out}")
     return 0
 
 

@@ -18,7 +18,7 @@ from .data.generate import apply_dark_vessels
 from .data.types import DENSITY_LEVELS, FieldError, VesselSample
 from .engine import concat
 from .engine.rng import Rng
-from .metrics import ade_fde, constant_velocity_baseline, diversity, sum_in_order
+from .metrics import ade_fde, constant_velocity_baseline, cv_steps, diversity, sum_in_order
 from .model import Model
 
 _METRICS = (
@@ -34,6 +34,7 @@ _METRICS = (
     "cv_fde",
     "diversity",
 )
+_CV = [_METRICS.index("cv_ade"), _METRICS.index("cv_fde")]
 
 
 @dataclass
@@ -43,7 +44,7 @@ class CellReport:
     rho: float
     n_samples: int
     n_seeds: int
-    mean: dict  # metric name -> seed mean; empty when n_samples == 0
+    mean: dict  # metric name -> seed mean; empty when n_samples == 0, no cv_* when no seed has a baseline
     std: dict
 
 
@@ -57,28 +58,35 @@ def _seed_metrics(
     samples: list[VesselSample], predictor, dt: int, rho: float, cell_key: str, seed: int
 ) -> np.ndarray:
     """The `_METRICS` of one (cell, seed), each a mean over the pool's vessels,
-    which `evaluate` gives in vessel_id order.
+    which `evaluate` gives in vessel_id order, except `cv_*`: those are over
+    the vessels that have a constant-velocity baseline, and NaN when none has.
 
     The pool's vessels, dark ones applied and in the same order, go to one
     `predictor` call, each with its own noise stream `stream.child(vessel_id)`,
-    which returns (vessels, K, dt, 2) candidates per modality.
+    which returns (vessels, K, dt, 2) candidates per modality. A vessel has a
+    baseline only when both observed steps it reads (`cv_steps`) are
+    broadcast, so the baseline never reads a masked step; one call
+    extrapolates every such vessel.
     """
     stream = Rng(seed).child(cell_key)
     dark = apply_dark_vessels(samples, rho, seed=stream.child("dark-selection").seed)
     ais, cctv = predictor(dark, dt, [stream.child(s.vessel_id) for s in dark])  # (vessels, K, dt, 2) each
-    cv = np.stack([constant_velocity_baseline(s.obs_ais, dt) for s in dark])
-    gt_a = np.stack([s.fut_ais[:dt] for s in dark])[:, None]
+    obs = np.stack([s.obs_ais for s in dark])
+    has_cv = np.stack([s.ais_mask for s in dark])[:, cv_steps(obs.shape[1])].all(axis=1)
+    gt_a = np.stack([s.fut_ais[:dt] for s in dark])
     gt_c = np.stack([s.fut_cctv[:dt] for s in dark])[:, None]
-    # (ade, fde) pairs; the baseline rides along as positional mode K, after the predicted ones
-    ais_err = np.stack(ade_fde(np.concatenate([ais, cv[:, None]], axis=1), gt_a), axis=-1)  # (vessels, K+1, 2)
-    cctv_err = np.stack(ade_fde(cctv, gt_c), axis=-1)  # (vessels, K, 2)
-    k = ais.shape[1]
+    ais_err = np.stack(ade_fde(ais, gt_a[:, None]), axis=-1)  # (vessels, K, 2) (ade, fde) pairs
+    cctv_err = np.stack(ade_fde(cctv, gt_c), axis=-1)
+    cv_err = np.zeros((len(dark), 2))  # a vessel without a baseline adds 0 to the in-order sums
+    cv_err[has_cv] = np.stack(ade_fde(constant_velocity_baseline(obs[has_cv], dt), gt_a[has_cv]), axis=-1)
     per_vessel = np.concatenate(  # (vessels, metrics), in `_METRICS` order
-        [ais_err[:, :k].min(axis=1), ais_err[:, 0], cctv_err.min(axis=1), cctv_err[:, 0], ais_err[:, k],
-         diversity(ais)[:, None]],
+        [ais_err.min(axis=1), ais_err[:, 0], cctv_err.min(axis=1), cctv_err[:, 0], cv_err, diversity(ais)[:, None]],
         axis=1,
     )
-    return sum_in_order(per_vessel) / len(dark)
+    totals = sum_in_order(per_vessel)
+    means = totals / len(dark)
+    means[_CV] = totals[_CV] / has_cv.sum() if has_cv.any() else np.nan
+    return means
 
 
 def check_grid(dts: list[int], rhos: list[float], seeds: list) -> None:
@@ -109,7 +117,9 @@ def evaluate(
     checkpoint. `predictor(samples, dt, rngs) -> (ais_modes, cctv_modes)`,
     each (len(samples), K, dt, 2), with one rng per sample, overrides the
     model (testing hook). Densities absent from the dataset produce cells
-    with n_samples=0 and no metric values.
+    with n_samples=0 and no metric values. A cell's `cv_*` are over the seeds
+    where some vessel has a constant-velocity baseline (`_seed_metrics`), and
+    absent when none does.
 
     Every sample's future must reach the longest horizon, and every sample
     needs 2 observed steps for the constant-velocity baseline; one that falls
@@ -173,9 +183,11 @@ def evaluate(
             for rho in sorted(rhos):
                 key = f"dt={dt}/density={density}/rho={rho!r}"
                 per_seed = [_seed_metrics(pool, predictor, dt, rho, key, seed) for seed in seeds] if pool else []
-                rows = np.array(per_seed).T.copy()  # one contiguous row of seed values per metric
-                mean = {name: float(row.mean()) for name, row in zip(_METRICS, rows)}
-                std = {name: float(row.std()) for name, row in zip(_METRICS, rows)}
+                mean, std = {}, {}
+                for i, row in enumerate(np.array(per_seed).T.copy()):  # one contiguous row of seed values per metric
+                    row = row[~np.isnan(row)] if i in _CV else row  # the seeds with a baseline
+                    if len(row):
+                        mean[_METRICS[i]], std[_METRICS[i]] = float(row.mean()), float(row.std())
                 cells.append(CellReport(dt, density, rho, len(pool), len(seeds), mean, std))
     return ExperimentReport(cells=cells, seeds=list(seeds))
 
@@ -188,9 +200,6 @@ def write_report(path: str | Path, report: ExperimentReport) -> None:
     for c in report.cells:
         row = [str(c.dt), c.density, repr(c.rho), str(c.n_samples), str(c.n_seeds)]
         for name in _METRICS:
-            if c.n_samples == 0:
-                row += ["", ""]
-            else:
-                row += [repr(c.mean[name]), repr(c.std[name])]
+            row += [repr(c.mean[name]), repr(c.std[name])] if name in c.mean else ["", ""]
         lines.append(",".join(row))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -46,13 +46,20 @@ def diversity(preds: np.ndarray) -> np.ndarray:
     return sum_in_order(pair_ade, axis=-1) / len(i)
 
 
+def cv_steps(t_obs: int) -> list[int]:
+    """The two observed steps the constant-velocity baseline reads: min(3, t_obs-1)
+    steps before the last, and the last."""
+    return [t_obs - 1 - min(3, t_obs - 1), t_obs - 1]
+
+
 def constant_velocity_baseline(observed: np.ndarray, t_fut: int) -> np.ndarray:
-    """Extrapolate with the mean velocity of the last min(3, T_obs-1) steps."""
+    """Extrapolate tracks (..., T_obs, 2) with the mean velocity of their last
+    min(3, T_obs-1) steps, reading only the two steps `cv_steps` names."""
     observed = np.asarray(observed, dtype=np.float64)
-    t_obs = len(observed)
+    t_obs = observed.shape[-2] if observed.ndim >= 2 else 0
     if t_obs < 2:
         raise ValueError(f"constant-velocity baseline needs >= 2 observed points, got {t_obs}")
-    span = min(3, t_obs - 1)
-    velocity = (observed[-1] - observed[-1 - span]) / span
+    first, last = cv_steps(t_obs)
+    velocity = (observed[..., last, :] - observed[..., first, :]) / (last - first)
     steps = np.arange(1, t_fut + 1)[:, None]
-    return observed[-1] + steps * velocity
+    return observed[..., last, None, :] + steps * velocity[..., None, :]

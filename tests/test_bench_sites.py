@@ -15,7 +15,8 @@ from vesselcast.evaluate import evaluate
 from vesselcast.model import Model, SampleEncoding
 from vesselcast.scene_encoder import CHUNK
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 @pytest.fixture(scope="module")
@@ -143,3 +144,22 @@ def test_traced_eval_grid_counts(tracing, micro_samples, monkeypatch):
     assert len(taken) == len(draws)
     assert len(set(taken)) <= sum(fused) < len(draws)
     assert tracer.calls["data.apply_dark_vessels"] == len(populated) * len(seeds) + 1
+
+
+def test_each_workload_runs_one_checked_unit(tmp_path, monkeypatch):
+    """Each benchmark workload sets up warm, runs one unit of work whose
+    outputs pass its checks, and scores a finite quality, so a package change
+    that would make the benchmark fail shows here."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # workloads.py imports its tracer by bare name
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for name, workload_type in workloads.WORKLOADS.items():
+        workdir = tmp_path / name
+        workdir.mkdir()
+        workload = workload_type(workdir, seed=41)
+        workload.setup(warm=True)
+        assert workload.checked(workload.unit()), name
+        quality = workload.quality()
+        assert workload.attempted > 0 and workload.failed == 0, name
+        assert math.isfinite(quality), (name, quality)

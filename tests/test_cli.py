@@ -310,6 +310,34 @@ def test_eval_on_an_empty_dataset_exits_2_naming_the_file(workdir, tmp_path, mon
     assert not report.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "bank build", "eval --per-horizon"])
+def test_an_empty_dataset_exits_2_naming_the_file_before_any_work(workdir, tmp_path, monkeypatch, capsys, command):
+    """As latent-viz and eval --data do, train, bank build and eval
+    --per-horizon (on an empty --train-data) refuse a dataset with no samples
+    before a model is built or trained or a bank clustered, and write no --out."""
+    empty = tmp_path / "empty.bin"
+    empty.write_bytes(b"")
+
+    def never(*args, **kwargs):
+        raise AssertionError(f"{command} started work on an empty dataset")
+
+    for name in ("train", "bank_from_samples", "load_model"):
+        monkeypatch.setattr(cli, name, never)
+    out = tmp_path / "out"
+    argv = {
+        "train": ["train", "--data", str(empty), "--config", str(workdir / "train.cfg"), "--out", str(out),
+                  "--curve", str(tmp_path / "curve.csv"), "--quiet"],
+        "bank build": ["bank", "build", "--data", str(empty), "--out", str(out)],
+        "eval --per-horizon": ["eval", "--data", str(workdir / "data.jsonl"), "--per-horizon",
+                               "--train-data", str(empty), "--config", str(workdir / "train.cfg"),
+                               "--rho", "0", "--dt", "2", "--seeds", "1", "--report", str(out)],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"no samples in {empty}: {command} needs at least one" in err
+    assert list(tmp_path.iterdir()) == [empty]
+
+
 def test_eval_reads_its_dataset_once_before_the_run_and_once_after(workdir, tmp_path, monkeypatch):
     """The samples are decoded from the bytes the input-mutation guard keeps,
     so --data is opened twice, by the guard's read before the run and its
@@ -379,7 +407,8 @@ def test_eval_on_a_one_step_model_exits_2_naming_t_obs(tmp_path, monkeypatch, ca
 def test_latent_viz_matches_a_loop_of_one_vessel_predicts(workdir):
     """latent-viz encodes and predicts every vessel in one pool; its CSV equals,
     byte for byte, the one a `predict` call per vessel in vessel_id order
-    gives, with lit, partly masked and dark vessels in a shuffled file."""
+    gives, with lit, partly masked and dark vessels in a shuffled file; only
+    a fully broadcast track gets motion descriptors."""
     samples = read_dataset(workdir / "data.jsonl")
     samples = apply_dark_vessels(samples, 0.25, seed=2)
     samples[3] = dataclasses.replace(samples[3], ais_mask=np.array([True, False]))
@@ -396,11 +425,14 @@ def test_latent_viz_matches_a_loop_of_one_vessel_predicts(workdir):
     for sample in sorted(samples, key=lambda s: s.vessel_id):
         preds = model.predict(sample, rng=Rng(3).child(sample.vessel_id), bank=bank)
         latents += list(preds.latents)
-        rows += [(sample.vessel_id, k, *cli._motion_descriptors(sample.obs_ais)) for k in range(len(preds.latents))]
+        # a vessel with a masked step gets empty descriptor fields
+        fields = [repr(v) for v in cli._motion_descriptors(sample.obs_ais)] if sample.ais_mask.all() else [""] * 3
+        rows += [(sample.vessel_id, k, *fields) for k in range(len(preds.latents))]
     lines = ["vessel_id,mode,pc1,pc2,displacement,heading_change,tortuosity"]
     for (vid, k, disp, head, tort), (x, y) in zip(rows, pca_project(np.stack(latents)).tolist()):
-        lines.append(f"{vid},{k},{x!r},{y!r},{disp!r},{head!r},{tort!r}")
+        lines.append(f"{vid},{k},{x!r},{y!r},{disp},{head},{tort}")
     assert sum(not s.ais_mask.any() for s in samples) == 2
+    assert sum(not s.ais_mask.all() for s in samples) == 3
     assert out.read_text() == "\n".join(lines) + "\n"
 
 

@@ -2,7 +2,9 @@
 
 The reference scores each (cell, seed) one vessel at a time, takes best-of-K
 with Python's `min` over a per-mode loop, and sums mode pairs and vessels
-left to right in Python floats. The report must match it bit for bit.
+left to right in Python floats. A vessel has a constant-velocity baseline
+only when both steps it reads are broadcast; `cv_*` average over those
+vessels, and over the seeds with any. The report must match it bit for bit.
 """
 
 import dataclasses
@@ -27,7 +29,10 @@ def loop_ade_fde(pred, gt):
 
 
 def loop_vessel_metrics(ais, cctv, sample, dt):
+    """The vessel's `_METRICS`, with None for `cv_*` when it has no baseline."""
     gt_a, gt_c = sample.fut_ais[:dt], sample.fut_cctv[:dt]
+    span = min(3, sample.t_obs - 1)
+    has_cv = sample.ais_mask[-1] and sample.ais_mask[-1 - span]
     a_pairs = [loop_ade_fde(p, gt_a) for p in ais]
     c_pairs = [loop_ade_fde(p, gt_c) for p in cctv]
     total = 0.0
@@ -43,7 +48,7 @@ def loop_vessel_metrics(ais, cctv, sample, dt):
         min(a for a, _ in c_pairs),
         min(f for _, f in c_pairs),
         *c_pairs[0],
-        *loop_ade_fde(constant_velocity_baseline(sample.obs_ais, dt), gt_a),
+        *(loop_ade_fde(constant_velocity_baseline(sample.obs_ais, dt), gt_a) if has_cv else (None, None)),
         total / count if count else 0.0,
     )
 
@@ -61,17 +66,21 @@ def reference_cells(samples, model, bank, dts, rhos, seeds):
                     stream = Rng(seed).child(key)
                     dark = apply_dark_vessels(pool, rho, seed=stream.child("dark-selection").seed)
                     sums = dict.fromkeys(_METRICS, 0.0)
+                    counts = dict.fromkeys(_METRICS, 0)
                     for sample in sorted(dark, key=lambda s: s.vessel_id):
                         preds = model.predict(sample, rng=stream.child(sample.vessel_id), bank=bank)
                         values = loop_vessel_metrics(preds.ais[:, :dt], preds.cctv[:, :dt], sample, dt)
                         for name, value in zip(_METRICS, values):
-                            sums[name] += value
-                    per_seed.append({name: total / len(dark) for name, total in sums.items()})
+                            if value is not None:
+                                sums[name] += value
+                                counts[name] += 1
+                    per_seed.append({name: sums[name] / counts[name] for name in _METRICS if counts[name]})
                 mean, std = {}, {}
-                for name in _METRICS if per_seed else ():
-                    vals = np.array([m[name] for m in per_seed])
-                    mean[name] = float(vals.mean())
-                    std[name] = float(vals.std())
+                for name in _METRICS:
+                    vals = np.array([m[name] for m in per_seed if name in m])
+                    if len(vals):
+                        mean[name] = float(vals.mean())
+                        std[name] = float(vals.std())
                 cells.append((dt, density, rho, len(pool), mean, std))
     return cells
 
@@ -109,7 +118,7 @@ def test_evaluate_matches_loop_reference_bit_for_bit(modes, pool):
         samples = mask_some(samples)
     model = Model(micro_config(modes=modes, t_fut=T_FUT))
     bank = bank_from_samples(samples, 4, seed=0)
-    args = dict(dts=[3, T_FUT], rhos=[0.0, 0.3], seeds=list(range(8)))
+    args = dict(dts=[3, T_FUT], rhos=[0.0, 0.3, 1.0], seeds=list(range(8)))
     report = evaluate(samples, model, bank, **args)
     want = reference_cells(samples, model, bank, **args)
     got = [(c.dt, c.density, c.rho, c.n_samples, c.mean, c.std) for c in report.cells]

@@ -6,7 +6,7 @@ import pytest
 from vesselcast.decoder import ModeOutput
 from vesselcast.engine import Rng, Tape, backward, tensor, zeros
 from vesselcast.losses import kl_loss, rec_loss, sample_losses, total_loss
-from vesselcast.metrics import ade_fde, constant_velocity_baseline, diversity, min_ade_fde_at_k
+from vesselcast.metrics import ade_fde, constant_velocity_baseline, cv_steps, diversity, min_ade_fde_at_k
 
 
 def rand(rng, shape, lo=-1.0, hi=1.0):
@@ -172,6 +172,22 @@ def test_cv_baseline_straight_motion_exact():
     pred = constant_velocity_baseline(obs, 12)
     assert np.allclose(pred, fut, atol=1e-12)
     assert ade_fde(pred, fut)[0] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_cv_baseline_over_stacked_tracks_matches_each_track_and_reads_two_steps():
+    """Leading axes broadcast: a stack of tracks gives each track's own
+    extrapolation bit for bit, and only the two steps `cv_steps` names are read."""
+    tracks = Rng(3).normals(4 * 6 * 2)
+    tracks = np.array(tracks).reshape(4, 6, 2)
+    stacked = constant_velocity_baseline(tracks, 5)
+    assert stacked.shape == (4, 5, 2)
+    for track, got in zip(tracks, stacked):
+        assert got.tobytes() == constant_velocity_baseline(track, 5).tobytes()
+    assert cv_steps(6) == [2, 5] and cv_steps(2) == [0, 1]
+    unread = np.setdiff1d(np.arange(6), cv_steps(6))
+    blanked = tracks.copy()
+    blanked[:, unread] = np.nan
+    assert constant_velocity_baseline(blanked, 5).tobytes() == stacked.tobytes()
 
 
 def test_cv_baseline_stationary():

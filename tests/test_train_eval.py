@@ -12,7 +12,7 @@ from vesselcast.bank import bank_from_samples
 from vesselcast.data import generate_scenario
 from vesselcast.data.types import FieldError
 from vesselcast.engine import Rng, Tape, backward
-from vesselcast.evaluate import evaluate, write_report
+from vesselcast.evaluate import _METRICS, evaluate, write_report
 from vesselcast.model import Model, SampleEncoding
 from vesselcast.train import DivergenceError, PlateauScheduler, train
 
@@ -390,6 +390,43 @@ def test_evaluate_oracle_predictor_zero_error(tiny_dataset):
         for name in ("ais_min_ade", "ais_min_fde", "cctv_min_ade", "cctv_ade1"):
             assert cell.mean[name] == 0.0
             assert cell.std[name] == 0.0
+
+
+def test_the_cv_baseline_never_reads_a_masked_step(tmp_path):
+    """A masked step may hold NaN and still pass `validate`. The baseline
+    reads only broadcast steps, so a vessel with a masked step among the two
+    it reads has no baseline and drops out of `cv_*`, which then equal those
+    of the pool without it; every cell stays finite. At rho 1 no vessel has a
+    baseline, so `cv_*` are written empty beside the model's metrics."""
+    samples = generate_scenario(micro_waterway(), seed=5)
+    t_obs = samples[0].t_obs
+    step = t_obs - 1 - min(3, t_obs - 1)
+    obs = samples[0].obs_ais.copy()
+    obs[step] = np.nan
+    samples[0] = dataclasses.replace(samples[0], obs_ais=obs, ais_mask=np.arange(t_obs) != step)
+    samples[0].validate()
+    model = Model(micro_config())
+    report = evaluate(samples, model, None, dts=[3], rhos=[0.0, 1.0], seeds=[0, 1])
+    without = {c.density: c for c in evaluate(samples[1:], model, None, dts=[3], rhos=[0.0], seeds=[0, 1]).cells}
+    cv = ("cv_ade", "cv_fde")
+    populated = [c for c in report.cells if c.n_samples]
+    for cell in populated:
+        assert all(np.isfinite(v) for v in [*cell.mean.values(), *cell.std.values()]), (cell.density, cell.rho)
+        if cell.rho == 1.0:
+            assert set(cell.mean) == set(cell.std) == set(_METRICS) - set(cv)
+        else:
+            want = without[cell.density]
+            assert [cell.mean.get(k) for k in cv] == [want.mean.get(k) for k in cv], cell.density
+            assert [cell.std.get(k) for k in cv] == [want.std.get(k) for k in cv], cell.density
+    write_report(tmp_path / "report.csv", report)
+    header, *rows = [line.split(",") for line in (tmp_path / "report.csv").read_text().splitlines()]
+    for row in rows:
+        fields = dict(zip(header, row))
+        empty = {k for k, v in fields.items() if v == ""}
+        if fields["n_samples"] == "0":
+            assert len(empty) == 2 * len(_METRICS)
+        else:
+            assert empty == ({f"{k}_{s}" for k in cv for s in ("mean", "std")} if fields["rho"] == "1.0" else set())
 
 
 def test_evaluate_single_seed_zero_std(tiny_dataset):
