@@ -76,10 +76,6 @@ def kmeans_assign(feats: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return d2.argmin(axis=1)
 
 
-def kmeans_objective(feats: np.ndarray, centers: np.ndarray, assign: np.ndarray) -> float:
-    return float(((feats - centers[assign]) ** 2).sum())
-
-
 def _kmeans(feats: np.ndarray, k: int, rng: Rng) -> np.ndarray:
     centers = _farthest_point_init(feats, k, rng)
     assign = kmeans_assign(feats, centers)

@@ -15,7 +15,7 @@ from .checkpoint import load_model, save_model
 from .config import load_train_config, load_waterway_config
 from .data import apply_dark_vessels, generate_scenario, parse_dataset, read_dataset, write_dataset
 from .engine.rng import Rng
-from .evaluate import ExperimentReport, check_grid, evaluate, write_report
+from .evaluate import check_grid, evaluate, write_report
 from .hashutil import fnv1a64  # noqa: F401  unused here; perfbench's tracer patches this name
 from .pca import pca_project
 from .plots import svg_line_chart
@@ -86,14 +86,14 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _eval_plots(report, out_dir: str) -> None:
+def _eval_plots(cells, out_dir: str) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    dts = sorted({c.dt for c in report.cells})
+    dts = sorted({c.dt for c in cells})
     series = {}
     for dt in dts:
         pts = {}
-        for c in report.cells:
+        for c in cells:
             if c.dt == dt and c.n_samples > 0:
                 pts.setdefault(c.rho, []).append(c.mean["ais_min_ade"])
         series[f"dt={dt}"] = [(rho, float(np.mean(v))) for rho, v in sorted(pts.items())]
@@ -142,20 +142,18 @@ def cmd_eval(args) -> int:
                         for s in train_samples]
             bank_dt = None if bank is None else dataclasses.replace(bank, fut=bank.fut[:, :dt])
             model_dt, _ = train(train_dt, cfg_dt, bank=bank_dt)
-            rep = evaluate(samples, model_dt, bank_dt, [dt], rhos, seeds)
-            cells.extend(rep.cells)
-        report = ExperimentReport(cells=cells, seeds=seeds)
+            cells += evaluate(samples, model_dt, bank_dt, [dt], rhos, seeds)
     else:
         model = load_model(args.ckpt, cfg)
-        report = evaluate(samples, model, bank, dts, rhos, seeds)
+        cells = evaluate(samples, model, bank, dts, rhos, seeds)
 
-    write_report(args.report, report)
+    write_report(args.report, cells)
     if args.plots:
-        _eval_plots(report, args.plots)
+        _eval_plots(cells, args.plots)
     if any(Path(path).read_bytes() != data for path, data in before.items()):
         print("evaluation mutated its inputs", file=sys.stderr)
         return 3
-    print(f"report -> {args.report} ({len(report.cells)} cells, {args.seeds} seeds)")
+    print(f"report -> {args.report} ({len(cells)} cells, {args.seeds} seeds)")
     return 0
 
 

@@ -48,29 +48,19 @@ class CellReport:
     std: dict
 
 
-@dataclass
-class ExperimentReport:
-    cells: list[CellReport]
-    seeds: list[int]
+def _scores(dark: list[VesselSample], ais: np.ndarray, cctv: np.ndarray, dt: int) -> np.ndarray:
+    """The `_METRICS` of one (cell, seed) from its pool's candidates, each a
+    mean over the pool's vessels in the order given, except `cv_*`: those are
+    over the vessels that have a constant-velocity baseline, and NaN when
+    none has.
 
-
-def _seed_metrics(
-    samples: list[VesselSample], predictor, dt: int, rho: float, cell_key: str, seed: int
-) -> np.ndarray:
-    """The `_METRICS` of one (cell, seed), each a mean over the pool's vessels,
-    which `evaluate` gives in vessel_id order, except `cv_*`: those are over
-    the vessels that have a constant-velocity baseline, and NaN when none has.
-
-    The pool's vessels, dark ones applied and in the same order, go to one
-    `predictor` call, each with its own noise stream `stream.child(vessel_id)`,
-    which returns (vessels, K, dt, 2) candidates per modality. A vessel has a
-    baseline only when both observed steps it reads (`cv_steps`) are
-    broadcast, so the baseline never reads a masked step; one call
-    extrapolates every such vessel.
+    `dark` is the pool as scored, dark vessels applied; `ais` and `cctv` hold
+    its (vessels, K, >= dt, 2) candidates per modality, scored on their first
+    `dt` steps. A vessel has a baseline only when both observed steps it
+    reads (`cv_steps`) are broadcast, so the baseline never reads a masked
+    step; one call extrapolates every such vessel.
     """
-    stream = Rng(seed).child(cell_key)
-    dark = apply_dark_vessels(samples, rho, seed=stream.child("dark-selection").seed)
-    ais, cctv = predictor(dark, dt, [stream.child(s.vessel_id) for s in dark])  # (vessels, K, dt, 2) each
+    ais, cctv = ais[:, :, :dt], cctv[:, :, :dt]
     obs = np.stack([s.obs_ais for s in dark])
     has_cv = np.stack([s.ais_mask for s in dark])[:, cv_steps(obs.shape[1])].all(axis=1)
     gt_a = np.stack([s.fut_ais[:dt] for s in dark])
@@ -109,17 +99,14 @@ def evaluate(
     dts: list[int],
     rhos: list[float],
     seeds: list[int],
-    predictor=None,
-) -> ExperimentReport:
+) -> list[CellReport]:
     """Metrics per (dt, density, rho) cell, mean +- std over evaluation seeds.
 
-    Seeds drive latent sampling and dark-vessel selection on the fixed
-    checkpoint. `predictor(samples, dt, rngs) -> (ais_modes, cctv_modes)`,
-    each (len(samples), K, dt, 2), with one rng per sample, overrides the
-    model (testing hook). Densities absent from the dataset produce cells
-    with n_samples=0 and no metric values. A cell's `cv_*` are over the seeds
-    where some vessel has a constant-velocity baseline (`_seed_metrics`), and
-    absent when none does.
+    Returns one `CellReport` per cell, in (dt, density, rho) order. Seeds
+    drive latent sampling and dark-vessel selection on the fixed checkpoint.
+    Densities absent from the dataset produce cells with n_samples=0 and no
+    metric values. A cell's `cv_*` are over the seeds where some vessel has
+    a constant-velocity baseline (`_scores`), and absent when none does.
 
     Every sample's future must reach the longest horizon, and every sample
     needs 2 observed steps for the constant-velocity baseline; one that falls
@@ -139,12 +126,13 @@ def evaluate(
     stored mask and row vessels + i under the all-false one. Each (cell,
     seed) takes its pool's rows of that one encoding by position, the
     all-false row for a vessel with no broadcast step, and decodes and
-    refines them in one `Model.decode` pass, which reads only those rows;
-    bank search runs once per lit vessel of each (cell, seed).
+    refines them in one `Model.decode` pass, which reads only those rows,
+    each vessel with its own noise stream; bank search runs once per lit
+    vessel of each (cell, seed). `_scores` then scores those candidates.
     """
     check_grid(dts, rhos, seeds)
     max_dt = max(dts)
-    if predictor is None and model.cfg.t_fut < max_dt:
+    if model.cfg.t_fut < max_dt:
         raise ValueError(f"checkpoint t_fut={model.cfg.t_fut} < requested horizon {max_dt}")
     if not samples:
         raise ValueError(f"dataset t_fut=0 < requested horizon {max_dt}")
@@ -159,45 +147,45 @@ def evaluate(
                 "fut_ais", f"has {s.t_fut} steps, fewer than the requested horizon {max_dt} (vessel_id {s.vessel_id!r})"
             )
     samples = sorted(samples, key=lambda s: s.vessel_id)
-    if predictor is None:
-        if len({s.vessel_id for s in samples}) < len(samples):
-            raise ValueError("evaluate needs a distinct vessel_id per sample")
-        scene_feats = model.encode_scenes(samples)  # (vessels, t_obs, d), or None
-        both = samples + apply_dark_vessels(samples, 1.0, seed=0)  # as stored, then all dark, whatever the seed
-        feats = None if scene_feats is None else concat([scene_feats, scene_feats])  # no tape runs here
-        encoding = model.encode(both, scene_feats=feats)
-        position = {s.vessel_id: i for i, s in enumerate(samples)}
+    if len({s.vessel_id for s in samples}) < len(samples):
+        raise ValueError("evaluate needs a distinct vessel_id per sample")
+    scene_feats = model.encode_scenes(samples)  # (vessels, t_obs, d), or None
+    both = samples + apply_dark_vessels(samples, 1.0, seed=0)  # as stored, then all dark, whatever the seed
+    feats = None if scene_feats is None else concat([scene_feats, scene_feats])  # no tape runs here
+    encoding = model.encode(both, scene_feats=feats)
 
-        def predictor(pool, dt, rngs):
-            rows = [position[s.vessel_id] + len(samples) * (not s.ais_mask.any()) for s in pool]
-            modes = model.decode(encoding.take(rows), rngs, bank=bank).modes
-            return modes.ais.data[:, :, :dt], modes.cctv.data[:, :, :dt]
-
-    by_density = {
-        level: [s for s in samples if s.density == level] for level in DENSITY_LEVELS
-    }
     cells = []
     for dt in sorted(dts):
         for density in DENSITY_LEVELS:
-            pool = by_density[density]
+            positions = [i for i, s in enumerate(samples) if s.density == density]
+            pool = [samples[i] for i in positions]
             for rho in sorted(rhos):
                 key = f"dt={dt}/density={density}/rho={rho!r}"
-                per_seed = [_seed_metrics(pool, predictor, dt, rho, key, seed) for seed in seeds] if pool else []
+                per_seed = []
+                for seed in seeds if pool else []:
+                    stream = Rng(seed).child(key)
+                    dark = apply_dark_vessels(pool, rho, seed=stream.child("dark-selection").seed)
+                    taken = encoding.take([i + len(samples) * (not s.ais_mask.any()) for i, s in zip(positions, dark)])
+                    modes = model.decode(taken, [stream.child(s.vessel_id) for s in dark], bank=bank).modes
+                    per_seed.append(_scores(dark, modes.ais.data, modes.cctv.data, dt))
                 mean, std = {}, {}
                 for i, row in enumerate(np.array(per_seed).T.copy()):  # one contiguous row of seed values per metric
                     row = row[~np.isnan(row)] if i in _CV else row  # the seeds with a baseline
                     if len(row):
                         mean[_METRICS[i]], std[_METRICS[i]] = float(row.mean()), float(row.std())
                 cells.append(CellReport(dt, density, rho, len(pool), len(seeds), mean, std))
-    return ExperimentReport(cells=cells, seeds=list(seeds))
+    return cells
 
 
-def write_report(path: str | Path, report: ExperimentReport) -> None:
+def write_report(path: str | Path, cells: list[CellReport]) -> None:
+    """Write `cells` as a CSV, one row per cell in the order given: the cell's
+    keys, then a mean and a std column per metric, both empty where the cell
+    has no value."""
     header = ["dt", "density", "rho", "n_samples", "n_seeds"]
     for name in _METRICS:
         header += [f"{name}_mean", f"{name}_std"]
     lines = [",".join(header)]
-    for c in report.cells:
+    for c in cells:
         row = [str(c.dt), c.density, repr(c.rho), str(c.n_samples), str(c.n_seeds)]
         for name in _METRICS:
             row += [repr(c.mean[name]), repr(c.std[name])] if name in c.mean else ["", ""]

@@ -12,7 +12,6 @@ from vesselcast.bank import (
     build_bank,
     init_refinement,
     kmeans_assign,
-    kmeans_objective,
     load_bank,
     motion_feature,
     refine_and_fuse,
@@ -152,14 +151,14 @@ def test_kmeans_objective_non_increasing():
 
     centers = _farthest_point_init(feats, 5, Rng(1))
     assign = kmeans_assign(feats, centers)
-    prev = kmeans_objective(feats, centers, assign)
+    prev = float(((feats - centers[assign]) ** 2).sum())  # the k-means objective
     for _ in range(20):
         for c in range(5):
             members = assign == c
             if members.any():
                 centers[c] = feats[members].mean(axis=0)
         assign = kmeans_assign(feats, centers)
-        obj = kmeans_objective(feats, centers, assign)
+        obj = float(((feats - centers[assign]) ** 2).sum())
         assert obj <= prev + 1e-12
         prev = obj
 

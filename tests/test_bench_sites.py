@@ -117,10 +117,10 @@ def test_traced_eval_grid_counts(tracing, micro_samples, monkeypatch):
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        report = evaluate(micro_samples, model, bank, dts=[2, 3], rhos=[0.0, 0.5], seeds=seeds)
+        cells = evaluate(micro_samples, model, bank, dts=[2, 3], rhos=[0.0, 0.5], seeds=seeds)
     finally:
         tracer.uninstall()
-    populated = [c for c in report.cells if c.n_samples]
+    populated = [c for c in cells if c.n_samples]
     draws = [vessel for pool in pools for vessel in pool]
     assert tracer.calls["model.Model.forward_sample"] == 0
     assert tracer.calls["model.Model.predict"] == 0

@@ -119,9 +119,9 @@ def test_evaluate_matches_loop_reference_bit_for_bit(modes, pool):
     model = Model(micro_config(modes=modes, t_fut=T_FUT))
     bank = bank_from_samples(samples, 4, seed=0)
     args = dict(dts=[3, T_FUT], rhos=[0.0, 0.3, 1.0], seeds=list(range(8)))
-    report = evaluate(samples, model, bank, **args)
+    cells = evaluate(samples, model, bank, **args)
     want = reference_cells(samples, model, bank, **args)
-    got = [(c.dt, c.density, c.rho, c.n_samples, c.mean, c.std) for c in report.cells]
+    got = [(c.dt, c.density, c.rho, c.n_samples, c.mean, c.std) for c in cells]
     assert len(got) == len(want)
     assert sum(cell[3] for cell in got) == len(samples) * len(args["dts"]) * len(args["rhos"])
     for g, w in zip(got, want):

@@ -9,10 +9,10 @@ import vesselcast.scene_encoder as scene_mod
 import vesselcast.train as train_mod
 from conftest import micro_config, micro_waterway
 from vesselcast.bank import bank_from_samples
-from vesselcast.data import generate_scenario
+from vesselcast.data import apply_dark_vessels, generate_scenario
 from vesselcast.data.types import FieldError
 from vesselcast.engine import Rng, Tape, backward
-from vesselcast.evaluate import _METRICS, evaluate, write_report
+from vesselcast.evaluate import _METRICS, _scores, evaluate, write_report
 from vesselcast.model import Model, SampleEncoding
 from vesselcast.train import DivergenceError, PlateauScheduler, train
 
@@ -330,12 +330,12 @@ def test_evaluate_fuses_each_vessel_mask_pair_once(tiny_dataset, monkeypatch):
     monkeypatch.setattr(SampleEncoding, "take", recording_take)
     monkeypatch.setattr(Model, "decode", recording_decode)
     bank = bank_from_samples(samples, 4, seed=0)
-    report = evaluate(samples, Model(micro_config()), bank, dts=[2, 3], rhos=[0.0, 0.5], seeds=[0, 1])
-    assert len(forwarded) == sum(c.n_samples * c.n_seeds for c in report.cells)
+    cells = evaluate(samples, Model(micro_config()), bank, dts=[2, 3], rhos=[0.0, 0.5], seeds=[0, 1])
+    assert len(forwarded) == sum(c.n_samples * c.n_seeds for c in cells)
     assert len(set(forwarded)) > len(samples)  # some vessel went dark
     assert calls[0] == ("fuse", 2 * len(samples))
     assert [call for call in calls if call[0] == "fuse"] == [calls[0]]
-    assert len(calls) == 1 + sum(c.n_seeds for c in report.cells if c.n_samples)
+    assert len(calls) == 1 + sum(c.n_seeds for c in cells if c.n_samples)
 
 
 def test_evaluate_checks_each_sample_once_per_mask_not_per_draw(tiny_dataset, monkeypatch):
@@ -363,9 +363,9 @@ def test_evaluate_checks_each_sample_once_per_mask_not_per_draw(tiny_dataset, mo
 def test_evaluate_without_scene_stream_never_encodes(tiny_dataset, monkeypatch):
     calls = count_scene_encodes(monkeypatch)
     model = Model(micro_config(use_scene=False))
-    report = evaluate(tiny_dataset, model, None, dts=[2], rhos=[0.0, 0.5], seeds=[0, 1])
+    cells = evaluate(tiny_dataset, model, None, dts=[2], rhos=[0.0, 0.5], seeds=[0, 1])
     assert not calls
-    means = [v for cell in report.cells for v in cell.mean.values()]
+    means = [v for cell in cells for v in cell.mean.values()]
     assert means and np.all(np.isfinite(means))
 
 
@@ -376,20 +376,20 @@ def test_evaluate_rejects_repeated_vessel_id(tiny_dataset):
         evaluate([tiny_dataset[0], twin], Model(micro_config()), None, dts=[2], rhos=[0.0], seeds=[0])
 
 
-def test_evaluate_oracle_predictor_zero_error(tiny_dataset):
-    def oracle(samples, dt, rngs):
-        assert len(rngs) == len(samples)
-        gt_a = np.stack([np.stack([s.fut_ais[:dt]] * 2) for s in samples])  # (vessels, K, dt, 2)
-        gt_c = np.stack([np.stack([s.fut_cctv[:dt]] * 2) for s in samples])
-        return gt_a, gt_c
-
-    report = evaluate(tiny_dataset, None, None, dts=[3], rhos=[0.0, 0.2], seeds=[0, 1], predictor=oracle)
-    for cell in report.cells:
-        if cell.n_samples == 0:
-            continue
-        for name in ("ais_min_ade", "ais_min_fde", "cctv_min_ade", "cctv_ade1"):
-            assert cell.mean[name] == 0.0
-            assert cell.std[name] == 0.0
+def test_ground_truth_candidates_score_zero_error(tiny_dataset):
+    """`_scores` fed every vessel's ground truth as each of its candidates, on
+    a pool with a dark vessel, gives zero best-of-K and mode-0 errors for both
+    heads and zero diversity at every horizon; candidates longer than the
+    horizon are cut to it."""
+    dark = apply_dark_vessels(tiny_dataset, 0.2, seed=1)
+    assert sum(not s.ais_mask.any() for s in dark) == 1
+    ais = np.stack([np.stack([s.fut_ais] * 2) for s in dark])  # (vessels, K, t_fut, 2)
+    cctv = np.stack([np.stack([s.fut_cctv] * 2) for s in dark])
+    for dt in range(1, dark[0].t_fut + 1):
+        scores = dict(zip(_METRICS, _scores(dark, ais, cctv, dt)))
+        for name in _METRICS:
+            if not name.startswith("cv_"):
+                assert scores[name] == 0.0, (dt, name)
 
 
 def test_the_cv_baseline_never_reads_a_masked_step(tmp_path):
@@ -406,10 +406,10 @@ def test_the_cv_baseline_never_reads_a_masked_step(tmp_path):
     samples[0] = dataclasses.replace(samples[0], obs_ais=obs, ais_mask=np.arange(t_obs) != step)
     samples[0].validate()
     model = Model(micro_config())
-    report = evaluate(samples, model, None, dts=[3], rhos=[0.0, 1.0], seeds=[0, 1])
-    without = {c.density: c for c in evaluate(samples[1:], model, None, dts=[3], rhos=[0.0], seeds=[0, 1]).cells}
+    cells = evaluate(samples, model, None, dts=[3], rhos=[0.0, 1.0], seeds=[0, 1])
+    without = {c.density: c for c in evaluate(samples[1:], model, None, dts=[3], rhos=[0.0], seeds=[0, 1])}
     cv = ("cv_ade", "cv_fde")
-    populated = [c for c in report.cells if c.n_samples]
+    populated = [c for c in cells if c.n_samples]
     for cell in populated:
         assert all(np.isfinite(v) for v in [*cell.mean.values(), *cell.std.values()]), (cell.density, cell.rho)
         if cell.rho == 1.0:
@@ -418,7 +418,7 @@ def test_the_cv_baseline_never_reads_a_masked_step(tmp_path):
             want = without[cell.density]
             assert [cell.mean.get(k) for k in cv] == [want.mean.get(k) for k in cv], cell.density
             assert [cell.std.get(k) for k in cv] == [want.std.get(k) for k in cv], cell.density
-    write_report(tmp_path / "report.csv", report)
+    write_report(tmp_path / "report.csv", cells)
     header, *rows = [line.split(",") for line in (tmp_path / "report.csv").read_text().splitlines()]
     for row in rows:
         fields = dict(zip(header, row))
@@ -432,8 +432,8 @@ def test_the_cv_baseline_never_reads_a_masked_step(tmp_path):
 def test_evaluate_single_seed_zero_std(tiny_dataset):
     cfg = micro_config()
     model = Model(cfg)
-    report = evaluate(tiny_dataset, model, None, dts=[2], rhos=[0.0], seeds=[4])
-    for cell in report.cells:
+    cells = evaluate(tiny_dataset, model, None, dts=[2], rhos=[0.0], seeds=[4])
+    for cell in cells:
         if cell.n_samples:
             assert cell.n_seeds == 1
             assert all(v == 0.0 for v in cell.std.values())
@@ -444,9 +444,9 @@ def test_evaluate_absent_density_cells_marked(tiny_dataset):
     # must appear with n_samples = 0, not fabricated zeros
     cfg = micro_config()
     model = Model(cfg)
-    report = evaluate(tiny_dataset, model, None, dts=[2], rhos=[0.0], seeds=[0])
+    cells = evaluate(tiny_dataset, model, None, dts=[2], rhos=[0.0], seeds=[0])
     densities_present = {s.density for s in tiny_dataset}
-    for cell in report.cells:
+    for cell in cells:
         if cell.density not in densities_present:
             assert cell.n_samples == 0
             assert cell.mean == {}
