@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .types import DENSITY_LEVELS, FieldError, VesselSample
+from .types import FieldError, VesselSample
 
 MAGIC = b"VCDS"
 VERSION = 2
@@ -168,8 +168,6 @@ def parse_dataset(blob: bytes) -> list[VesselSample]:
         for key in _FIELDS:
             if key not in record:
                 raise DatasetFormatError(i, key, "missing")
-        if record["density"] not in DENSITY_LEVELS:
-            raise DatasetFormatError(i, "density", f"got {record['density']!r}")
         sample = VesselSample(
             vessel_id=str(record["vessel_id"]),
             obs_ais=_array(record, i, "obs_ais", np.float64, 2),

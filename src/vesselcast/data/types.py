@@ -53,12 +53,15 @@ class VesselSample:
         """Check every rule one record obeys on its own; the FieldError names
         the field that breaks one, and the step for a per-step rule.
 
-        Tracks are (T, 2); rasters are (T, 3, H, W) and boxes (T, 4), both
-        reported as `scenes.*`; every observed series has one step per obs_ais
-        row, and fut_cctv one per fut_ais row; every track and raster is
-        finite, except obs_ais at masked steps, which nothing reads; every box
-        has x_min < x_max and y_min < y_max.
+        `density` is one of `DENSITY_LEVELS`; tracks are (T, 2); rasters are
+        (T, 3, H, W) and boxes (T, 4), both reported as `scenes.*`; every
+        observed series has one step per obs_ais row, and fut_cctv one per
+        fut_ais row; every track and raster is finite, except obs_ais at
+        masked steps, which nothing reads; every box has x_min < x_max and
+        y_min < y_max.
         """
+        if self.density not in DENSITY_LEVELS:
+            raise FieldError("density", f"got {self.density!r}")
         for name in ("obs_ais", "obs_cctv", "fut_ais", "fut_cctv"):
             shape = getattr(self, name).shape
             if len(shape) != 2 or shape[1] != 2:

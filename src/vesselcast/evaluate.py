@@ -80,11 +80,15 @@ def _scores(dark: list[VesselSample], ais: np.ndarray, cctv: np.ndarray, dt: int
 
 
 def check_grid(dts: list[int], rhos: list[float], seeds: list) -> None:
-    """Reject a grid no evaluation can run: an empty axis, a horizon below 1
-    step, or a missing rate outside [0, 1] or NaN."""
+    """Reject a grid no evaluation can run: an empty axis, a value given twice
+    on one axis, a horizon below 1 step, or a missing rate outside [0, 1] or
+    NaN."""
     for name, axis in (("dts", dts), ("rhos", rhos), ("seeds", seeds)):
         if len(axis) == 0:
             raise ValueError(f"{name} is empty: the grid needs at least one value on each axis")
+        repeated = [v for i, v in enumerate(axis) if v in axis[:i]]
+        if repeated:
+            raise ValueError(f"{name} holds {repeated[0]!r} twice: each value on an axis must be distinct")
     if min(dts) < 1:
         raise ValueError(f"dts holds horizon {min(dts)}: every horizon must be at least 1 step")
     for rho in rhos:

@@ -139,6 +139,8 @@ def test_eval_per_horizon_needs_no_checkpoint(workdir):
         ("--seeds", "0", "seeds is empty"),
         ("--rho", "0,1.5", r"rhos holds missing rate 1\.5"),
         ("--rho", "nan", "rhos holds missing rate nan"),
+        ("--dt", "2,2", "dts holds 2 twice"),
+        ("--rho", "0,0.0", r"rhos holds 0\.0 twice"),
     ],
 )
 def test_eval_rejects_a_bad_grid_before_training(workdir, tmp_path, monkeypatch, per_horizon, flag, value, message):

@@ -78,9 +78,15 @@ def epoch_zero_order(samples, cfg):
 def test_training_memory_does_not_grow_with_the_batch(tiny_dataset):
     """A step holds one sample's graph at a time, so an epoch of one
     8-sample step peaks no higher than an epoch of eight 1-sample steps,
-    plus slack; with one tape per batch it was about twice as high."""
+    plus slack; with one tape per batch it was about twice as high.
+
+    One untraced run at each batch size first fills the gather-index cache
+    and whatever memory the interpreter keeps for reuse after a run of that
+    size; with one warm-up at batch size 1, some orders of the tests before
+    it charged that memory to the traced 8-sample run."""
     cfg = micro_config(epochs=1, batch_size=1)
-    train(tiny_dataset, cfg)  # fills the gather-index cache before measuring
+    for batch_size in (1, 8):
+        train(tiny_dataset, dataclasses.replace(cfg, batch_size=batch_size))
     peaks = []
     for batch_size in (1, 8):
         tracemalloc.start()
@@ -229,6 +235,19 @@ def test_evaluate_encodes_each_vessel_once(tiny_dataset, monkeypatch):
     assert calls == [[id(s.rasters) for s in tiny_dataset]]
 
 
+def count_stems(monkeypatch) -> list[tuple]:
+    """One entry per stem call: its arguments."""
+    stems = []
+    real_stem = scene_mod.stem_forward
+
+    def counting_stem(*args):
+        stems.append(args)
+        return real_stem(*args)
+
+    monkeypatch.setattr(scene_mod, "stem_forward", counting_stem)
+    return stems
+
+
 @pytest.mark.parametrize("fault", ["nan", "side"])
 def test_evaluate_names_the_vessel_of_a_failing_sample_before_any_stem(tiny_dataset, monkeypatch, fault):
     """Every sample is checked before the first stem runs, and the error names
@@ -243,15 +262,23 @@ def test_evaluate_names_the_vessel_of_a_failing_sample_before_any_stem(tiny_data
         rasters = np.zeros((victim.t_obs, 3, 8, 8), dtype=np.float32)
         message = r"scenes.raster at step 0 has shape \(3, 8, 8\), not \(3, 12, 12\)"
     samples[3] = dataclasses.replace(victim, rasters=rasters)
-    stems = []
-    real_stem = scene_mod.stem_forward
-
-    def counting_stem(*args):
-        stems.append(args)
-        return real_stem(*args)
-
-    monkeypatch.setattr(scene_mod, "stem_forward", counting_stem)
+    stems = count_stems(monkeypatch)
     with pytest.raises(ValueError, match=rf"{message} \(vessel_id '{victim.vessel_id}'\)"):
+        evaluate(samples, Model(micro_config()), None, dts=[2], rhos=[0.0], seeds=[0])
+    assert not stems
+
+
+def test_an_unknown_density_fails_naming_density_before_any_stem(monkeypatch):
+    """A density label outside `DENSITY_LEVELS` breaks `validate`, so
+    `evaluate` fails naming `density` and the vessel_id before any stem runs,
+    instead of encoding a vessel that no cell counts."""
+    samples = generate_scenario(micro_waterway(), seed=42)
+    victim = samples[0] = dataclasses.replace(samples[0], density="Low")
+    with pytest.raises(FieldError, match=r"^density got 'Low'$") as err:
+        victim.validate()
+    assert err.value.field == "density"
+    stems = count_stems(monkeypatch)
+    with pytest.raises(FieldError, match=rf"^density got 'Low' \(vessel_id '{victim.vessel_id}'\)$"):
         evaluate(samples, Model(micro_config()), None, dts=[2], rhos=[0.0], seeds=[0])
     assert not stems
 
@@ -267,14 +294,7 @@ def test_evaluate_rejects_a_later_vessel_with_a_shorter_future_before_any_encodi
     samples = list(tiny_dataset)
     victim = samples[5]
     samples[5] = dataclasses.replace(victim, fut_ais=victim.fut_ais[:2], fut_cctv=victim.fut_cctv[:2])
-    stems = []
-    real_stem = scene_mod.stem_forward
-
-    def counting_stem(*args):
-        stems.append(args)
-        return real_stem(*args)
-
-    monkeypatch.setattr(scene_mod, "stem_forward", counting_stem)
+    stems = count_stems(monkeypatch)
     message = rf"fut_ais has 2 steps, fewer than the requested horizon 3 \(vessel_id '{victim.vessel_id}'\)"
     with pytest.raises(ValueError, match=message):
         evaluate(samples, Model(micro_config()), None, dts=[2, 3], rhos=[0.0], seeds=[0])
@@ -286,14 +306,7 @@ def test_evaluate_rejects_a_one_step_observation_before_any_encoding(monkeypatch
     """The constant-velocity baseline needs two observed steps; a one-step
     window fails naming `obs_ais` and the vessel_id, not deep in the grid."""
     samples = generate_scenario(micro_waterway(t_obs=1), seed=5)
-    stems = []
-    real_stem = scene_mod.stem_forward
-
-    def counting_stem(*args):
-        stems.append(args)
-        return real_stem(*args)
-
-    monkeypatch.setattr(scene_mod, "stem_forward", counting_stem)
+    stems = count_stems(monkeypatch)
     message = rf"^obs_ais has 1 steps, fewer than the 2 .* \(vessel_id '{samples[0].vessel_id}'\)"
     with pytest.raises(FieldError, match=message) as err:
         evaluate(samples, Model(micro_config(t_obs=1)), None, dts=[3], rhos=[0.0], seeds=[0])
@@ -470,6 +483,9 @@ def test_evaluate_rejects_horizon_beyond_checkpoint(tiny_dataset):
         ("rhos", [0.0, 1.5], r"rhos holds missing rate 1\.5"),
         ("rhos", [-0.1], r"rhos holds missing rate -0\.1"),
         ("rhos", [float("nan")], "rhos holds missing rate nan"),
+        ("dts", [2, 2], "dts holds 2 twice"),
+        ("rhos", [0, 0.0], r"rhos holds 0\.0 twice"),
+        ("seeds", [0, 1, 0], "seeds holds 0 twice"),
     ],
 )
 def test_evaluate_rejects_an_empty_axis_or_a_horizon_below_one(tiny_dataset, axis, value, message):
