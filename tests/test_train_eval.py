@@ -248,37 +248,25 @@ def count_stems(monkeypatch) -> list[tuple]:
     return stems
 
 
-@pytest.mark.parametrize("fault", ["nan", "side"])
+@pytest.mark.parametrize("fault", ["nan", "side", "density"])
 def test_evaluate_names_the_vessel_of_a_failing_sample_before_any_stem(tiny_dataset, monkeypatch, fault):
     """Every sample is checked before the first stem runs, and the error names
-    the failing vessel's vessel_id and field."""
+    the failing vessel's vessel_id and field. A density label outside
+    `DENSITY_LEVELS` fails too, rather than encoding a vessel no cell counts."""
     samples = list(tiny_dataset)
     victim = samples[3]
     if fault == "nan":
         rasters = victim.rasters.copy()
         rasters[1, 0, 2, 2] = np.nan
-        message = "scenes.raster is not finite at step 1"
-    else:
+        edit, message = {"rasters": rasters}, "scenes.raster is not finite at step 1"
+    elif fault == "side":
         rasters = np.zeros((victim.t_obs, 3, 8, 8), dtype=np.float32)
-        message = r"scenes.raster at step 0 has shape \(3, 8, 8\), not \(3, 12, 12\)"
-    samples[3] = dataclasses.replace(victim, rasters=rasters)
+        edit, message = {"rasters": rasters}, r"scenes.raster at step 0 has shape \(3, 8, 8\), not \(3, 12, 12\)"
+    else:
+        edit, message = {"density": "Low"}, "density got 'Low'"
+    samples[3] = dataclasses.replace(victim, **edit)
     stems = count_stems(monkeypatch)
     with pytest.raises(ValueError, match=rf"{message} \(vessel_id '{victim.vessel_id}'\)"):
-        evaluate(samples, Model(micro_config()), None, dts=[2], rhos=[0.0], seeds=[0])
-    assert not stems
-
-
-def test_an_unknown_density_fails_naming_density_before_any_stem(monkeypatch):
-    """A density label outside `DENSITY_LEVELS` breaks `validate`, so
-    `evaluate` fails naming `density` and the vessel_id before any stem runs,
-    instead of encoding a vessel that no cell counts."""
-    samples = generate_scenario(micro_waterway(), seed=42)
-    victim = samples[0] = dataclasses.replace(samples[0], density="Low")
-    with pytest.raises(FieldError, match=r"^density got 'Low'$") as err:
-        victim.validate()
-    assert err.value.field == "density"
-    stems = count_stems(monkeypatch)
-    with pytest.raises(FieldError, match=rf"^density got 'Low' \(vessel_id '{victim.vessel_id}'\)$"):
         evaluate(samples, Model(micro_config()), None, dts=[2], rhos=[0.0], seeds=[0])
     assert not stems
 
