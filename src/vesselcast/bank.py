@@ -28,15 +28,22 @@ DISPLACEMENT_FLOOR = 1e-8
 KMEANS_MAX_ITERS = 100
 
 
+def _norm(x: np.ndarray) -> np.ndarray:
+    """Norm over the last axis with the bits of `np.linalg.norm` of each row alone (a dot)."""
+    return np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0, 0])
+
+
 def motion_feature(track: np.ndarray) -> np.ndarray:
-    """Translation- and scale-invariant key: (track - start) / displacement, flat.
+    """Translation- and scale-invariant key of each (..., T, 2) track:
+    (track - start) / displacement, flattened to (..., 2T).
 
     Stationary tracks hit the displacement floor and come out all-zero.
+    Each row equals its own one-track call bit for bit.
     """
     track = np.asarray(track, dtype=np.float64)
-    rel = track - track[0]
-    scale = max(float(np.linalg.norm(track[-1] - track[0])), DISPLACEMENT_FLOOR)
-    return (rel / scale).reshape(-1)
+    rel = track - track[..., :1, :]
+    scale = np.maximum(_norm(track[..., -1, :] - track[..., 0, :]), DISPLACEMENT_FLOOR)
+    return (rel / scale[..., None, None]).reshape(*track.shape[:-2], -1)
 
 
 @dataclass
@@ -106,7 +113,7 @@ def build_bank(obs: np.ndarray, fut: np.ndarray, k_max: int, seed: int) -> Traje
         raise ValueError(f"obs has {len(obs)} tracks but fut has {len(fut)}")
     if k_max < 1:
         raise ValueError(f"k_max must be at least 1, got {k_max}")
-    feats = np.stack([motion_feature(track) for track in obs])
+    feats = motion_feature(obs)
     n = feats.shape[0]
     k = min(k_max, n)
     rng = Rng(seed).child("bank-kmeans")
@@ -151,20 +158,24 @@ def bank_from_samples(samples, k_max: int, seed: int) -> TrajectoryBank:
     return build_bank(np.stack([s.obs_ais for s in full]), np.stack([s.fut_ais for s in full]), k_max, seed)
 
 
-def search(bank: TrajectoryBank, observed: np.ndarray) -> tuple[int, np.ndarray, float]:
-    """Best entry by cosine similarity; lowest index wins ties.
+def search(bank: TrajectoryBank, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Best entry by cosine similarity for each of the (V, T_obs, 2) `keys`:
+    (V,) entry indices and (V,) similarities. Lowest index wins ties.
 
-    A non-finite key would make every similarity NaN and silently pick
-    entry 0, so it raises instead; `load_bank` rejects non-finite entries.
+    One stacked matmul forms the (V, K) similarity matrix; each row equals
+    its own one-key search bit for bit. A non-finite key would make every
+    similarity of its row NaN and silently pick entry 0, so it raises naming
+    the row; `load_bank` rejects non-finite entries.
     """
     if not len(bank):
         raise ValueError("search on an empty bank")
-    if not np.isfinite(observed).all():
-        raise ValueError("search key is not finite")
-    fv = motion_feature(observed)
-    sims = bank.feat @ fv / (np.linalg.norm(fv) * np.linalg.norm(bank.feat, axis=1) + COSINE_EPS)
-    best = int(np.argmax(sims))
-    return best, bank.fut[best], float(sims[best])
+    bad = ~np.isfinite(keys).all(axis=(1, 2))
+    if bad.any():
+        raise ValueError(f"search key row {int(np.argmax(bad))} is not finite")
+    fv = motion_feature(keys)  # (V, 2 * T_obs)
+    dots = np.matmul(bank.feat, fv[..., None])[..., 0]  # (V, K)
+    sims = dots / (_norm(fv)[:, None] * np.linalg.norm(bank.feat, axis=1) + COSINE_EPS)
+    return sims.argmax(axis=1), sims.max(axis=1)
 
 
 # ---------------------------------------------------------------------------

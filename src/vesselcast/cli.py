@@ -22,12 +22,11 @@ from .plots import svg_line_chart
 from .train import train
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip()]
-
-
-def _parse_ints(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip()]
+def _parse_list(flag: str, text: str, kind: type) -> list:
+    try:
+        return [kind(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise ValueError(f"{flag} {text!r} is not a comma-separated list of {kind.__name__}s") from None
 
 
 def _no_samples(samples: list, path: str, command: str) -> bool:
@@ -46,6 +45,9 @@ def cmd_generate(args) -> int:
 
 
 def cmd_bank_build(args) -> int:
+    if args.kmax < 1:
+        print(f"bank build: k_max must be at least 1, got --kmax {args.kmax}", file=sys.stderr)
+        return 2
     samples = read_dataset(args.data)
     if _no_samples(samples, args.data, "bank build"):
         return 2
@@ -117,6 +119,13 @@ def cmd_eval(args) -> int:
     if cfg.t_obs < 2:
         print(f"eval needs t_obs >= 2 for its constant-velocity baseline, got t_obs = {cfg.t_obs}", file=sys.stderr)
         return 2
+    try:  # before a checkpoint is loaded, or --per-horizon trains a model per horizon
+        dts, rhos = _parse_list("--dt", args.dt, int), _parse_list("--rho", args.rho, float)
+        seeds = list(range(args.seeds))
+        check_grid(dts, rhos, seeds)
+    except ValueError as e:
+        print(f"eval: {e}", file=sys.stderr)
+        return 2
     # the input-mutation guard covers exactly the files this command reads; it
     # keeps their bytes, and an exact comparison is as strict as any digest's.
     # The datasets are decoded from those bytes, so each is held once
@@ -129,10 +138,6 @@ def cmd_eval(args) -> int:
     if args.per_horizon and _no_samples(train_samples, args.train_data, "eval --per-horizon"):
         return 2
     bank = load_bank(args.bank) if args.bank else None
-    dts = _parse_ints(args.dt)
-    rhos = _parse_floats(args.rho)
-    seeds = list(range(args.seeds))
-    check_grid(dts, rhos, seeds)  # before --per-horizon trains a model per horizon
 
     if args.per_horizon:
         cells = []
@@ -172,9 +177,9 @@ def cmd_predict(args) -> int:
     preds = model.predict(sample, rng=Rng(args.seed).child(sample.vessel_id), bank=bank)
     payload = {
         "vessel_id": sample.vessel_id,
-        "ais": [[[float(v) for v in p] for p in mode] for mode in preds.ais],
-        "cctv": [[[float(v) for v in p] for p in mode] for mode in preds.cctv],
-        "latents": [[float(v) for v in z] for z in preds.latents],
+        "ais": preds.ais.tolist(),
+        "cctv": preds.cctv.tolist(),
+        "latents": preds.latents.tolist(),
         # null for a dark vessel or without --bank: nothing was retrieved
         "prior_index": preds.prior_index,
         "prior_similarity": preds.prior_similarity,

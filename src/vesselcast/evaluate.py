@@ -16,7 +16,6 @@ import numpy as np
 from .bank import TrajectoryBank
 from .data.generate import apply_dark_vessels
 from .data.types import DENSITY_LEVELS, FieldError, VesselSample
-from .engine import concat
 from .engine.rng import Rng
 from .metrics import ade_fde, constant_velocity_baseline, cv_steps, diversity, sum_in_order
 from .model import Model
@@ -118,21 +117,18 @@ def evaluate(
     encoding.
 
     The grid varies only the broadcast mask (through rho) and the latent
-    noise (through the seed), so every vessel's scenes are encoded before
-    the grid, in one `Model.encode_scenes` call: it checks every sample
-    first, naming the vessel_id of one that fails, then runs the stem per
-    vessel and everything after it over the vessel axis, `CHUNK` vessels
-    per pass, so its transients do not grow with the pool. A vessel can
-    meet two masks on the grid, its own and the all-false one
-    `apply_dark_vessels` gives it, so one `Model.encode` call, also before
-    the grid, checks and fuses the 2 * vessels (vessel, ais_mask) pairs:
-    with the samples in vessel_id order, row i holds vessel i under its
-    stored mask and row vessels + i under the all-false one. Each (cell,
+    noise (through the seed). A vessel can meet two masks on the grid, its
+    own and the all-false one `apply_dark_vessels` gives it, so one
+    `Model.encode(samples, dark=True)` call before the grid checks each
+    sample once, naming the vessel_id of one that fails, encodes each
+    vessel's scenes once, and fuses the 2 * vessels (vessel, ais_mask)
+    pairs: with the samples in vessel_id order, row i holds vessel i under
+    its stored mask and row vessels + i under the all-false one. Each (cell,
     seed) takes its pool's rows of that one encoding by position, the
     all-false row for a vessel with no broadcast step, and decodes and
     refines them in one `Model.decode` pass, which reads only those rows,
-    each vessel with its own noise stream; bank search runs once per lit
-    vessel of each (cell, seed). `_scores` then scores those candidates.
+    each vessel with its own noise stream, and searches the bank once for
+    all of the pass's lit rows. `_scores` then scores those candidates.
     """
     check_grid(dts, rhos, seeds)
     max_dt = max(dts)
@@ -153,10 +149,7 @@ def evaluate(
     samples = sorted(samples, key=lambda s: s.vessel_id)
     if len({s.vessel_id for s in samples}) < len(samples):
         raise ValueError("evaluate needs a distinct vessel_id per sample")
-    scene_feats = model.encode_scenes(samples)  # (vessels, t_obs, d), or None
-    both = samples + apply_dark_vessels(samples, 1.0, seed=0)  # as stored, then all dark, whatever the seed
-    feats = None if scene_feats is None else concat([scene_feats, scene_feats])  # no tape runs here
-    encoding = model.encode(both, scene_feats=feats)
+    encoding = model.encode(samples, dark=True)  # as stored, then all dark
 
     cells = []
     for dt in sorted(dts):

@@ -11,7 +11,7 @@ from .bank import RefinementParams, TrajectoryBank, init_refinement, refine_and_
 from .config import TrainConfig, architecture_hash
 from .data.types import FieldError, VesselSample
 from .decoder import DecoderParams, ModeOutput, PredictionSet, init_decoder, predict_modes
-from .engine import Tensor, tensor, tmean
+from .engine import Tensor, concat, tensor, tmean
 from .engine.rng import Rng
 from .fusion import FusionParams, encode_and_fuse, init_fusion, masked_track
 from .losses import sample_losses, total_loss
@@ -29,16 +29,16 @@ class ModelParams:
 
 @dataclass
 class SampleEncoding:
-    """What `encode` computes for V samples before any noise is drawn, and all
-    that `decode` reads of them, row v for sample v: the pooled fused
-    encodings, the broadcast masks they were computed under, and the bank
-    retrieval keys under those masks (`masked_track`, masked steps at the
-    origin). One row holds one (vessel, mask) pair, so its encoding and its
-    key cannot disagree on the mask."""
+    """What `encode` computes for its rows before any noise is drawn, and all
+    that `decode` reads of them: the pooled fused encodings, the broadcast
+    masks they were computed under, and the bank retrieval keys under those
+    masks (`masked_track`, masked steps at the origin). One row holds one
+    (vessel, mask) pair, so its encoding and its key cannot disagree on the
+    mask."""
 
-    f_enc: Tensor  # (V, 1, d)
-    ais_mask: np.ndarray  # (V, t_obs) bool
-    keys: np.ndarray  # (V, t_obs, 2)
+    f_enc: Tensor  # (rows, 1, d)
+    ais_mask: np.ndarray  # (rows, t_obs) bool
+    keys: np.ndarray  # (rows, t_obs, 2)
 
     def take(self, rows: list[int]) -> SampleEncoding:
         """These rows, in the order given, as forward values only: `f_enc` is
@@ -50,13 +50,13 @@ class SampleEncoding:
 class Forward:
     """Graph-connected outputs of the per-draw stage for a pool of V vessels.
 
-    Row i of every `modes` field, and entry i of each list, belongs to row i
+    Row i of every `modes` field, and entry i of each array, belongs to row i
     of the encoding it was decoded from.
     """
 
     modes: ModeOutput  # (V, K, ...); positional head already refined where a bank applies
-    prior_index: list[int | None]  # retrieved bank entry per row, None where refinement skipped
-    prior_similarity: list[float | None]
+    prior_index: np.ndarray  # (V,) retrieved bank entry per row, -1 where refinement skipped
+    prior_similarity: np.ndarray  # (V,), NaN where refinement skipped
 
 
 def _check_steps(field: str, got: int, key: str, want: int) -> None:
@@ -113,53 +113,41 @@ class Model:
         for sample in samples:
             self._check_sample(sample, futures=futures)
 
-    def encode_scenes(self, samples: list[VesselSample]) -> Tensor | None:
-        """The (V, t_obs, d) scene features of V samples, row v for sample v,
-        or None when `cfg.use_scene` is off.
-
-        Checks every sample, and that there is at least one, before any
-        encoding runs. Only the stem runs per sample; the pooling, the
-        ConvLSTM and the MLPs run over the vessel axis, `CHUNK` samples per
-        pass (see `encode_scene_sequence`), so outside a tape a call's
-        transients do not grow with the pool. Each row equals the sample's
-        one-sample call bit for bit. The features depend only on the
-        parameters and `sample.rasters`/`sample.boxes`, not on the broadcast
-        mask, so a vessel's dark copies can share them.
-        """
-        self._check_samples(samples, "a scene encoding")
-        return self._scenes(samples)
-
-    def _scenes(self, samples: list[VesselSample]) -> Tensor | None:
-        if not self.cfg.use_scene:
-            return None
-        return encode_scene_sequence(
-            self.params.scene, [s.rasters for s in samples], [s.boxes for s in samples], self.cfg
-        )
-
-    def encode(self, samples: list[VesselSample], scene_feats: Tensor | None = None) -> SampleEncoding:
+    def encode(self, samples: list[VesselSample], dark: bool = False) -> SampleEncoding:
         """The deterministic stage of `forward_sample` for V >= 1 samples: check
-        them, encode their scenes (unless `scene_feats`, their rows of
-        `encode_scenes` in the same order, are given), fuse them with both
-        tracks in one `encode_and_fuse` call over the vessel axis, and build
-        their retrieval keys over the same axis.
+        them, and that there is at least one, then encode their scenes, fuse
+        them with both tracks in one `encode_and_fuse` call over the row axis,
+        and build their retrieval keys over the same axis.
 
-        Row v depends only on the parameters, sample v's observations and its
-        `ais_mask`, and equals the sample's one-sample call bit for bit, so
-        every draw on one (vessel, mask) can share it.
+        Row v holds sample v under its stored `ais_mask`. With `dark`, rows
+        V..2V-1 follow, row V + v holding sample v under the all-false mask,
+        the one `apply_dark_vessels` gives it; the scene features depend only
+        on the parameters and `rasters`/`boxes`, not on the mask, so both rows
+        share one encoding of the vessel's scenes. The stem runs per sample;
+        the pooling, the ConvLSTM and the MLPs run over the vessel axis,
+        `CHUNK` samples per pass (see `encode_scene_sequence`), so outside a
+        tape a call's transients do not grow with the pool.
+
+        Each row depends only on the parameters, its sample's observations and
+        its mask, and equals the one-sample call on that (sample, mask) bit
+        for bit, so every draw on one (vessel, mask) can share it.
         """
         self._check_samples(samples, "an encoding")
-        return self._fuse(samples, self._scenes(samples) if scene_feats is None else scene_feats)
+        return self._encode(samples, dark)
 
-    def _fuse(self, samples: list[VesselSample], scene_feats: Tensor | None) -> SampleEncoding:
-        obs, masks = np.stack([s.obs_ais for s in samples]), np.stack([s.ais_mask for s in samples])
+    def _encode(self, samples: list[VesselSample], dark: bool = False) -> SampleEncoding:
+        obs, masks, cctv = (np.stack([getattr(s, f) for s in samples]) for f in ("obs_ais", "ais_mask", "obs_cctv"))
+        scenes = None
+        if self.cfg.use_scene:
+            scenes = encode_scene_sequence(
+                self.params.scene, [s.rasters for s in samples], [s.boxes for s in samples], self.cfg
+            )
+        if dark:
+            obs, cctv = np.concatenate([obs, obs]), np.concatenate([cctv, cctv])
+            masks = np.concatenate([masks, np.zeros_like(masks)])
+            scenes = None if scenes is None else concat([scenes, scenes])
         _, f_enc = encode_and_fuse(
-            self.params.fusion,
-            obs,
-            masks,
-            np.stack([s.obs_cctv for s in samples]),
-            scene_feats,
-            self.cfg.heads,
-            use_cctv=self.cfg.use_cctv,
+            self.params.fusion, obs, masks, cctv, scenes, self.cfg.heads, use_cctv=self.cfg.use_cctv
         )
         return SampleEncoding(f_enc=f_enc, ais_mask=masks, keys=masked_track(obs, masks))
 
@@ -169,12 +157,13 @@ class Model:
 
         Row i draws its K * J latent draws from `rngs[i]`, in mode order, and
         reads only row i of `encoding`. `predict_modes` decodes every
-        (vessel, mode) row at once, and, when a bank is given and any row has
-        a broadcast step, `refine_and_fuse` refines every row at once, each lit
-        row against the bank entry its retrieval key finds. A dark row's gate
-        is masked to 0, so it keeps the raw decoder output: without any
-        broadcast step there is no key. The bank's horizons must match the
-        config. Each row's outputs equal its one-row call bit for bit.
+        (vessel, mode) row at once. When a bank is given and any row has a
+        broadcast step, one `search` call retrieves an entry for every such
+        lit row from its key, and `refine_and_fuse` refines every row at
+        once, each lit row against its entry. A dark row's gate is masked to
+        0, so it keeps the raw decoder output: without any broadcast step
+        there is no key. The bank's horizons must match the config. Each
+        row's outputs equal its one-row call bit for bit.
         """
         cfg = self.cfg
         if not 0 < len(rngs) == len(encoding.ais_mask):
@@ -185,22 +174,16 @@ class Model:
         self._check_bank(bank)
         eps = np.array([rng.normals(cfg.modes * cfg.latent_dim) for rng in rngs]).reshape(len(rngs), cfg.modes, -1)
         modes = predict_modes(self.params.decoder, encoding.f_enc, eps)
-        found = [
-            search(bank, key) if bank is not None and mask.any() else None
-            for key, mask in zip(encoding.keys, encoding.ais_mask)
-        ]
-        lit = np.array([f is not None for f in found])
+        lit = encoding.ais_mask.any(axis=1) & (bank is not None)
+        index, similarity = np.full(len(lit), -1), np.full(len(lit), np.nan)
         if lit.any():
-            placeholder = np.zeros((cfg.t_fut, 2))  # a dark row's prior: finite, and weighted 0
-            prior = np.stack([placeholder if f is None else f[1] for f in found])
+            index[lit], similarity[lit] = search(bank, encoding.keys[lit])
+            prior = np.zeros((len(lit), cfg.t_fut, 2))  # a dark row's prior: finite, and weighted 0
+            prior[lit] = bank.fut[index[lit]]
             modes.ais = refine_and_fuse(
                 self.params.refine, modes.ais, prior, modes.features, encoding.f_enc, cfg.offset_scale, lit
             )
-        return Forward(
-            modes=modes,
-            prior_index=[None if f is None else f[0] for f in found],
-            prior_similarity=[None if f is None else f[2] for f in found],
-        )
+        return Forward(modes=modes, prior_index=index, prior_similarity=similarity)
 
     def forward_sample(self, sample: VesselSample, rng: Rng, bank: TrajectoryBank | None = None) -> Forward:
         """Run the full pipeline on one sample: `encode(sample)`, which checks
@@ -230,8 +213,7 @@ class Model:
         sample at a time and adds the gradients up itself.
         """
         self.check_training(samples, bank)
-        scenes = self._scenes(samples)
-        fwd = self.decode(self._fuse(samples, scenes), [rng] * len(samples), bank=bank)
+        fwd = self.decode(self._encode(samples), [rng] * len(samples), bank=bank)
         fut = [np.stack([getattr(s, name) for s in samples]) for name in ("fut_ais", "fut_cctv")]
         rec, kl, winners = sample_losses(fwd.modes, *fut)
         rec, kl = tmean(rec), tmean(kl)
@@ -242,12 +224,13 @@ class Model:
         with the bank entry it retrieved, if any. Called outside any Tape, it
         records nothing."""
         fwd = self.forward_sample(sample, rng, bank=bank)
+        found = fwd.prior_index[0] >= 0
         return PredictionSet(
             ais=fwd.modes.ais.data[0],
             cctv=fwd.modes.cctv.data[0],
             latents=fwd.modes.z.data[0],
-            prior_index=fwd.prior_index[0],
-            prior_similarity=fwd.prior_similarity[0],
+            prior_index=int(fwd.prior_index[0]) if found else None,
+            prior_similarity=float(fwd.prior_similarity[0]) if found else None,
         )
 
     # ------------------------------------------------------------------

@@ -167,11 +167,10 @@ def test_search_self_match():
     rng = Rng(29)
     tracks = [np.cumsum(rand(rng, (9, 2), -0.2, 0.2), axis=0) for _ in range(6)]
     bank = build_bank(*windows(tracks, 4), k_max=6, seed=1)
-    for k in range(len(bank)):
-        got_k, fut, sim = search(bank, bank.obs[k])
-        assert got_k == k
-        assert sim == pytest.approx(1.0, abs=1e-6)
-        assert np.array_equal(fut, bank.fut[k])
+    got, sims = search(bank, bank.obs)  # every entry's own track, one row each
+    assert got.tolist() == list(range(len(bank)))
+    assert sims == pytest.approx(np.ones(len(bank)), abs=1e-6)
+    assert np.array_equal(bank.fut[got], bank.fut)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -179,10 +178,10 @@ def test_search_rejects_non_finite_key(value):
     rng = Rng(29)
     tracks = [np.cumsum(rand(rng, (9, 2), -0.2, 0.2), axis=0) for _ in range(6)]
     bank = build_bank(*windows(tracks, 4), k_max=6, seed=1)
-    key = bank.obs[1].copy()
-    key[2, 1] = value
-    with pytest.raises(ValueError, match="not finite"):
-        search(bank, key)
+    keys = bank.obs.copy()
+    keys[1, 2, 1] = value
+    with pytest.raises(ValueError, match="search key row 1 is not finite"):
+        search(bank, keys)
 
 
 def test_search_orthogonal_and_diagonal_similarities():
@@ -209,9 +208,9 @@ def test_search_orthogonal_and_diagonal_similarities():
     s = float(fd @ fv) / denom
     assert s == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-7)
     # the diagonal ties exactly between both entries -> lowest index wins
-    k, _, sim = search(bank, diag)
-    assert k == 0
-    assert sim == pytest.approx(s, abs=1e-12)
+    k, sim = search(bank, diag[None])
+    assert k.tolist() == [0]
+    assert sim[0] == pytest.approx(s, abs=1e-12)
 
 
 def test_search_matches_exhaustive_scan():
@@ -219,13 +218,50 @@ def test_search_matches_exhaustive_scan():
     tracks = [np.cumsum(rand(rng, (9, 2), -0.3, 0.3), axis=0) for _ in range(40)]
     bank = build_bank(*windows(tracks, 4), k_max=32, seed=2)
     feats = np.stack([motion_feature(obs) for obs in bank.obs])
-    for _ in range(200):
-        query = np.cumsum(rand(rng, (4, 2), -0.3, 0.3), axis=0)
+    queries = np.cumsum(rand(rng, (200, 4, 2), -0.3, 0.3), axis=1)
+    got, _ = search(bank, queries)
+    for query, got_row in zip(queries, got):
         fv = motion_feature(query)
         sims = feats @ fv / (np.linalg.norm(fv) * np.linalg.norm(feats, axis=1) + 1e-8)
         expected = int(np.argmax(sims))
-        got, _, _ = search(bank, query)
-        assert got == expected
+        assert got_row == expected
+
+
+def one_track_search(bank, key):
+    """The one-key search the row-axis `search` replaced: a displacement norm
+    and a feature norm from `np.linalg.norm` of one vector, and one matvec.
+    Returns the key's feature, the best index and its similarity."""
+    rel = key - key[0]
+    fv = (rel / max(float(np.linalg.norm(key[-1] - key[0])), 1e-8)).reshape(-1)
+    sims = bank.feat @ fv / (np.linalg.norm(fv) * np.linalg.norm(bank.feat, axis=1) + 1e-8)
+    best = int(np.argmax(sims))
+    return fv, best, float(sims[best])
+
+
+def test_row_axis_search_matches_the_one_track_search_bit_for_bit():
+    """Lit, partly masked (masked steps at the origin, as `masked_track`
+    leaves them) and stationary keys, searched in one call, give each key's
+    one-track index and similarity, to the bit; so do their features, and
+    the bank's own, which `build_bank` computes in one call."""
+    rng = Rng(37)
+    tracks = [np.cumsum(rand(rng, (9, 2), -0.3, 0.3), axis=0) for _ in range(40)]
+    bank = build_bank(*windows(tracks, 4), k_max=16, seed=2)
+    lit = np.cumsum(rand(rng, (300, 4, 2), -0.3, 0.3), axis=1) + rand(rng, (300, 1, 2), -5.0, 5.0)
+    partly = lit[:100].copy()
+    partly[:50, 0] = 0.0
+    partly[50:, 1:3] = 0.0
+    stationary = np.repeat(rand(rng, (20, 1, 2)), 4, axis=1)
+    keys = np.concatenate([lit, partly, stationary, np.zeros((1, 4, 2))])
+    feats = motion_feature(keys)
+    index, sims = search(bank, keys)
+    assert index.shape == sims.shape == (len(keys),)
+    for row, key in enumerate(keys):
+        fv, best, sim = one_track_search(bank, key)
+        assert feats[row].tobytes() == fv.tobytes(), row
+        assert (int(index[row]), sims[row].tobytes()) == (best, np.float64(sim).tobytes()), row
+    assert not feats[len(lit) + len(partly):].any()  # stationary keys hit the floor
+    for obs, feat in zip(bank.obs, bank.feat):
+        assert feat.tobytes() == one_track_search(bank, obs)[0].tobytes()
 
 
 LIT = np.ones(1)  # the one vessel of these calls has a retrieved prior

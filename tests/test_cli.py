@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import shlex
 import shutil
 import subprocess
@@ -77,10 +78,14 @@ def test_generate_then_bank_then_train_artifacts(workdir):
     assert (workdir / "curve.svg").exists()
 
 
-def test_bank_build_with_kmax_zero_fails_naming_k_max(workdir):
+def test_bank_build_with_kmax_zero_fails_naming_k_max(workdir, monkeypatch, capsys):
+    def no_reading(*args, **kwargs):
+        raise AssertionError("read the dataset for a bank that cannot be built")
+
+    monkeypatch.setattr(cli, "read_dataset", no_reading)
     out = workdir / "empty_bank.json"
-    with pytest.raises(ValueError, match="k_max must be at least 1, got 0"):
-        main(["bank", "build", "--data", str(workdir / "data.jsonl"), "--kmax", "0", "--out", str(out)])
+    assert main(["bank", "build", "--data", str(workdir / "data.jsonl"), "--kmax", "0", "--out", str(out)]) == 2
+    assert "k_max must be at least 1, got --kmax 0" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -141,9 +146,13 @@ def test_eval_per_horizon_needs_no_checkpoint(workdir):
         ("--rho", "nan", "rhos holds missing rate nan"),
         ("--dt", "2,2", "dts holds 2 twice"),
         ("--rho", "0,0.0", r"rhos holds 0\.0 twice"),
+        ("--dt", "2,x", r"--dt '2,x' is not a comma-separated list of ints"),
+        ("--rho", "low", r"--rho 'low' is not a comma-separated list of floats"),
     ],
 )
-def test_eval_rejects_a_bad_grid_before_training(workdir, tmp_path, monkeypatch, per_horizon, flag, value, message):
+def test_eval_rejects_a_bad_grid_before_training(
+    workdir, tmp_path, monkeypatch, capsys, per_horizon, flag, value, message
+):
     def no_training(*args, **kwargs):
         raise AssertionError("trained a model for a grid that cannot run")
 
@@ -156,9 +165,10 @@ def test_eval_rejects_a_bad_grid_before_training(workdir, tmp_path, monkeypatch,
     mode = (["--per-horizon", "--train-data", str(workdir / "data.jsonl")] if per_horizon
             else ["--ckpt", str(workdir / "ckpt.bin")])
     report = tmp_path / "report.csv"
-    with pytest.raises(ValueError, match=message):
-        main(["eval", "--data", str(workdir / "data.jsonl"), "--config", str(workdir / "train.cfg"),
-              *[f"{k}={v}" for k, v in grid.items()], *mode, "--report", str(report)])
+    assert main(["eval", "--data", str(workdir / "data.jsonl"), "--config", str(workdir / "train.cfg"),
+                 *[f"{k}={v}" for k, v in grid.items()], *mode, "--report", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert re.search(message, err) and err.count("\n") == 1, err
     assert not report.exists()
 
 

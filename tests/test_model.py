@@ -7,7 +7,7 @@ import pytest
 from conftest import PinnedNormals, micro_config, micro_waterway
 from vesselcast.bank import bank_from_samples
 from vesselcast.data import generate_scenario
-from vesselcast.engine import Rng, Tape, backward, finite_diff_check, tensor, tsum
+from vesselcast.engine import Rng, Tape, backward, finite_diff_check, tsum
 from vesselcast.model import Model
 from vesselcast.scene_encoder import CHUNK
 
@@ -54,19 +54,17 @@ def test_dark_sample_skips_refinement(micro_cfg, micro_samples):
 
 @pytest.mark.parametrize("use_bank", [False, True])
 def test_cached_scene_features_match_uncached_predict(micro_cfg, micro_samples, use_bank):
-    """A vessel's scene features, encoded once, serve the encodings of its lit,
-    partly masked and dark copies, fused in one call, and each copy's row
-    serves every draw on its mask bit for bit, alone or as a pool."""
+    """A vessel's scene features, encoded once, serve the encodings of its lit
+    (or partly masked) copy and of its dark copy, fused in one call, and each
+    copy's row serves every draw on its mask bit for bit, alone or as a pool."""
     from vesselcast.data import apply_dark_vessels
 
     model = Model(micro_cfg)
     bank = bank_from_samples(micro_samples, 4, seed=0) if use_bank else None
     lit = micro_samples[0]
     partial = dataclasses.replace(lit, ais_mask=np.arange(lit.t_obs) > 0)
-    dark = apply_dark_vessels([lit], 1.0, seed=0)[0]
-    copies = [lit, partial, dark]
-    feats = model.encode_scenes([lit])
-    encoding = model.encode(copies, scene_feats=tensor(np.repeat(feats.data, len(copies), axis=0)))
+    copies = [lit, partial, *apply_dark_vessels([lit, partial], 1.0, seed=0)]
+    encoding = model.encode(copies[:2], dark=True)
     for seed in (3, 4):
         pooled = model.decode(encoding, [Rng(seed) for _ in copies], bank=bank).modes
         for row, sample in enumerate(copies):
@@ -105,16 +103,37 @@ def test_a_pooled_predict_matches_each_vessels_own_predict_bit_for_bit(modes, us
     bank = bank_from_samples(samples, 4, seed=0) if use_bank else None
     pool = mixed_pool(samples)
     fwd = model.decode(model.encode(pool), [Rng(11).child(s.vessel_id) for s in pool], bank=bank)
-    assert len(fwd.prior_index) == len(fwd.modes.z.data) == len(pool)
+    assert fwd.prior_index.shape == fwd.prior_similarity.shape == (len(fwd.modes.z.data),) == (len(pool),)
     for row, sample in enumerate(pool):
         want = model.predict(sample, rng=Rng(11).child(sample.vessel_id), bank=bank)
         for name, field in (("ais", "ais"), ("cctv", "cctv"), ("latents", "z")):
             got = getattr(fwd.modes, field).data[row]
             assert got.shape == getattr(want, name).shape, name
             assert np.array_equal(got, getattr(want, name)), (sample.vessel_id, name)
-        got = (fwd.prior_index[row], fwd.prior_similarity[row])
-        assert got == (want.prior_index, want.prior_similarity)
-    assert sum(i is not None for i in fwd.prior_index) == (4 if use_bank else 0)
+        if want.prior_index is None:
+            assert fwd.prior_index[row] == -1 and np.isnan(fwd.prior_similarity[row])
+        else:
+            got = (int(fwd.prior_index[row]), float(fwd.prior_similarity[row]))
+            assert got == (want.prior_index, want.prior_similarity)
+    assert (fwd.prior_index >= 0).sum() == (4 if use_bank else 0)
+
+
+@pytest.mark.parametrize("use_scene", [False, True])
+def test_dark_rows_of_encode_match_encoding_the_dark_copies(use_scene):
+    """`encode(samples, dark=True)` holds `encode(samples)` in rows 0..V-1 and
+    `encode` of the all-dark copies in rows V..2V-1, bit for bit, for lit,
+    partly masked and dark vessels."""
+    from vesselcast.data import apply_dark_vessels
+
+    model = Model(micro_config(use_scene=use_scene))
+    pool = mixed_pool(generate_scenario(micro_waterway(vessel_count=7), seed=5))
+    both = model.encode(pool, dark=True)
+    halves = (model.encode(pool), model.encode(apply_dark_vessels(pool, 1.0, 0)))
+    for rows, want in zip((slice(0, len(pool)), slice(len(pool), None)), halves):
+        assert both.f_enc.data[rows].tobytes() == want.f_enc.data.tobytes()
+        assert both.keys[rows].tobytes() == want.keys.tobytes()
+        assert np.array_equal(both.ais_mask[rows], want.ais_mask)
+    assert not both.ais_mask[len(pool):].any()
 
 
 def test_decode_needs_one_rng_per_encoding_row(micro_cfg, micro_samples):
@@ -202,7 +221,7 @@ def test_non_finite_raster_fails_naming_step(micro_cfg, micro_samples):
     with pytest.raises(ValueError, match=r"scenes.raster is not finite at step 1"):
         model.predict(sample, rng=Rng(0))
     with pytest.raises(ValueError, match=r"scenes.raster is not finite at step 1"):
-        model.encode_scenes([sample])
+        model.encode([sample], dark=True)
 
 
 @pytest.mark.parametrize("field", ["obs_ais", "ais_mask", "obs_cctv", "scenes"])
@@ -232,10 +251,10 @@ def test_bank_horizon_mismatch_fails(micro_cfg, micro_samples, key, value):
         model.predict(micro_samples[0], rng=Rng(0), bank=bank)
 
 
-@pytest.mark.parametrize("method", ["encode", "encode_scenes"])
-def test_encoding_no_samples_fails_naming_samples(micro_cfg, method):
+@pytest.mark.parametrize("dark", [False, True], ids=["encode", "encode-dark"])
+def test_encoding_no_samples_fails_naming_samples(micro_cfg, dark):
     with pytest.raises(ValueError, match="samples is empty"):
-        getattr(Model(micro_cfg), method)([])
+        Model(micro_cfg).encode([], dark=dark)
 
 
 def test_scene_encoding_memory_does_not_grow_with_the_pool():
@@ -246,12 +265,12 @@ def test_scene_encoding_memory_does_not_grow_with_the_pool():
     cfg = micro_config(raster_size=24, stem_channels=(4, 4, 4))
     samples = generate_scenario(micro_waterway(vessel_count=3 * CHUNK, raster_size=24), seed=5)
     model = Model(cfg)
-    model.encode_scenes(samples)  # fills the gather-index cache before measuring
+    model.encode(samples, dark=True)  # fills the gather-index cache before measuring
     peaks = []
     for pool in (samples[:CHUNK], samples):
         tracemalloc.start()
         try:
-            model.encode_scenes(pool)
+            model.encode(pool, dark=True)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

@@ -340,9 +340,9 @@ def test_evaluate_fuses_each_vessel_mask_pair_once(tiny_dataset, monkeypatch):
 
 
 def test_evaluate_checks_each_sample_once_per_mask_not_per_draw(tiny_dataset, monkeypatch):
-    """A sample is checked once when its scenes are encoded and once per
-    (vessel, mask) when fused; drawing more seeds on the same masks checks
-    nothing again. rho 1 darkens every vessel whatever the seed."""
+    """A sample is checked once, by the one `encode` call that gives both of
+    its masks; drawing more seeds on the same masks checks nothing again.
+    rho 1 darkens every vessel whatever the seed."""
     from vesselcast.data import VesselSample
 
     counts = []
@@ -358,7 +358,7 @@ def test_evaluate_checks_each_sample_once_per_mask_not_per_draw(tiny_dataset, mo
     for n_seeds in (2, 4):
         counts.append(0)
         evaluate(tiny_dataset, model, bank, dts=[2], rhos=[0.0, 1.0], seeds=list(range(n_seeds)))
-    assert counts == [3 * len(tiny_dataset)] * 2  # encode_scenes, then the lit and the dark mask
+    assert counts == [len(tiny_dataset)] * 2  # one check covers the lit and the dark mask
 
 
 def test_evaluate_without_scene_stream_never_encodes(tiny_dataset, monkeypatch):
