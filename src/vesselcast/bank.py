@@ -7,17 +7,17 @@ k-means with farthest-point initialization; each cluster contributes the
 member closest to the cluster's mean feature (a medoid, never a synthetic
 average). Online, the query feature retrieves the best entry by cosine
 similarity, and a learned offset plus a gate blend the retrieved future
-with the network's own prediction.
+with the network's own prediction. A bank file is a checkpoint of its tracks.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .data.types import FieldError
 from .engine import Tensor, add, concat, mul, reshape, sigmoid, sub, tensor
 from .engine.rng import Rng
@@ -48,12 +48,14 @@ def motion_feature(track: np.ndarray) -> np.ndarray:
 
 @dataclass
 class TrajectoryBank:
-    """K prototype pairs, row k of each array belonging to prototype k."""
+    """K prototype pairs, row k of each array belonging to prototype k; the keys derive from `obs`."""
 
     obs: np.ndarray  # (K, T_obs, 2)
     fut: np.ndarray  # (K, T_fut, 2)
-    feat: np.ndarray  # (K, 2 * T_obs), motion_feature of each obs row
-    seed: int
+    feat: np.ndarray = field(init=False)  # (K, 2 * T_obs), motion_feature of each obs row
+
+    def __post_init__(self):
+        self.feat = motion_feature(self.obs)
 
     @property
     def t_obs(self) -> int:
@@ -129,7 +131,7 @@ def build_bank(obs: np.ndarray, fut: np.ndarray, k_max: int, seed: int) -> Traje
         mean = feats[members].mean(axis=0)
         dist = np.linalg.norm(feats[members] - mean, axis=1)
         medoids.append(int(members[int(np.argmin(dist))]))  # argmin takes the lowest index on ties
-    return TrajectoryBank(obs=obs[medoids], fut=fut[medoids], feat=feats[medoids], seed=seed)
+    return TrajectoryBank(obs=obs[medoids], fut=fut[medoids])
 
 
 def full_broadcast(samples) -> list:
@@ -149,11 +151,11 @@ def bank_from_samples(samples, k_max: int, seed: int) -> TrajectoryBank:
     if not full:
         raise ValueError(f"ais_mask: none of the {len(samples)} vessels broadcast every observed step")
     for s in full:
-        for field in ("obs_ais", "fut_ais"):
-            steps, want = len(getattr(s, field)), len(getattr(full[0], field))
+        for name in ("obs_ais", "fut_ais"):
+            steps, want = len(getattr(s, name)), len(getattr(full[0], name))
             if steps != want:
                 raise FieldError(
-                    field, f"has {steps} steps but the bank's first track has {want} (vessel_id {s.vessel_id!r})"
+                    name, f"has {steps} steps but the bank's first track has {want} (vessel_id {s.vessel_id!r})"
                 )
     return build_bank(np.stack([s.obs_ais for s in full]), np.stack([s.fut_ais for s in full]), k_max, seed)
 
@@ -228,66 +230,41 @@ def refine_and_fuse(
 
 
 # ---------------------------------------------------------------------------
-# persistence: JSON with a header and verbatim entry arrays
+# persistence: a checkpoint file of two tensors
+
+BANK_TENSORS = ("bank.obs", "bank.fut")
+
 
 def save_bank(path: str | Path, bank: TrajectoryBank) -> None:
-    payload = {
-        "t_obs": bank.t_obs,
-        "t_fut": bank.t_fut,
-        "k": len(bank),
-        "seed": bank.seed,
-        "entries": [
-            {"obs": obs.tolist(), "fut": fut.tolist(), "feat": feat.tolist()}
-            for obs, fut, feat in zip(bank.obs, bank.fut, bank.feat)
-        ],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, separators=(",", ":"))
-        fh.write("\n")
-
-
-def _entry_array(path, i: int, entry: dict, field: str, shape: tuple[int, ...]) -> np.ndarray:
-    where = f"bank file {path}: entry {i} field '{field}'"
-    try:
-        arr = np.asarray(entry[field], dtype=np.float64)
-    except (KeyError, TypeError, ValueError):
-        raise ValueError(f"{where} is missing or not a numeric array") from None
-    if arr.shape != shape:
-        raise ValueError(f"{where} has shape {arr.shape}, expected {shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{where} is not finite")
-    return arr
+    save_checkpoint(path, {"bank.obs": bank.obs, "bank.fut": bank.fut})
 
 
 def load_bank(path: str | Path) -> TrajectoryBank:
-    """Read a bank, checking its header, and each entry's shapes, values and key against it."""
+    """Read a bank that `save_bank` wrote: a checkpoint of exactly the tensors
+    `bank.obs` (K, T_obs, 2) and `bank.fut` (K, T_fut, 2), with one K >= 1,
+    every T >= 1 and every value finite. Every defect raises CheckpointError
+    naming the path."""
     try:
-        payload = json.loads(Path(path).read_bytes().decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise ValueError(f"bank file {path} is not UTF-8 JSON: {e}") from None
-    if not isinstance(payload, dict):
-        raise ValueError(f"bank file {path}: top level is a {type(payload).__name__}, not a JSON object")
-    for key in ("t_obs", "t_fut", "k", "seed", "entries"):
-        if key not in payload:
-            raise ValueError(f"bank file {path} is missing '{key}'")
-    for key in ("t_obs", "t_fut", "k", "seed"):
-        if type(payload[key]) is not int:  # not isinstance: a bool is no count
-            raise ValueError(f"bank file {path}: header '{key}' is {payload[key]!r}, not an int")
-    for key in ("t_obs", "t_fut"):
-        if payload[key] < 1:
-            raise ValueError(f"bank file {path}: header '{key}' is {payload[key]!r}, not a positive int")
-    if not isinstance(payload["entries"], list):
-        raise ValueError(f"bank file {path}: header 'entries' is {payload['entries']!r}, not a list")
-    t_obs, t_fut = payload["t_obs"], payload["t_fut"]
-    obs, fut, feat = [], [], []
-    for i, e in enumerate(payload["entries"]):
-        obs.append(_entry_array(path, i, e, "obs", (t_obs, 2)))
-        fut.append(_entry_array(path, i, e, "fut", (t_fut, 2)))
-        feat.append(_entry_array(path, i, e, "feat", (2 * t_obs,)))
-        if not np.array_equal(feat[-1], motion_feature(obs[-1])):
-            raise ValueError(f"bank file {path}: entry {i} field 'feat' is not motion_feature(obs)")
-    if len(obs) != payload["k"]:
-        raise ValueError(f"bank file {path}: header k={payload['k']} but {len(obs)} entries")
-    if not obs:
-        raise ValueError(f"bank file {path}: header k=0, but a bank needs at least one entry")
-    return TrajectoryBank(obs=np.stack(obs), fut=np.stack(fut), feat=np.stack(feat), seed=payload["seed"])
+        tensors = load_checkpoint(path)
+    except CheckpointError:
+        if Path(path).read_bytes()[:1] != b"{":
+            raise
+        raise CheckpointError(f"bank {path} is a JSON bank, a format no longer read; "
+                              "rebuild it with `vesselcast bank build`") from None
+    for problem, names in (("is missing", set(BANK_TENSORS) - set(tensors)),
+                           ("has unexpected", set(tensors) - set(BANK_TENSORS))):
+        if names:
+            raise CheckpointError(f"bank {path} {problem} tensors {sorted(names)}")
+    for name in BANK_TENSORS:
+        arr = tensors[name]
+        if arr.ndim != 3 or arr.shape[1] < 1 or arr.shape[2] != 2:
+            raise CheckpointError(f"bank {path}: tensor '{name}' has shape {arr.shape}, not (K, T, 2) with T >= 1")
+        bad = ~np.isfinite(arr).all(axis=(1, 2))
+        if bad.any():
+            raise CheckpointError(f"bank {path}: tensor '{name}' entry {int(np.argmax(bad))} is not finite")
+    obs, fut = (tensors[name] for name in BANK_TENSORS)
+    if len(obs) != len(fut):
+        raise CheckpointError(f"bank {path}: 'bank.obs' has {len(obs)} entries but 'bank.fut' has {len(fut)}")
+    if not len(obs):
+        raise CheckpointError(f"bank {path} has no entries, but a bank needs at least one")
+    return TrajectoryBank(obs=obs, fut=fut)

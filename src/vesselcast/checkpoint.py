@@ -1,4 +1,5 @@
-"""Binary checkpoint format.
+"""Binary checkpoint format: the one container for fixed arrays, holding
+model checkpoints (`save_model`) and trajectory banks (`bank.save_bank`).
 
 Layout (all integers little-endian):
 
@@ -18,9 +19,11 @@ digest read as a little-endian u64. The reader verifies it before it parses
 the tensor table, so a corrupt or truncated file fails as a checksum
 mismatch before any name is decoded or any dim is trusted.
 
-Tensor names are unique. A model checkpoint also holds its architecture
-fingerprint as the reserved 1-element tensor "meta.architecture_hash" (an
-integer below 2^53, exact in f64); the model loader requires it.
+Tensor names are unique. A bank holds exactly the tensors "bank.obs" and
+"bank.fut" (`bank.load_bank` checks the rest of its rules). A model
+checkpoint also holds its architecture fingerprint as the reserved
+1-element tensor "meta.architecture_hash" (an integer below 2^53, exact in
+f64); the model loader requires it.
 """
 
 from __future__ import annotations
@@ -40,8 +43,8 @@ _HEADER = struct.Struct("<4sII")  # magic, version, count
 _CHECKSUM_BYTES = 8
 
 
-class CheckpointError(RuntimeError):
-    pass
+class CheckpointError(ValueError):
+    """A checkpoint or bank file that cannot be right; the message names the path."""
 
 
 def _digest(body) -> bytes:

@@ -11,9 +11,9 @@ from pathlib import Path
 import numpy as np
 
 from .bank import bank_from_samples, full_broadcast, load_bank, save_bank
-from .checkpoint import load_model, save_model
+from .checkpoint import CheckpointError, load_model, save_model
 from .config import load_train_config, load_waterway_config
-from .data import apply_dark_vessels, generate_scenario, parse_dataset, read_dataset, write_dataset
+from .data import DatasetFormatError, apply_dark_vessels, generate_scenario, parse_dataset, read_dataset, write_dataset
 from .engine.rng import Rng
 from .evaluate import check_grid, evaluate, write_report
 from .hashutil import fnv1a64  # noqa: F401  unused here; perfbench's tracer patches this name
@@ -131,10 +131,10 @@ def cmd_eval(args) -> int:
     # The datasets are decoded from those bytes, so each is held once
     read = [args.data, args.bank, args.train_data if args.per_horizon else args.ckpt]
     before = {path: Path(path).read_bytes() for path in read if path}
-    samples = parse_dataset(before[args.data])
+    samples = parse_dataset(before[args.data], args.data)
     if _no_samples(samples, args.data, "eval"):
         return 2
-    train_samples = parse_dataset(before[args.train_data]) if args.per_horizon else None
+    train_samples = parse_dataset(before[args.train_data], args.train_data) if args.per_horizon else None
     if args.per_horizon and _no_samples(train_samples, args.train_data, "eval --per-horizon"):
         return 2
     bank = load_bank(args.bank) if args.bank else None
@@ -299,8 +299,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; a dataset, bank or checkpoint that cannot be read exits 2 naming the file."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (DatasetFormatError, CheckpointError) as e:  # a checkpoint's message names its path
+        print(f"{e.path}: {e}" if isinstance(e, DatasetFormatError) else e, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

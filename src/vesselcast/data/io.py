@@ -54,6 +54,7 @@ class DatasetFormatError(ValueError):
     def __init__(self, record: int | None, field: str, detail: str = ""):
         self.record = record
         self.field = field
+        self.path = None  # the file, where the reader was given one
         where = "dataset" if record is None else f"dataset record {record}"
         msg = f"{where}: bad field '{field}'"
         if detail:
@@ -149,27 +150,39 @@ def _header(blob: bytes) -> tuple[list[int], list, int]:
 
 def read_dataset(path: str | Path) -> list[VesselSample]:
     """Read and check a dataset file: `parse_dataset` of its bytes."""
-    return parse_dataset(Path(path).read_bytes())
+    return parse_dataset(Path(path).read_bytes(), path)
 
 
-def parse_dataset(blob: bytes) -> list[VesselSample]:
-    """Decode and check the bytes of a dataset file. Every defect raises
-    DatasetFormatError naming the field, and the record for a per-vessel one;
-    each sample also passes `VesselSample.validate`. The samples' rasters are
-    read-only views of `blob`, which they keep alive."""
+def parse_dataset(blob: bytes, path: str | Path | None = None) -> list[VesselSample]:
+    """Decode and check the bytes of a dataset file, the one at `path` if
+    given. Every defect raises DatasetFormatError naming the field, and the
+    record for a per-vessel one, with its `path` set; each sample also passes
+    `VesselSample.validate`, and no two share a `vessel_id`. The samples'
+    rasters are read-only views of `blob`, which they keep alive."""
+    try:
+        return _samples(blob)
+    except DatasetFormatError as e:
+        e.path = path
+        raise
+
+
+def _samples(blob: bytes) -> list[VesselSample]:
     if not blob:
         return []
     shape, records, start = _header(blob)
     block = np.frombuffer(blob, dtype="<f4", count=math.prod(shape), offset=start).reshape(shape)
-    samples = []
+    samples, first_record = [], {}
     for i, record in enumerate(records):
         if not isinstance(record, dict):
             raise DatasetFormatError(i, "<record>", f"a {type(record).__name__}, not an object")
         for key in _FIELDS:
             if key not in record:
                 raise DatasetFormatError(i, key, "missing")
+        vessel_id = str(record["vessel_id"])
+        if first_record.setdefault(vessel_id, i) != i:
+            raise DatasetFormatError(i, "vessel_id", f"repeats {vessel_id!r} of record {first_record[vessel_id]}")
         sample = VesselSample(
-            vessel_id=str(record["vessel_id"]),
+            vessel_id=vessel_id,
             obs_ais=_array(record, i, "obs_ais", np.float64, 2),
             ais_mask=_array(record, i, "ais_mask", bool, 1),
             obs_cctv=_array(record, i, "obs_cctv", np.float64, 2),

@@ -147,8 +147,9 @@ def evaluate(
                 "fut_ais", f"has {s.t_fut} steps, fewer than the requested horizon {max_dt} (vessel_id {s.vessel_id!r})"
             )
     samples = sorted(samples, key=lambda s: s.vessel_id)
-    if len({s.vessel_id for s in samples}) < len(samples):
-        raise ValueError("evaluate needs a distinct vessel_id per sample")
+    for before, after in zip(samples, samples[1:]):
+        if before.vessel_id == after.vessel_id:
+            raise ValueError(f"evaluate needs a distinct vessel_id per sample; {after.vessel_id!r} repeats")
     encoding = model.encode(samples, dark=True)  # as stored, then all dark
 
     cells = []

@@ -1,6 +1,6 @@
 import dataclasses
 import itertools
-import json
+import re
 
 import numpy as np
 import pytest
@@ -18,8 +18,10 @@ from vesselcast.bank import (
     save_bank,
     search,
 )
+from vesselcast.checkpoint import CheckpointError, load_checkpoint, load_model, save_checkpoint, save_model
 from vesselcast.data import apply_dark_vessels, generate_scenario
 from vesselcast.engine import Rng, tensor
+from vesselcast.model import Model
 from vesselcast.params import collect_params
 
 
@@ -190,13 +192,9 @@ def test_search_orthogonal_and_diagonal_similarities():
     # target vectors: track [(0,0),(1,0)] -> feature (0,0,1,0)
     e1 = np.array([[0.0, 0.0], [1.0, 0.0]])
     e2 = np.array([[0.0, 0.0], [0.0, 1.0]])
-    bank = TrajectoryBank(
-        obs=np.stack([e2, e1]),
-        fut=np.stack([np.zeros((2, 2)), np.ones((2, 2))]),
-        feat=np.stack([motion_feature(e2), motion_feature(e1)]),
-        seed=0,
-    )
+    bank = TrajectoryBank(obs=np.stack([e2, e1]), fut=np.stack([np.zeros((2, 2)), np.ones((2, 2))]))
     assert bank.t_obs == t_obs
+    assert np.array_equal(bank.feat, np.stack([motion_feature(e2), motion_feature(e1)]))
     # orthogonal: query along x vs entry along y
     fv = motion_feature(e1)
     f2 = motion_feature(e2)
@@ -372,35 +370,75 @@ def test_bounded_refinement_inequality(micro_cfg):
 
 
 def test_bank_round_trip(tmp_path):
+    """write -> read -> write is byte-identical, and the loaded bank's tracks
+    and derived keys equal the built bank's bit for bit."""
     rng = Rng(53)
     tracks = [np.cumsum(rand(rng, (9, 2), -0.2, 0.2), axis=0) for _ in range(10)]
     bank = build_bank(*windows(tracks, 4), k_max=4, seed=7)
-    p1, p2 = tmp_path / "b1.json", tmp_path / "b2.json"
+    p1, p2 = tmp_path / "b1.bin", tmp_path / "b2.bin"
     save_bank(p1, bank)
     loaded = load_bank(p1)
-    assert loaded.t_obs == bank.t_obs and loaded.t_fut == bank.t_fut and loaded.seed == bank.seed
+    assert loaded.t_obs == bank.t_obs and loaded.t_fut == bank.t_fut and len(loaded) == len(bank) == 4
     for field in ("obs", "fut", "feat"):
-        assert np.array_equal(getattr(bank, field), getattr(loaded, field)), field
+        assert getattr(bank, field).tobytes() == getattr(loaded, field).tobytes(), field
     save_bank(p2, loaded)
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def _saved_bank_payload(path):
-    """Write a small valid bank to `path` and return its parsed JSON."""
+def test_a_bank_file_is_a_checkpoint_of_two_track_tensors(tmp_path):
     rng = Rng(53)
     tracks = [np.cumsum(rand(rng, (9, 2), -0.2, 0.2), axis=0) for _ in range(10)]
-    save_bank(path, build_bank(*windows(tracks, 4), k_max=4, seed=7))
-    return json.loads(path.read_text(encoding="utf-8"))
+    bank = build_bank(*windows(tracks, 4), k_max=4, seed=7)
+    path = tmp_path / "bank.bin"
+    save_bank(path, bank)
+    tensors = load_checkpoint(path)
+    assert list(tensors) == ["bank.obs", "bank.fut"]
+    assert np.array_equal(tensors["bank.obs"], bank.obs) and np.array_equal(tensors["bank.fut"], bank.fut)
 
 
-def _corrupt_entry(entry, field, how):
-    if how == "short":
-        entry[field] = entry[field][:-1]
-    elif how == "nan":
-        # json writes NaN as a bare token, which json.load reads back
-        entry[field][0] = [float("nan"), 0.0] if field != "feat" else float("nan")
-    else:  # a finite key that no longer matches the track
-        entry[field][-1] += 0.5
+def fails_naming(path, rest, kind="bank"):
+    """pytest.raises for the CheckpointError that names `kind` and `path`, then matches `rest`."""
+    return pytest.raises(CheckpointError, match=f"{kind} {re.escape(str(path))}{rest}")
+
+
+def _good_tensors():
+    """The two tensors of a valid 3-entry bank, as `save_bank` writes them."""
+    rng = Rng(53)
+    return {"bank.obs": np.cumsum(rand(rng, (3, 4, 2)), axis=1), "bank.fut": rand(rng, (3, 5, 2))}
+
+
+def _edit(tensors, how):
+    if how == "missing":
+        del tensors["bank.fut"]
+    elif how == "extra":
+        tensors["bank.feat"] = tensors["bank.obs"].reshape(3, 8)
+    elif how == "rank":
+        tensors["bank.obs"] = tensors["bank.obs"].reshape(3, 8)
+    elif how == "no-steps":
+        tensors["bank.obs"] = np.zeros((3, 0, 2))
+    else:  # "k-mismatch"
+        tensors["bank.fut"] = tensors["bank.fut"][:2]
+    return tensors
+
+
+@pytest.mark.parametrize(
+    "how, message",
+    [
+        ("missing", r" is missing tensors \['bank.fut'\]"),
+        ("extra", r" has unexpected tensors \['bank.feat'\]"),
+        ("rank", r": tensor 'bank.obs' has shape \(3, 8\), not \(K, T, 2\)"),
+        ("no-steps", r": tensor 'bank.obs' has shape \(3, 0, 2\), not \(K, T, 2\) with T >= 1"),
+        ("k-mismatch", ": 'bank.obs' has 3 entries but 'bank.fut' has 2"),
+    ],
+)
+def test_load_bank_rejects_a_container_that_breaks_a_bank_rule_naming_the_file(tmp_path, how, message):
+    """A checkpoint with a valid checksum that is no bank: its tensors are not
+    exactly `bank.obs` and `bank.fut`, not rank 3 with steps, or differ in K.
+    A stored key (`extra`) is refused too: keys are derived, never read."""
+    path = tmp_path / "bank.bin"
+    save_checkpoint(path, _edit(_good_tensors(), how))
+    with fails_naming(path, message):
+        load_bank(path)
 
 
 @pytest.mark.parametrize(
@@ -408,53 +446,50 @@ def _corrupt_entry(entry, field, how):
     [
         ("obs", "short", "has shape"),
         ("fut", "short", "has shape"),
-        ("feat", "short", "has shape"),
         ("obs", "nan", "is not finite"),
         ("fut", "nan", "is not finite"),
-        ("feat", "nan", "is not finite"),
-        ("feat", "key", "is not motion_feature"),
     ],
 )
 def test_load_bank_rejects_bad_entry_naming_it(tmp_path, field, how, message):
-    path = tmp_path / "bank.json"
-    payload = _saved_bank_payload(path)
-    _corrupt_entry(payload["entries"][2], field, how)
-    path.write_text(json.dumps(payload), encoding="utf-8")
-    with pytest.raises(ValueError, match=f"{path.name}: entry 2 field '{field}' {message}"):
+    """Entry 2 of one tensor is short (its points lack their second
+    coordinate, so the tensor is not (K, T, 2)) or holds a NaN."""
+    tensors, name = _good_tensors(), f"bank.{field}"
+    if how == "short":
+        tensors[name] = tensors[name][..., :1]
+        where = rf"tensor '{name}' {message} \(3, \d, 1\)"
+    else:
+        tensors[name][2, 1, 0] = np.nan
+        where = f"tensor '{name}' entry 2 {message}"
+    path = tmp_path / "bank.bin"
+    save_checkpoint(path, tensors)
+    with fails_naming(path, f": {where}"):
         load_bank(path)
 
 
 def test_load_bank_rejects_a_bank_with_no_entries(tmp_path):
-    path = tmp_path / "bank.json"
-    payload = _saved_bank_payload(path)
-    payload.update(k=0, entries=[])
-    path.write_text(json.dumps(payload), encoding="utf-8")
-    with pytest.raises(ValueError, match=f"{path.name}: header k=0, but a bank needs at least one entry"):
+    path = tmp_path / "bank.bin"
+    save_checkpoint(path, {name: arr[:0] for name, arr in _good_tensors().items()})
+    with fails_naming(path, " has no entries, but a bank needs at least one"):
         load_bank(path)
 
 
-@pytest.mark.parametrize(
-    "key, value, kind",
-    [
-        ("t_obs", "4", "an int"),
-        ("t_obs", 0, "a positive int"),
-        ("t_fut", 5.0, "an int"),
-        ("t_fut", -1, "a positive int"),
-        ("k", True, "an int"),
-        ("seed", "7", "an int"),
-        ("entries", 5, "a list"),
-        (None, 5, "a JSON object"),  # the whole file is one number
-    ],
-)
-def test_load_bank_rejects_bad_header_naming_it(tmp_path, key, value, kind):
+def test_load_bank_of_a_model_checkpoint_and_load_model_of_a_bank_name_the_file(tmp_path):
+    cfg = micro_config()
+    ckpt, bank = tmp_path / "model.bin", tmp_path / "bank.bin"
+    save_model(ckpt, Model(cfg))
+    save_checkpoint(bank, _good_tensors())
+    with fails_naming(ckpt, r" is missing tensors \['bank.fut', 'bank.obs'\]"):
+        load_bank(ckpt)
+    with fails_naming(bank, " has no tensor 'meta.architecture_hash'", kind="checkpoint"):
+        load_model(bank, cfg)
+
+
+def test_a_json_bank_fails_saying_to_rebuild_it(tmp_path):
+    """The JSON bank format is no longer read; such a file names itself and
+    the command that writes the current format, as a v1 dataset does."""
     path = tmp_path / "bank.json"
-    payload = _saved_bank_payload(path)
-    if key is None:
-        payload, where = value, f"top level is a {type(value).__name__}"
-    else:
-        payload[key], where = value, f"header '{key}' is {value!r}"
-    path.write_text(json.dumps(payload), encoding="utf-8")
-    with pytest.raises(ValueError, match=rf"{path.name}: {where}, not {kind}"):
+    path.write_text('{"t_obs":2,"t_fut":3,"k":1,"seed":0,"entries":[]}\n', encoding="utf-8")
+    with fails_naming(path, " is a JSON bank.*rebuild it with `vesselcast bank build`"):
         load_bank(path)
 
 
@@ -471,7 +506,7 @@ def test_bank_leaves_out_a_vessel_with_a_masked_step(tmp_path, micro_samples, st
     want = bank_from_samples(micro_samples[1:], 16, seed=0)
     for field in ("obs", "fut", "feat"):
         assert np.array_equal(getattr(bank, field), getattr(want, field)), field
-    path = tmp_path / "bank.json"
+    path = tmp_path / "bank.bin"
     save_bank(path, bank)
     assert np.array_equal(load_bank(path).obs, want.obs)
 
@@ -482,16 +517,17 @@ def test_bank_from_an_all_dark_dataset_fails_naming_ais_mask(micro_samples):
         bank_from_samples(dark, 4, seed=0)
 
 
-def test_every_bit_flip_and_truncation_of_a_bank_loads_or_names_the_file(tmp_path, micro_samples):
-    """Each truncation and each single-bit flip of a micro bank loads or raises
-    a ValueError naming the file; never a raw decode or json error."""
-    path = tmp_path / "bank.json"
+def test_every_bit_flip_and_truncation_of_a_bank_fails_naming_the_file(tmp_path, micro_samples):
+    """Each truncation and each single-bit flip of a micro bank, the future
+    tracks included, raises a ValueError naming the file."""
+    path = tmp_path / "bank.bin"
     save_bank(path, bank_from_samples(micro_samples, 4, seed=0))
+    size, cases = len(path.read_bytes()), 0
     for _ in corrupt_in_place(path, masks=[1 << bit for bit in range(8)]):
-        try:
+        with pytest.raises(ValueError, match=re.escape(str(path))):
             load_bank(path)
-        except ValueError as exc:
-            assert str(path) in str(exc)
+        cases += 1
+    assert cases == 9 * size  # 8 flips of each byte, then each truncation
 
 
 @pytest.mark.parametrize("field", ["obs_ais", "fut_ais"])

@@ -350,6 +350,73 @@ def test_an_empty_dataset_exits_2_naming_the_file_before_any_work(workdir, tmp_p
     assert list(tmp_path.iterdir()) == [empty]
 
 
+def _unreadable_argv(workdir, tmp_path, command, flag):
+    """argv for `command` on the fixture's files, `flag`'s file replaced by a
+    copy cut short by one byte, and that copy's path."""
+    files = {"--data": "data.jsonl", "--train-data": "data.jsonl", "--bank": "bank.json", "--ckpt": "ckpt.bin"}
+    bad = tmp_path / files[flag]
+    bad.write_bytes((workdir / files[flag]).read_bytes()[:-1])
+    given = {name: str(workdir / file) for name, file in files.items()}
+    given[flag] = str(bad)
+    out = str(tmp_path / "out")
+    cfg = ["--config", str(workdir / "train.cfg")]
+    grid = ["--rho", "0", "--dt", "2", "--seeds", "1"]
+    head, inputs, outputs = {
+        "bank build": (["bank", "build"], ["--data"], ["--out", out]),
+        "train": (["train", *cfg, "--quiet"], ["--data", "--bank"], ["--out", out]),
+        "eval": (["eval", *cfg, *grid], ["--data", "--bank", "--ckpt"], ["--report", out]),
+        "eval --per-horizon": (["eval", "--per-horizon", *cfg, *grid], ["--data", "--bank", "--train-data"],
+                               ["--report", out]),
+        "predict": (["predict", *cfg, "--sample-id", "v0003"], ["--data", "--bank", "--ckpt"], ["--out", out]),
+        "latent-viz": (["latent-viz", *cfg], ["--data", "--bank", "--ckpt"], ["--out", out]),
+    }[command]
+    return [*head, *[arg for name in inputs for arg in (name, given[name])], *outputs], bad
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("bank build", "--data"),
+        ("train", "--data"),
+        ("train", "--bank"),
+        ("eval", "--data"),
+        ("eval", "--bank"),
+        ("eval", "--ckpt"),
+        ("eval --per-horizon", "--train-data"),
+        ("eval --per-horizon", "--bank"),
+        ("predict", "--data"),
+        ("predict", "--bank"),
+        ("predict", "--ckpt"),
+        ("latent-viz", "--data"),
+        ("latent-viz", "--bank"),
+        ("latent-viz", "--ckpt"),
+    ],
+)
+def test_an_input_file_that_cannot_be_read_exits_2_with_one_line_naming_it(
+    workdir, tmp_path, capsys, command, flag
+):
+    """A truncated dataset, bank or checkpoint is refused as a bad grid is:
+    exit 2, one line on stderr that names the file, no --out written."""
+    argv, bad = _unreadable_argv(workdir, tmp_path, command, flag)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and err.count("\n") == 1, err
+    assert sorted(tmp_path.iterdir()) == [bad]
+
+
+def test_another_value_error_keeps_its_traceback(workdir, monkeypatch):
+    """Only the file readers' typed errors become exit 2."""
+    def fail(*args, **kwargs):
+        raise ValueError("not a file's fault")
+
+    monkeypatch.setattr(cli, "load_bank", fail)
+    with pytest.raises(ValueError, match="not a file's fault"):
+        main(["predict", "--ckpt", str(workdir / "ckpt.bin"), "--data", str(workdir / "data.jsonl"),
+              "--bank", str(workdir / "bank.json"), "--config", str(workdir / "train.cfg"),
+              "--sample-id", "v0003", "--out", str(workdir / "never.json")])
+
+
 def test_eval_reads_its_dataset_once_before_the_run_and_once_after(workdir, tmp_path, monkeypatch):
     """The samples are decoded from the bytes the input-mutation guard keeps,
     so --data is opened twice, by the guard's read before the run and its

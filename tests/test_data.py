@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import math
 import struct
 import tracemalloc
 
@@ -311,6 +310,18 @@ def test_missing_field_names_record(tmp_path):
     _corrupt(path, drop_future)
     with pytest.raises(DatasetFormatError, match="record 1: bad field 'fut_ais' \\(missing\\)"):
         read_dataset(path)
+
+
+def test_a_repeated_vessel_id_names_the_record_and_the_id(tmp_path):
+    """Noise streams and dark selection are keyed by the vessel_id, so a file
+    in which two records share one is refused where it is read, with its path."""
+    path = tmp_path / "twins.vcds"
+    write_dataset(path, [dataclasses.replace(s, vessel_id="twin") if i in (0, 2) else s
+                         for i, s in enumerate(generate_scenario(small_cfg(vessel_count=3), seed=1))])
+    with pytest.raises(DatasetFormatError, match=r"^dataset record 2: bad field 'vessel_id' "
+                                                 r"\(repeats 'twin' of record 0\)") as info:
+        read_dataset(path)
+    assert info.value.path == path
 
 
 def _two_channel_raster(header, block):

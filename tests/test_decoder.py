@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from conftest import micro_config
 from vesselcast.decoder import init_decoder, predict_modes

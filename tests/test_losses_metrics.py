@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vesselcast.decoder import ModeOutput
-from vesselcast.engine import Rng, Tape, backward, tensor, zeros
+from vesselcast.engine import Rng, Tape, backward, tensor
 from vesselcast.losses import kl_loss, rec_loss, sample_losses, total_loss
 from vesselcast.metrics import ade_fde, constant_velocity_baseline, cv_steps, diversity, min_ade_fde_at_k
 

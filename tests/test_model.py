@@ -7,7 +7,7 @@ import pytest
 from conftest import PinnedNormals, micro_config, micro_waterway
 from vesselcast.bank import bank_from_samples
 from vesselcast.data import generate_scenario
-from vesselcast.engine import Rng, Tape, backward, finite_diff_check, tsum
+from vesselcast.engine import Rng, Tape, backward, finite_diff_check
 from vesselcast.model import Model
 from vesselcast.scene_encoder import CHUNK
 

@@ -373,7 +373,7 @@ def test_evaluate_without_scene_stream_never_encodes(tiny_dataset, monkeypatch):
 def test_evaluate_rejects_repeated_vessel_id(tiny_dataset):
     # scene features are cached per vessel_id, so two samples may not share one
     twin = dataclasses.replace(tiny_dataset[1], vessel_id=tiny_dataset[0].vessel_id)
-    with pytest.raises(ValueError, match="distinct vessel_id"):
+    with pytest.raises(ValueError, match=f"distinct vessel_id per sample; {tiny_dataset[0].vessel_id!r} repeats"):
         evaluate([tiny_dataset[0], twin], Model(micro_config()), None, dts=[2], rhos=[0.0], seeds=[0])
 
 

@@ -1,4 +1,4 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package, or a test module, imports is used in that module."""
 
 import ast
 from pathlib import Path
@@ -6,6 +6,7 @@ from pathlib import Path
 import vesselcast
 
 PACKAGE = Path(vesselcast.__file__).parent
+TESTS = Path(__file__).resolve().parent
 # "module.name" entries imported on purpose without a use
 ALLOWED = {
     "cli.fnv1a64",  # perfbench's tracer patches the name where `cli` looks it up
@@ -44,3 +45,10 @@ def test_no_module_imports_a_name_it_does_not_use():
         module = ".".join(path.relative_to(PACKAGE).with_suffix("").parts)
         found += [f"{module}.{name}" for name in unused_imports(path.read_text(encoding="utf-8"))]
     assert sorted(set(found) - ALLOWED) == []
+
+
+def test_no_test_module_imports_a_name_it_does_not_use():
+    found = []
+    for path in sorted(TESTS.glob("*.py")):
+        found += [f"{path.stem}.{name}" for name in unused_imports(path.read_text(encoding="utf-8"))]
+    assert found == []
