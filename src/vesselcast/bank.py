@@ -149,7 +149,8 @@ def bank_from_samples(samples, k_max: int, seed: int) -> TrajectoryBank:
         raise ValueError("cannot build a bank from an empty dataset")
     full = full_broadcast(samples)
     if not full:
-        raise ValueError(f"ais_mask: none of the {len(samples)} vessels broadcast every observed step")
+        raise FieldError("ais_mask", f"has a masked step in each of the {len(samples)} vessels: "
+                         "a bank needs one that broadcast every observed step")
     for s in full:
         for name in ("obs_ais", "fut_ais"):
             steps, want = len(getattr(s, name)), len(getattr(full[0], name))

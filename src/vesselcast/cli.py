@@ -14,6 +14,7 @@ from .bank import bank_from_samples, full_broadcast, load_bank, save_bank
 from .checkpoint import CheckpointError, load_model, save_model
 from .config import load_train_config, load_waterway_config
 from .data import DatasetFormatError, apply_dark_vessels, generate_scenario, parse_dataset, read_dataset, write_dataset
+from .data.types import FieldError
 from .engine.rng import Rng
 from .evaluate import check_grid, evaluate, write_report
 from .hashutil import fnv1a64  # noqa: F401  unused here; perfbench's tracer patches this name
@@ -26,14 +27,15 @@ def _parse_list(flag: str, text: str, kind: type) -> list:
     try:
         return [kind(v) for v in text.split(",") if v.strip()]
     except ValueError:
-        raise ValueError(f"{flag} {text!r} is not a comma-separated list of {kind.__name__}s") from None
+        raise FieldError(flag, f"{text!r} is not a comma-separated list of {kind.__name__}s") from None
 
 
-def _no_samples(samples: list, path: str, command: str) -> bool:
-    """Say on stderr that `command` cannot run on the dataset at `path` when it holds no samples."""
+def _nonempty(samples: list, path: str, command: str, flag: str = "--data") -> list:
+    """`samples`, read from the dataset at `path` given as `flag`; fails naming
+    both when it holds none, since `command` needs at least one."""
     if not samples:
-        print(f"no samples in {path}: {command} needs at least one", file=sys.stderr)
-    return not samples
+        raise FieldError(flag, f"has no samples in {path}: {command} needs at least one")
+    return samples
 
 
 def cmd_generate(args) -> int:
@@ -46,11 +48,8 @@ def cmd_generate(args) -> int:
 
 def cmd_bank_build(args) -> int:
     if args.kmax < 1:
-        print(f"bank build: k_max must be at least 1, got --kmax {args.kmax}", file=sys.stderr)
-        return 2
-    samples = read_dataset(args.data)
-    if _no_samples(samples, args.data, "bank build"):
-        return 2
+        raise FieldError("k_max", f"must be at least 1, got --kmax {args.kmax}")
+    samples = _nonempty(read_dataset(args.data), args.data, "bank build")
     bank = bank_from_samples(samples, k_max=args.kmax, seed=args.seed)
     save_bank(args.out, bank)
     print(f"bank of {len(bank)} prototypes (from {len(full_broadcast(samples))} tracks) -> {args.out}")
@@ -59,9 +58,7 @@ def cmd_bank_build(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = load_train_config(args.config)
-    samples = read_dataset(args.data)
-    if _no_samples(samples, args.data, "train"):
-        return 2
+    samples = _nonempty(read_dataset(args.data), args.data, "train")
     bank = load_bank(args.bank) if args.bank else None
     model, curve = train(
         samples,
@@ -110,33 +107,25 @@ def _eval_plots(cells, out_dir: str) -> None:
 
 def cmd_eval(args) -> int:
     if args.per_horizon and not args.train_data:
-        print("--per-horizon needs --train-data", file=sys.stderr)
-        return 2
+        raise FieldError("--train-data", "is needed with --per-horizon")
     if not args.per_horizon and not args.ckpt:
-        print("eval needs --ckpt unless --per-horizon is given", file=sys.stderr)
-        return 2
+        raise FieldError("--ckpt", "is needed unless --per-horizon is given")
     cfg = load_train_config(args.config)
     if cfg.t_obs < 2:
-        print(f"eval needs t_obs >= 2 for its constant-velocity baseline, got t_obs = {cfg.t_obs}", file=sys.stderr)
-        return 2
-    try:  # before a checkpoint is loaded, or --per-horizon trains a model per horizon
-        dts, rhos = _parse_list("--dt", args.dt, int), _parse_list("--rho", args.rho, float)
-        seeds = list(range(args.seeds))
-        check_grid(dts, rhos, seeds)
-    except ValueError as e:
-        print(f"eval: {e}", file=sys.stderr)
-        return 2
+        raise FieldError("t_obs", f"must be at least 2 for eval's constant-velocity baseline, got {cfg.t_obs}")
+    # before a checkpoint is loaded, or --per-horizon trains a model per horizon
+    dts, rhos = _parse_list("--dt", args.dt, int), _parse_list("--rho", args.rho, float)
+    seeds = list(range(args.seeds))
+    check_grid(dts, rhos, seeds)
     # the input-mutation guard covers exactly the files this command reads; it
     # keeps their bytes, and an exact comparison is as strict as any digest's.
     # The datasets are decoded from those bytes, so each is held once
     read = [args.data, args.bank, args.train_data if args.per_horizon else args.ckpt]
     before = {path: Path(path).read_bytes() for path in read if path}
-    samples = parse_dataset(before[args.data], args.data)
-    if _no_samples(samples, args.data, "eval"):
-        return 2
-    train_samples = parse_dataset(before[args.train_data], args.train_data) if args.per_horizon else None
-    if args.per_horizon and _no_samples(train_samples, args.train_data, "eval --per-horizon"):
-        return 2
+    samples = _nonempty(parse_dataset(before[args.data], args.data), args.data, "eval")
+    if args.per_horizon:
+        train_samples = parse_dataset(before[args.train_data], args.train_data)
+        _nonempty(train_samples, args.train_data, "eval --per-horizon", "--train-data")
     bank = load_bank(args.bank) if args.bank else None
 
     if args.per_horizon:
@@ -167,8 +156,7 @@ def cmd_predict(args) -> int:
     samples = read_dataset(args.data)
     matches = [s for s in samples if s.vessel_id == args.sample_id]
     if not matches:
-        print(f"no sample with vessel_id '{args.sample_id}' in {args.data}", file=sys.stderr)
-        return 2
+        raise FieldError("--sample-id", f"{args.sample_id!r} is the vessel_id of no sample in {args.data}")
     sample = matches[0]
     if args.dark:
         sample = apply_dark_vessels([sample], 1.0, seed=args.seed)[0]
@@ -208,11 +196,8 @@ def _motion_descriptors(obs: np.ndarray) -> tuple[float, float, float]:
 def cmd_latent_viz(args) -> int:
     cfg = load_train_config(args.config)
     if cfg.t_obs < 2:
-        print(f"latent-viz needs t_obs >= 2 for its motion descriptors, got t_obs = {cfg.t_obs}", file=sys.stderr)
-        return 2
-    samples = read_dataset(args.data)
-    if _no_samples(samples, args.data, "latent-viz"):
-        return 2
+        raise FieldError("t_obs", f"must be at least 2 for latent-viz's motion descriptors, got {cfg.t_obs}")
+    samples = _nonempty(read_dataset(args.data), args.data, "latent-viz")
     model = load_model(args.ckpt, cfg)
     bank = load_bank(args.bank) if args.bank else None
     ordered = sorted(samples, key=lambda s: s.vessel_id)
@@ -299,11 +284,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command; a dataset, bank or checkpoint that cannot be read exits 2 naming the file."""
+    """Run one command. An input that cannot be right (a flag, a config, a dataset,
+    bank or checkpoint, a path that cannot be read or written) raises a typed error,
+    which exits 2 here with one stderr line naming it; any other error keeps its traceback."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DatasetFormatError, CheckpointError) as e:  # a checkpoint's message names its path
+    except (FieldError, DatasetFormatError, CheckpointError, OSError) as e:
+        if isinstance(e, OSError) and e.filename is None:
+            raise  # not about a file the command was given
         print(f"{e.path}: {e}" if isinstance(e, DatasetFormatError) else e, file=sys.stderr)
         return 2
 

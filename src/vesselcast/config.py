@@ -51,9 +51,9 @@ class TrainConfig:
             if not getattr(self, name) > 0:
                 raise FieldError(name, "must be positive")
         if self.d_model % 2 != 0 or self.d_model % self.heads != 0:
-            raise ValueError(f"d_model={self.d_model} must be even and divisible by heads={self.heads}")
+            raise FieldError("d_model", f"must be even and divisible by heads={self.heads}, got {self.d_model}")
         if len(self.stem_channels) != 3 or min(self.stem_channels) <= 0:
-            raise ValueError(f"stem_channels must be 3 positive channel counts, got {self.stem_channels!r}")
+            raise FieldError("stem_channels", f"must be 3 positive channel counts, got {self.stem_channels!r}")
         rules = (
             ("lr", 0 < self.lr < math.inf, "must be finite and positive"),
             ("kl_weight", 0 <= self.kl_weight < math.inf, "must be finite and >= 0"),
@@ -149,19 +149,22 @@ def config_from_mapping(cls, mapping: dict[str, str]):
     return cls(**kwargs)
 
 
-def load_train_config(path: str | Path | None) -> TrainConfig:
+def _load_config(cls, path: str | Path | None):
+    """The validated `cls` config of the flat file at `path`, or the defaults
+    when it is None; any fault in the file is a FieldError naming the file."""
     if path is None:
-        cfg = TrainConfig()
-    else:
-        cfg = config_from_mapping(TrainConfig, parse_flat(Path(path).read_text()))
-    cfg.validate()
+        return cls()
+    try:
+        cfg = config_from_mapping(cls, parse_flat(Path(path).read_text(encoding="utf-8")))
+        cfg.validate()
+    except ValueError as e:
+        raise FieldError(str(path), f"is not a valid {cls.__name__} file: {e}") from e
     return cfg
+
+
+def load_train_config(path: str | Path | None) -> TrainConfig:
+    return _load_config(TrainConfig, path)
 
 
 def load_waterway_config(path: str | Path | None) -> WaterwayConfig:
-    if path is None:
-        cfg = WaterwayConfig()
-    else:
-        cfg = config_from_mapping(WaterwayConfig, parse_flat(Path(path).read_text()))
-    cfg.validate()
-    return cfg
+    return _load_config(WaterwayConfig, path)

@@ -80,15 +80,18 @@ def _record(s: VesselSample) -> dict:
 
 
 def write_dataset(path: str | Path, samples: list[VesselSample]) -> None:
-    """Write `samples` as one file; every sample's rasters must share one shape."""
+    """Write `samples` as one file that `read_dataset` reads back; rasters of two
+    shapes or a repeated `vessel_id` fail naming both vessels, before any byte."""
     if not samples:
         Path(path).write_bytes(b"")
         return
-    first = samples[0]
-    for s in samples:
+    first, seen = samples[0], {}
+    for i, s in enumerate(samples):
         if s.rasters.shape != first.rasters.shape:
             raise FieldError("scenes.raster", f"of vessel {s.vessel_id} has shape {s.rasters.shape}, "
                              f"not {first.rasters.shape} as vessel {first.vessel_id}")
+        if seen.setdefault(s.vessel_id, i) != i:
+            raise FieldError("vessel_id", f"of sample {i} repeats {s.vessel_id!r} of sample {seen[s.vessel_id]}")
     block = np.stack([s.rasters for s in samples]).astype("<f4", copy=False)
     header = {"shape": list(block.shape), "records": [_record(s) for s in samples]}
     head = json.dumps(header, separators=(",", ":")).encode("utf-8")

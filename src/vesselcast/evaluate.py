@@ -79,20 +79,20 @@ def _scores(dark: list[VesselSample], ais: np.ndarray, cctv: np.ndarray, dt: int
 
 
 def check_grid(dts: list[int], rhos: list[float], seeds: list) -> None:
-    """Reject a grid no evaluation can run: an empty axis, a value given twice
-    on one axis, a horizon below 1 step, or a missing rate outside [0, 1] or
-    NaN."""
+    """Reject a grid no evaluation can run, naming the axis: an empty axis, a
+    value given twice on one axis, a horizon below 1 step, or a missing rate
+    outside [0, 1] or NaN."""
     for name, axis in (("dts", dts), ("rhos", rhos), ("seeds", seeds)):
         if len(axis) == 0:
-            raise ValueError(f"{name} is empty: the grid needs at least one value on each axis")
+            raise FieldError(name, "is empty: the grid needs at least one value on each axis")
         repeated = [v for i, v in enumerate(axis) if v in axis[:i]]
         if repeated:
-            raise ValueError(f"{name} holds {repeated[0]!r} twice: each value on an axis must be distinct")
+            raise FieldError(name, f"holds {repeated[0]!r} twice: each value on an axis must be distinct")
     if min(dts) < 1:
-        raise ValueError(f"dts holds horizon {min(dts)}: every horizon must be at least 1 step")
+        raise FieldError("dts", f"holds horizon {min(dts)}: every horizon must be at least 1 step")
     for rho in rhos:
         if not 0.0 <= rho <= 1.0:  # also false for NaN
-            raise ValueError(f"rhos holds missing rate {rho!r}: every rate must lie in [0, 1]")
+            raise FieldError("rhos", f"holds missing rate {rho!r}: every rate must lie in [0, 1]")
 
 
 def evaluate(
@@ -111,7 +111,8 @@ def evaluate(
     metric values. A cell's `cv_*` are over the seeds where some vessel has
     a constant-velocity baseline (`_scores`), and absent when none does.
 
-    Every sample's future must reach the longest horizon, and every sample
+    The checkpoint's `t_fut` must reach the longest horizon, or the grid
+    fails naming `t_fut`. So must every sample's future, and every sample
     needs 2 observed steps for the constant-velocity baseline; one that falls
     short fails naming `fut_ais` or `obs_ais` and its vessel_id before any
     encoding.
@@ -133,7 +134,7 @@ def evaluate(
     check_grid(dts, rhos, seeds)
     max_dt = max(dts)
     if model.cfg.t_fut < max_dt:
-        raise ValueError(f"checkpoint t_fut={model.cfg.t_fut} < requested horizon {max_dt}")
+        raise FieldError("t_fut", f"of the checkpoint is {model.cfg.t_fut} < requested horizon {max_dt}")
     if not samples:
         raise ValueError(f"dataset t_fut=0 < requested horizon {max_dt}")
     for s in samples:

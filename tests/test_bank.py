@@ -20,6 +20,7 @@ from vesselcast.bank import (
 )
 from vesselcast.checkpoint import CheckpointError, load_checkpoint, load_model, save_checkpoint, save_model
 from vesselcast.data import apply_dark_vessels, generate_scenario
+from vesselcast.data.types import FieldError
 from vesselcast.engine import Rng, tensor
 from vesselcast.model import Model
 from vesselcast.params import collect_params
@@ -513,7 +514,7 @@ def test_bank_leaves_out_a_vessel_with_a_masked_step(tmp_path, micro_samples, st
 
 def test_bank_from_an_all_dark_dataset_fails_naming_ais_mask(micro_samples):
     dark = apply_dark_vessels(micro_samples, 1.0, seed=0)
-    with pytest.raises(ValueError, match="ais_mask: none of the 6 vessels"):
+    with pytest.raises(FieldError, match="^ais_mask has a masked step in each of the 6 vessels"):
         bank_from_samples(dark, 4, seed=0)
 
 

@@ -1,3 +1,4 @@
+import ast
 import builtins
 import dataclasses
 import io
@@ -87,6 +88,15 @@ def test_bank_build_with_kmax_zero_fails_naming_k_max(workdir, monkeypatch, caps
     assert main(["bank", "build", "--data", str(workdir / "data.jsonl"), "--kmax", "0", "--out", str(out)]) == 2
     assert "k_max must be at least 1, got --kmax 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_bank_build_on_an_all_dark_dataset_exits_2_naming_ais_mask(workdir, tmp_path, capsys):
+    write_dataset(tmp_path / "dark.bin", apply_dark_vessels(read_dataset(workdir / "data.jsonl"), 1.0, seed=0))
+    capsys.readouterr()
+    assert main(["bank", "build", "--data", str(tmp_path / "dark.bin"), "--out", str(tmp_path / "bank.bin")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ais_mask has a masked step in each of the 8 vessels") and err.count("\n") == 1, err
+    assert not (tmp_path / "bank.bin").exists()
 
 
 def test_bank_build_counts_only_the_vessels_it_uses(workdir, tmp_path, capsys):
@@ -350,27 +360,44 @@ def test_an_empty_dataset_exits_2_naming_the_file_before_any_work(workdir, tmp_p
     assert list(tmp_path.iterdir()) == [empty]
 
 
-def _unreadable_argv(workdir, tmp_path, command, flag):
+_GRID = ["--rho", "0", "--dt", "2", "--seeds", "1"]
+_INPUTS = {  # command: (its leading argv, the flags of the files it reads, its output flag)
+    "generate": (["generate"], ["--config"], "--out"),
+    "bank build": (["bank", "build"], ["--data"], "--out"),
+    "train": (["train", "--quiet"], ["--config", "--data", "--bank"], "--out"),
+    "eval": (["eval", *_GRID], ["--config", "--data", "--bank", "--ckpt"], "--report"),
+    "eval --per-horizon": (["eval", "--per-horizon", *_GRID], ["--config", "--data", "--bank", "--train-data"],
+                           "--report"),
+    "predict": (["predict", "--sample-id", "v0003"], ["--config", "--data", "--bank", "--ckpt"], "--out"),
+    "latent-viz": (["latent-viz"], ["--config", "--data", "--bank", "--ckpt"], "--out"),
+}
+
+
+def _command_argv(workdir, command, out, flag=None, path=None):
+    """argv for `command` on the fixture's files, writing `out`, with `flag`'s
+    file replaced by `path` when a flag is given."""
+    head, inputs, output = _INPUTS[command]
+    given = {name: str(path if name == flag else workdir / _input_file(command, name)) for name in inputs}
+    return [*head, *[arg for name in inputs for arg in (name, given[name])], output, str(out)]
+
+
+def _input_file(command, flag):
+    """The fixture's file that `command` reads as `flag`."""
+    if flag == "--config":
+        return "scenario.cfg" if command == "generate" else "train.cfg"
+    return {"--data": "data.jsonl", "--train-data": "data.jsonl", "--bank": "bank.json", "--ckpt": "ckpt.bin"}[flag]
+
+
+def _unreadable_argv(workdir, tmp_path, command, flag, missing=False):
     """argv for `command` on the fixture's files, `flag`'s file replaced by a
-    copy cut short by one byte, and that copy's path."""
-    files = {"--data": "data.jsonl", "--train-data": "data.jsonl", "--bank": "bank.json", "--ckpt": "ckpt.bin"}
-    bad = tmp_path / files[flag]
-    bad.write_bytes((workdir / files[flag]).read_bytes()[:-1])
-    given = {name: str(workdir / file) for name, file in files.items()}
-    given[flag] = str(bad)
-    out = str(tmp_path / "out")
-    cfg = ["--config", str(workdir / "train.cfg")]
-    grid = ["--rho", "0", "--dt", "2", "--seeds", "1"]
-    head, inputs, outputs = {
-        "bank build": (["bank", "build"], ["--data"], ["--out", out]),
-        "train": (["train", *cfg, "--quiet"], ["--data", "--bank"], ["--out", out]),
-        "eval": (["eval", *cfg, *grid], ["--data", "--bank", "--ckpt"], ["--report", out]),
-        "eval --per-horizon": (["eval", "--per-horizon", *cfg, *grid], ["--data", "--bank", "--train-data"],
-                               ["--report", out]),
-        "predict": (["predict", *cfg, "--sample-id", "v0003"], ["--data", "--bank", "--ckpt"], ["--out", out]),
-        "latent-viz": (["latent-viz", *cfg], ["--data", "--bank", "--ckpt"], ["--out", out]),
-    }[command]
-    return [*head, *[arg for name in inputs for arg in (name, given[name])], *outputs], bad
+    damaged copy, or with `missing` by a path where no file is, and that path.
+    A copy is cut short by one byte; a config, which reads the same without
+    its last newline, is cut after its last '=', so its last key has no value."""
+    bad = tmp_path / _input_file(command, flag)
+    if not missing:
+        data = (workdir / bad.name).read_bytes()
+        bad.write_bytes(data[: data.rindex(b"=") + 1] if flag == "--config" else data[:-1])
+    return _command_argv(workdir, command, tmp_path / "out", flag, bad), bad
 
 
 @pytest.mark.parametrize(
@@ -390,19 +417,86 @@ def _unreadable_argv(workdir, tmp_path, command, flag):
         ("latent-viz", "--data"),
         ("latent-viz", "--bank"),
         ("latent-viz", "--ckpt"),
+        ("generate", "--config"),
+        ("train", "--config"),
+        ("eval", "--config"),
+        ("eval --per-horizon", "--config"),
+        ("predict", "--config"),
+        ("latent-viz", "--config"),
     ],
 )
 def test_an_input_file_that_cannot_be_read_exits_2_with_one_line_naming_it(
     workdir, tmp_path, capsys, command, flag
 ):
-    """A truncated dataset, bank or checkpoint is refused as a bad grid is:
-    exit 2, one line on stderr that names the file, no --out written."""
-    argv, bad = _unreadable_argv(workdir, tmp_path, command, flag)
+    """A path where no file is, and a truncated config, dataset, bank or
+    checkpoint, are refused as a bad grid is: exit 2, one line on stderr that
+    names the file, no --out written."""
+    for missing in (True, False):
+        argv, bad = _unreadable_argv(workdir, tmp_path, command, flag, missing)
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and err.count("\n") == 1, err
+        assert sorted(tmp_path.iterdir()) == ([] if missing else [bad])
+
+
+@pytest.mark.parametrize("command", list(_INPUTS))
+def test_an_output_in_a_missing_directory_exits_2_with_one_line_naming_it(workdir, tmp_path, capsys, command):
+    out = tmp_path / "missing" / "out"
     capsys.readouterr()
-    assert main(argv) == 2
+    assert main(_command_argv(workdir, command, out)) == 2
     err = capsys.readouterr().err
-    assert str(bad) in err and err.count("\n") == 1, err
-    assert sorted(tmp_path.iterdir()) == [bad]
+    assert str(out) in err and err.count("\n") == 1, err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["generate", "train"])
+@pytest.mark.parametrize(
+    "line, named",
+    [("t_obs = two", "t_obs"), ("t_obs = 0", "t_obs"), ("nope = 1", "nope"), ("t_obs = \xff", "utf-8")],
+    ids=["unparsable", "invalid", "unknown", "not-utf-8"],
+)
+def test_a_config_that_cannot_be_right_exits_2_with_one_line_naming_the_file_and_fault(
+    workdir, tmp_path, capsys, command, line, named
+):
+    config = tmp_path / "bad.cfg"
+    config.write_text((SCENARIO_TEXT if command == "generate" else CONFIG_TEXT) + line + "\n", encoding="latin-1")
+    capsys.readouterr()
+    assert main(_command_argv(workdir, command, tmp_path / "out", "--config", config)) == 2
+    err = capsys.readouterr().err
+    assert str(config) in err and named in err and err.count("\n") == 1, err
+    assert sorted(tmp_path.iterdir()) == [config]
+
+
+def test_train_on_samples_of_another_window_exits_2_naming_the_field_and_vessel(workdir, tmp_path, capsys):
+    (tmp_path / "train.cfg").write_text(CONFIG_TEXT.replace("t_obs = 2", "t_obs = 3"))
+    out = tmp_path / "ckpt.bin"
+    capsys.readouterr()
+    assert main(["train", "--data", str(workdir / "data.jsonl"), "--config", str(tmp_path / "train.cfg"),
+                 "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err == "obs_ais has 2 steps but cfg.t_obs is 3 (vessel_id 'v0000')\n", err
+    assert not out.exists()
+
+
+def test_eval_past_the_checkpoint_horizon_exits_2_naming_t_fut(workdir, tmp_path, capsys):
+    report = tmp_path / "report.csv"
+    assert main(["eval", "--data", str(workdir / "data.jsonl"), "--ckpt", str(workdir / "ckpt.bin"),
+                 "--config", str(workdir / "train.cfg"), "--rho", "0", "--dt", "4", "--seeds", "1",
+                 "--report", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert err == "t_fut of the checkpoint is 3 < requested horizon 4\n", err
+    assert not report.exists()
+
+
+def test_only_main_returns_2():
+    """A command raises a typed error for an input that cannot be right, and
+    `main` alone turns it into exit 2."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    returning = {fn.name for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 for node in ast.walk(fn)
+                 if isinstance(node, ast.Return) and isinstance(node.value, ast.Constant) and node.value.value == 2}
+    assert returning == {"main"}
 
 
 def test_another_value_error_keeps_its_traceback(workdir, monkeypatch):

@@ -316,12 +316,28 @@ def test_a_repeated_vessel_id_names_the_record_and_the_id(tmp_path):
     """Noise streams and dark selection are keyed by the vessel_id, so a file
     in which two records share one is refused where it is read, with its path."""
     path = tmp_path / "twins.vcds"
-    write_dataset(path, [dataclasses.replace(s, vessel_id="twin") if i in (0, 2) else s
-                         for i, s in enumerate(generate_scenario(small_cfg(vessel_count=3), seed=1))])
+    write_dataset(path, generate_scenario(small_cfg(vessel_count=3), seed=1))
+
+    def twins(header, block):  # write_dataset refuses them, so they are edited in
+        for i in (0, 2):
+            header["records"][i]["vessel_id"] = "twin"
+        return block
+
+    _corrupt(path, twins)
     with pytest.raises(DatasetFormatError, match=r"^dataset record 2: bad field 'vessel_id' "
                                                  r"\(repeats 'twin' of record 0\)") as info:
         read_dataset(path)
     assert info.value.path == path
+
+
+def test_writing_a_repeated_vessel_id_fails_naming_both_samples_before_any_byte(tmp_path):
+    """No file is written that `read_dataset` would refuse."""
+    samples = [dataclasses.replace(s, vessel_id="twin") if i in (1, 3) else s
+               for i, s in enumerate(generate_scenario(small_cfg(vessel_count=4), seed=1))]
+    path = tmp_path / "twins.vcds"
+    with pytest.raises(FieldError, match=r"^vessel_id of sample 3 repeats 'twin' of sample 1$"):
+        write_dataset(path, samples)
+    assert not path.exists()
 
 
 def _two_channel_raster(header, block):
