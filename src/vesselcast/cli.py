@@ -38,6 +38,16 @@ def _nonempty(samples: list, path: str, command: str, flag: str = "--data") -> l
     return samples
 
 
+def _check_outputs(args) -> None:
+    """Fail naming the flag when a file the command would write, `--out`,
+    `--curve` or `--report`, lies in a directory that does not exist, before
+    any input is read. `--plots` names a directory the command makes itself."""
+    for name in ("out", "curve", "report"):
+        path = getattr(args, name, None)
+        if path is not None and not Path(path).parent.is_dir():
+            raise FieldError(f"--{name}", f"{path} is in a directory that does not exist")
+
+
 def cmd_generate(args) -> int:
     cfg = load_waterway_config(args.config)
     samples = generate_scenario(cfg, seed=args.seed)
@@ -198,6 +208,9 @@ def cmd_latent_viz(args) -> int:
     if cfg.t_obs < 2:
         raise FieldError("t_obs", f"must be at least 2 for latent-viz's motion descriptors, got {cfg.t_obs}")
     samples = _nonempty(read_dataset(args.data), args.data, "latent-viz")
+    if len(samples) * cfg.modes < 2:
+        raise FieldError("--data", f"has {len(samples)} sample in {args.data} and the config {cfg.modes} mode, "
+                         "so 1 latent: latent-viz's 2-D projection needs at least 2")
     model = load_model(args.ckpt, cfg)
     bank = load_bank(args.bank) if args.bank else None
     ordered = sorted(samples, key=lambda s: s.vessel_id)
@@ -286,9 +299,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one command. An input that cannot be right (a flag, a config, a dataset,
     bank or checkpoint, a path that cannot be read or written) raises a typed error,
-    which exits 2 here with one stderr line naming it; any other error keeps its traceback."""
+    which exits 2 here with one stderr line naming it; any other error keeps its traceback.
+    An output in a directory that does not exist fails so before the command starts."""
     args = build_parser().parse_args(argv)
     try:
+        _check_outputs(args)
         return args.func(args)
     except (FieldError, DatasetFormatError, CheckpointError, OSError) as e:
         if isinstance(e, OSError) and e.filename is None:

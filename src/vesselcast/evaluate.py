@@ -35,6 +35,11 @@ _METRICS = (
 )
 _CV = [_METRICS.index("cv_ade"), _METRICS.index("cv_fde")]
 
+# most encoding rows one `Model.decode` pass of `evaluate` holds; a draw of more
+# rows is a pass alone. Eval-grid's 96-row horizon in one pass raised the traced
+# peak of an `evaluate` call from 3.26 to 4.76 MB (tracemalloc); passes of 48 rows keep 3.26
+DECODE_ROWS = 48
+
 
 @dataclass
 class CellReport:
@@ -47,17 +52,19 @@ class CellReport:
     std: dict
 
 
-def _scores(dark: list[VesselSample], ais: np.ndarray, cctv: np.ndarray, dt: int) -> np.ndarray:
-    """The `_METRICS` of one (cell, seed) from its pool's candidates, each a
-    mean over the pool's vessels in the order given, except `cv_*`: those are
-    over the vessels that have a constant-velocity baseline, and NaN when
-    none has.
+def _vessel_scores(
+    dark: list[VesselSample], ais: np.ndarray, cctv: np.ndarray, dt: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The `_METRICS` of each vessel from its candidates, and whether it has a
+    constant-velocity baseline: a (vessels, metrics) array in `_METRICS`
+    order, with `cv_*` 0 for a vessel without one, and a (vessels,) bool.
 
-    `dark` is the pool as scored, dark vessels applied; `ais` and `cctv` hold
-    its (vessels, K, >= dt, 2) candidates per modality, scored on their first
-    `dt` steps. A vessel has a baseline only when both observed steps it
-    reads (`cv_steps`) are broadcast, so the baseline never reads a masked
-    step; one call extrapolates every such vessel.
+    `dark` holds the vessels as scored, dark vessels applied; `ais` and
+    `cctv` hold their (vessels, K, >= dt, 2) candidates per modality, scored
+    on their first `dt` steps. A vessel has a baseline only when both
+    observed steps it reads (`cv_steps`) are broadcast, so the baseline never
+    reads a masked step; one call extrapolates every such vessel. Each row
+    depends only on its vessel, so the rows of several draws score in one call.
     """
     ais, cctv = ais[:, :, :dt], cctv[:, :, :dt]
     obs = np.stack([s.obs_ais for s in dark])
@@ -72,10 +79,31 @@ def _scores(dark: list[VesselSample], ais: np.ndarray, cctv: np.ndarray, dt: int
         [ais_err.min(axis=1), ais_err[:, 0], cctv_err.min(axis=1), cctv_err[:, 0], cv_err, diversity(ais)[:, None]],
         axis=1,
     )
+    return per_vessel, has_cv
+
+
+def _draw_scores(per_vessel: np.ndarray, has_cv: np.ndarray) -> np.ndarray:
+    """The `_METRICS` of one (cell, seed) from its pool's `_vessel_scores`
+    rows: each a mean over the pool's vessels in the order given, except
+    `cv_*`: those are over the vessels that have a baseline, and NaN when
+    none has."""
     totals = sum_in_order(per_vessel)
-    means = totals / len(dark)
+    means = totals / len(per_vessel)
     means[_CV] = totals[_CV] / has_cv.sum() if has_cv.any() else np.nan
     return means
+
+
+def _passes(draws: list[slice]) -> list[slice]:
+    """The row spans of the decode passes over consecutive draws, given as
+    row spans: a pass holds whole draws and at most `DECODE_ROWS` rows, and
+    a draw of more rows is a pass alone."""
+    passes = []
+    for draw in draws:
+        if passes and draw.stop - passes[-1].start <= DECODE_ROWS:
+            passes[-1] = slice(passes[-1].start, draw.stop)
+        else:
+            passes.append(draw)
+    return passes
 
 
 def check_grid(dts: list[int], rhos: list[float], seeds: list) -> None:
@@ -109,7 +137,7 @@ def evaluate(
     drive latent sampling and dark-vessel selection on the fixed checkpoint.
     Densities absent from the dataset produce cells with n_samples=0 and no
     metric values. A cell's `cv_*` are over the seeds where some vessel has
-    a constant-velocity baseline (`_scores`), and absent when none does.
+    a constant-velocity baseline (`_draw_scores`), and absent when none does.
 
     The checkpoint's `t_fut` must reach the longest horizon, or the grid
     fails naming `t_fut`. So must every sample's future, and every sample
@@ -125,11 +153,16 @@ def evaluate(
     vessel's scenes once, and fuses the 2 * vessels (vessel, ais_mask)
     pairs: with the samples in vessel_id order, row i holds vessel i under
     its stored mask and row vessels + i under the all-false one. Each (cell,
-    seed) takes its pool's rows of that one encoding by position, the
-    all-false row for a vessel with no broadcast step, and decodes and
-    refines them in one `Model.decode` pass, which reads only those rows,
-    each vessel with its own noise stream, and searches the bank once for
-    all of the pass's lit rows. `_scores` then scores those candidates.
+    seed) draw takes its pool's rows of that one encoding by position, the
+    all-false row for a vessel with no broadcast step, each vessel with its
+    own noise stream. A horizon's draws are decoded in grid order, in passes
+    of whole consecutive draws and at most `DECODE_ROWS` rows (a bigger draw
+    is a pass alone): one `Model.decode` call per pass reads only its rows,
+    decodes and refines them, and searches the bank once for all of the
+    pass's lit rows. A row's candidates equal its one-row call bit for bit,
+    so the packing changes no result. `_vessel_scores` then scores every
+    row of the horizon in one call, and `_draw_scores` averages each draw's
+    span of those rows into that seed's metrics.
     """
     check_grid(dts, rhos, seeds)
     max_dt = max(dts)
@@ -155,24 +188,36 @@ def evaluate(
 
     cells = []
     for dt in sorted(dts):
+        horizon = []  # (cell, its seeds' scores) per cell of this horizon
+        draws = []  # (its cell's scores, its span of the rows below) per (cell, seed), in grid order
+        rows, rngs, scored = [], [], []  # per row: its encoding row, noise stream and vessel as scored
         for density in DENSITY_LEVELS:
             positions = [i for i, s in enumerate(samples) if s.density == density]
             pool = [samples[i] for i in positions]
             for rho in sorted(rhos):
                 key = f"dt={dt}/density={density}/rho={rho!r}"
-                per_seed = []
+                horizon.append((CellReport(dt, density, rho, len(pool), len(seeds), {}, {}), []))
                 for seed in seeds if pool else []:
                     stream = Rng(seed).child(key)
                     dark = apply_dark_vessels(pool, rho, seed=stream.child("dark-selection").seed)
-                    taken = encoding.take([i + len(samples) * (not s.ais_mask.any()) for i, s in zip(positions, dark)])
-                    modes = model.decode(taken, [stream.child(s.vessel_id) for s in dark], bank=bank).modes
-                    per_seed.append(_scores(dark, modes.ais.data, modes.cctv.data, dt))
-                mean, std = {}, {}
-                for i, row in enumerate(np.array(per_seed).T.copy()):  # one contiguous row of seed values per metric
-                    row = row[~np.isnan(row)] if i in _CV else row  # the seeds with a baseline
-                    if len(row):
-                        mean[_METRICS[i]], std[_METRICS[i]] = float(row.mean()), float(row.std())
-                cells.append(CellReport(dt, density, rho, len(pool), len(seeds), mean, std))
+                    draws.append((horizon[-1][1], slice(len(rows), len(rows) + len(dark))))
+                    rows += [i + len(samples) * (not s.ais_mask.any()) for i, s in zip(positions, dark)]
+                    rngs += [stream.child(s.vessel_id) for s in dark]
+                    scored += dark
+        ais, cctv = [], []
+        for span in _passes([span for _, span in draws]):
+            modes = model.decode(encoding.take(rows[span]), rngs[span], bank=bank).modes
+            ais.append(modes.ais.data)
+            cctv.append(modes.cctv.data)
+        per_vessel, has_cv = _vessel_scores(scored, np.concatenate(ais), np.concatenate(cctv), dt)
+        for scores, span in draws:
+            scores.append(_draw_scores(per_vessel[span], has_cv[span]))
+        for cell, scores in horizon:
+            for i, row in enumerate(np.array(scores).T.copy()):  # one contiguous row of seed values per metric
+                row = row[~np.isnan(row)] if i in _CV else row  # the seeds with a baseline
+                if len(row):
+                    cell.mean[_METRICS[i]], cell.std[_METRICS[i]] = float(row.mean()), float(row.std())
+            cells.append(cell)
     return cells
 
 

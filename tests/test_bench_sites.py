@@ -11,7 +11,7 @@ import vesselcast.model as model_mod
 from conftest import micro_config
 from vesselcast.bank import bank_from_samples
 from vesselcast.engine import Rng, Tape
-from vesselcast.evaluate import evaluate
+from vesselcast.evaluate import DECODE_ROWS, evaluate
 from vesselcast.model import Model, SampleEncoding
 from vesselcast.scene_encoder import CHUNK
 
@@ -71,8 +71,9 @@ def test_traced_train_step_and_predict_complete(tracing, micro_cfg, micro_sample
 
 def test_traced_eval_grid_counts(tracing, micro_samples, monkeypatch):
     """The eval-grid counts the benchmark reports: no one-vessel forward or predict,
-    one decoder pass per populated (cell, seed) and one refinement per (cell, seed)
-    with a lit vessel, both over the pool's vessel axis, one bank search per
+    one decoder pass per run of consecutive (cell, seed) draws of one horizon
+    that fits in `DECODE_ROWS` rows, whole draws only, and one refinement per
+    pass with a lit vessel, both over the pass's row axis, one bank search per
     decode pass with a lit vessel, over all of the pass's lit rows, one
     batched scene encode covering every vessel, with one stem per vessel and,
     per pass of at most `CHUNK` vessels, one spatial-feature pass, one
@@ -82,7 +83,7 @@ def test_traced_eval_grid_counts(tracing, micro_samples, monkeypatch):
     cfg = micro_config()
     model = Model(cfg)
     bank = bank_from_samples(micro_samples, 4, seed=0)
-    seeds = [0, 1]
+    dts, seeds = [2, 3], [0, 1]
     pools = []  # per decode pass, whether each row is lit
     taken = []  # encoding rows taken, one per draw
     encoded = []
@@ -116,14 +117,22 @@ def test_traced_eval_grid_counts(tracing, micro_samples, monkeypatch):
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        cells = evaluate(micro_samples, model, bank, dts=[2, 3], rhos=[0.0, 0.5], seeds=seeds)
+        cells = evaluate(micro_samples, model, bank, dts=dts, rhos=[0.0, 0.5], seeds=seeds)
     finally:
         tracer.uninstall()
     populated = [c for c in cells if c.n_samples]
     draws = [vessel for pool in pools for vessel in pool]
+    passes = []  # (horizon, rows) per decode pass, packing each horizon's draws in grid order
+    for cell in populated:
+        for _ in seeds:
+            if passes and passes[-1][0] == cell.dt and passes[-1][1] + cell.n_samples <= DECODE_ROWS:
+                passes[-1] = (cell.dt, passes[-1][1] + cell.n_samples)
+            else:
+                passes.append((cell.dt, cell.n_samples))
     assert tracer.calls["model.Model.forward_sample"] == 0
     assert tracer.calls["model.Model.predict"] == 0
-    assert len(pools) == len(populated) * len(seeds)
+    assert [len(pool) for pool in pools] == [rows for _, rows in passes]
+    assert len(pools) == len(dts) < len(populated) * len(seeds)  # each horizon's draws fit in one pass
     assert len(draws) == sum(c.n_samples * c.n_seeds for c in populated)
     assert tracer.calls["decoder.predict_modes"] == len(pools)
     assert tracer.calls["bank.refine_and_fuse"] == sum(any(pool) for pool in pools)
@@ -132,11 +141,11 @@ def test_traced_eval_grid_counts(tracing, micro_samples, monkeypatch):
     assert 0 < tracer.calls["bank.search"] < sum(draws)
     assert tracer.calls["scene_encoder.encode_scene_sequence"] == 1
     assert encoded == [[id(s.rasters) for s in micro_samples]]
-    passes = math.ceil(len(micro_samples) / CHUNK)
-    assert passes > 1  # the pool spans several passes
-    assert tracer.calls["scene_encoder.temporal_context"] == passes
-    assert tracer.calls["scene_encoder.spatial_features"] == passes
-    assert tracer.calls["scene_encoder.convlstm_step"] == passes * 2 * cfg.t_obs
+    chunks = math.ceil(len(micro_samples) / CHUNK)
+    assert chunks > 1  # the pool spans several scene passes
+    assert tracer.calls["scene_encoder.temporal_context"] == chunks
+    assert tracer.calls["scene_encoder.spatial_features"] == chunks
+    assert tracer.calls["scene_encoder.convlstm_step"] == chunks * 2 * cfg.t_obs
     assert tracer.calls["scene_encoder.stem_forward"] == len(micro_samples)
     assert tracer.calls["fusion.encode_and_fuse"] == len(fused) == 1
     assert fused == [2 * len(micro_samples)]

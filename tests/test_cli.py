@@ -17,11 +17,12 @@ import pytest
 
 import vesselcast.cli as cli
 from vesselcast.bank import load_bank
-from vesselcast.checkpoint import load_model
+from vesselcast.checkpoint import load_model, save_model
 from vesselcast.cli import main
 from vesselcast.config import load_train_config
 from vesselcast.data import apply_dark_vessels, read_dataset, write_dataset
 from vesselcast.engine.rng import Rng
+from vesselcast.model import Model
 from vesselcast.pca import pca_project
 
 CONFIG_TEXT = """
@@ -440,14 +441,49 @@ def test_an_input_file_that_cannot_be_read_exits_2_with_one_line_naming_it(
         assert sorted(tmp_path.iterdir()) == ([] if missing else [bad])
 
 
-@pytest.mark.parametrize("command", list(_INPUTS))
-def test_an_output_in_a_missing_directory_exits_2_with_one_line_naming_it(workdir, tmp_path, capsys, command):
+@pytest.mark.parametrize("command", [*_INPUTS, "train --curve"])
+def test_an_output_in_a_missing_directory_exits_2_with_one_line_naming_it(
+    workdir, tmp_path, capsys, monkeypatch, command
+):
+    """An output in a directory that does not exist exits 2 with one line
+    naming its flag and path before any input is read, dataset generated,
+    bank clustered, model trained or loaded, or grid run."""
+    calls = []
+    for name in ("generate_scenario", "read_dataset", "parse_dataset", "bank_from_samples", "train", "load_model",
+                 "evaluate"):
+        monkeypatch.setattr(cli, name, lambda *a, _name=name, **k: calls.append(_name))
     out = tmp_path / "missing" / "out"
+    if command == "train --curve":
+        argv, flag = _command_argv(workdir, "train", tmp_path / "out") + ["--curve", str(out)], "--curve"
+    else:
+        argv, flag = _command_argv(workdir, command, out), _INPUTS[command][2]
     capsys.readouterr()
-    assert main(_command_argv(workdir, command, out)) == 2
-    err = capsys.readouterr().err
-    assert str(out) in err and err.count("\n") == 1, err
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"{flag} {out} is in a directory that does not exist\n"
+    assert calls == []
     assert list(tmp_path.iterdir()) == []
+
+
+def test_latent_viz_with_fewer_than_two_latents_exits_2_before_loading_the_checkpoint(
+    workdir, tmp_path, capsys, monkeypatch
+):
+    """One vessel of a one-mode checkpoint has one latent, which no 2-D
+    projection fits: exit 2 with one line naming --data, before the
+    checkpoint is loaded, and no --out."""
+    config = tmp_path / "train.cfg"
+    config.write_text(CONFIG_TEXT.replace("modes = 2", "modes = 1"))
+    data = tmp_path / "one.jsonl"
+    write_dataset(data, read_dataset(workdir / "data.jsonl")[:1])
+    save_model(tmp_path / "ckpt.bin", Model(load_train_config(config)))
+    loads = []
+    monkeypatch.setattr(cli, "load_model", lambda *a, **k: loads.append(a) or load_model(*a, **k))
+    out = tmp_path / "pca.csv"
+    capsys.readouterr()
+    assert main(["latent-viz", "--ckpt", str(tmp_path / "ckpt.bin"), "--data", str(data), "--config", str(config),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"--data has 1 sample in {data} and the config 1 mode") and err.count("\n") == 1, err
+    assert loads == [] and not out.exists()
 
 
 @pytest.mark.parametrize("command", ["generate", "train"])

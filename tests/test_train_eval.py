@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import vesselcast.evaluate as evaluate_mod
 import vesselcast.model as model_mod
 import vesselcast.scene_encoder as scene_mod
 import vesselcast.train as train_mod
@@ -12,7 +13,7 @@ from vesselcast.bank import bank_from_samples
 from vesselcast.data import apply_dark_vessels, generate_scenario
 from vesselcast.data.types import FieldError
 from vesselcast.engine import Rng, Tape, backward
-from vesselcast.evaluate import _METRICS, _scores, evaluate, write_report
+from vesselcast.evaluate import DECODE_ROWS, _METRICS, _draw_scores, _vessel_scores, evaluate, write_report
 from vesselcast.model import Model, SampleEncoding
 from vesselcast.train import DivergenceError, PlateauScheduler, train
 
@@ -214,6 +215,38 @@ def test_evaluate_deterministic(tiny_dataset, tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_packing_draws_into_decode_passes_never_changes_a_result(tmp_path, monkeypatch):
+    """Every draw decoded alone (a limit of 1 row), the draws packed under the
+    default limit, and packed under a limit below the largest draw, which then
+    gets a pass alone, give equal cells and the same report bytes, on two
+    horizons, a bank, a partly masked vessel and rho 1, whose draws are all
+    dark and have no `cv_*`."""
+    samples = generate_scenario(micro_waterway(vessel_count=12), seed=4)  # pools of 4, 7 and 1 vessels
+    samples[0] = dataclasses.replace(samples[0], ais_mask=np.array([False, True]))
+    largest = max(sum(s.density == d for s in samples) for d in {s.density for s in samples})
+    model, bank = Model(micro_config()), bank_from_samples(samples, 4, seed=0)
+    passes, results = {}, []  # rows per decode pass, by limit
+    real_decode = Model.decode
+
+    def recording_decode(self, encoding, *args, **kwargs):
+        passes[limit].append(len(encoding.ais_mask))
+        return real_decode(self, encoding, *args, **kwargs)
+
+    monkeypatch.setattr(Model, "decode", recording_decode)
+    for limit in (1, DECODE_ROWS, largest - 1):
+        monkeypatch.setattr(evaluate_mod, "DECODE_ROWS", limit)
+        passes[limit] = []
+        cells = evaluate(samples, model, bank, dts=[2, 3], rhos=[0.0, 0.5, 1.0], seeds=[0, 1])
+        write_report(tmp_path / "report.csv", cells)
+        results.append((cells, (tmp_path / "report.csv").read_bytes()))
+    draws = sum(c.n_seeds for c in cells if c.n_samples)
+    assert len(passes[1]) == draws and max(passes[1]) == largest  # every draw alone, as one pass each
+    assert sum(passes[DECODE_ROWS]) == sum(passes[1]) and max(passes[DECODE_ROWS]) <= DECODE_ROWS
+    assert largest in passes[largest - 1] and 2 < len(passes[DECODE_ROWS]) < len(passes[largest - 1]) < draws
+    assert all("cv_ade" not in c.mean and "ais_min_ade" in c.mean for c in cells if c.rho == 1.0 and c.n_samples)
+    assert results[1] == results[0] and results[2] == results[0]
+
+
 def count_scene_encodes(monkeypatch) -> list[list[int]]:
     """One entry per encode call: the ids of the raster arrays it was given.
     A vessel's dark copies share its array."""
@@ -305,8 +338,8 @@ def test_evaluate_rejects_a_one_step_observation_before_any_encoding(monkeypatch
 def test_evaluate_fuses_each_vessel_mask_pair_once(tiny_dataset, monkeypatch):
     """Both masks the grid can give a vessel, its stored one and the all-false
     one, are fused for every vessel in one call of 2 * vessels rows, before
-    the first pool is decoded; each (vessel, cell, seed) is one draw all the
-    same."""
+    the first pass is decoded; each (vessel, cell, seed) is one draw all the
+    same, and each horizon's draws, 32 rows here, are decoded in one pass."""
     samples = list(tiny_dataset)
     samples[0] = dataclasses.replace(samples[0], ais_mask=np.array([False, True]))
     calls = []  # ("fuse", rows) or ("pool", vessels), in call order
@@ -336,7 +369,7 @@ def test_evaluate_fuses_each_vessel_mask_pair_once(tiny_dataset, monkeypatch):
     assert len(set(forwarded)) > len(samples)  # some vessel went dark
     assert calls[0] == ("fuse", 2 * len(samples))
     assert [call for call in calls if call[0] == "fuse"] == [calls[0]]
-    assert len(calls) == 1 + sum(c.n_seeds for c in cells if c.n_samples)
+    assert calls[1:] == [("pool", sum(c.n_samples * c.n_seeds for c in cells if c.dt == dt)) for dt in (2, 3)]
 
 
 def test_evaluate_checks_each_sample_once_per_mask_not_per_draw(tiny_dataset, monkeypatch):
@@ -378,16 +411,16 @@ def test_evaluate_rejects_repeated_vessel_id(tiny_dataset):
 
 
 def test_ground_truth_candidates_score_zero_error(tiny_dataset):
-    """`_scores` fed every vessel's ground truth as each of its candidates, on
-    a pool with a dark vessel, gives zero best-of-K and mode-0 errors for both
-    heads and zero diversity at every horizon; candidates longer than the
-    horizon are cut to it."""
+    """`_vessel_scores` fed every vessel's ground truth as each of its
+    candidates, on a pool with a dark vessel, and `_draw_scores` over its rows
+    give zero best-of-K and mode-0 errors for both heads and zero diversity at
+    every horizon; candidates longer than the horizon are cut to it."""
     dark = apply_dark_vessels(tiny_dataset, 0.2, seed=1)
     assert sum(not s.ais_mask.any() for s in dark) == 1
     ais = np.stack([np.stack([s.fut_ais] * 2) for s in dark])  # (vessels, K, t_fut, 2)
     cctv = np.stack([np.stack([s.fut_cctv] * 2) for s in dark])
     for dt in range(1, dark[0].t_fut + 1):
-        scores = dict(zip(_METRICS, _scores(dark, ais, cctv, dt)))
+        scores = dict(zip(_METRICS, _draw_scores(*_vessel_scores(dark, ais, cctv, dt))))
         for name in _METRICS:
             if not name.startswith("cv_"):
                 assert scores[name] == 0.0, (dt, name)
