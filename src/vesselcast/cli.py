@@ -212,10 +212,9 @@ def cmd_latent_viz(args) -> int:
         raise FieldError("--data", f"has {len(samples)} sample in {args.data} and the config {cfg.modes} mode, "
                          "so 1 latent: latent-viz's 2-D projection needs at least 2")
     model = load_model(args.ckpt, cfg)
-    bank = load_bank(args.bank) if args.bank else None
     ordered = sorted(samples, key=lambda s: s.vessel_id)
     rngs = [Rng(args.seed).child(s.vessel_id) for s in ordered]
-    latents = model.decode(model.encode(ordered), rngs, bank=bank).modes.z.data  # (vessels, K, latent_dim)
+    latents = model.decode(model.encode(ordered), rngs).modes.z.data  # (vessels, K, latent_dim)
     proj = pca_project(latents.reshape(-1, latents.shape[-1])).reshape(len(ordered), -1, 2).tolist()
     lines = ["vessel_id,mode,pc1,pc2,displacement,heading_change,tortuosity"]
     for sample, points in zip(ordered, proj):
@@ -287,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("latent-viz", help="export 2-D latent projections")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--bank", default=None)
     p.add_argument("--config", default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)

@@ -107,24 +107,10 @@ class Tensor:
     def __sub__(self, other):
         return sub(self, other)
 
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __truediv__(self, s):
-        if isinstance(s, Tensor):
-            raise TypeError("tensor/tensor division is not provided; use mul with a reciprocal")
-        return mul(self, 1.0 / float(s))
 
 
 def tensor(data, requires_grad: bool = False) -> Tensor:
@@ -238,15 +224,6 @@ def mul(a, b) -> Tensor:
                 _unbroadcast(g * x, y.shape) if need[1] else None)
 
     return _make(x * y, (a, b), bwd)
-
-
-def neg(a) -> Tensor:
-    a = _as_tensor(a)
-
-    def bwd(g, _need):
-        return (-g,)
-
-    return _make(-a.data, (a,), bwd)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

@@ -51,7 +51,7 @@ def mlp(rng: Rng, n_in: int, n_hidden: int, n_out: int) -> Mlp:
 
 
 def collect_params(obj, prefix: str = "") -> dict[str, Tensor]:
-    """Flatten nested dataclasses/lists of Tensors into name -> Tensor.
+    """Flatten nested dataclasses of Tensors into name -> Tensor.
 
     Order follows dataclass field declaration, so the registry (and hence
     checkpoint layout and optimizer order) is deterministic.
@@ -63,7 +63,4 @@ def collect_params(obj, prefix: str = "") -> dict[str, Tensor]:
         for f in dataclasses.fields(obj):
             name = f"{prefix}.{f.name}" if prefix else f.name
             out.update(collect_params(getattr(obj, f.name), name))
-    elif isinstance(obj, (list, tuple)):
-        for i, item in enumerate(obj):
-            out.update(collect_params(item, f"{prefix}[{i}]"))
     return out

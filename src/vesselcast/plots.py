@@ -23,8 +23,6 @@ def svg_line_chart(
 ) -> None:
     xs = [x for pts in series.values() for x, _ in pts]
     ys = [y for pts in series.values() for _, y in pts]
-    if not xs:
-        xs, ys = [0.0, 1.0], [0.0, 1.0]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
     lines = [
@@ -42,8 +40,6 @@ def svg_line_chart(
         f'<text x="{_MARGIN - 6}" y="{_MARGIN + 4}" text-anchor="end">{y_hi:.4g}</text>',
     ]
     for i, (name, pts) in enumerate(series.items()):
-        if not pts:
-            continue
         color = _PALETTE[i % len(_PALETTE)]
         px = _scale([x for x, _ in pts], x_lo, x_hi, _MARGIN, _W - _MARGIN)
         py = _scale([y for _, y in pts], y_lo, y_hi, _H - _MARGIN, _MARGIN)

@@ -147,6 +147,19 @@ def test_single_track_bank():
     assert np.array_equal(bank.fut[0], track[4:9])
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_repeated_tracks_give_one_entry_per_distinct_motion(seed):
+    """Five copies of one track and one other track have two distinct motions,
+    so of k_max = 3 clusters one stays empty however it is reseeded, and the
+    bank keeps one entry for each of the two tracks."""
+    straight = straight_track([0.0, 0.0], [0.1, 0.2], 9)
+    curved = np.cumsum(np.vstack([[0, 0]] + [[1.0, 0.8**i] for i in range(8)]), axis=0)
+    bank = build_bank(*windows([straight] * 5 + [curved], 4), k_max=3, seed=seed)
+    assert len(bank) == 2
+    entries = {(obs.tobytes(), fut.tobytes()) for obs, fut in zip(bank.obs, bank.fut)}
+    assert entries == {(track[:4].tobytes(), track[4:].tobytes()) for track in (straight, curved)}
+
+
 def test_kmeans_objective_non_increasing():
     rng = Rng(23)
     feats = rand(rng, (40, 8))

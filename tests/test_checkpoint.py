@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import re
 import struct
 
 import numpy as np
@@ -104,17 +105,27 @@ def test_architecture_hash_mismatch(tmp_path):
         load_model(path, cfg_b)
 
 
+def _entry(name: bytes, dims: tuple, payload: bytes) -> bytes:
+    """One tensor-table entry as raw bytes, whatever its name bytes and dims."""
+    return struct.pack(f"<I{len(name)}sI{len(dims)}Q", len(name), name, len(dims), *dims) + payload
+
+
+def _sealed(count: int, table: bytes) -> bytes:
+    """A version-2 file declaring `count` tensors over the raw `table`, with a valid checksum."""
+    body = struct.pack("<4sII", b"CMIV", 2, count) + table
+    return body + hashlib.blake2b(body, digest_size=8).digest()
+
+
+def _table(entries: list[tuple[str, np.ndarray]]) -> bytes:
+    """The tensor table of (name, array) pairs, in which a name may repeat."""
+    arrays = [(name, np.ascontiguousarray(arr, dtype="<f8")) for name, arr in entries]
+    return b"".join(_entry(name.encode("utf-8"), arr.shape, arr.tobytes()) for name, arr in arrays)
+
+
 def _v2_blob(entries: list[tuple[str, np.ndarray]]) -> bytes:
     """The version-2 layout, built by hand from (name, array) pairs so that a
     name may repeat, with a valid checksum."""
-    chunks = [struct.pack("<4sII", b"CMIV", 2, len(entries))]
-    for name, arr in entries:
-        arr = np.ascontiguousarray(arr, dtype="<f8")
-        encoded = name.encode("utf-8")
-        chunks.append(struct.pack(f"<I{len(encoded)}sI{arr.ndim}Q", len(encoded), encoded, arr.ndim, *arr.shape))
-        chunks.append(arr.tobytes())
-    body = b"".join(chunks)
-    return body + hashlib.blake2b(body, digest_size=8).digest()
+    return _sealed(len(entries), _table(entries))
 
 
 @pytest.mark.parametrize("entry", ["empty", "nan", "fractional", "two-entries"])
@@ -148,12 +159,15 @@ def test_missing_architecture_hash_fails_naming_it(tmp_path):
             load_model(path, other)
 
 
+def _model_entries(model) -> list[tuple[str, np.ndarray]]:
+    return [*model.state_arrays().items(), (HASH_KEY, np.array([float(model.architecture_hash())]))]
+
+
 def test_repeated_tensor_name_fails_naming_it(tmp_path):
     """A second copy of a tensor may not silently replace the first."""
     cfg = micro_config()
     model = Model(cfg)
-    entries = list(model.state_arrays().items())
-    entries.append((HASH_KEY, np.array([float(model.architecture_hash())])))
+    entries = _model_entries(model)
     path = tmp_path / "twice.bin"
     path.write_bytes(_v2_blob(entries))
     load_model(path, cfg)  # the hand-built file is valid without the repeat
@@ -162,6 +176,37 @@ def test_repeated_tensor_name_fails_naming_it(tmp_path):
     with pytest.raises(CheckpointError, match="'scene.stem1.kernel' is repeated"):
         load_checkpoint(path)
     with pytest.raises(CheckpointError, match="'scene.stem1.kernel' is repeated"):
+        load_model(path, cfg)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        pytest.param(lambda e: _sealed(len(e), _table(e)[:-8]), r" is truncated at byte \d+$", id="table-cut-short"),
+        pytest.param(lambda e: _sealed(len(e), _entry(b"\xff", (1,), bytes(8)) + _table(e[1:])),
+                     r": field 'name' of tensor 0 is not UTF-8$", id="name-not-utf8"),
+        pytest.param(lambda e: _sealed(len(e) + 1, _table(e) + _entry(b"w", (1,) * 65, bytes(8))),
+                     r": field 'dims' of tensor 'w' is invalid: \(1, 1, ", id="rank-65"),
+        pytest.param(lambda e: _sealed(len(e) + 1, _table(e) + _entry(b"w", (2**62, 0, 4), b"")),
+                     rf": field 'dims' of tensor 'w' is invalid: \({2**62}, 0, 4\)$", id="dims-too-big"),
+        pytest.param(lambda e: _sealed(len(e), _table(e) + bytes(3)), r" has 3 trailing bytes$",
+                     id="bytes-before-the-digest"),
+        pytest.param(lambda e: _v2_blob([entry for entry in e if entry[0] != "scene.stem1.kernel"]),
+                     r" is missing tensor 'scene.stem1.kernel'$", id="missing-tensor"),
+        pytest.param(lambda e: _v2_blob([*e, ("extra.w", np.ones(2))]),
+                     r" has unexpected tensors: \['extra.w'\]$", id="unexpected-tensor"),
+    ],
+)
+def test_a_defect_under_a_valid_digest_fails_naming_the_path_and_the_field(tmp_path, edit, message):
+    """The table and model checks after a matching BLAKE2b digest: each
+    defect fails as a CheckpointError that names the path and the field."""
+    cfg = micro_config()
+    entries = _model_entries(Model(cfg))
+    path = tmp_path / "defect.bin"
+    path.write_bytes(_v2_blob(entries))
+    load_model(path, cfg)  # the hand-built file is valid before the edit
+    path.write_bytes(edit(entries))
+    with pytest.raises(CheckpointError, match=re.escape(f"checkpoint {path}") + message):
         load_model(path, cfg)
 
 

@@ -144,6 +144,37 @@ def test_eval_per_horizon_needs_no_checkpoint(workdir):
     assert report.read_text().splitlines()[1].startswith("2,")
 
 
+def test_eval_per_horizon_without_train_data_exits_2_naming_it(workdir, tmp_path, capsys):
+    report = tmp_path / "report.csv"
+    assert main(["eval", "--data", str(workdir / "data.jsonl"), "--config", str(workdir / "train.cfg"),
+                 "--rho", "0", "--dt", "2", "--seeds", "1", "--per-horizon", "--report", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("--train-data is needed with --per-horizon") and err.count("\n") == 1, err
+    assert not report.exists()
+
+
+def test_train_without_quiet_prints_one_epoch_line_per_epoch(workdir, tmp_path, capsys):
+    assert main(["train", "--data", str(workdir / "data.jsonl"), "--config", str(workdir / "train.cfg"),
+                 "--out", str(tmp_path / "ckpt.bin")]) == 0
+    epochs = [line.split()[1] for line in capsys.readouterr().out.splitlines() if line.startswith("epoch")]
+    assert epochs == ["0", "1", "2"]  # the config's 3 epochs
+
+
+def test_latent_viz_reads_no_bank(workdir, tmp_path, capsys):
+    """The latents are drawn before any bank refinement, so latent-viz has no
+    --bank: argparse refuses it with exit 2, and --help does not list it."""
+    with pytest.raises(SystemExit) as exit_:
+        main(["latent-viz", "--ckpt", str(workdir / "ckpt.bin"), "--data", str(workdir / "data.jsonl"),
+              "--bank", str(workdir / "bank.json"), "--out", str(tmp_path / "pca.csv")])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --bank" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_:
+        main(["latent-viz", "--help"])
+    assert exit_.value.code == 0
+    assert "--bank" not in capsys.readouterr().out
+    assert not (tmp_path / "pca.csv").exists()
+
+
 @pytest.mark.parametrize("per_horizon", [False, True])
 @pytest.mark.parametrize(
     "flag, value, message",
@@ -271,8 +302,7 @@ def test_predict_unknown_sample_fails(workdir):
 def test_latent_viz(workdir):
     out = workdir / "pca.csv"
     assert main(["latent-viz", "--ckpt", str(workdir / "ckpt.bin"), "--data", str(workdir / "data.jsonl"),
-                 "--bank", str(workdir / "bank.json"), "--config", str(workdir / "train.cfg"),
-                 "--out", str(out)]) == 0
+                 "--config", str(workdir / "train.cfg"), "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "vessel_id,mode,pc1,pc2,displacement,heading_change,tortuosity"
     assert len(lines) == 1 + 8 * 2  # vessels x modes
@@ -282,8 +312,7 @@ def test_latent_viz_csv_numbers_all_parse_as_floats(workdir):
     """Every cell after `vessel_id,mode` is a plain float literal, not a numpy repr."""
     out = workdir / "pca_parse.csv"
     assert main(["latent-viz", "--ckpt", str(workdir / "ckpt.bin"), "--data", str(workdir / "data.jsonl"),
-                 "--bank", str(workdir / "bank.json"), "--config", str(workdir / "train.cfg"),
-                 "--out", str(out)]) == 0
+                 "--config", str(workdir / "train.cfg"), "--out", str(out)]) == 0
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
     assert len(rows) == 8 * 2
     for row in rows:
@@ -370,7 +399,7 @@ _INPUTS = {  # command: (its leading argv, the flags of the files it reads, its 
     "eval --per-horizon": (["eval", "--per-horizon", *_GRID], ["--config", "--data", "--bank", "--train-data"],
                            "--report"),
     "predict": (["predict", "--sample-id", "v0003"], ["--config", "--data", "--bank", "--ckpt"], "--out"),
-    "latent-viz": (["latent-viz"], ["--config", "--data", "--bank", "--ckpt"], "--out"),
+    "latent-viz": (["latent-viz"], ["--config", "--data", "--ckpt"], "--out"),
 }
 
 
@@ -416,7 +445,6 @@ def _unreadable_argv(workdir, tmp_path, command, flag, missing=False):
         ("predict", "--bank"),
         ("predict", "--ckpt"),
         ("latent-viz", "--data"),
-        ("latent-viz", "--bank"),
         ("latent-viz", "--ckpt"),
         ("generate", "--config"),
         ("train", "--config"),
@@ -617,7 +645,8 @@ def test_latent_viz_matches_a_loop_of_one_vessel_predicts(workdir):
     """latent-viz encodes and predicts every vessel in one pool; its CSV equals,
     byte for byte, the one a `predict` call per vessel in vessel_id order
     gives, with lit, partly masked and dark vessels in a shuffled file; only
-    a fully broadcast track gets motion descriptors."""
+    a fully broadcast track gets motion descriptors. The predicts read the
+    bank, which latent-viz does not: the latents are drawn before refinement."""
     samples = read_dataset(workdir / "data.jsonl")
     samples = apply_dark_vessels(samples, 0.25, seed=2)
     samples[3] = dataclasses.replace(samples[3], ais_mask=np.array([True, False]))
@@ -625,8 +654,7 @@ def test_latent_viz_matches_a_loop_of_one_vessel_predicts(workdir):
     write_dataset(data, samples[::-1])
     out = workdir / "pca_mixed.csv"
     assert main(["latent-viz", "--ckpt", str(workdir / "ckpt.bin"), "--data", str(data),
-                 "--bank", str(workdir / "bank.json"), "--config", str(workdir / "train.cfg"),
-                 "--seed", "3", "--out", str(out)]) == 0
+                 "--config", str(workdir / "train.cfg"), "--seed", "3", "--out", str(out)]) == 0
 
     model = load_model(workdir / "ckpt.bin", load_train_config(workdir / "train.cfg"))
     bank = load_bank(workdir / "bank.json")
@@ -663,7 +691,7 @@ main(["predict", "--ckpt", f"{root}/ckpt_{tag}.bin", "--data", f"{root}/data.jso
       "--bank", f"{root}/bank.json", "--config", f"{root}/train.cfg",
       "--sample-id", "v0003", "--out", f"{root}/preds_{tag}.json"])
 main(["latent-viz", "--ckpt", f"{root}/ckpt_{tag}.bin", "--data", f"{root}/data.jsonl",
-      "--bank", f"{root}/bank.json", "--config", f"{root}/train.cfg", "--out", f"{root}/pca_{tag}.csv"])
+      "--config", f"{root}/train.cfg", "--out", f"{root}/pca_{tag}.csv"])
 """
     for tag in ("a", "b"):
         proc = subprocess.run(

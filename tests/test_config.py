@@ -12,6 +12,7 @@ from vesselcast.config import (
     architecture_hash,
     config_from_mapping,
     load_train_config,
+    load_waterway_config,
     parse_flat,
 )
 from vesselcast.data.types import FieldError, WaterwayConfig
@@ -209,6 +210,12 @@ def test_load_train_config_defaults(tmp_path):
     assert cfg.kl_weight == 0.01
     assert cfg.latent_dim == 16
     path = tmp_path / "c.cfg"
-    path.write_text("lr = 3e-3\nepochs = 2\n")
+    path.write_text("lr = 3e-3\nepochs = 2\nuse_scene = yes\n")
     cfg2 = load_train_config(path)
-    assert cfg2.lr == 3e-3 and cfg2.epochs == 2
+    assert cfg2.lr == 3e-3 and cfg2.epochs == 2 and cfg2.use_scene is True
+
+
+def test_load_waterway_config_keeps_a_string_value(tmp_path):
+    path = tmp_path / "scenario.cfg"
+    path.write_text("centerline = arc\n")
+    assert load_waterway_config(path).centerline == "arc"

@@ -463,6 +463,12 @@ def _header_text(edit_text):
     return edit
 
 
+def _first_record_a_list(text):
+    header = json.loads(text)
+    header["records"][0] = []
+    return json.dumps(header)
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -490,6 +496,8 @@ def _header_text(edit_text):
                      id="block-short"),
         pytest.param(lambda blob: blob + b"\0" * 4,
                      r"^dataset: bad field 'scenes.raster' \(4 trailing bytes after the block", id="trailing-bytes"),
+        pytest.param(_header_text(_first_record_a_list),
+                     r"^dataset record 0: bad field '<record>' \(a list, not an object\)", id="record-not-object"),
         pytest.param(_header_text(lambda text: text.replace('"vessel_id":"v0001",', "", 1)),
                      r"^dataset record 1: bad field 'vessel_id' \(missing\)", id="record-field-missing"),
         pytest.param(_header_text(lambda text: text.replace('"density":', '"density":7,"x":', 1)),

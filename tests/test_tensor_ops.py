@@ -116,6 +116,18 @@ def test_backward_accumulates_until_zeroed():
     assert np.array_equal(w.grad, np.ones(2))
 
 
+def test_backward_skips_a_recorded_op_the_loss_does_not_read():
+    """An op recorded before the loss but not read by it gets no gradient, so
+    its input leaf gets only the loss's."""
+    w = tensor([1.0, 2.0], requires_grad=True)
+    with Tape() as tape:
+        unread = w * 3.0
+        loss = tsum(w)
+        backward(loss)
+    assert (unread.node_id, loss.node_id, len(tape)) == (0, 1, 2)
+    assert np.array_equal(w.grad, np.ones(2))
+
+
 def test_backward_rejects_non_scalar():
     w = tensor([1.0, 2.0], requires_grad=True)
     with Tape():
