@@ -1,7 +1,7 @@
 """Multimodal vessel trajectory prediction on synthetic waterway scenarios.
 
 Fuses positional tracks, camera tracks, and rasterized scene context through
-a cross-modal attention pipeline with a variational multi-mode decoder and a
+a cross-modal attention pipeline with a deterministic multi-mode decoder and a
 prototype-bank refinement stage, all built on a small taped autodiff engine.
 """
 

@@ -15,7 +15,7 @@ from .checkpoint import CheckpointError, load_model, save_model
 from .config import load_train_config, load_waterway_config
 from .data import DatasetFormatError, apply_dark_vessels, generate_scenario, parse_dataset, read_dataset, write_dataset
 from .data.types import FieldError
-from .engine.rng import Rng
+from .decoder import mode_codes
 from .evaluate import check_grid, evaluate, write_report
 from .hashutil import fnv1a64  # noqa: F401  unused here; perfbench's tracer patches this name
 from .pca import pca_project
@@ -84,8 +84,6 @@ def cmd_train(args) -> int:
             svg,
             {
                 "total": [(s.epoch, s.total) for s in curve],
-                "rec": [(s.epoch, s.rec) for s in curve],
-                "kl": [(s.epoch, s.kl) for s in curve],
             },
             title="training loss",
             xlabel="epoch",
@@ -169,15 +167,14 @@ def cmd_predict(args) -> int:
         raise FieldError("--sample-id", f"{args.sample_id!r} is the vessel_id of no sample in {args.data}")
     sample = matches[0]
     if args.dark:
-        sample = apply_dark_vessels([sample], 1.0, seed=args.seed)[0]
+        sample = apply_dark_vessels([sample], 1.0, seed=0)[0]  # rate 1 darkens every vessel, whatever the seed
     model = load_model(args.ckpt, cfg)
     bank = load_bank(args.bank) if args.bank else None
-    preds = model.predict(sample, rng=Rng(args.seed).child(sample.vessel_id), bank=bank)
+    preds = model.predict(sample, bank=bank)
     payload = {
         "vessel_id": sample.vessel_id,
         "ais": preds.ais.tolist(),
         "cctv": preds.cctv.tolist(),
-        "latents": preds.latents.tolist(),
         # null for a dark vessel or without --bank: nothing was retrieved
         "prior_index": preds.prior_index,
         "prior_similarity": preds.prior_similarity,
@@ -210,19 +207,18 @@ def cmd_latent_viz(args) -> int:
     samples = _nonempty(read_dataset(args.data), args.data, "latent-viz")
     if len(samples) * cfg.modes < 2:
         raise FieldError("--data", f"has {len(samples)} sample in {args.data} and the config {cfg.modes} mode, "
-                         "so 1 latent: latent-viz's 2-D projection needs at least 2")
+                         "so 1 mode code: latent-viz's 2-D projection needs at least 2")
     model = load_model(args.ckpt, cfg)
     ordered = sorted(samples, key=lambda s: s.vessel_id)
-    rngs = [Rng(args.seed).child(s.vessel_id) for s in ordered]
-    latents = model.decode(model.encode(ordered), rngs).modes.z.data  # (vessels, K, latent_dim)
-    proj = pca_project(latents.reshape(-1, latents.shape[-1])).reshape(len(ordered), -1, 2).tolist()
+    codes = mode_codes(model.params.decoder, model.encode(ordered).f_enc).data  # (vessels, K, 2 * d_model)
+    proj = pca_project(codes.reshape(-1, codes.shape[-1])).reshape(len(ordered), -1, 2).tolist()
     lines = ["vessel_id,mode,pc1,pc2,displacement,heading_change,tortuosity"]
     for sample, points in zip(ordered, proj):
         # a track with a masked step was not all broadcast, so it is not described
         desc = ",".join(map(repr, _motion_descriptors(sample.obs_ais))) if sample.ais_mask.all() else ",,"
         lines += [f"{sample.vessel_id},{k},{x!r},{y!r},{desc}" for k, (x, y) in enumerate(points)]
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"{len(lines) - 1} latent projections -> {args.out}")
+    print(f"{len(lines) - 1} mode-code projections -> {args.out}")
     return 0
 
 
@@ -278,16 +274,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample-id", required=True)
     p.add_argument("--bank", default=None)
     p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dark", action="store_true", help="hide the vessel's broadcast track")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("latent-viz", help="export 2-D latent projections")
+    p = sub.add_parser("latent-viz", help="export 2-D projections of the decoder's mode codes")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_latent_viz)
 

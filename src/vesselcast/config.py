@@ -22,7 +22,6 @@ class TrainConfig:
     scheduler_patience: int = 10
     scheduler_threshold: float = 1e-4  # relative improvement below this is a plateau
     seed: int = 0
-    kl_weight: float = 0.01
     # windows and modes
     t_obs: int = 8
     t_fut: int = 12
@@ -30,7 +29,6 @@ class TrainConfig:
     # model dimensions
     d_model: int = 32
     heads: int = 2
-    latent_dim: int = 16
     stem_channels: tuple[int, int, int] = (8, 16, 16)
     roi_size: int = 7
     bbox_dim: int = 64
@@ -47,7 +45,7 @@ class TrainConfig:
         """Reject a value no run can use, naming its field; every comparison
         is written so that a NaN fails it."""
         for name in ("epochs", "batch_size", "t_obs", "t_fut", "modes", "d_model", "heads",
-                     "latent_dim", "roi_size", "bbox_dim", "raster_size", "offset_hidden"):
+                     "roi_size", "bbox_dim", "raster_size", "offset_hidden"):
             if not getattr(self, name) > 0:
                 raise FieldError(name, "must be positive")
         if self.d_model % 2 != 0 or self.d_model % self.heads != 0:
@@ -56,7 +54,6 @@ class TrainConfig:
             raise FieldError("stem_channels", f"must be 3 positive channel counts, got {self.stem_channels!r}")
         rules = (
             ("lr", 0 < self.lr < math.inf, "must be finite and positive"),
-            ("kl_weight", 0 <= self.kl_weight < math.inf, "must be finite and >= 0"),
             # temporal_context weights frames by exp(-decay * age), which must lie in (0, 1]
             ("decay", 0 <= self.decay < math.inf, "must be finite and >= 0"),
             ("offset_scale", math.isfinite(self.offset_scale), "must be finite"),
@@ -77,7 +74,6 @@ ARCHITECTURE_FIELDS = (
     "modes",
     "d_model",
     "heads",
-    "latent_dim",
     "stem_channels",
     "roi_size",
     "bbox_dim",

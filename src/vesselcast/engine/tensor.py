@@ -14,12 +14,12 @@ The tape holds no output tensor, and a backward function captures only the
 arrays its formula reads: ``mul``, ``matmul`` and ``conv2d`` keep their
 inputs' data, where ``conv2d`` keeps a constant input passed as an array as
 given (float32 rasters stay float32), not as a float64 copy; ``sigmoid``,
-``tanh``, ``exp``, ``sqrt`` and ``softmax`` their output; ``relu`` and
-``clamp`` their mask; ``layer_norm`` the normalized input, its scale and the
-gain; ``roi_align`` its boxes, from which its backward rebuilds the pooling
-weights; the rest only shapes and indices. A value no formula reads is freed
-as soon as the forward pass drops it. An output tensor refers to its tape,
-and so keeps the tape's records alive while it lives.
+``tanh``, ``sqrt`` and ``softmax`` their output; ``relu`` its mask;
+``layer_norm`` the normalized input, its scale and the gain; ``roi_align``
+its boxes, from which its backward rebuilds the pooling weights; the rest
+only shapes and indices. A value no formula reads is freed as soon as the
+forward pass drops it. An output tensor refers to its tape, and so keeps the
+tape's records alive while it lives.
 
 Tape order is creation order, which is topological by construction;
 :func:`backward` walks it in reverse and is the only place that
@@ -101,8 +101,6 @@ class Tensor:
     # operator sugar
     def __add__(self, other):
         return add(self, other)
-
-    __radd__ = __add__
 
     def __sub__(self, other):
         return sub(self, other)
@@ -274,16 +272,6 @@ def tanh(a: Tensor) -> Tensor:
     return _make(y, (a,), bwd)
 
 
-def exp(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    y = np.exp(a.data)
-
-    def bwd(g, _need):
-        return (g * y,)
-
-    return _make(y, (a,), bwd)
-
-
 def sqrt(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     y = np.sqrt(a.data)
@@ -293,16 +281,6 @@ def sqrt(a: Tensor) -> Tensor:
         return (g * 0.5 / np.maximum(y, 1e-12),)
 
     return _make(y, (a,), bwd)
-
-
-def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
-    a = _as_tensor(a)
-    passed = (a.data > lo) & (a.data < hi)
-
-    def bwd(g, _need):
-        return (g * passed,)
-
-    return _make(np.clip(a.data, lo, hi), (a,), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Experiment grid: horizon x density x missing-rate cells, seed-averaged.
 
-One trained model is evaluated at truncated horizons. Every cell owns an
-independent noise stream keyed by (seed, cell), dark-vessel selection is
-re-drawn per (cell, seed), and aggregation follows sorted cell keys, so a
-report is a pure function of (dataset, checkpoint, grid, seeds).
+One trained model is evaluated at truncated horizons. Dark-vessel selection
+is drawn per (cell, seed) from a stream keyed by both, and aggregation
+follows sorted cell keys, so a report is a pure function of (dataset,
+checkpoint, grid, seeds).
 """
 
 from __future__ import annotations
@@ -134,7 +134,8 @@ def evaluate(
     """Metrics per (dt, density, rho) cell, mean +- std over evaluation seeds.
 
     Returns one `CellReport` per cell, in (dt, density, rho) order. Seeds
-    drive latent sampling and dark-vessel selection on the fixed checkpoint.
+    drive only dark-vessel selection on the fixed checkpoint, so a cell
+    where no vessel goes dark has std 0.
     Densities absent from the dataset produce cells with n_samples=0 and no
     metric values. A cell's `cv_*` are over the seeds where some vessel has
     a constant-velocity baseline (`_draw_scores`), and absent when none does.
@@ -143,19 +144,19 @@ def evaluate(
     fails naming `t_fut`. So must every sample's future, and every sample
     needs 2 observed steps for the constant-velocity baseline; one that falls
     short fails naming `fut_ais` or `obs_ais` and its vessel_id before any
-    encoding.
+    encoding. So do no samples, naming `samples`, and a bank built for other
+    horizons, naming its field.
 
-    The grid varies only the broadcast mask (through rho) and the latent
-    noise (through the seed). A vessel can meet two masks on the grid, its
-    own and the all-false one `apply_dark_vessels` gives it, so one
-    `Model.encode(samples, dark=True)` call before the grid checks each
-    sample once, naming the vessel_id of one that fails, encodes each
-    vessel's scenes once, and fuses the 2 * vessels (vessel, ais_mask)
-    pairs: with the samples in vessel_id order, row i holds vessel i under
-    its stored mask and row vessels + i under the all-false one. Each (cell,
-    seed) draw takes its pool's rows of that one encoding by position, the
-    all-false row for a vessel with no broadcast step, each vessel with its
-    own noise stream. A horizon's draws are decoded in grid order, in passes
+    The grid varies only the broadcast mask (through rho and the seed). A
+    vessel can meet two masks on the grid, its own and the all-false one
+    `apply_dark_vessels` gives it, so one `Model.encode(samples, dark=True)`
+    call before the grid checks each sample once, naming the vessel_id of
+    one that fails, encodes each vessel's scenes once, and fuses the
+    2 * vessels (vessel, ais_mask) pairs: with the samples in vessel_id
+    order, row i holds vessel i under its stored mask and row vessels + i
+    under the all-false one. Each (cell, seed) draw takes its pool's rows of
+    that one encoding by position, the all-false row for a vessel with no
+    broadcast step. A horizon's draws are decoded in grid order, in passes
     of whole consecutive draws and at most `DECODE_ROWS` rows (a bigger draw
     is a pass alone): one `Model.decode` call per pass reads only its rows,
     decodes and refines them, and searches the bank once for all of the
@@ -169,7 +170,7 @@ def evaluate(
     if model.cfg.t_fut < max_dt:
         raise FieldError("t_fut", f"of the checkpoint is {model.cfg.t_fut} < requested horizon {max_dt}")
     if not samples:
-        raise ValueError(f"dataset t_fut=0 < requested horizon {max_dt}")
+        raise FieldError("samples", "is empty: evaluate needs at least one sample")
     for s in samples:
         if s.t_obs < 2:
             raise FieldError(
@@ -184,13 +185,14 @@ def evaluate(
     for before, after in zip(samples, samples[1:]):
         if before.vessel_id == after.vessel_id:
             raise ValueError(f"evaluate needs a distinct vessel_id per sample; {after.vessel_id!r} repeats")
+    model.check_bank(bank)
     encoding = model.encode(samples, dark=True)  # as stored, then all dark
 
     cells = []
     for dt in sorted(dts):
         horizon = []  # (cell, its seeds' scores) per cell of this horizon
         draws = []  # (its cell's scores, its span of the rows below) per (cell, seed), in grid order
-        rows, rngs, scored = [], [], []  # per row: its encoding row, noise stream and vessel as scored
+        rows, scored = [], []  # per row: its encoding row and vessel as scored
         for density in DENSITY_LEVELS:
             positions = [i for i, s in enumerate(samples) if s.density == density]
             pool = [samples[i] for i in positions]
@@ -198,15 +200,13 @@ def evaluate(
                 key = f"dt={dt}/density={density}/rho={rho!r}"
                 horizon.append((CellReport(dt, density, rho, len(pool), len(seeds), {}, {}), []))
                 for seed in seeds if pool else []:
-                    stream = Rng(seed).child(key)
-                    dark = apply_dark_vessels(pool, rho, seed=stream.child("dark-selection").seed)
+                    dark = apply_dark_vessels(pool, rho, seed=Rng(seed).child(key).child("dark-selection").seed)
                     draws.append((horizon[-1][1], slice(len(rows), len(rows) + len(dark))))
                     rows += [i + len(samples) * (not s.ais_mask.any()) for i, s in zip(positions, dark)]
-                    rngs += [stream.child(s.vessel_id) for s in dark]
                     scored += dark
         ais, cctv = [], []
         for span in _passes([span for _, span in draws]):
-            modes = model.decode(encoding.take(rows[span]), rngs[span], bank=bank).modes
+            modes = model.decode(encoding.take(rows[span]), bank=bank).modes
             ais.append(modes.ais.data)
             cctv.append(modes.cctv.data)
         per_vessel, has_cv = _vessel_scores(scored, np.concatenate(ais), np.concatenate(cctv), dt)

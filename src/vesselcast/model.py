@@ -1,4 +1,4 @@
-"""End-to-end predictor: scene encoding, cross-modal fusion, variational
+"""End-to-end predictor: scene encoding, cross-modal fusion, multi-mode
 decoding, and prototype-bank refinement of the positional head."""
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from .decoder import DecoderParams, ModeOutput, PredictionSet, init_decoder, pre
 from .engine import Tensor, concat, tensor, tmean
 from .engine.rng import Rng
 from .fusion import FusionParams, encode_and_fuse, init_fusion, masked_track
-from .losses import sample_losses, total_loss
+from .losses import sample_losses
 from .params import collect_params
 from .scene_encoder import SceneEncoderParams, encode_scene_sequence, init_scene_encoder
 
@@ -29,12 +29,11 @@ class ModelParams:
 
 @dataclass
 class SampleEncoding:
-    """What `encode` computes for its rows before any noise is drawn, and all
-    that `decode` reads of them: the pooled fused encodings, the broadcast
-    masks they were computed under, and the bank retrieval keys under those
-    masks (`masked_track`, masked steps at the origin). One row holds one
-    (vessel, mask) pair, so its encoding and its key cannot disagree on the
-    mask."""
+    """What `encode` computes for its rows, and all that `decode` reads of
+    them: the pooled fused encodings, the broadcast masks they were computed
+    under, and the bank retrieval keys under those masks (`masked_track`,
+    masked steps at the origin). One row holds one (vessel, mask) pair, so
+    its encoding and its key cannot disagree on the mask."""
 
     f_enc: Tensor  # (rows, 1, d)
     ais_mask: np.ndarray  # (rows, t_obs) bool
@@ -48,7 +47,7 @@ class SampleEncoding:
 
 @dataclass
 class Forward:
-    """Graph-connected outputs of the per-draw stage for a pool of V vessels.
+    """Graph-connected outputs of the decode stage for a pool of V vessels.
 
     Row i of every `modes` field, and entry i of each array, belongs to row i
     of the encoding it was decoded from.
@@ -96,7 +95,8 @@ class Model:
         except FieldError as e:
             raise FieldError(e.field, f"{e.detail} (vessel_id {sample.vessel_id!r})") from e
 
-    def _check_bank(self, bank: TrajectoryBank | None) -> None:
+    def check_bank(self, bank: TrajectoryBank | None) -> None:
+        """Reject a bank built for another observation window or horizon, naming its field."""
         if bank is not None:
             _check_steps("bank.t_obs", bank.t_obs, "t_obs", self.cfg.t_obs)
             _check_steps("bank.t_fut", bank.t_fut, "t_fut", self.cfg.t_fut)
@@ -105,7 +105,7 @@ class Model:
         """Reject, before any encoding, the samples or bank `loss_batch` cannot
         train on; `train` runs it on the whole dataset before its first step."""
         self._check_samples(samples, "a training batch", futures=True)
-        self._check_bank(bank)
+        self.check_bank(bank)
 
     def _check_samples(self, samples: list[VesselSample], what: str, futures: bool = False) -> None:
         if not samples:
@@ -151,12 +151,11 @@ class Model:
         )
         return SampleEncoding(f_enc=f_enc, ais_mask=masks, keys=masked_track(obs, masks))
 
-    def decode(self, encoding: SampleEncoding, rngs: list[Rng], bank: TrajectoryBank | None = None) -> Forward:
-        """The per-draw stage for the V rows of `encoding`, in one pass, with
-        rows in the order given.
+    def decode(self, encoding: SampleEncoding, bank: TrajectoryBank | None = None) -> Forward:
+        """The decode stage for the rows of `encoding`, in one pass, with rows
+        in the order given.
 
-        Row i draws its K * J latent draws from `rngs[i]`, in mode order, and
-        reads only row i of `encoding`. `predict_modes` decodes every
+        Row i reads only row i of `encoding`. `predict_modes` decodes every
         (vessel, mode) row at once. When a bank is given and any row has a
         broadcast step, one `search` call retrieves an entry for every such
         lit row from its key, and `refine_and_fuse` refines every row at
@@ -166,14 +165,8 @@ class Model:
         row's outputs equal its one-row call bit for bit.
         """
         cfg = self.cfg
-        if not 0 < len(rngs) == len(encoding.ais_mask):
-            raise ValueError(
-                f"decode needs one rng per encoding row and at least one row, got "
-                f"{len(rngs)} rngs and {len(encoding.ais_mask)} encoding rows"
-            )
-        self._check_bank(bank)
-        eps = np.array([rng.normals(cfg.modes * cfg.latent_dim) for rng in rngs]).reshape(len(rngs), cfg.modes, -1)
-        modes = predict_modes(self.params.decoder, encoding.f_enc, eps)
+        self.check_bank(bank)
+        modes = predict_modes(self.params.decoder, encoding.f_enc)
         lit = encoding.ais_mask.any(axis=1) & (bank is not None)
         index, similarity = np.full(len(lit), -1), np.full(len(lit), np.nan)
         if lit.any():
@@ -185,50 +178,45 @@ class Model:
             )
         return Forward(modes=modes, prior_index=index, prior_similarity=similarity)
 
-    def forward_sample(self, sample: VesselSample, rng: Rng, bank: TrajectoryBank | None = None) -> Forward:
+    def forward_sample(self, sample: VesselSample, bank: TrajectoryBank | None = None) -> Forward:
         """Run the full pipeline on one sample: `encode(sample)`, which checks
         the sample, then the one-vessel case of `decode`, so every `modes`
         field has a vessel axis of 1. The sample must pass
         `VesselSample.validate`, and its observation window and the bank's
-        horizons must match the config; futures are not compared with
-        `cfg.t_fut` here, since evaluation passes futures longer than the
-        model's horizon.
+        horizons must match the config, or it fails before any encoding;
+        futures are not compared with `cfg.t_fut` here, since evaluation
+        passes futures longer than the model's horizon.
         """
-        return self.decode(self.encode([sample]), [rng], bank=bank)
+        self.check_bank(bank)
+        return self.decode(self.encode([sample]), bank=bank)
 
-    def loss_batch(
-        self,
-        samples: list[VesselSample],
-        rng: Rng,
-        bank: TrajectoryBank | None = None,
-    ) -> tuple[Tensor, Tensor, Tensor, list[int]]:
-        """Batch-mean (total, rec, kl) tensors plus per-sample winning modes.
+    def loss_batch(self, samples: list[VesselSample], bank: TrajectoryBank | None = None) -> tuple[Tensor, list[int]]:
+        """The batch-mean winner-takes-all loss tensor, and each sample's winning mode.
 
         `check_training` checks each sample once. One `encode_scene_sequence`
         call (`CHUNK` samples per pass, so a scene kernel's gradient is
         summed per pass, then over the passes), one `encode_and_fuse` call,
-        one `decode` pass, drawing each sample's noise from `rng` in turn,
-        and one `sample_losses` call then score the whole batch. Every op is recorded on the active tape, so
-        the graph held grows with the batch; `train` calls this with one
-        sample at a time and adds the gradients up itself.
+        one `decode` pass and one `sample_losses` call then score the whole
+        batch. Every op is recorded on the active tape, so the graph held
+        grows with the batch; `train` calls this with one sample at a time
+        and adds the gradients up itself.
         """
         self.check_training(samples, bank)
-        fwd = self.decode(self._encode(samples), [rng] * len(samples), bank=bank)
+        fwd = self.decode(self._encode(samples), bank=bank)
         fut = [np.stack([getattr(s, name) for s in samples]) for name in ("fut_ais", "fut_cctv")]
-        rec, kl, winners = sample_losses(fwd.modes, *fut)
-        rec, kl = tmean(rec), tmean(kl)
-        return total_loss(rec, kl, self.cfg.kl_weight), rec, kl, winners.tolist()
+        rec, winners = sample_losses(fwd.modes, *fut)
+        return tmean(rec), winners.tolist()
 
-    def predict(self, sample: VesselSample, rng: Rng, bank: TrajectoryBank | None = None) -> PredictionSet:
+    def predict(self, sample: VesselSample, rng=None, bank: TrajectoryBank | None = None) -> PredictionSet:
         """Inference-only candidate set (refined positional head, raw camera head)
         with the bank entry it retrieved, if any. Called outside any Tape, it
-        records nothing."""
-        fwd = self.forward_sample(sample, rng, bank=bank)
+        records nothing. The decoder draws no noise, so `rng` is ignored; it is
+        kept for callers that still pass one."""
+        fwd = self.forward_sample(sample, bank=bank)
         found = fwd.prior_index[0] >= 0
         return PredictionSet(
             ais=fwd.modes.ais.data[0],
             cctv=fwd.modes.cctv.data[0],
-            latents=fwd.modes.z.data[0],
             prior_index=int(fwd.prior_index[0]) if found else None,
             prior_similarity=float(fwd.prior_similarity[0]) if found else None,
         )

@@ -11,9 +11,8 @@ import numpy as np
 from .bank import TrajectoryBank
 from .config import TrainConfig
 from .data.types import VesselSample
-from .engine import Adam, Tape, backward, mul, tensor
+from .engine import Adam, Tape, backward, mul
 from .engine.rng import Rng
-from .losses import total_loss
 from .model import Model
 
 
@@ -26,8 +25,6 @@ class DivergenceError(RuntimeError):
 class EpochStats:
     epoch: int
     total: float
-    rec: float
-    kl: float
     lr: float
 
 
@@ -63,16 +60,16 @@ def train(
 ) -> tuple[Model, list[EpochStats]]:
     """Train a fresh model; returns it with the per-epoch loss curve.
 
-    Deterministic for fixed (samples, cfg): parameter init, batch order, and
-    latent noise all derive from cfg.seed. Every sample and the bank are
-    checked before the first step.
+    Deterministic for fixed (samples, cfg): parameter init and batch order
+    both derive from cfg.seed. Every sample and the bank are checked before
+    the first step.
 
     A step builds one sample's graph at a time: each sample of the batch gets
     its own `Tape`, its loss is checked, and `backward` adds its share,
-    `1 / len(batch)` of its total, to the leaves' gradients before the tape is
+    `1 / len(batch)` of its loss, to the leaves' gradients before the tape is
     dropped. One Adam step then follows per batch. So `cfg.batch_size` sets
     the step, but a step holds no more than one sample's graph. A step's
-    reported losses are the per-sample values summed by numpy and scaled by
+    reported loss is the per-sample values summed by numpy and scaled by
     `1 / len(batch)`, as `tmean` forms the batch mean.
     """
     model = Model(cfg)
@@ -83,47 +80,38 @@ def train(
     curve: list[EpochStats] = []
     step = 0
     for epoch in range(cfg.epochs):
-        # per-epoch streams: batch order and latent noise depend only on
-        # (seed, epoch), so any epoch is reproducible in isolation
+        # the batch order depends only on (seed, epoch), so any epoch is
+        # reproducible in isolation
         shuffle_rng = Rng(cfg.seed).child("batch-order").child(epoch)
-        noise_rng = Rng(cfg.seed).child("latent-noise").child(epoch)
         order = list(range(len(samples)))
         shuffle_rng.shuffle(order)
-        sum_total = sum_rec = sum_kl = 0.0
+        sum_total = 0.0
         for start in range(0, len(order), cfg.batch_size):
             batch = [samples[i] for i in order[start : start + cfg.batch_size]]
             share = 1.0 / len(batch)
-            recs, kls = [], []
+            losses = []
             for sample in batch:
                 with Tape():
-                    total, rec, kl, _ = model.loss_batch([sample], rng=noise_rng, bank=bank)
-                    if not math.isfinite(total.item()):
+                    loss, _ = model.loss_batch([sample], bank=bank)
+                    if not math.isfinite(loss.item()):
                         raise DivergenceError(
                             f"non-finite loss at step {step} (epoch {epoch}, vessel_id "
-                            f"{sample.vessel_id!r}): total={total.item()}"
+                            f"{sample.vessel_id!r}): total={loss.item()}"
                         )
-                    backward(mul(total, share))
-                    recs.append(rec.item())
-                    kls.append(kl.item())
-                    # each refers to this sample's tape, and so keeps its records
+                    backward(mul(loss, share))
+                    losses.append(loss.item())
+                    # it refers to this sample's tape, and so keeps its records
                     # alive; freed here, before the next sample's forward pass
-                    del total, rec, kl
+                    del loss
             opt.step()
             opt.zero_grad()
             step += 1
-            rec_value = float(np.sum(recs) * share)
-            kl_value = float(np.sum(kls) * share)
-            value = total_loss(tensor(rec_value), tensor(kl_value), cfg.kl_weight).item()
-            sum_total += value * len(batch)
-            sum_rec += rec_value * len(batch)
-            sum_kl += kl_value * len(batch)
-        n = len(samples)
-        stats = EpochStats(epoch=epoch, total=sum_total / n, rec=sum_rec / n, kl=sum_kl / n, lr=opt.lr)
+            sum_total += float(np.sum(losses) * share) * len(batch)
+        stats = EpochStats(epoch=epoch, total=sum_total / len(samples), lr=opt.lr)
         curve.append(stats)
         sched.step(stats.total)
         if log is not None:
-            log(f"epoch {epoch:4d}  total {stats.total:.6f}  rec {stats.rec:.6f}  "
-                f"kl {stats.kl:.6f}  lr {opt.lr:.2e}")
+            log(f"epoch {epoch:4d}  total {stats.total:.6f}  lr {opt.lr:.2e}")
 
     if curve_path is not None:
         write_curve(curve_path, curve)
@@ -131,7 +119,7 @@ def train(
 
 
 def write_curve(path: str | Path, curve: list[EpochStats]) -> None:
-    lines = ["epoch,total,rec,kl,lr"]
+    lines = ["epoch,total,lr"]
     for s in curve:
-        lines.append(f"{s.epoch},{s.total!r},{s.rec!r},{s.kl!r},{s.lr!r}")
+        lines.append(f"{s.epoch},{s.total!r},{s.lr!r}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

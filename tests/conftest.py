@@ -1,7 +1,6 @@
 import os
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from vesselcast.config import TrainConfig
@@ -21,7 +20,6 @@ def micro_config(**overrides):
         modes=2,
         d_model=4,
         heads=2,
-        latent_dim=2,
         stem_channels=(2, 2, 2),
         roi_size=2,
         bbox_dim=4,
@@ -64,19 +62,6 @@ def corrupt_in_place(path, masks):
         for n in range(len(blob) - 1, -1, -1):
             fh.truncate(n)
             yield
-
-
-class PinnedNormals:
-    """Stand-in for `Rng` in model calls: `normals(n)` returns the next n of
-    `values` (flattened), so a test pins the latent noise."""
-
-    def __init__(self, values):
-        self.values = np.asarray(values, dtype=np.float64).ravel().tolist()
-
-    def normals(self, n):
-        drawn, self.values = self.values[:n], self.values[n:]
-        assert len(drawn) == n, "pinned noise ran out"
-        return drawn
 
 
 @pytest.fixture

@@ -10,7 +10,7 @@ import pytest
 import vesselcast.model as model_mod
 from conftest import micro_config
 from vesselcast.bank import bank_from_samples
-from vesselcast.engine import Rng, Tape
+from vesselcast.engine import Tape
 from vesselcast.evaluate import DECODE_ROWS, evaluate
 from vesselcast.model import Model, SampleEncoding
 from vesselcast.scene_encoder import CHUNK
@@ -49,9 +49,9 @@ def test_traced_train_step_and_predict_complete(tracing, micro_cfg, micro_sample
     tracer.install()
     try:
         with Tape():
-            total, _, _, _ = model.loss_batch(micro_samples[:2], rng=Rng(1), bank=bank)
+            total, _ = model.loss_batch(micro_samples[:2], bank=bank)
             vc_train.backward(total)
-        model.predict(micro_samples[2], rng=Rng(2), bank=bank)
+        model.predict(micro_samples[2], bank=bank)
     finally:
         tracer.uninstall()
     for span in ("scene_encoder.stem_forward", "fusion.attention", "model.Model.forward_sample"):

@@ -21,7 +21,7 @@ from vesselcast.checkpoint import load_model, save_model
 from vesselcast.cli import main
 from vesselcast.config import load_train_config
 from vesselcast.data import apply_dark_vessels, read_dataset, write_dataset
-from vesselcast.engine.rng import Rng
+from vesselcast.decoder import mode_codes
 from vesselcast.model import Model
 from vesselcast.pca import pca_project
 
@@ -36,7 +36,6 @@ t_fut = 3
 modes = 2
 d_model = 4
 heads = 2
-latent_dim = 2
 stem_channels = 2, 2, 2
 roi_size = 2
 bbox_dim = 4
@@ -75,7 +74,7 @@ def test_generate_then_bank_then_train_artifacts(workdir):
     assert (workdir / "bank.json").exists()
     assert (workdir / "ckpt.bin").exists()
     curve = (workdir / "curve.csv").read_text().splitlines()
-    assert curve[0] == "epoch,total,rec,kl,lr"
+    assert curve[0] == "epoch,total,lr"
     assert len(curve) == 4
     assert (workdir / "curve.svg").exists()
 
@@ -161,8 +160,8 @@ def test_train_without_quiet_prints_one_epoch_line_per_epoch(workdir, tmp_path, 
 
 
 def test_latent_viz_reads_no_bank(workdir, tmp_path, capsys):
-    """The latents are drawn before any bank refinement, so latent-viz has no
-    --bank: argparse refuses it with exit 2, and --help does not list it."""
+    """The mode codes are formed before any bank refinement, so latent-viz has
+    no --bank: argparse refuses it with exit 2, and --help does not list it."""
     with pytest.raises(SystemExit) as exit_:
         main(["latent-viz", "--ckpt", str(workdir / "ckpt.bin"), "--data", str(workdir / "data.jsonl"),
               "--bank", str(workdir / "bank.json"), "--out", str(tmp_path / "pca.csv")])
@@ -274,7 +273,7 @@ def test_predict_emits_modes(workdir):
     assert payload["vessel_id"] == "v0000"
     assert len(payload["ais"]) == 2  # modes
     assert len(payload["ais"][0]) == 3  # t_fut
-    assert len(payload["latents"][0]) == 2
+    assert set(payload) == {"vessel_id", "ais", "cctv", "prior_index", "prior_similarity"}
 
 
 @pytest.mark.parametrize("bank, dark", [(True, False), (True, True), (False, False)])
@@ -318,20 +317,6 @@ def test_latent_viz_csv_numbers_all_parse_as_floats(workdir):
     for row in rows:
         assert len(row) == 7
         assert all(math.isfinite(float(cell)) for cell in row[2:]), row
-
-
-def test_latent_viz_with_one_latent_dimension_has_a_zero_pc2(workdir, tmp_path):
-    """One latent dimension has one principal axis; the second column is 0."""
-    (tmp_path / "train.cfg").write_text(CONFIG_TEXT.replace("latent_dim = 2", "latent_dim = 1") + "epochs = 1\n")
-    assert main(["train", "--data", str(workdir / "data.jsonl"), "--config", str(tmp_path / "train.cfg"),
-                 "--out", str(tmp_path / "ckpt.bin"), "--quiet"]) == 0
-    out = tmp_path / "pca.csv"
-    assert main(["latent-viz", "--ckpt", str(tmp_path / "ckpt.bin"), "--data", str(workdir / "data.jsonl"),
-                 "--config", str(tmp_path / "train.cfg"), "--out", str(out)]) == 0
-    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
-    assert len(rows) == 8 * 2
-    assert all(float(row[3]) == 0.0 for row in rows)
-    assert len({row[2] for row in rows}) > 1
 
 
 def test_latent_viz_on_an_empty_dataset_exits_2_naming_the_file(workdir, capsys):
@@ -495,7 +480,7 @@ def test_an_output_in_a_missing_directory_exits_2_with_one_line_naming_it(
 def test_latent_viz_with_fewer_than_two_latents_exits_2_before_loading_the_checkpoint(
     workdir, tmp_path, capsys, monkeypatch
 ):
-    """One vessel of a one-mode checkpoint has one latent, which no 2-D
+    """One vessel of a one-mode checkpoint has one mode code, which no 2-D
     projection fits: exit 2 with one line naming --data, before the
     checkpoint is loaded, and no --out."""
     config = tmp_path / "train.cfg"
@@ -641,33 +626,39 @@ def test_eval_on_a_one_step_model_exits_2_naming_t_obs(tmp_path, monkeypatch, ca
     assert not report.exists()
 
 
-def test_latent_viz_matches_a_loop_of_one_vessel_predicts(workdir):
-    """latent-viz encodes and predicts every vessel in one pool; its CSV equals,
-    byte for byte, the one a `predict` call per vessel in vessel_id order
-    gives, with lit, partly masked and dark vessels in a shuffled file; only
-    a fully broadcast track gets motion descriptors. The predicts read the
-    bank, which latent-viz does not: the latents are drawn before refinement."""
+def test_latent_viz_projects_the_mode_codes_and_runs_no_decoder_head(workdir, monkeypatch):
+    """latent-viz encodes every vessel in one pool and projects its mode codes,
+    with no `predict_modes` call; its CSV equals, byte for byte, the one built
+    from `pca_project` of `mode_codes` of `encode` on the samples in vessel_id
+    order, with lit, partly masked and dark vessels in a shuffled file; only
+    a fully broadcast track gets motion descriptors."""
+    import vesselcast.decoder as decoder_mod
+    import vesselcast.model as model_mod
+
     samples = read_dataset(workdir / "data.jsonl")
     samples = apply_dark_vessels(samples, 0.25, seed=2)
     samples[3] = dataclasses.replace(samples[3], ais_mask=np.array([True, False]))
     data = workdir / "latent_mixed.jsonl"
     write_dataset(data, samples[::-1])
     out = workdir / "pca_mixed.csv"
+    calls = []
+    for module in (decoder_mod, model_mod):
+        monkeypatch.setattr(module, "predict_modes", lambda *a, **k: calls.append(a))
     assert main(["latent-viz", "--ckpt", str(workdir / "ckpt.bin"), "--data", str(data),
-                 "--config", str(workdir / "train.cfg"), "--seed", "3", "--out", str(out)]) == 0
+                 "--config", str(workdir / "train.cfg"), "--out", str(out)]) == 0
+    assert calls == []
 
     model = load_model(workdir / "ckpt.bin", load_train_config(workdir / "train.cfg"))
-    bank = load_bank(workdir / "bank.json")
-    rows, latents = [], []
-    for sample in sorted(samples, key=lambda s: s.vessel_id):
-        preds = model.predict(sample, rng=Rng(3).child(sample.vessel_id), bank=bank)
-        latents += list(preds.latents)
+    ordered = sorted(samples, key=lambda s: s.vessel_id)
+    codes = mode_codes(model.params.decoder, model.encode(ordered).f_enc).data
+    points = pca_project(codes.reshape(-1, codes.shape[-1])).tolist()
+    lines = ["vessel_id,mode,pc1,pc2,displacement,heading_change,tortuosity"]
+    for i, sample in enumerate(ordered):
         # a vessel with a masked step gets empty descriptor fields
         fields = [repr(v) for v in cli._motion_descriptors(sample.obs_ais)] if sample.ais_mask.all() else [""] * 3
-        rows += [(sample.vessel_id, k, *fields) for k in range(len(preds.latents))]
-    lines = ["vessel_id,mode,pc1,pc2,displacement,heading_change,tortuosity"]
-    for (vid, k, disp, head, tort), (x, y) in zip(rows, pca_project(np.stack(latents)).tolist()):
-        lines.append(f"{vid},{k},{x!r},{y!r},{disp},{head},{tort}")
+        for k in range(codes.shape[1]):
+            x, y = points[i * codes.shape[1] + k]
+            lines.append(",".join([sample.vessel_id, str(k), repr(x), repr(y), *fields]))
     assert sum(not s.ais_mask.any() for s in samples) == 2
     assert sum(not s.ais_mask.all() for s in samples) == 3
     assert out.read_text() == "\n".join(lines) + "\n"

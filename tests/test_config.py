@@ -96,9 +96,6 @@ def test_validation_rejects_a_bad_dimension_naming_it(field, value):
         ("lr", math.nan),
         ("lr", math.inf),
         ("lr", 0.0),
-        ("kl_weight", math.nan),
-        ("kl_weight", -1.0),
-        ("kl_weight", math.inf),
         ("decay", math.nan),
         ("decay", -0.1),
         ("offset_scale", math.inf),
@@ -139,13 +136,13 @@ def test_architecture_hash_ignores_training_fields():
     a = TrainConfig(lr=1e-4, epochs=10)
     b = TrainConfig(lr=5e-3, epochs=99)
     assert architecture_hash(a) == architecture_hash(b)
-    c = TrainConfig(d_model=16, latent_dim=8)
+    c = TrainConfig(d_model=16)
     assert architecture_hash(a) != architecture_hash(c)
 
 
 def test_default_architecture_hash_is_pinned():
     # checkpoints store this fingerprint; a changed value would reject every saved file
-    assert architecture_hash(TrainConfig()) == 4704665362604012
+    assert architecture_hash(TrainConfig()) == 4729024085206109
 
 
 def test_waterway_validation():
@@ -207,8 +204,6 @@ def test_load_train_config_defaults(tmp_path):
     assert cfg.lr == 1e-4
     assert cfg.scheduler_factor == 0.5
     assert cfg.scheduler_patience == 10
-    assert cfg.kl_weight == 0.01
-    assert cfg.latent_dim == 16
     path = tmp_path / "c.cfg"
     path.write_text("lr = 3e-3\nepochs = 2\nuse_scene = yes\n")
     cfg2 = load_train_config(path)

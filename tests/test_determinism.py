@@ -41,7 +41,7 @@ from vesselcast.config import TrainConfig
 from vesselcast.model import Model
 
 cfg = TrainConfig(
-    t_obs=2, t_fut=3, modes=2, d_model=4, heads=2, latent_dim=2, stem_channels=(2, 2, 2),
+    t_obs=2, t_fut=3, modes=2, d_model=4, heads=2, stem_channels=(2, 2, 2),
     roi_size=2, bbox_dim=4, raster_size=12, offset_hidden=8,
 )
 save_model(sys.argv[1], Model(cfg, seed=5))
@@ -64,7 +64,7 @@ from vesselcast.evaluate import evaluate, write_report
 from vesselcast.model import Model
 
 cfg = TrainConfig(
-    t_obs=2, t_fut=3, modes=2, d_model=4, heads=2, latent_dim=2, stem_channels=(2, 2, 2),
+    t_obs=2, t_fut=3, modes=2, d_model=4, heads=2, stem_channels=(2, 2, 2),
     roi_size=2, bbox_dim=4, raster_size=12, offset_hidden=8,
 )
 samples = generate_scenario(WaterwayConfig(vessel_count=6, t_obs=2, t_fut=3, raster_size=12, bbox_half=2.0), seed=42)

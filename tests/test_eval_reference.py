@@ -63,12 +63,11 @@ def reference_cells(samples, model, bank, dts, rhos, seeds):
                 key = f"dt={dt}/density={density}/rho={rho!r}"
                 per_seed = []
                 for seed in seeds if pool else []:
-                    stream = Rng(seed).child(key)
-                    dark = apply_dark_vessels(pool, rho, seed=stream.child("dark-selection").seed)
+                    dark = apply_dark_vessels(pool, rho, seed=Rng(seed).child(key).child("dark-selection").seed)
                     sums = dict.fromkeys(_METRICS, 0.0)
                     counts = dict.fromkeys(_METRICS, 0)
                     for sample in sorted(dark, key=lambda s: s.vessel_id):
-                        preds = model.predict(sample, rng=stream.child(sample.vessel_id), bank=bank)
+                        preds = model.predict(sample, bank=bank)
                         values = loop_vessel_metrics(preds.ais[:, :dt], preds.cctv[:, :dt], sample, dt)
                         for name, value in zip(_METRICS, values):
                             if value is not None:

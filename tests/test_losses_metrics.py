@@ -5,7 +5,7 @@ import pytest
 
 from vesselcast.decoder import ModeOutput
 from vesselcast.engine import Rng, Tape, backward, tensor
-from vesselcast.losses import kl_loss, rec_loss, sample_losses, total_loss
+from vesselcast.losses import sample_losses
 from vesselcast.metrics import ade_fde, constant_velocity_baseline, cv_steps, diversity, min_ade_fde_at_k
 
 
@@ -13,23 +13,20 @@ def rand(rng, shape, lo=-1.0, hi=1.0):
     return np.array(rng.uniforms(int(np.prod(shape)), lo, hi)).reshape(shape)
 
 
-def modes_from(ais, cctv, mu=None, logvar=None, j=4, requires_grad=False):
+def modes_from(ais, cctv, requires_grad=False):
     """Stack per-mode (T, 2) tracks into a one-vessel ModeOutput with leading (1, K) axes."""
     k, t = len(ais), len(ais[0])
     return ModeOutput(
         ais=tensor(np.stack(ais)[None], requires_grad=requires_grad),
         cctv=tensor(np.stack(cctv)[None], requires_grad=requires_grad),
         features=tensor(np.zeros((1, k, t, 2))),
-        z=tensor(np.zeros((1, k, j))),
-        mu=tensor(np.zeros((1, k, j)) if mu is None else mu[None]),
-        logvar=tensor(np.zeros((1, k, j)) if logvar is None else logvar[None]),
     )
 
 
 def test_rec_loss_perfect_prediction_is_zero():
     rng = Rng(1)
     gt_a, gt_c = rand(rng, (5, 2)), rand(rng, (5, 2))
-    loss, (winner,) = rec_loss(modes_from([gt_a], [gt_c]), gt_a[None], gt_c[None])
+    loss, (winner,) = sample_losses(modes_from([gt_a], [gt_c]), gt_a[None], gt_c[None])
     assert loss.item() == 0.0
     assert winner == 0
 
@@ -39,8 +36,8 @@ def test_rec_loss_duplicate_winner_unchanged():
     gt_a, gt_c = rand(rng, (4, 2)), rand(rng, (4, 2))
     good = (gt_a + 0.01, gt_c + 0.01)
     bad = (gt_a + 1.0, gt_c + 1.0)
-    base, _ = rec_loss(modes_from([good[0], bad[0]], [good[1], bad[1]]), gt_a[None], gt_c[None])
-    dup, (winner,) = rec_loss(
+    base, _ = sample_losses(modes_from([good[0], bad[0]], [good[1], bad[1]]), gt_a[None], gt_c[None])
+    dup, (winner,) = sample_losses(
         modes_from([good[0], bad[0], gt_a + 0.01], [good[1], bad[1], gt_c + 0.01]), gt_a[None], gt_c[None]
     )
     assert dup.item() == base.item()
@@ -59,7 +56,7 @@ def test_rec_loss_joint_min_across_modalities():
     for offs in ((0.1, 0.9), (0.5, 0.2)):
         per_mode.append(sum(o * math.sqrt(2.0) for o in offs))
     expected_winner = int(np.argmin(per_mode))
-    loss, (winner,) = rec_loss(modes, gt_a[None], gt_c[None])
+    loss, (winner,) = sample_losses(modes, gt_a[None], gt_c[None])
     assert winner == expected_winner == 1
     assert loss.item() == pytest.approx(per_mode[1], abs=1e-12)
 
@@ -69,42 +66,13 @@ def test_rec_loss_gradient_only_through_winner():
     gt_a, gt_c = rand(rng, (4, 2)), rand(rng, (4, 2))
     modes = modes_from([gt_a + 0.05, gt_a + 2.0], [gt_c + 0.05, gt_c + 2.0], requires_grad=True)
     with Tape():
-        loss, (winner,) = rec_loss(modes, gt_a[None], gt_c[None])
+        loss, (winner,) = sample_losses(modes, gt_a[None], gt_c[None])
         backward(loss)
     assert winner == 0
     assert np.linalg.norm(modes.ais.grad[0, 0]) > 0
     assert np.linalg.norm(modes.cctv.grad[0, 0]) > 0
     assert not modes.ais.grad[0, 1].any()
     assert not modes.cctv.grad[0, 1].any()
-
-
-def test_kl_standard_normal_is_zero():
-    j = 16
-    assert kl_loss(tensor(np.zeros((1, j))), tensor(np.zeros((1, j)))).item() == 0.0
-
-
-def test_kl_unit_mean_sixteen_dims():
-    j = 16
-    # -1/2 * sum(1 + 0 - 1 - 1) = j/2
-    val = kl_loss(tensor(np.ones((1, j))), tensor(np.zeros((1, j)))).item()
-    assert val == pytest.approx(8.0, abs=1e-12)
-
-
-def test_kl_nonnegative_on_random_draws():
-    rng = Rng(4)
-    for _ in range(1000):
-        mu = tensor(rand(rng, (1, 8), -3, 3))
-        logvar = tensor(rand(rng, (1, 8), -4, 4))
-        assert kl_loss(mu, logvar).item() >= 0.0
-
-
-def test_total_loss_identity():
-    rng = Rng(5)
-    for _ in range(50):
-        rec = tensor([abs(rng.uniform())])
-        kl = tensor([abs(rng.uniform())])
-        total = total_loss(rec, kl, 0.01)
-        assert abs(total.item() - (rec.item() + 0.01 * kl.item())) < 1e-12
 
 
 def test_ade_fde_zero_on_equal():
@@ -212,14 +180,3 @@ def test_cv_baseline_arc_error_matches_chord_oracle():
     assert np.allclose(errors, expected, atol=1e-12)
     # error grows with horizon on a curve
     assert errors[-1] > errors[0] > 0
-
-
-def test_sample_losses_averages_kl_over_modes():
-    rng = Rng(10)
-    gt_a, gt_c = rand(rng, (4, 2)), rand(rng, (4, 2))
-    mu = np.stack([np.ones(4), np.zeros(4)])
-    modes = modes_from([gt_a, gt_a + 1], [gt_c, gt_c + 1], mu=mu, logvar=np.zeros((2, 4)), j=4)
-    _, kl, (winner,) = sample_losses(modes, gt_a[None], gt_c[None])
-    # per-mode KLs are 2.0 and 0.0 -> mean 1.0
-    assert kl.item() == pytest.approx(1.0, abs=1e-12)
-    assert winner == 0

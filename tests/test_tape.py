@@ -17,10 +17,8 @@ from vesselcast.engine import (
     Tensor,
     add,
     backward,
-    clamp,
     concat,
     conv2d,
-    exp,
     layer_norm,
     matmul,
     mul,
@@ -42,7 +40,7 @@ from vesselcast.engine import (
 from vesselcast.model import Model
 
 RECORDING_OPS = {
-    "add", "sub", "mul", "matmul", "relu", "sigmoid", "tanh", "exp", "sqrt", "clamp",
+    "add", "sub", "mul", "matmul", "relu", "sigmoid", "tanh", "sqrt",
     "tsum", "reshape", "transpose", "concat", "narrow", "softmax", "layer_norm", "conv2d", "roi_align",
 }
 
@@ -79,7 +77,7 @@ def test_no_record_holds_a_tensor():
         old = mul(w, 2.0)
     with Tape() as tape:
         m = mul(sub(add(w, 1.0), old), w)
-        y = clamp(sqrt(exp(tanh(sigmoid(relu(matmul(m, transpose(w))))))), 0.5, 2.0)
+        y = sqrt(tanh(sigmoid(relu(matmul(m, transpose(w))))))
         normed = layer_norm(m, gain, bias)
         pooled = roi_align(conv2d(x, k, padding=1), np.array([[0.0, 0.0, 4.0, 4.0]]), 2, 1.0)
         row = concat([tsum(softmax(y), axis=0), tmean(normed, axis=0), reshape(narrow(pooled, 1, 0, 1), (4,))])
@@ -126,12 +124,12 @@ def test_loss_batch_tape_stays_under_its_memory_bound():
     bank = bank_from_samples(samples, 4, seed=0)
     model = Model(cfg)
     with Tape():
-        model.loss_batch(samples, rng=Rng(1), bank=bank)  # fills lazy caches
+        model.loss_batch(samples, bank=bank)  # fills lazy caches
     tracemalloc.start()
     try:
         with Tape():
             before = tracemalloc.get_traced_memory()[0]
-            total, _, _, _ = model.loss_batch(samples, rng=Rng(1), bank=bank)
+            total, _ = model.loss_batch(samples, bank=bank)
             held = tracemalloc.get_traced_memory()[0] - before
             backward(total)
     finally:
